@@ -131,21 +131,21 @@ def pricing_graph(cfg: PricingConfig) -> NetworkGraph:
     return build_graph(cfg.n_scbs, edges)
 
 
-def constraint_slots(cfg: PricingConfig) -> list:
-    """Flat position of each MU's slack in the stacked constraint vector.
+def _hosted_mus(cfg: PricingConfig) -> list:
+    """Per-SCBS list, in MU order, of the MUs whose constraint it hosts.
 
     MU i's constraint is hosted by the smallest SCBS index in its neighborhood
     (any member works: all members are mutually adjacent)."""
     hosted = [[] for _ in range(cfg.n_scbs)]
     for i, group in enumerate(cfg.assignment):
         hosted[min(group)].append(i)
-    slots = [0] * cfg.n_mus
-    pos = 0
-    for node in range(cfg.n_scbs):
-        for i in sorted(hosted[node]):
-            slots[i] = pos
-            pos += 1
-    return slots
+    return hosted
+
+
+def constraint_slots(cfg: PricingConfig) -> list:
+    """Flat position of each MU's slack in the stacked constraint vector."""
+    order = [i for mus in _hosted_mus(cfg) for i in mus]
+    return [order.index(i) for i in range(cfg.n_mus)]
 
 
 def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
@@ -195,21 +195,9 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
         objectives.append(Objective(value=value, grad=grad, batch_value=batch_value))
         samplers.append(Sampler(sample=sample, batch=batch))
 
-    # per-MU interference constraints, hosted at the smallest member SCBS
-    hosted = [[] for _ in range(cfg.n_scbs)]
-    for i, group in enumerate(cfg.assignment):
-        hosted[min(group)].append(i)
     local_pos = [{i: pos for pos, i in enumerate(s)} for s in subs]
-
-    per_node = []
-    for node in range(cfg.n_scbs):
-        mus = sorted(hosted[node])
-        if not mus:
-            per_node.append(NeighborhoodConstraint(size=0))
-            continue
-        per_node.append(_interference_constraint(cfg, node, mus, local_pos))
-
-    constraints = ConstraintFamily(kind="neighborhood", neighborhood=tuple(per_node))
+    per_node = [_interference_constraint(cfg, mus, local_pos) for mus in _hosted_mus(cfg)]
+    constraints = ConstraintFamily.from_per_node(graph, per_node)
     domains = tuple(DomainSpec.sum_interval(dims[n], cfg.c_min, cfg.c_max, nonneg=True)
                     for n in range(cfg.n_scbs))
     x0 = None
@@ -219,7 +207,7 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
                             x0=x0, name="pricing")
 
 
-def _interference_constraint(cfg: PricingConfig, node: int, mus: list, local_pos: list):
+def _interference_constraint(cfg: PricingConfig, mus: list, local_pos: list):
     W, c = cfg.bandwidth, cfg.cost
     rows = []
     for i in mus:

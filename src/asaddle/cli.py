@@ -30,7 +30,7 @@ from .graph import build_graph, ring_edges
 from .metrics import (audit_assumptions, audit_invariants, delayed_violation,
                       estimate_optimum, fit_rate, running_suboptimality)
 from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective
-from .saddle import Hyperparams, advise, run, run_synchronous
+from .saddle import Hyperparams, advise, run
 
 __all__ = ["ExperimentConfig", "SummaryReport", "ParseError", "ValidationError",
            "parse_config", "run_experiment", "compare_modes", "main",
@@ -318,11 +318,8 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
 
 
 def _run_one(spec, cfg: ExperimentConfig, seed: int, evaluator, mode: str):
-    hp = build_hyperparams(cfg)
-    if mode == "sync":
-        return run_synchronous(spec, hp, seed, evaluator=evaluator,
-                               thin_every=cfg.thin_every)
-    return run(spec, hp, build_schedule(cfg, seed), seed, evaluator=evaluator,
+    schedule = None if mode == "sync" else build_schedule(cfg, seed)
+    return run(spec, build_hyperparams(cfg), schedule, seed, evaluator=evaluator,
                thin_every=cfg.thin_every)
 
 
@@ -333,10 +330,10 @@ def _fit_or_none(series, t=None) -> float | None:
         return None
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
-    """Run every seed, write per-seed and averaged CSVs plus summary JSON.
+def _setup(cfg: ExperimentConfig, out_dir: str | None):
+    """Output directory, problem, evaluator and F* shared by run and compare.
 
-    Returns (summary, paths, traces)."""
+    Returns (out, spec, app, evaluator, f_star)."""
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     spec, app = build_problem(cfg)
@@ -344,7 +341,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     f_star, _ = estimate_optimum(spec, cfg.resolved_optimum_budget(), cfg.optimum_seed,
                                  delta=cfg.delta, epsilon=cfg.resolved_epsilon(),
                                  mc_samples=cfg.mc_samples, eval_seed=cfg.eval_seed)
+    return out, spec, app, evaluator, f_star
 
+
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
+    """Run every seed, write per-seed and averaged CSVs plus summary JSON.
+
+    Returns (summary, paths, traces)."""
+    out, spec, app, evaluator, f_star = _setup(cfg, out_dir)
     paths = []
     traces = []
     per_seed_cols = []
@@ -397,13 +401,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
 
 def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None):
     """Aligned sync vs async series for the same config; returns (summary, path)."""
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    spec, app = build_problem(cfg)
-    evaluator = ExpectedObjective(spec, mc_samples=cfg.mc_samples, seed=cfg.eval_seed)
-    f_star, _ = estimate_optimum(spec, cfg.resolved_optimum_budget(), cfg.optimum_seed,
-                                 delta=cfg.delta, epsilon=cfg.resolved_epsilon(),
-                                 mc_samples=cfg.mc_samples, eval_seed=cfg.eval_seed)
+    out, spec, _, evaluator, f_star = _setup(cfg, out_dir)
     sides = {}
     for mode in ("sync", "async"):
         cols = [trace_columns(_run_one(spec, cfg, seed, evaluator, mode), f_star)

@@ -21,6 +21,10 @@ class InfeasibleDomain(SaddleError, ValueError):
     """The declared feasible set is empty."""
 
 
+class NonFiniteState(SaddleError, ValueError):
+    """A vector handed to a projection holds NaN or inf."""
+
+
 class OutOfWindow(SaddleError, KeyError):
     """A staleness-buffer fetch referenced a time outside the retained window."""
 

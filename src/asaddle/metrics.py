@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeries
+from .graph import closed_neighborhood
 from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective, ProblemSpec, project
 from .saddle import Hyperparams, run_synchronous
 from .trace import RunTrace
@@ -129,9 +130,11 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
 class AssumptionEstimates:
     """Empirical moment bounds feeding the hyperparameter advisor.
 
-    sigma_f2 / sigma_h2: largest per-node (per-edge) mean squared gradient
-    norm over sampled feasible points; sigma_lambda2: largest mean squared
-    slack; L_f: largest secant slope of the Monte Carlo objective.
+    sigma_f2 / sigma_h2: largest mean squared norm of a per-node objective
+    gradient / of one constraint's gradient in one node's variables, over
+    sampled feasible points; sigma_lambda2: largest mean squared slack of one
+    constraint; L_f: largest secant slope of the Monte Carlo objective. Means
+    are over observation draws at a fixed point.
     """
 
     sigma_f2: float
@@ -152,13 +155,22 @@ def _random_feasible(spec: ProblemSpec, rng) -> list:
     return xs
 
 
+def _max_draw_mean(per_draw: np.ndarray) -> float:
+    """Largest per-constraint mean of a (draws, constraints) array.
+
+    Each row is averaged as one contiguous vector, the summation order of
+    ``np.mean`` on a list of draws."""
+    return float(np.mean(np.ascontiguousarray(per_draw.T), axis=1).max())
+
+
 def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
                       theta_draws: int = 16, secant_pairs: int = 40,
                       mc_samples: int = 512) -> AssumptionEstimates:
     """Monte Carlo maxima over random feasible points and observations.
 
-    Each sampled point contributes a ``theta_draws``-sample estimate of the
-    gradient second moments and squared slacks; the Lipschitz constant of the
+    Each sampled point contributes a ``theta_draws``-sample mean of the
+    squared gradient norms and squared slacks, per node, per constraint and
+    per node the constraint depends on; the Lipschitz constant of the
     expected objective comes from random feasible secants.
     """
     if n_samples < 100:
@@ -180,29 +192,15 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
                 for th in ths[i]
             ])
             sigma_f2 = max(sigma_f2, ms)
-        if spec.constraints.kind == "pairwise":
-            for (i, j) in g.edges:
-                con = spec.constraints.pairwise[(i, j)]
-                gh = np.mean([
-                    float(np.sum(np.asarray(con.grad_i(xs[i], xs[j], ths[i][d], ths[j][d]), dtype=float)**2))
-                    for d in range(theta_draws)
-                ])
-                s2 = np.mean([
-                    float(con.value(xs[i], xs[j], ths[i][d], ths[j][d]))**2
-                    for d in range(theta_draws)
-                ])
-                sigma_h2 = max(sigma_h2, gh)
-                sigma_l2 = max(sigma_l2, s2)
-        else:
-            for k, con in enumerate(spec.constraints.neighborhood):
-                if con.size == 0:
-                    continue
-                for d in range(theta_draws):
-                    th_d = [ths[i][d] for i in range(g.n_nodes)]
-                    sigma_l2 = max(sigma_l2, float(np.max(con.value(xs, th_d)**2)))
-                    for i in sorted((*g.adjacency[k], k)):
-                        jac = np.asarray(con.jacobian(i, xs, th_d), dtype=float)
-                        sigma_h2 = max(sigma_h2, float(np.max(np.sum(jac**2, axis=1))))
+        th_draws = [[ths[i][d] for i in range(g.n_nodes)] for d in range(theta_draws)]
+        for k, con in enumerate(spec.constraints.per_node):
+            if con.size == 0:
+                continue
+            s2 = np.array([con.value(xs, th) for th in th_draws], dtype=float) ** 2
+            sigma_l2 = max(sigma_l2, _max_draw_mean(s2))
+            for i in closed_neighborhood(g, k):
+                jac = np.array([con.jacobian(i, xs, th) for th in th_draws], dtype=float)
+                sigma_h2 = max(sigma_h2, _max_draw_mean(np.sum(jac ** 2, axis=2)))
 
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=seed + 1)
     L_f = 0.0

@@ -8,27 +8,25 @@ constraint as satisfied-in-expectation whenever the expected slack is <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleDomain
+from .errors import DimensionMismatch, InfeasibleDomain, NonFiniteState
 from .graph import NetworkGraph, closed_neighborhood
 
 __all__ = [
     "DomainSpec",
     "Objective",
     "Sampler",
-    "PairwiseConstraint",
     "NeighborhoodConstraint",
     "ConstraintFamily",
     "ProblemSpec",
     "project",
     "sample_observation",
-    "objective_value",
     "objective_grad",
-    "constraint_value",
-    "constraint_grad",
     "as_neighborhood",
     "ExpectedObjective",
     "DEFAULT_MC_SAMPLES",
@@ -104,11 +102,14 @@ def project(domain: DomainSpec, u) -> np.ndarray:
     Box: coordinatewise clamp. Sum interval: return u when already feasible;
     otherwise shift toward the violated bound C* (uniformly when coordinates
     are unconstrained in sign, or by the KKT shift-and-clip rule when the
-    nonnegativity option is set).
+    nonnegativity option is set). Raises NonFiniteState on NaN or inf input.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size != domain.dim:
         raise DimensionMismatch(f"expected vector of length {domain.dim}, got shape {u.shape}")
+    # a Python loop beats numpy's reductions on the short per-node vectors
+    if not all(map(math.isfinite, u.tolist())):
+        raise NonFiniteState(f"cannot project a non-finite vector {u}")
     if domain.kind == "box":
         return np.clip(u, domain.lo, domain.hi)
 
@@ -172,25 +173,13 @@ class Sampler:
 
 
 @dataclass(frozen=True)
-class PairwiseConstraint:
-    """Slack function of one directed edge: value(x_i, x_j, th_i, th_j) = h - gamma.
-
-    grad_i / grad_j are gradients in the first / second primal argument; at
-    nondifferentiable points they must return a valid subgradient.
-    """
-
-    value: callable
-    grad_i: callable
-    grad_j: callable
-
-
-@dataclass(frozen=True)
 class NeighborhoodConstraint:
     """Vector slack function owned by one node over its closed neighborhood.
 
     value(xs, ths) -> array of length ``size``; jacobian(wrt, xs, ths) ->
-    (size, dim(wrt)) matrix. ``xs`` and ``ths`` are dicts keyed by node id
-    covering the owner's closed neighborhood.
+    (size, dim(wrt)) matrix. ``xs`` and ``ths`` are indexed by node id and
+    cover at least the owner's closed neighborhood. At nondifferentiable
+    points the jacobian must return a valid subgradient.
     """
 
     size: int
@@ -200,41 +189,113 @@ class NeighborhoodConstraint:
 
 @dataclass(frozen=True)
 class ConstraintFamily:
-    """Either one slack function per directed edge, or one vector per node."""
+    """All constraints of a problem, stacked into one slack vector.
 
-    kind: str  # "pairwise" | "neighborhood"
-    pairwise: dict | None = None          # (i, j) -> PairwiseConstraint
-    neighborhood: tuple | None = None     # per-node NeighborhoodConstraint
+    Node k owns ``per_node[k]``; the stacked slack (and the dual vector, which
+    has the same layout) is the concatenation of the per-node blocks in node
+    order. ``slack(xs, ths)`` returns that (size,) vector and
+    ``add_jt_lam(grads, lam, xs, ths)`` returns the per-node gradients plus
+    J^T lam, with J the Jacobian of the stacked slack at (xs, ths).
+    """
+
+    per_node: tuple
+    size: int
+    slack: callable
+    add_jt_lam: callable
+
+    @staticmethod
+    def from_per_node(graph: NetworkGraph, per_node) -> "ConstraintFamily":
+        """Stack one NeighborhoodConstraint per node; J^T lam loops over each
+        node's closed neighborhood and multiplies the owners' Jacobians."""
+        per_node = tuple(per_node)
+        if len(per_node) != graph.n_nodes:
+            raise DimensionMismatch("need one NeighborhoodConstraint per node")
+        offsets = list(accumulate((c.size for c in per_node), initial=0))
+        blocks = [slice(offsets[k], offsets[k + 1]) for k in range(graph.n_nodes)]
+        owned = [con for con in per_node if con.size]
+        # per node i: the nonempty blocks whose owner k is in i's closed neighborhood
+        reach = [[(per_node[k], blocks[k]) for k in closed_neighborhood(graph, i)
+                  if per_node[k].size] for i in range(graph.n_nodes)]
+
+        def slack(xs, ths):
+            if not owned:
+                return np.zeros(0)
+            return np.concatenate([con.value(xs, ths) for con in owned])
+
+        def add_jt_lam(grads, lam, xs, ths):
+            out = []
+            for i, acc in enumerate(grads):
+                for con, block in reach[i]:
+                    lam_k = lam[block]
+                    if not np.any(lam_k):
+                        continue
+                    acc = acc + np.asarray(con.jacobian(i, xs, ths), dtype=float).T @ lam_k
+                out.append(acc)
+            return out
+
+        return ConstraintFamily(per_node=per_node, size=offsets[-1],
+                                slack=slack, add_jt_lam=add_jt_lam)
 
     @staticmethod
     def from_symmetric_pairwise(graph: NetworkGraph, value, grad_first, gamma) -> "ConstraintFamily":
-        """Build both orientations of each link from one symmetric function.
+        """One slack value(x_i, x_j, th_i, th_j) - gamma_ij per directed edge.
 
         ``value(a, b, th_a, th_b)`` must satisfy value(a, b, .) == value(b, a, .)
-        and ``grad_first`` must be its gradient in the first argument; this is
-        the shape the pairwise engine update assumes.
+        and ``grad_first`` must be its gradient in the first argument. Node i
+        owns the entries of its sorted neighbors, so the stacked order is that
+        of ``graph.edges``. Mirror symmetry makes the gradient of node i's
+        Lagrangian term (lam_ij + lam_ji) grad_first(x_i, x_j), which J^T lam
+        sums edge by edge instead of through the per-node Jacobians; the slack
+        is likewise one pass over the edges.
         """
         gam = dict(gamma) if isinstance(gamma, dict) else None
-        table = {}
-        for (i, j) in graph.edges:
-            g_ij = gam[(i, j)] if gam is not None else float(gamma)
-            if g_ij < 0:
-                raise ValueError(f"tolerance gamma[{i},{j}] must be >= 0")
-            table[(i, j)] = _mirror_pair(value, grad_first, g_ij)
-        return ConstraintFamily(kind="pairwise", pairwise=table)
+        per_node, edges = [], []
+        for i in range(graph.n_nodes):
+            nbr_gammas = [(j, gam[(i, j)] if gam is not None else float(gamma))
+                          for j in graph.adjacency[i]]
+            for j, g_ij in nbr_gammas:
+                if g_ij < 0:
+                    raise ValueError(f"tolerance gamma[{i},{j}] must be >= 0")
+            per_node.append(_pairwise_block(i, nbr_gammas, value, grad_first))
+            edges += [(i, j, g_ij) for j, g_ij in nbr_gammas]
+        pos = {(i, j): e for e, (i, j, _) in enumerate(edges)}
+        links = [[(j, pos[i, j], pos[j, i]) for j in graph.adjacency[i]]
+                 for i in range(graph.n_nodes)]
+
+        def slack(xs, ths):
+            return np.array([value(xs[i], xs[j], ths[i], ths[j]) - g for i, j, g in edges])
+
+        def add_jt_lam(grads, lam, xs, ths):
+            out = []
+            for i, acc in enumerate(grads):
+                for j, e_ij, e_ji in links[i]:
+                    w = lam[e_ij] + lam[e_ji]
+                    if w != 0.0:
+                        g_ij = grad_first(xs[i], xs[j], ths[i], ths[j])
+                        acc = acc + w * np.asarray(g_ij, dtype=float)
+                out.append(acc)
+            return out
+
+        return replace(ConstraintFamily.from_per_node(graph, per_node),
+                       slack=slack, add_jt_lam=add_jt_lam)
 
 
-def _mirror_pair(value, grad_first, gamma):
-    def slack(x_i, x_j, th_i, th_j):
-        return value(x_i, x_j, th_i, th_j) - gamma
+def _pairwise_block(i, nbr_gammas, value, grad_first):
+    def slack(xs, ths):
+        return np.array([value(xs[i], xs[j], ths[i], ths[j]) - g for j, g in nbr_gammas])
 
-    def g_i(x_i, x_j, th_i, th_j):
-        return grad_first(x_i, x_j, th_i, th_j)
+    def jacobian(wrt, xs, ths):
+        rows = []
+        for j, _ in nbr_gammas:
+            if wrt == i:
+                rows.append(grad_first(xs[i], xs[j], ths[i], ths[j]))
+            elif wrt == j:
+                rows.append(grad_first(xs[j], xs[i], ths[j], ths[i]))
+            else:
+                rows.append(np.zeros(np.shape(xs[wrt])))
+        return np.asarray(rows, dtype=float)
 
-    def g_j(x_i, x_j, th_i, th_j):
-        return grad_first(x_j, x_i, th_j, th_i)
-
-    return PairwiseConstraint(value=slack, grad_i=g_i, grad_j=g_j)
+    return NeighborhoodConstraint(size=len(nbr_gammas), value=slack, jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +347,6 @@ class ProblemSpec:
             raise DimensionMismatch("problem has per-node dimensions; use .dims")
         return self.dims[0]
 
-    def constraint_sizes(self) -> tuple:
-        """Per-node dual-vector lengths (neighborhood mode) or edge count info."""
-        if self.constraints.kind == "neighborhood":
-            return tuple(c.size for c in self.constraints.neighborhood)
-        return tuple(len(self.graph.adjacency[i]) for i in range(self.graph.n_nodes))
-
-    def n_constraints(self) -> int:
-        if self.constraints.kind == "pairwise":
-            return self.graph.n_edges
-        return sum(c.size for c in self.constraints.neighborhood)
-
 
 # ---------------------------------------------------------------------------
 # operations
@@ -314,10 +364,6 @@ def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
     return spec.samplers[node].sample(observation_rng(seed, node, t))
 
 
-def objective_value(spec: ProblemSpec, node: int, x_i, theta) -> float:
-    return float(spec.objectives[node].value(np.asarray(x_i, dtype=float), theta))
-
-
 def objective_grad(spec: ProblemSpec, node: int, x_i, theta) -> np.ndarray:
     x_i = np.asarray(x_i, dtype=float)
     if x_i.shape != (spec.dims[node],):
@@ -325,71 +371,15 @@ def objective_grad(spec: ProblemSpec, node: int, x_i, theta) -> np.ndarray:
     return np.asarray(spec.objectives[node].grad(x_i, theta), dtype=float)
 
 
-def constraint_value(spec: ProblemSpec, edge, x_i, x_j, th_i, th_j) -> float:
-    """Signed slack h^{ij} - gamma_{ij} of a directed edge; <= 0 means satisfied."""
-    i, j = edge
-    con = spec.constraints.pairwise[(i, j)]
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    if x_i.shape != (spec.dims[i],) or x_j.shape != (spec.dims[j],):
-        raise DimensionMismatch(f"edge {edge}: arguments do not match node dims")
-    return float(con.value(x_i, x_j, th_i, th_j))
-
-
-def constraint_grad(spec: ProblemSpec, edge, which: str, x_i, x_j, th_i, th_j) -> np.ndarray:
-    """Gradient of the edge slack in the first or second primal argument."""
-    i, j = edge
-    con = spec.constraints.pairwise[(i, j)]
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    if x_i.shape != (spec.dims[i],) or x_j.shape != (spec.dims[j],):
-        raise DimensionMismatch(f"edge {edge}: arguments do not match node dims")
-    if which == "first":
-        return np.asarray(con.grad_i(x_i, x_j, th_i, th_j), dtype=float)
-    if which == "second":
-        return np.asarray(con.grad_j(x_i, x_j, th_i, th_j), dtype=float)
-    raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-
-
 def as_neighborhood(spec: ProblemSpec) -> ProblemSpec:
-    """Re-encode a pairwise problem as per-node vector constraints.
+    """The same problem with J^T lam computed by the generic per-node loop.
 
-    Node i owns the vector with one entry per sorted neighbor j holding the
-    (i, j) edge slack; the engine's generalized path on the result reproduces
-    the pairwise trajectory for mirror-symmetric families.
+    The family is rebuilt with ``ConstraintFamily.from_per_node`` from the
+    same per-node constraints, so a pairwise problem re-encoded this way
+    follows the edge-loop trajectory up to floating-point summation order.
     """
-    if spec.constraints.kind != "pairwise":
-        raise ValueError("spec is already in neighborhood form")
-    table = spec.constraints.pairwise
-    per_node = []
-    for i in range(spec.graph.n_nodes):
-        nbrs = spec.graph.adjacency[i]
-        per_node.append(_neighborhood_of_pairwise(i, nbrs, table, spec.dims))
-    constraints = ConstraintFamily(kind="neighborhood", neighborhood=tuple(per_node))
-    return ProblemSpec(graph=spec.graph, dims=spec.dims, objectives=spec.objectives,
-                       samplers=spec.samplers, constraints=constraints,
-                       domains=spec.domains, x0=spec.x0, name=spec.name + "_nbhd")
-
-
-def _neighborhood_of_pairwise(i, nbrs, table, dims):
-    cons = [table[(i, j)] for j in nbrs]
-
-    def value(xs, ths):
-        return np.array([c.value(xs[i], xs[j], ths[i], ths[j])
-                         for c, j in zip(cons, nbrs)])
-
-    def jacobian(wrt, xs, ths):
-        rows = []
-        for c, j in zip(cons, nbrs):
-            if wrt == i:
-                rows.append(c.grad_i(xs[i], xs[j], ths[i], ths[j]))
-            elif wrt == j:
-                rows.append(c.grad_j(xs[i], xs[j], ths[i], ths[j]))
-            else:
-                rows.append(np.zeros(dims[wrt]))
-        return np.asarray(rows, dtype=float)
-
-    return NeighborhoodConstraint(size=len(nbrs), value=value, jacobian=jacobian)
+    constraints = ConstraintFamily.from_per_node(spec.graph, spec.constraints.per_node)
+    return replace(spec, constraints=constraints, name=spec.name + "_nbhd")
 
 
 # ---------------------------------------------------------------------------

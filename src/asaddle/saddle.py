@@ -3,22 +3,21 @@
 Alternates projected primal descent and regularized dual ascent on the
 stochastic augmented Lagrangian
 
-    L_t(x, lam) = sum_i [ f^i(x^i, th^i)
-                          + sum_{j in n_i} lam^{ij} s^{ij} - (delta eps / 2)(lam^{ij})^2 ]
+    L_t(x, lam) = sum_i f^i(x^i, th^i) + lam^T s(x, th) - (delta eps / 2) |lam|^2
 
-where s^{ij} is the stored slack (constraint minus tolerance). Primal steps
+where s is the stacked slack vector (constraint minus tolerance, one entry
+per constraint, grouped by owner node). Primal steps
 start from the current iterate but use gradients evaluated at each node's
 resolved stale index; dual variables are never delayed. Both updates read the
 time-t state and commit together.
 
 The per-node update with bounded staleness is
 
-    x^i_{t+1} = P_X[ x^i_t - eps ( grad f^i at [t]_i
-                    + sum_j (lam^{ij}_t + lam^{ji}_t) grad_i s^{ij} at ([t]_i, [t]_j) ) ]
-    lam^{ij}_{t+1} = [ (1 - eps^2 delta) lam^{ij}_t + eps s^{ij} at ([t]_i, [t]_j) ]_+
+    x^i_{t+1} = P_X[ x^i_t - eps ( grad f^i at [t]_i + (J^T lam_t)_i ) ]
+    lam_{t+1} = [ (1 - eps^2 delta) lam_t + eps s at the resolved windows ]_+
 
-and the generalized (per-node vector constraint) variant replaces the edge sum
-with sum_{k in closed nbhd} J_k^T lam^k_t.
+where J is the Jacobian of s; s and J are evaluated at each node's resolved
+stale point.
 """
 
 from __future__ import annotations
@@ -76,37 +75,21 @@ class Hyperparams:
 
 @dataclass
 class SaddleState:
-    """Primal block (per-node vectors) and nonnegative dual block at time t.
+    """Primal block (per-node vectors) and nonnegative dual vector at time t.
 
-    ``lam`` is an (M,) array of per-directed-edge multipliers in pairwise mode
-    or a list of per-node vectors in neighborhood mode.
+    ``lam`` is one (M,) array laid out like the stacked slack: each owner
+    node's constraints in turn, in node order.
     """
 
     x: list
-    lam: object
+    lam: np.ndarray
     t: int = 0
-
-    def lam_stacked(self) -> np.ndarray:
-        if isinstance(self.lam, np.ndarray):
-            return self.lam
-        if len(self.lam) == 0:
-            return np.zeros(0)
-        return np.concatenate([np.atleast_1d(v) for v in self.lam])
-
-    def x_stacked(self) -> np.ndarray:
-        return stack(self.x)
 
 
 def stack(vectors) -> np.ndarray:
     if len(vectors) == 0:
         return np.zeros(0)
     return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors])
-
-
-def _zero_duals(spec: ProblemSpec):
-    if spec.constraints.kind == "pairwise":
-        return np.zeros(spec.graph.n_edges)
-    return [np.zeros(c.size) for c in spec.constraints.neighborhood]
 
 
 # ---------------------------------------------------------------------------
@@ -117,114 +100,52 @@ def stochastic_lagrangian(spec: ProblemSpec, state: SaddleState, observations, h
     """Sampled augmented Lagrangian at (state.x, state.lam) and the given draws."""
     de = hp.delta * hp.epsilon
     total = 0.0
-    xs, ths = state.x, observations
     for i in range(spec.graph.n_nodes):
-        total += float(spec.objectives[i].value(xs[i], ths[i]))
-    if spec.constraints.kind == "pairwise":
-        g = spec.graph
-        for e, (i, j) in enumerate(g.edges):
-            lam_e = state.lam[e]
-            s = spec.constraints.pairwise[(i, j)].value(xs[i], xs[j], ths[i], ths[j])
-            total += lam_e * s - 0.5 * de * lam_e**2
-    else:
-        for i, con in enumerate(spec.constraints.neighborhood):
-            if con.size == 0:
-                continue
-            h = con.value(xs, ths)
-            total += float(np.dot(state.lam[i], h)) - 0.5 * de * float(np.dot(state.lam[i], state.lam[i]))
-    return total
+        total += float(spec.objectives[i].value(state.x[i], observations[i]))
+    lam = state.lam
+    s = spec.constraints.slack(state.x, observations)
+    return total + float(np.dot(lam, s)) - 0.5 * de * float(np.dot(lam, lam))
 
 
 def primal_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval) -> list:
     """Per-node gradient of the sampled Lagrangian in x, at possibly stale points.
 
-    ``lam`` is the current (undelayed) dual block; xs_eval/ths_eval are indexed
+    ``lam`` is the current (undelayed) dual vector; xs_eval/ths_eval are indexed
     by node and already resolved to each node's own stale time.
     """
-    g = spec.graph
-    grads = []
-    if spec.constraints.kind == "pairwise":
-        table = spec.constraints.pairwise
-        for i in range(g.n_nodes):
-            acc = np.asarray(spec.objectives[i].grad(xs_eval[i], ths_eval[i]), dtype=float)
-            for j in g.adjacency[i]:
-                w = lam[g.edge_index(i, j)] + lam[g.edge_index(j, i)]
-                if w != 0.0:
-                    gi = table[(i, j)].grad_i(xs_eval[i], xs_eval[j], ths_eval[i], ths_eval[j])
-                    acc = acc + w * np.asarray(gi, dtype=float)
-            grads.append(acc)
-    else:
-        per_node = spec.constraints.neighborhood
-        for i in range(g.n_nodes):
-            acc = np.asarray(spec.objectives[i].grad(xs_eval[i], ths_eval[i]), dtype=float)
-            for k in sorted((*g.adjacency[i], i)):
-                con = per_node[k]
-                if con.size == 0 or not np.any(lam[k]):
-                    continue
-                jac = np.asarray(con.jacobian(i, xs_eval, ths_eval), dtype=float)
-                acc = acc + jac.T @ lam[k]
-            grads.append(acc)
-    return grads
+    grads = [np.asarray(spec.objectives[i].grad(xs_eval[i], ths_eval[i]), dtype=float)
+             for i in range(spec.graph.n_nodes)]
+    return spec.constraints.add_jt_lam(grads, lam, xs_eval, ths_eval)
 
 
-def dual_slack(spec: ProblemSpec, xs_eval, ths_eval):
-    """Constraint slacks at the given (possibly stale) points.
-
-    Pairwise: (M,) array ordered like graph.edges. Neighborhood: per-node list.
-    """
-    if spec.constraints.kind == "pairwise":
-        table = spec.constraints.pairwise
-        return np.array([
-            table[(i, j)].value(xs_eval[i], xs_eval[j], ths_eval[i], ths_eval[j])
-            for (i, j) in spec.graph.edges
-        ])
-    return [
-        con.value(xs_eval, ths_eval) if con.size else np.zeros(0)
-        for con in spec.constraints.neighborhood
-    ]
+def dual_slack(spec: ProblemSpec, xs_eval, ths_eval) -> np.ndarray:
+    """Stacked (M,) constraint slack at the given (possibly stale) points."""
+    return spec.constraints.slack(xs_eval, ths_eval)
 
 
-def dual_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval, hp: Hyperparams):
-    """Gradient of the sampled augmented Lagrangian in the dual block."""
-    de = hp.delta * hp.epsilon
-    s = dual_slack(spec, xs_eval, ths_eval)
-    if spec.constraints.kind == "pairwise":
-        return s - de * lam
-    return [s[i] - de * lam[i] for i in range(len(s))]
+def dual_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval, hp: Hyperparams) -> np.ndarray:
+    """Gradient of the sampled augmented Lagrangian in the dual vector."""
+    return dual_slack(spec, xs_eval, ths_eval) - hp.delta * hp.epsilon * lam
 
 
 # ---------------------------------------------------------------------------
 # one-step updates
 # ---------------------------------------------------------------------------
 
-def primal_step(spec: ProblemSpec, state: SaddleState, buffers, resolved, hp: Hyperparams) -> list:
-    """Projected descent step from the current x with gradients at stale points.
-
-    ``buffers`` is the (iterate, observation) StalenessBuffer pair and
-    ``resolved`` the per-node delayed indices for this step.
-    """
-    xbuf, obuf = buffers
-    n = spec.graph.n_nodes
-    xs_eval = [xbuf.fetch(resolved[i], i) for i in range(n)]
-    ths_eval = [obuf.fetch(resolved[i], i) for i in range(n)]
+def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hyperparams) -> list:
+    """Projected descent step from the current x with gradients at the
+    resolved (possibly stale) points xs_eval/ths_eval."""
     grads = primal_gradient(spec, state.lam, xs_eval, ths_eval)
     return [
         project(spec.domains[i], state.x[i] - hp.epsilon * grads[i])
-        for i in range(n)
+        for i in range(spec.graph.n_nodes)
     ]
 
 
-def dual_step(spec: ProblemSpec, state: SaddleState, buffers, resolved, hp: Hyperparams):
-    """Regularized ascent on the duals with slacks at stale points, clipped at 0."""
-    xbuf, obuf = buffers
-    n = spec.graph.n_nodes
-    xs_eval = [xbuf.fetch(resolved[i], i) for i in range(n)]
-    ths_eval = [obuf.fetch(resolved[i], i) for i in range(n)]
-    s = dual_slack(spec, xs_eval, ths_eval)
+def dual_step(state: SaddleState, slack, hp: Hyperparams) -> np.ndarray:
+    """Regularized ascent on the duals with the given stacked slack, clipped at 0."""
     shrink = 1.0 - hp.epsilon**2 * hp.delta
-    if spec.constraints.kind == "pairwise":
-        return np.maximum(shrink * state.lam + hp.epsilon * s, 0.0)
-    return [np.maximum(shrink * state.lam[i] + hp.epsilon * s[i], 0.0) for i in range(n)]
+    return np.maximum(shrink * state.lam + hp.epsilon * slack, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +177,7 @@ class SaddleEngine:
         n = spec.graph.n_nodes
         T = hp.T
         self._n = n
-        self._pairwise = spec.constraints.kind == "pairwise"
-        self._n_cons = spec.n_constraints()
+        n_cons = spec.constraints.size
         self.tau_bound = 0 if schedule is None else schedule.tau_max
         if schedule is not None:
             depth = self.tau_bound + 1
@@ -266,14 +186,14 @@ class SaddleEngine:
         self._prev_resolved = [0] * n
 
         x = [np.asarray(v, dtype=float).copy() for v in spec.x0]
-        self.state = SaddleState(x=x, lam=_zero_duals(spec), t=0)
+        self.state = SaddleState(x=x, lam=np.zeros(n_cons), t=0)
 
         self._F_hat = np.full(T + 1, np.nan)
         self._obj_sample = np.zeros(T)
         self._lambda_norm = np.zeros(T + 1)
         self._lambda_min = np.zeros(T + 1)
-        self._delayed_slack = np.zeros((T, self._n_cons))
-        self._current_slack = np.zeros((T, self._n_cons)) if record_current_slack else None
+        self._delayed_slack = np.zeros((T, n_cons))
+        self._current_slack = np.zeros((T, n_cons)) if record_current_slack else None
         self._resolved = np.zeros((T, n), dtype=int)
         self._staleness = np.zeros((T, n), dtype=int)
         self._snapshots = {}
@@ -286,25 +206,20 @@ class SaddleEngine:
     # -- recording ---------------------------------------------------------
 
     def _record_row(self, t):
-        stacked_lam = self.state.lam_stacked()
-        self._lambda_norm[t] = float(np.linalg.norm(stacked_lam))
-        self._lambda_min[t] = float(stacked_lam.min(initial=0.0))
+        lam = self.state.lam
+        self._lambda_norm[t] = float(np.linalg.norm(lam))
+        self._lambda_min[t] = float(lam.min(initial=0.0))
         if self.evaluator is not None and self.eval_every and \
                 (t % self.eval_every == 0 or t == self.hp.T):
             self._F_hat[t] = self.evaluator.value(self.state.x)
         if self.thin_every and (t % self.thin_every == 0 or t == self.hp.T):
             self._snapshots[t] = stack(self.state.x)
-            res = max(
-                float(np.max(np.abs(project(self.spec.domains[i], self.state.x[i])
-                                    - self.state.x[i]), initial=0.0))
+            # np.max keeps a NaN residual where the builtin max would drop it
+            self._domain_residual = float(np.max([self._domain_residual] + [
+                np.max(np.abs(project(self.spec.domains[i], self.state.x[i])
+                              - self.state.x[i]), initial=0.0)
                 for i in range(self._n)
-            )
-            self._domain_residual = max(self._domain_residual, res)
-
-    def _flat(self, s):
-        if self._pairwise:
-            return s
-        return np.concatenate(s) if len(s) else np.zeros(0)
+            ]))
 
     # -- iteration ---------------------------------------------------------
 
@@ -329,26 +244,19 @@ class SaddleEngine:
             xs_eval = self.state.x
             ths_eval = theta
 
-        grads = primal_gradient(spec, self.state.lam, xs_eval, ths_eval)
         s_delayed = dual_slack(spec, xs_eval, ths_eval)
-        new_x = [project(spec.domains[i], self.state.x[i] - hp.epsilon * grads[i])
-                 for i in range(n)]
-        shrink = 1.0 - hp.epsilon**2 * hp.delta
-        if self._pairwise:
-            new_lam = np.maximum(shrink * self.state.lam + hp.epsilon * s_delayed, 0.0)
-        else:
-            new_lam = [np.maximum(shrink * self.state.lam[i] + hp.epsilon * s_delayed[i], 0.0)
-                       for i in range(n)]
+        new_x = primal_step(spec, self.state, xs_eval, ths_eval, hp)
+        new_lam = dual_step(self.state, s_delayed, hp)
 
         self._obj_sample[k] = sum(
             float(spec.objectives[i].value(self.state.x[i], theta[i])) for i in range(n)
         )
-        self._delayed_slack[k] = self._flat(s_delayed)
+        self._delayed_slack[k] = s_delayed
         if self._current_slack is not None:
             if self.schedule is not None and any(r != k for r in res_k):
-                self._current_slack[k] = self._flat(dual_slack(spec, self.state.x, theta))
+                self._current_slack[k] = dual_slack(spec, self.state.x, theta)
             else:
-                self._current_slack[k] = self._delayed_slack[k]
+                self._current_slack[k] = s_delayed
         self._resolved[k] = res_k
         self._staleness[k] = [k - r for r in res_k]
 
@@ -379,11 +287,10 @@ class SaddleEngine:
             resolved=self._resolved[:t].copy(), staleness=self._staleness[:t].copy(),
             x_snapshots=dict(self._snapshots), x_final=self.state.x,
             lam_final=self.state.lam, domain_residual_max=self._domain_residual,
-            constraint_kind=self.spec.constraints.kind,
         )
 
 
-def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule, seed: int,
+def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed: int,
         hooks=(), evaluator=None, eval_every: int = 1, thin_every: int = 50,
         record_current_slack: bool = True) -> RunTrace:
     """Execute T iterations of the asynchronous method; deterministic given seed.
@@ -392,6 +299,7 @@ def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule, seed: int,
     (monotone, bounded by the schedule), then commits the primal and dual steps
     computed from the time-t state (Jacobi order). ``evaluator`` supplies the
     Monte Carlo objective recorded in the trace every ``eval_every`` rows.
+    ``schedule=None`` runs the synchronous reference loop.
     """
     engine = SaddleEngine(spec, hp, schedule, seed, hooks=hooks, evaluator=evaluator,
                           eval_every=eval_every, thin_every=thin_every,
@@ -401,20 +309,15 @@ def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule, seed: int,
 
 def run_generalized(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule, seed: int,
                     **kwargs) -> RunTrace:
-    """Run with per-node vector constraints and per-node vector duals."""
-    if spec.constraints.kind != "neighborhood":
-        raise ValueError("run_generalized requires a neighborhood constraint family")
+    """Same as ``run``: every constraint family goes through one step kernel."""
     return run(spec, hp, schedule, seed, **kwargs)
 
 
-def run_synchronous(spec: ProblemSpec, hp: Hyperparams, seed: int,
-                    hooks=(), evaluator=None, eval_every: int = 1, thin_every: int = 50,
-                    record_current_slack: bool = True) -> RunTrace:
-    """Reference synchronous loop: no schedule, no buffers, fresh gradients."""
-    engine = SaddleEngine(spec, hp, None, seed, hooks=hooks, evaluator=evaluator,
-                          eval_every=eval_every, thin_every=thin_every,
-                          record_current_slack=record_current_slack)
-    return engine.run().trace()
+def run_synchronous(spec: ProblemSpec, hp: Hyperparams, seed: int, **kwargs) -> RunTrace:
+    """Reference synchronous loop: no schedule, no buffers, fresh gradients.
+
+    Keyword arguments are those of ``run``."""
+    return run(spec, hp, None, seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,8 @@ class RunTrace:
     staleness: np.ndarray
     x_snapshots: dict = field(default_factory=dict)
     x_final: list = field(default_factory=list)
-    lam_final: object = None
+    lam_final: np.ndarray | None = None
     domain_residual_max: float = 0.0
-    constraint_kind: str = "pairwise"
 
     @property
     def n_rows(self) -> int:

@@ -176,6 +176,15 @@ def test_main_runtime_error_exit_3(tmp_path, monkeypatch):
     assert main(["run", path, "--out", str(tmp_path / "x")]) == 3
 
 
+def test_main_non_finite_start_exit_3(tmp_path, capsys):
+    # a NaN price start used to escape the projection as a bare IndexError
+    path = tmp_path / "nan.json"
+    path.write_text('{"problem": {"name": "pricing", "x0": [[NaN], [0.45, 0.45], [0.9]]},'
+                    ' "algo": {"T": 10}}', encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 3
+    assert "runtime error" in capsys.readouterr().err
+
+
 def test_main_strict_audit_failure_exit_4(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, SMALL)
     import asaddle.cli as cli_mod

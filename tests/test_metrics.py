@@ -7,7 +7,8 @@ from asaddle.graph import build_graph
 from asaddle.metrics import (audit_assumptions, audit_invariants, cumulative_suboptimality,
                              delayed_violation, estimate_optimum, fit_rate,
                              running_suboptimality)
-from asaddle.problem import (ConstraintFamily, DomainSpec, Objective, ProblemSpec, Sampler)
+from asaddle.problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, Objective,
+                             ProblemSpec, Sampler)
 from asaddle.saddle import Hyperparams, run
 
 
@@ -20,7 +21,7 @@ def scalar_noisy_quadratic_spec():
     samp = Sampler(sample=lambda rng: float(rng.normal(1.0, 1.0)),
                    batch=lambda rng, size: rng.normal(1.0, 1.0, size=size))
     return ProblemSpec.make(g, 1, [obj], [samp],
-                            ConstraintFamily(kind="pairwise", pairwise={}),
+                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
                             DomainSpec.box(np.array([-4.0]), np.array([4.0])))
 
 
@@ -163,7 +164,7 @@ def linear_objective_spec(c):
     g = build_graph(1, [])
     obj = Objective(value=lambda x, th: float(c @ x), grad=lambda x, th: c.copy())
     return ProblemSpec.make(g, c.size, [obj], [Sampler(sample=lambda rng: None)],
-                            ConstraintFamily(kind="pairwise", pairwise={}),
+                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
                             DomainSpec.box(np.full(c.size, -1.0), np.full(c.size, 1.0)))
 
 

@@ -71,8 +71,9 @@ def test_paper_topology_structure(cfg, spec):
     assert spec.dims == (1, 2, 1)
     assert pricing_graph(cfg).edges == ((0, 1), (1, 0), (1, 2), (2, 1))
     assert constraint_slots(cfg) == [0, 1]
-    sizes = [c.size for c in spec.constraints.neighborhood]
+    sizes = [c.size for c in spec.constraints.per_node]
     assert sizes == [1, 1, 0]
+    assert spec.constraints.size == 2
     # price boxes: nonnegative, sums within [0.9, 20]
     for dom in spec.domains:
         assert dom.kind == "sum_interval" and dom.nonneg
@@ -86,10 +87,7 @@ def test_zero_gains_give_zero_objective_and_negative_slack(cfg, spec):
     xs = [v.copy() for v in spec.x0]
     total = sum(spec.objectives[n].value(xs[n], th[n]) for n in range(3))
     assert total == 0.0
-    for con in spec.constraints.neighborhood:
-        if con.size:
-            s = con.value(xs, th)
-            assert np.allclose(s, -cfg.gamma_linear(0))
+    assert np.allclose(spec.constraints.slack(xs, th), -cfg.gamma_linear(0))
 
 
 def test_gamma_db_conversion():
@@ -123,7 +121,7 @@ def test_objective_gradient_matches_finite_differences(spec):
 
 def test_constraint_jacobian_matches_finite_differences(spec):
     rng = np.random.default_rng(3)
-    con = spec.constraints.neighborhood[0]  # first MU, members SCBS 0 and 1
+    con = spec.constraints.per_node[0]  # first MU, members SCBS 0 and 1
     checked = 0
     while checked < 60:
         xs = [rng.uniform(0.2, 6.0, size=d) for d in spec.dims]
@@ -155,7 +153,7 @@ def test_engine_step_matches_algorithm_closed_form(cfg, spec):
     rng = np.random.default_rng(4)
     xs = [rng.uniform(0.5, 4.0, size=d) for d in spec.dims]
     ths = [(rng.exponential(3.0, size=d), rng.exponential(3.0, size=d)) for d in spec.dims]
-    lam = [np.array([0.7]), np.array([0.3]), np.zeros(0)]
+    lam = np.array([0.7, 0.3])  # MU 0 (hosted by SCBS 0), MU 1 (hosted by SCBS 1)
     eps = 0.01
 
     grads = primal_gradient(spec, lam, xs, ths)

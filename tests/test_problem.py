@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from asaddle.errors import DimensionMismatch, InfeasibleDomain
+from asaddle.errors import DimensionMismatch, InfeasibleDomain, NonFiniteState
 from asaddle.graph import build_graph, path_edges
-from asaddle.problem import (ConstraintFamily, DomainSpec, ExpectedObjective, Objective,
-                             ProblemSpec, Sampler, as_neighborhood, constraint_grad,
-                             constraint_value, objective_grad, project, sample_observation)
+from asaddle.problem import (ConstraintFamily, DomainSpec, ExpectedObjective,
+                             NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
+                             as_neighborhood, objective_grad, project, sample_observation)
 from conftest import assert_grad_close, central_difference
 
 
@@ -111,6 +111,15 @@ def test_projection_dimension_mismatch():
         project(DomainSpec.box(np.zeros(2), np.ones(2)), np.zeros(3))
 
 
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: f"{d.kind}{d.dim}{'n' if d.nonneg else ''}")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite_input(domain, bad):
+    u = np.ones(domain.dim)
+    u[-1] = bad
+    with pytest.raises(NonFiniteState):
+        project(domain, u)
+
+
 # ---------------------------------------------------------------------------
 # observation streams
 # ---------------------------------------------------------------------------
@@ -156,13 +165,18 @@ def test_least_squares_gradient_hand_case(consensus_spec):
     assert np.allclose(got, -z)
 
 
+def no_constraints(graph):
+    return ConstraintFamily.from_per_node(
+        graph, [NeighborhoodConstraint(size=0)] * graph.n_nodes)
+
+
 def test_constant_objective_gradient():
     g = build_graph(1, [])
     spec = ProblemSpec.make(
         g, 2,
         [Objective(value=lambda x, th: 3.0, grad=lambda x, th: np.zeros(2))],
         [Sampler(sample=lambda rng: None)],
-        ConstraintFamily(kind="pairwise", pairwise={}),
+        no_constraints(g),
         DomainSpec.box(np.full(2, -1.0), np.full(2, 1.0)),
     )
     assert np.allclose(objective_grad(spec, 0, np.zeros(2), None), 0.0)
@@ -175,22 +189,27 @@ def test_objective_grad_dimension_mismatch(consensus_spec):
 
 def test_constraint_value_hand_cases(path3):
     from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    e01 = path3.edge_index(0, 1)
     spec_g1 = build_consensus_problem(ConsensusRegressionConfig(p=2, gamma=1.0), path3)
     x = np.array([0.3, -0.2])
-    assert constraint_value(spec_g1, (0, 1), x, x, None, None) == pytest.approx(-1.0)
+    slack = spec_g1.constraints.slack([x, x, x], [None] * 3)
+    assert slack.shape == (path3.n_edges,)
+    assert slack[e01] == pytest.approx(-1.0)
     spec_g0 = build_consensus_problem(ConsensusRegressionConfig(p=2, gamma=0.0), path3)
-    v = constraint_value(spec_g0, (0, 1), np.array([1.0, 0.0]), np.array([0.0, 0.0]), None, None)
-    assert v == pytest.approx(1.0)
+    xs = [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0])]
+    assert spec_g0.constraints.slack(xs, [None] * 3)[e01] == pytest.approx(1.0)
 
 
 def test_constraint_grad_hand_cases(small_consensus_spec):
-    xi, xj = np.array([1.0, 1.0]), np.array([0.0, 1.0])
-    g = constraint_grad(small_consensus_spec, (0, 1), "first", xi, xj, None, None)
-    assert np.allclose(g, [1.0, 0.0])
-    g2 = constraint_grad(small_consensus_spec, (0, 1), "second", xi, xj, None, None)
-    assert np.allclose(g2, [-1.0, 0.0])
-    g0 = constraint_grad(small_consensus_spec, (0, 1), "first", xi, xi, None, None)
-    assert np.allclose(g0, 0.0)  # 0 picked from the subdifferential at the kink
+    # node 0 of the path owns one entry, the (0, 1) slack ||x_0 - x_1|| - gamma
+    con = small_consensus_spec.constraints.per_node[0]
+    xi, xj, x2 = np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2)
+    ths = [None] * 3
+    assert np.allclose(con.jacobian(0, [xi, xj, x2], ths), [[1.0, 0.0]])   # first argument
+    assert np.allclose(con.jacobian(1, [xi, xj, x2], ths), [[-1.0, 0.0]])  # second argument
+    assert np.allclose(con.jacobian(2, [xi, xj, x2], ths), 0.0)  # not an argument
+    # 0 picked from the subdifferential at the kink
+    assert np.allclose(con.jacobian(0, [xi, xi, x2], ths), 0.0)
 
 
 def test_gradients_match_finite_differences(consensus_spec):
@@ -204,19 +223,21 @@ def test_gradients_match_finite_differences(consensus_spec):
         numeric = central_difference(lambda v: spec.objectives[node].value(v, th), x)
         assert_grad_close(analytic, numeric)
 
+    ths = [None] * spec.graph.n_nodes
     for _ in range(100):
-        e = spec.graph.edges[int(rng.integers(spec.graph.n_edges))]
-        xi = rng.uniform(-1.5, 1.5, size=4)
-        xj = rng.uniform(-1.5, 1.5, size=4)
-        if np.linalg.norm(xi - xj) < 1e-2:
+        i, j = spec.graph.edges[int(rng.integers(spec.graph.n_edges))]
+        xs = [rng.uniform(-1.5, 1.5, size=4) for _ in range(spec.graph.n_nodes)]
+        if np.linalg.norm(xs[i] - xs[j]) < 1e-2:
             continue
-        con = spec.constraints.pairwise[e]
-        analytic = constraint_grad(spec, e, "first", xi, xj, None, None)
-        numeric = central_difference(lambda v: con.value(v, xj, None, None), xi)
-        assert_grad_close(analytic, numeric)
-        analytic_j = constraint_grad(spec, e, "second", xi, xj, None, None)
-        numeric_j = central_difference(lambda v: con.value(xi, v, None, None), xj)
-        assert_grad_close(analytic_j, numeric_j)
+        con = spec.constraints.per_node[i]
+        row = spec.graph.adjacency[i].index(j)
+        for wrt in (i, j):
+            def entry(v, wrt=wrt):
+                moved = list(xs)
+                moved[wrt] = v
+                return con.value(moved, ths)[row]
+            analytic = con.jacobian(wrt, xs, ths)[row]
+            assert_grad_close(analytic, central_difference(entry, xs[wrt]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +255,20 @@ def test_make_broadcasts_and_projects_x0(path3):
 
 def test_as_neighborhood_shape(small_consensus_spec):
     nb = as_neighborhood(small_consensus_spec)
-    assert nb.constraints.kind == "neighborhood"
-    sizes = [c.size for c in nb.constraints.neighborhood]
+    sizes = [c.size for c in nb.constraints.per_node]
     assert sizes == [1, 2, 1]  # path graph neighbor counts
+    assert nb.constraints.size == small_consensus_spec.constraints.size == 4
+    # same stacked slack; J^T lam from the per-node Jacobians matches the edge loop
+    rng = np.random.default_rng(5)
+    xs = [rng.uniform(-1.0, 1.0, size=2) for _ in range(3)]
+    ths = [None] * 3
+    lam = rng.uniform(0.0, 2.0, size=4)
+    grads = [np.zeros(2) for _ in range(3)]
+    assert np.array_equal(nb.constraints.slack(xs, ths),
+                          small_consensus_spec.constraints.slack(xs, ths))
+    for a, b in zip(nb.constraints.add_jt_lam(grads, lam, xs, ths),
+                    small_consensus_spec.constraints.add_jt_lam(grads, lam, xs, ths)):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-14)
 
 
 def test_expected_objective_quadratic():
@@ -252,7 +284,7 @@ def test_expected_objective_quadratic():
                     grad=lambda x, th: np.array([x[0] - th]),
                     batch_value=lambda x, th: 0.5 * (x[0] - th) ** 2)
     spec = ProblemSpec.make(g, 1, [obj], [Sampler(sample=sample, batch=batch)],
-                            ConstraintFamily(kind="pairwise", pairwise={}),
+                            no_constraints(g),
                             DomainSpec.box(np.array([-5.0]), np.array([5.0])))
     est = ExpectedObjective(spec, mc_samples=20000, seed=1)
     assert est.value([np.array([1.0])]) == pytest.approx(0.5, abs=0.03)
@@ -261,7 +293,7 @@ def test_expected_objective_quadratic():
         g, 1,
         [Objective(value=obj.value, grad=obj.grad)],
         [Sampler(sample=sample)],
-        ConstraintFamily(kind="pairwise", pairwise={}),
+        no_constraints(g),
         DomainSpec.box(np.array([-5.0]), np.array([5.0])))
     est_plain = ExpectedObjective(spec_plain, mc_samples=4000, seed=1)
     assert est_plain.value([np.array([1.0])]) == pytest.approx(0.5, abs=0.05)

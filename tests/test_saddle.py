@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from asaddle.delay import DelaySchedule, StalenessBuffer
-from asaddle.errors import NoFeasibleDelta
+from asaddle.errors import NoFeasibleDelta, NonFiniteState
 from asaddle.graph import build_graph, path_edges
-from asaddle.problem import (ConstraintFamily, DomainSpec, Objective, PairwiseConstraint,
+from asaddle.problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, Objective,
                              ProblemSpec, Sampler, as_neighborhood)
 from asaddle.metrics import AssumptionEstimates
-from asaddle.saddle import (Hyperparams, SaddleState, advise, dual_gradient, dual_step,
-                            primal_gradient, primal_step, run, run_generalized,
+from asaddle.saddle import (Hyperparams, SaddleState, advise, dual_gradient, dual_slack,
+                            dual_step, primal_gradient, primal_step, run, run_generalized,
                             run_synchronous, stack, stochastic_lagrangian)
 
 
@@ -27,8 +27,18 @@ def scalar_quadratic_spec():
     g = build_graph(1, [])
     obj = Objective(value=lambda x, th: 0.5 * x[0] ** 2, grad=lambda x, th: x.copy())
     return ProblemSpec.make(g, 1, [obj], [point_mass_sampler()],
-                            ConstraintFamily(kind="pairwise", pairwise={}),
+                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
                             DomainSpec.box(np.array([-10.0]), np.array([10.0])))
+
+
+def constant_slack_spec(slack):
+    """Two nodes, f == 0, both directed edges carry the constant slack."""
+    g = build_graph(2, [(0, 1)])
+    objs = [Objective(value=lambda x, th: 0.0, grad=lambda x, th: np.zeros(1))] * 2
+    constraints = ConstraintFamily.from_symmetric_pairwise(
+        g, value=lambda *a: slack, grad_first=lambda *a: np.zeros(1), gamma=0.0)
+    return ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2, constraints,
+                            DomainSpec.box(np.array([-1.0]), np.array([1.0])))
 
 
 def two_node_quadratic_spec(gamma=1.0):
@@ -79,19 +89,7 @@ def test_lagrangian_zero_duals_is_objective_sum():
 def test_lagrangian_single_edge_hand_value():
     # f == 0, one directed edge with slack 1.0, lam = 2, delta*eps = 0.1:
     # 2*1 - 0.05*4 = 1.8 per direction counted once
-    g = build_graph(2, [(0, 1)])
-    objs = [Objective(value=lambda x, th: 0.0, grad=lambda x, th: np.zeros(1))] * 2
-    table = {
-        (0, 1): PairwiseConstraint(value=lambda *a: 1.0,
-                                   grad_i=lambda *a: np.zeros(1),
-                                   grad_j=lambda *a: np.zeros(1)),
-        (1, 0): PairwiseConstraint(value=lambda *a: 1.0,
-                                   grad_i=lambda *a: np.zeros(1),
-                                   grad_j=lambda *a: np.zeros(1)),
-    }
-    spec = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                            ConstraintFamily(kind="pairwise", pairwise=table),
-                            DomainSpec.box(np.array([-1.0]), np.array([1.0])))
+    spec = constant_slack_spec(1.0)
     hp = Hyperparams(epsilon=0.2, delta=0.5, T=1)  # delta*eps = 0.1
     lam = np.zeros(2)
     lam[spec.graph.edge_index(0, 1)] = 2.0
@@ -106,22 +104,12 @@ def test_lagrangian_single_edge_hand_value():
 # one-step updates
 # ---------------------------------------------------------------------------
 
-def _fresh_buffers(spec, xs, ths, t=0):
-    xbuf = StalenessBuffer(spec.graph.n_nodes, 1)
-    obuf = StalenessBuffer(spec.graph.n_nodes, 1)
-    for i in range(spec.graph.n_nodes):
-        xbuf.record(t, i, xs[i])
-        obuf.record(t, i, ths[i])
-    return (xbuf, obuf), [t] * spec.graph.n_nodes
-
-
 def test_primal_step_scalar_hand_value():
     spec = scalar_quadratic_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=1)
     x = [np.array([1.0])]
     state = SaddleState(x=x, lam=np.zeros(0))
-    buffers, resolved = _fresh_buffers(spec, x, [None])
-    new_x = primal_step(spec, state, buffers, resolved, hp)
+    new_x = primal_step(spec, state, x, [None], hp)
     assert new_x[0][0] == pytest.approx(0.9)
 
 
@@ -130,44 +118,24 @@ def test_primal_step_zero_epsilon_is_identity():
     hp = Hyperparams(epsilon=1e-300, delta=0.0, T=1)
     x = [np.array([0.3]), np.array([-0.7])]
     state = SaddleState(x=x, lam=np.zeros(2))
-    buffers, resolved = _fresh_buffers(spec, x, [None, None])
-    new_x = primal_step(spec, state, buffers, resolved, hp)
+    new_x = primal_step(spec, state, x, [None, None], hp)
     assert np.allclose(stack(new_x), stack(x), atol=1e-12)
 
 
 def test_dual_step_hand_values():
-    g = build_graph(2, [(0, 1)])
-    objs = [Objective(value=lambda x, th: 0.0, grad=lambda x, th: np.zeros(1))] * 2
-    mk = lambda s: PairwiseConstraint(value=lambda *a: s,
-                                      grad_i=lambda *a: np.zeros(1),
-                                      grad_j=lambda *a: np.zeros(1))
-    spec = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                            ConstraintFamily(kind="pairwise",
-                                             pairwise={(0, 1): mk(0.5), (1, 0): mk(0.5)}),
-                            DomainSpec.box(np.array([-1.0]), np.array([1.0])))
     x = [np.zeros(1), np.zeros(1)]
+    ths = [None, None]
     # lam=1, eps=0.1, delta=0.01, slack=0.5 -> (1 - 1e-4)*1 + 0.05 = 1.0499
     hp = Hyperparams(epsilon=0.1, delta=0.01, T=1)
     state = SaddleState(x=x, lam=np.ones(2))
-    buffers, resolved = _fresh_buffers(spec, x, [None, None])
-    new_lam = dual_step(spec, state, buffers, resolved, hp)
+    new_lam = dual_step(state, dual_slack(constant_slack_spec(0.5), x, ths), hp)
     assert np.allclose(new_lam, 1.0499)
     # delta=0, slack=0 leaves lam unchanged
-    spec0 = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                             ConstraintFamily(kind="pairwise",
-                                              pairwise={(0, 1): mk(0.0), (1, 0): mk(0.0)}),
-                             DomainSpec.box(np.array([-1.0]), np.array([1.0])))
     hp0 = Hyperparams(epsilon=0.1, delta=0.0, T=1)
-    buffers, resolved = _fresh_buffers(spec0, x, [None, None])
-    assert np.allclose(dual_step(spec0, state, buffers, resolved, hp0), 1.0)
+    assert np.allclose(dual_step(state, dual_slack(constant_slack_spec(0.0), x, ths), hp0), 1.0)
     # negative slack at lam=0 projects back to 0
-    specn = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                             ConstraintFamily(kind="pairwise",
-                                              pairwise={(0, 1): mk(-2.0), (1, 0): mk(-2.0)}),
-                             DomainSpec.box(np.array([-1.0]), np.array([1.0])))
     state0 = SaddleState(x=x, lam=np.zeros(2))
-    buffers, resolved = _fresh_buffers(specn, x, [None, None])
-    assert np.allclose(dual_step(specn, state0, buffers, resolved, hp), 0.0)
+    assert np.allclose(dual_step(state0, dual_slack(constant_slack_spec(-2.0), x, ths), hp), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +185,6 @@ def test_pairwise_matches_neighborhood_encoding(small_consensus_spec):
 
 
 def test_generalized_zero_constraint_keeps_duals_zero():
-    from asaddle.problem import NeighborhoodConstraint
     g = build_graph(2, [(0, 1)])
     objs = [Objective(value=lambda x, th: 0.5 * float(x @ x), grad=lambda x, th: x.copy())] * 2
     cons = tuple(
@@ -227,7 +194,7 @@ def test_generalized_zero_constraint_keeps_duals_zero():
         for _ in range(2)
     )
     spec = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                            ConstraintFamily(kind="neighborhood", neighborhood=cons),
+                            ConstraintFamily.from_per_node(g, cons),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=50)
     trace = run_generalized(spec, hp, DelaySchedule(kind="zero"), seed=0)
@@ -236,14 +203,13 @@ def test_generalized_zero_constraint_keeps_duals_zero():
 
 def test_generalized_single_node_reduces_to_projected_sgd():
     # one node, self-only constraint x <= 0.4 (slack x - 0.4), point-mass data
-    from asaddle.problem import NeighborhoodConstraint
     g = build_graph(1, [])
     obj = Objective(value=lambda x, th: 0.5 * (x[0] - 1.0) ** 2, grad=lambda x, th: x - 1.0)
     con = NeighborhoodConstraint(size=1,
                                  value=lambda xs, ths: np.array([xs[0][0] - 0.4]),
                                  jacobian=lambda wrt, xs, ths: np.ones((1, 1)))
     spec = ProblemSpec.make(g, 1, [obj], [point_mass_sampler()],
-                            ConstraintFamily(kind="neighborhood", neighborhood=(con,)),
+                            ConstraintFamily.from_per_node(g, [con]),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])),
                             x0=[np.array([0.0])])
     hp = Hyperparams(epsilon=0.05, delta=0.0, T=120)
@@ -257,7 +223,8 @@ def test_generalized_single_node_reduces_to_projected_sgd():
         x = float(np.clip(x - hp.epsilon * g_x, -2.0, 2.0))
         lam = max(lam + hp.epsilon * s, 0.0)
     assert trace.x_final[0][0] == pytest.approx(x, abs=1e-12)
-    assert trace.lam_final[0][0] == pytest.approx(lam, abs=1e-12)
+    assert trace.lam_final.shape == (1,)
+    assert trace.lam_final[0] == pytest.approx(lam, abs=1e-12)
     assert abs(trace.x_final[0][0] - 0.4) < 0.05  # constraint active near optimum
 
 
@@ -281,6 +248,20 @@ def test_engine_stepwise_matches_one_shot(small_consensus_spec):
         assert np.array_equal(full.x_snapshots[t], one_shot.x_snapshots[t])
     with pytest.raises(IndexError):
         engine.step()
+
+
+def test_nan_gradient_stops_the_run():
+    # one NaN gradient used to leave x NaN for the rest of the run while the
+    # invariant audit still reported a feasible trace
+    g = build_graph(1, [])
+    obj = Objective(value=lambda x, th: 0.5 * float(x @ x),
+                    grad=lambda x, th: np.full_like(x, np.nan) if th else x.copy())
+    spec = ProblemSpec.make(g, 1, [obj], [Sampler(sample=lambda rng: rng.random() < 0.1)],
+                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
+                            DomainSpec.box(np.array([-1.0]), np.array([1.0])))
+    hp = Hyperparams(epsilon=0.1, delta=0.0, T=200)
+    with pytest.raises(NonFiniteState):
+        run(spec, hp, DelaySchedule(kind="zero"), seed=0, thin_every=1)
 
 
 def test_staleness_monotone_and_bounded(small_consensus_spec):
@@ -307,7 +288,7 @@ def one_step_decrement_audit(spec, hp, schedule, x_star, lam_star, T):
     xbuf = StalenessBuffer(n, schedule.tau_max + 1)
     obuf = StalenessBuffer(n, schedule.tau_max + 1)
     from asaddle.delay import resolve
-    from asaddle.problem import project, sample_observation
+    from asaddle.problem import sample_observation
 
     x = [v.copy() for v in spec.x0]
     lam = np.zeros(spec.graph.n_edges)
@@ -325,10 +306,9 @@ def one_step_decrement_audit(spec, hp, schedule, x_star, lam_star, T):
 
         g_x = primal_gradient(spec, lam, xs_eval, ths_eval)
         g_lam = dual_gradient(spec, lam, xs_eval, ths_eval, hp)
-        new_x = [project(spec.domains[i], x[i] - hp.epsilon * g_x[i]) for i in range(n)]
-        shrink = 1.0 - hp.epsilon**2 * hp.delta
-        from asaddle.saddle import dual_slack
-        new_lam = np.maximum(shrink * lam + hp.epsilon * dual_slack(spec, xs_eval, ths_eval), 0.0)
+        state = SaddleState(x=x, lam=lam)
+        new_x = primal_step(spec, state, xs_eval, ths_eval, hp)
+        new_lam = dual_step(state, dual_slack(spec, xs_eval, ths_eval), hp)
 
         # both sides of the inequality
         lhs = (np.sum((stack(new_x) - stack(xs_star)) ** 2) + np.sum((new_lam - lam_star) ** 2)
