@@ -8,7 +8,6 @@ but distinct, which keeps the proximity constraints active at the optimum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +69,6 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
         w = ring_weights(n, cfg.p, cfg.weight_scale)
 
     noise = cfg.noise_std
-    objectives = []
     samplers = []
     for i in range(n):
         w_i = w[i]
@@ -85,31 +83,36 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
             y = Z @ w_i + noise * rng.standard_normal(size)
             return (Z, y)
 
-        def value(x, th):
-            z, y = th
-            return 0.5 * (z @ x - y) ** 2
-
-        def grad(x, th):
-            z, y = th
-            return z * (z @ x - y)
-
-        def batch_value(x, th):
-            Z, y = th
-            return 0.5 * (Z @ x - y) ** 2
-
-        objectives.append(Objective(value=value, grad=grad, batch_value=batch_value))
         samplers.append(Sampler(sample=sample, batch=batch))
 
+    # one instance for every node: only the samplers depend on the node, so
+    # the engine evaluates all nodes' rows (N, p) in one call
+    def residual(x, th):
+        z, y = th
+        return (z * x).sum(axis=-1) - y
+
+    def value(x, th):
+        return 0.5 * residual(x, th) ** 2
+
+    def grad(x, th):
+        return th[0] * residual(x, th)[..., None]
+
+    def batch_value(x, th):
+        Z, y = th
+        return 0.5 * (Z @ x - y) ** 2
+
+    objective = Objective(value=value, grad=grad, batch_value=batch_value)
+
+    # both accept one pair of rows (p,) or every edge's rows (E, p)
     def prox(a, b, th_a, th_b):
         d = a - b
-        return math.sqrt(float(d @ d))
+        return np.sqrt((d * d).sum(axis=-1))
 
     def prox_grad(a, b, th_a, th_b):
         d = a - b
-        nrm = math.sqrt(float(d @ d))
-        if nrm == 0.0:
-            return np.zeros_like(d)  # 0 is a valid subgradient of ||.|| at 0
-        return d / nrm
+        nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+        # 0 is a valid subgradient of ||.|| at 0
+        return np.divide(d, nrm, out=np.zeros_like(d), where=nrm > 0.0)
 
     gamma = cfg.gamma_table if cfg.gamma_table is not None else cfg.gamma
     constraints = ConstraintFamily.from_symmetric_pairwise(graph, prox, prox_grad, gamma)
@@ -117,5 +120,5 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
     x0 = None
     if cfg.x0_value is not None:
         x0 = [np.full(cfg.p, float(cfg.x0_value)) for _ in range(n)]
-    return ProblemSpec.make(graph, cfg.p, objectives, samplers, constraints, domain,
+    return ProblemSpec.make(graph, cfg.p, [objective] * n, samplers, constraints, domain,
                             x0=x0, name="consensus_regression")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import OutOfWindow
 
-__all__ = ["DelaySchedule", "StalenessBuffer", "resolve"]
+__all__ = ["DelaySchedule", "StalenessBuffer", "StackedBuffer", "resolve"]
 
 _DELAY_STREAM = 3
 _CHUNK = 4096
@@ -57,35 +57,50 @@ class DelaySchedule:
             if self.table.size and (self.table.min() < 0 or self.table.max() > self.tau_max):
                 raise ValueError("custom table entries outside [0, tau_max]")
 
-    def tau(self, i: int, t: int) -> int:
-        """Raw delay draw for node i at time t (before monotonicity clamping)."""
+    def tau(self, i, t: int):
+        """Raw delay draw for node i at time t (before monotonicity clamping).
+
+        ``i`` may be an array of node ids: their draws come back as one array.
+        """
+        nodes = np.asarray(i)
         if self.kind == "zero":
-            return 0
-        if self.kind == "fixed":
-            return self.tau_max if self.node_taus is None else int(self.node_taus[i])
-        if self.kind == "custom_table":
+            draws = np.zeros(nodes.shape, dtype=int)
+        elif self.kind == "fixed":
+            draws = (np.full(nodes.shape, self.tau_max) if self.node_taus is None
+                     else np.asarray(self.node_taus)[nodes])
+        elif self.kind == "custom_table":
             if t >= self.table.shape[0]:
                 raise OutOfWindow(f"custom delay table has {self.table.shape[0]} rows, asked t={t}")
-            return int(self.table[t, i])
-        block, off = divmod(t, _CHUNK)
-        key = (i, block)
-        chunk = self._chunks.get(key)
-        if chunk is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([_DELAY_STREAM, int(self.seed) & 0xFFFFFFFFFFFFFFFF, i, block])
-            )
-            chunk = rng.integers(0, self.tau_max + 1, size=_CHUNK)
-            self._chunks[key] = chunk
-        return int(chunk[off])
+            draws = self.table[t, nodes]
+        else:
+            block, off = divmod(t, _CHUNK)
+            draws = self._block(block, int(nodes.max(initial=0)) + 1)[nodes, off]
+        return draws if nodes.ndim else int(draws)
+
+    def _block(self, block: int, n_nodes: int) -> np.ndarray:
+        """(>= n_nodes, _CHUNK) uniform draws of ``block``; row i is node i's own substream."""
+        table = self._chunks.get(block)
+        have = 0 if table is None else table.shape[0]
+        if have < n_nodes:
+            rows = [np.random.default_rng(np.random.SeedSequence(
+                        [_DELAY_STREAM, int(self.seed) & 0xFFFFFFFFFFFFFFFF, i, block]
+                    )).integers(0, self.tau_max + 1, size=_CHUNK)
+                    for i in range(have, n_nodes)]
+            table = np.stack(rows) if table is None else np.concatenate([table, np.stack(rows)])
+            self._chunks[block] = table
+        return table
 
 
-def resolve(schedule: DelaySchedule, t: int, i: int, prev: int) -> int:
+def resolve(schedule: DelaySchedule, t: int, i, prev):
     """Delayed index [t]_i = max(prev, t - tau_i(t), 0).
 
     The max with the previously resolved index enforces freshness monotonicity
     (tau_i(t) <= tau_i(t-1) + 1); the floor at 0 clips warm-up reads to the
-    initial iterate.
+    initial iterate. With arrays ``i`` and ``prev`` every listed node is
+    resolved at once.
     """
+    if np.ndim(i):
+        return np.maximum(np.maximum(prev, t - schedule.tau(i, t)), 0)
     return max(prev, t - schedule.tau(i, t), 0)
 
 
@@ -111,3 +126,31 @@ class StalenessBuffer:
         if self._times[i][slot] != s:
             raise OutOfWindow(f"time {s} for node {i} outside retained window")
         return self._values[i][slot]
+
+
+class StackedBuffer:
+    """StalenessBuffer for all nodes at once: the last ``depth`` rows of a
+    node-stacked array (leading axis: node, or coordinate), kept as one array
+    indexed by (time slot, node)."""
+
+    def __init__(self, depth: int, row: np.ndarray):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        self.depth = depth
+        self._times = np.full(depth, -1)
+        self._rows = np.empty((depth,) + row.shape, dtype=row.dtype)
+        self._cols = np.arange(row.shape[0])
+
+    def record(self, t: int, row: np.ndarray) -> None:
+        """Store the row of time t, evicting the slot's older row."""
+        slot = t % self.depth
+        self._times[slot] = t
+        self._rows[slot] = row
+
+    def fetch(self, times: np.ndarray) -> np.ndarray:
+        """Entry k of the row recorded at times[k], for every k, in one fancy
+        index; OutOfWindow if any of those rows was evicted."""
+        slots = times % self.depth
+        if (self._times[slots] != times).any():
+            raise OutOfWindow(f"times {times} outside retained window")
+        return self._rows[slots, self._cols]

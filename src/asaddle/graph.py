@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DisconnectedGraph, SelfLoop
 
@@ -22,13 +23,11 @@ class NetworkGraph:
         n_nodes: number of agents N.
         edges: sorted tuple of directed pairs (i, j); both orientations present.
         adjacency: per-node sorted neighbor tuple.
-        diameter: maximum shortest-path length over node pairs.
     """
 
     n_nodes: int
     edges: tuple = field(default_factory=tuple)
     adjacency: tuple = field(default_factory=tuple)
-    diameter: int = 0
 
     @property
     def n_edges(self) -> int:
@@ -38,21 +37,23 @@ class NetworkGraph:
     def edge_index(self, i: int, j: int) -> int:
         return self._edge_pos[(i, j)]
 
-    @property
+    @cached_property
     def _edge_pos(self) -> dict:
-        pos = self.__dict__.get("_edge_pos_cache")
-        if pos is None:
-            pos = {e: k for k, e in enumerate(self.edges)}
-            object.__setattr__(self, "_edge_pos_cache", pos)
-        return pos
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def diameter(self) -> int:
+        """Maximum shortest-path length over node pairs (a BFS from every
+        node, run on first access)."""
+        return max(max(_bfs(self.adjacency, src, self.n_nodes)) for src in range(self.n_nodes))
 
 
 def build_graph(n_nodes: int, edge_list) -> NetworkGraph:
     """Build a NetworkGraph from an undirected (or partially directed) edge list.
 
-    Edges are symmetrized, neighborhoods and the diameter computed by BFS.
-    Raises SelfLoop for any (i, i) edge and DisconnectedGraph if some node is
-    unreachable from node 0.
+    Edges are symmetrized and grouped by source into neighborhoods; one BFS
+    from node 0 checks connectivity. Raises SelfLoop for any (i, i) edge and
+    DisconnectedGraph if some node is unreachable from node 0.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -66,20 +67,15 @@ def build_graph(n_nodes: int, edge_list) -> NetworkGraph:
         directed.add((i, j))
         directed.add((j, i))
     edges = tuple(sorted(directed))
-    adjacency = tuple(
-        tuple(sorted(j for (a, j) in edges if a == i)) for i in range(n_nodes)
-    )
+    neighbors = [[] for _ in range(n_nodes)]
+    for i, j in edges:
+        neighbors[i].append(j)
+    adjacency = tuple(map(tuple, neighbors))
 
-    # connectivity + eccentricities via BFS from every node
-    diameter = 0
-    for src in range(n_nodes):
-        dist = _bfs(adjacency, src, n_nodes)
-        if src == 0:
-            unreachable = [v for v, d in enumerate(dist) if d < 0]
-            if unreachable:
-                raise DisconnectedGraph(f"nodes unreachable from 0: {unreachable}")
-        diameter = max(diameter, max(dist))
-    return NetworkGraph(n_nodes=n_nodes, edges=edges, adjacency=adjacency, diameter=diameter)
+    unreachable = [v for v, d in enumerate(_bfs(adjacency, 0, n_nodes)) if d < 0]
+    if unreachable:
+        raise DisconnectedGraph(f"nodes unreachable from 0: {unreachable}")
+    return NetworkGraph(n_nodes=n_nodes, edges=edges, adjacency=adjacency)
 
 
 def _bfs(adjacency, src, n):

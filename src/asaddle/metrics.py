@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import DegenerateSeries
 from .graph import closed_neighborhood
-from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective, ProblemSpec, project
-from .saddle import Hyperparams, run_synchronous
+from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective, ProblemSpec, project, stack
+from .saddle import Hyperparams, project_nodes, run_synchronous
 from .trace import RunTrace
 
 __all__ = [
@@ -108,17 +108,15 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
 
     eps = epsilon if epsilon is not None else 1.0 / math.sqrt(budget)
     hp = Hyperparams(epsilon=eps, delta=delta, T=int(budget))
-    acc = [np.zeros(d) for d in spec.dims]
+    acc = np.zeros(spec.offsets[-1])
 
     def accumulate(t, state):
         if t >= 1:
-            for i in range(len(acc)):
-                acc[i] += state.x[i]
+            np.add(acc, stack(state.x), out=acc)
 
     run_synchronous(spec, hp, seed, hooks=(accumulate,), evaluator=None,
                     eval_every=0, thin_every=0, record_current_slack=False)
-    x_ref = [a / budget for a in acc]
-    x_ref = [project(spec.domains[i], x_ref[i]) for i in range(len(x_ref))]
+    x_ref = spec.rows(project_nodes(spec, acc / budget))
     return evaluator.value(x_ref), x_ref
 
 
@@ -228,22 +226,37 @@ class AuditResult:
     max_staleness: int
     min_dual: float
     max_domain_residual: float
+    finite: bool = True
+
+
+def _trace_finite(trace: RunTrace) -> bool:
+    """Every recorded number is finite, except the F_hat rows the evaluator
+    skipped (NaN by design)."""
+    arrays = [trace.lambda_norm, trace.delayed_slack, trace.obj_sample,
+              *trace.x_snapshots.values()]
+    if trace.current_slack is not None:
+        arrays.append(trace.current_slack)
+    if trace.F_evaluated is not None:
+        arrays.append(trace.F_hat[trace.F_evaluated])
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def audit_invariants(trace: RunTrace, feas_tol: float = 1e-9) -> AuditResult:
     """Check the run-level invariants: dual nonnegativity, primal feasibility
-    at recorded snapshots, and bounded monotone staleness."""
+    at recorded snapshots, bounded monotone staleness, and finite records."""
     dual_ok = bool(np.all(trace.lambda_min >= 0.0))
     max_stale = int(trace.staleness.max(initial=0))
     stale_ok = max_stale <= trace.tau_bound
     mono_ok = bool(np.all(np.diff(trace.resolved, axis=0) >= 0)) if trace.T > 1 else True
     feas_ok = trace.domain_residual_max <= feas_tol
+    finite = _trace_finite(trace)
     return AuditResult(
-        ok=dual_ok and stale_ok and mono_ok and feas_ok,
+        ok=dual_ok and stale_ok and mono_ok and feas_ok and finite,
         dual_nonnegative=dual_ok,
         staleness_bounded=stale_ok,
         staleness_monotone=mono_ok,
         primal_feasible=feas_ok,
+        finite=finite,
         max_staleness=max_stale,
         min_dual=float(trace.lambda_min.min(initial=0.0)),
         max_domain_residual=float(trace.domain_residual_max),

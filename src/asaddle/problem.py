@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -24,18 +25,29 @@ __all__ = [
     "NeighborhoodConstraint",
     "ConstraintFamily",
     "ProblemSpec",
+    "NodeObservations",
     "project",
+    "stack",
+    "tree_map",
     "sample_observation",
+    "observation_block",
     "objective_grad",
+    "objective_grads",
+    "objective_sum",
     "as_neighborhood",
     "ExpectedObjective",
     "DEFAULT_MC_SAMPLES",
+    "OBS_BLOCK",
 ]
 
 DEFAULT_MC_SAMPLES = 2000
 
 # distinct stream tags keep observation, delay and evaluation randomness disjoint
 _OBS_STREAM = 1
+
+# rows per observation block: one generator per (seed, node, block) is spread
+# over this many steps while a block of a 500-node, p=4 problem stays ~1 MB
+OBS_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +100,11 @@ class DomainSpec:
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float)
         if self.kind == "box":
-            return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
+            return bool((u >= self.lo - tol).all() and (u <= self.hi + tol).all())
         s = u.sum()
         ok = self.c_min - tol <= s <= self.c_max + tol
         if self.nonneg:
-            ok = ok and bool(np.all(u >= -tol))
+            ok = ok and bool((u >= -tol).all())
         return ok
 
 
@@ -111,7 +123,7 @@ def project(domain: DomainSpec, u) -> np.ndarray:
     if not all(map(math.isfinite, u.tolist())):
         raise NonFiniteState(f"cannot project a non-finite vector {u}")
     if domain.kind == "box":
-        return np.clip(u, domain.lo, domain.hi)
+        return np.minimum(np.maximum(u, domain.lo), domain.hi)
 
     tol = 1e-9 * max(1.0, abs(domain.c_min), abs(domain.c_max))
     if domain.contains(u, tol=tol):
@@ -151,8 +163,13 @@ def _shift_clip_to_sum(u: np.ndarray, target: float) -> np.ndarray:
 class Objective:
     """Per-node stochastic objective f(x, theta) with gradient.
 
-    ``batch_value``, when given, maps (x, batched-observations) to a vector of
-    per-sample values and is used by Monte Carlo estimators.
+    ``value`` and ``grad`` take one node's row x (p,) and its observation.
+    Nodes that share one Objective instance are evaluated together: the
+    engine then passes their stacked rows (n, p) with their observations
+    stacked leaf by leaf (see ``NodeObservations``), and expects (n,) values
+    and (n, p) gradients. ``batch_value``, when given, maps (x,
+    batched-observations) to a vector of per-sample values and is used by
+    Monte Carlo estimators.
     """
 
     value: callable
@@ -165,7 +182,10 @@ class Sampler:
     """Per-node observation distribution.
 
     ``sample(rng)`` draws one observation; ``batch(rng, size)``, when given,
-    draws a batched observation set consumable by Objective.batch_value.
+    draws a batched observation set consumable by Objective.batch_value,
+    whose row r (of every leaf) is one observation. The engine draws its
+    observations in blocks of OBS_BLOCK rows with ``batch``, or with
+    OBS_BLOCK calls of ``sample`` when ``batch`` is missing.
     """
 
     sample: callable
@@ -227,7 +247,7 @@ class ConstraintFamily:
             for i, acc in enumerate(grads):
                 for con, block in reach[i]:
                     lam_k = lam[block]
-                    if not np.any(lam_k):
+                    if not lam_k.any():
                         continue
                     acc = acc + np.asarray(con.jacobian(i, xs, ths), dtype=float).T @ lam_k
                 out.append(acc)
@@ -241,15 +261,19 @@ class ConstraintFamily:
         """One slack value(x_i, x_j, th_i, th_j) - gamma_ij per directed edge.
 
         ``value(a, b, th_a, th_b)`` must satisfy value(a, b, .) == value(b, a, .)
-        and ``grad_first`` must be its gradient in the first argument. Node i
-        owns the entries of its sorted neighbors, so the stacked order is that
-        of ``graph.edges``. Mirror symmetry makes the gradient of node i's
-        Lagrangian term (lam_ij + lam_ji) grad_first(x_i, x_j), which J^T lam
-        sums edge by edge instead of through the per-node Jacobians; the slack
-        is likewise one pass over the edges.
+        and ``grad_first`` must be its gradient in the first argument. Both
+        take either one edge's rows a, b (p,) or every edge's stacked rows
+        (E, p) with stacked observations, returning (E,) values and (E, p)
+        gradients. Node i owns the entries of its sorted neighbors, so the
+        stacked order is that of ``graph.edges``. The slack is one call over
+        the src/dst rows of all edges; mirror symmetry makes the gradient of
+        node i's Lagrangian term the sum over its edges of
+        (lam_ij + lam_ji) grad_first(x_i, x_j), so J^T lam is one
+        ``grad_first`` call and a per-source sum instead of the per-node
+        Jacobians.
         """
         gam = dict(gamma) if isinstance(gamma, dict) else None
-        per_node, edges = [], []
+        per_node, gammas = [], []
         for i in range(graph.n_nodes):
             nbr_gammas = [(j, gam[(i, j)] if gam is not None else float(gamma))
                           for j in graph.adjacency[i]]
@@ -257,24 +281,28 @@ class ConstraintFamily:
                 if g_ij < 0:
                     raise ValueError(f"tolerance gamma[{i},{j}] must be >= 0")
             per_node.append(_pairwise_block(i, nbr_gammas, value, grad_first))
-            edges += [(i, j, g_ij) for j, g_ij in nbr_gammas]
-        pos = {(i, j): e for e, (i, j, _) in enumerate(edges)}
-        links = [[(j, pos[i, j], pos[j, i]) for j in graph.adjacency[i]]
-                 for i in range(graph.n_nodes)]
+            gammas += [g_ij for _, g_ij in nbr_gammas]
+        gammas = np.array(gammas, dtype=float)
+        src, dst = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+        mirror = np.array([graph.edge_index(j, i) for i, j in graph.edges], dtype=np.intp)
+        # edges are sorted by source and every node of a connected graph with
+        # N >= 2 has one, so node i's edges start at first[i]
+        first = np.searchsorted(src, np.arange(graph.n_nodes))
+
+        def edge_rows(xs, ths):
+            """(x_src, x_dst, th_src, th_dst) stacked over all edges."""
+            xs, ths = np.asarray(xs, dtype=float), NodeObservations.of(ths)
+            return xs.take(src, axis=0), xs.take(dst, axis=0), ths[src], ths[dst]
 
         def slack(xs, ths):
-            return np.array([value(xs[i], xs[j], ths[i], ths[j]) - g for i, j, g in edges])
+            return np.asarray(value(*edge_rows(xs, ths)), dtype=float) - gammas
 
         def add_jt_lam(grads, lam, xs, ths):
-            out = []
-            for i, acc in enumerate(grads):
-                for j, e_ij, e_ji in links[i]:
-                    w = lam[e_ij] + lam[e_ji]
-                    if w != 0.0:
-                        g_ij = grad_first(xs[i], xs[j], ths[i], ths[j])
-                        acc = acc + w * np.asarray(g_ij, dtype=float)
-                out.append(acc)
-            return out
+            w = lam + lam[mirror]
+            if not w.any():
+                return grads
+            jac = np.asarray(grad_first(*edge_rows(xs, ths)), dtype=float)
+            return np.asarray(grads, dtype=float) + np.add.reduceat(w[:, None] * jac, first, axis=0)
 
         return replace(ConstraintFamily.from_per_node(graph, per_node),
                        slack=slack, add_jt_lam=add_jt_lam)
@@ -343,25 +371,210 @@ class ProblemSpec:
     @property
     def dim(self) -> int:
         """Common per-node dimension p; only defined for uniform problems."""
-        if len(set(self.dims)) != 1:
+        if not self.uniform:
             raise DimensionMismatch("problem has per-node dimensions; use .dims")
         return self.dims[0]
+
+    # -- stacked layout: every node's coordinates in one flat vector ----------
+
+    @cached_property
+    def uniform(self) -> bool:
+        """True when every node has the same dimension."""
+        return len(set(self.dims)) == 1
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(N+1,) start of each node's coordinates in the stacked vector, then its length."""
+        return np.array(list(accumulate(self.dims, initial=0)))
+
+    def rows(self, flat: np.ndarray):
+        """Per-node views of a stacked vector: an (N, p) array when dims are
+        uniform, a list of slices otherwise."""
+        if self.uniform:
+            return flat.reshape(self.graph.n_nodes, self.dims[0])
+        rows = _Slices([flat[s] for s in self._slices])
+        rows.stacked = flat
+        return rows
+
+    @cached_property
+    def _slices(self) -> list:
+        o = self.offsets
+        return [slice(o[i], o[i + 1]) for i in range(self.graph.n_nodes)]
+
+    def node_of(self, coordinate: int) -> int:
+        """Node owning an entry of the stacked vector."""
+        return int(np.searchsorted(self.offsets, coordinate, side="right")) - 1
+
+    @cached_property
+    def box_bounds(self):
+        """Stacked (lo, hi) when every domain is a box, else None."""
+        if any(dom.kind != "box" for dom in self.domains):
+            return None
+        return (np.concatenate([dom.lo for dom in self.domains]),
+                np.concatenate([dom.hi for dom in self.domains]))
+
+    @cached_property
+    def objective_groups(self) -> tuple:
+        """(objective, nodes) once per Objective instance.
+
+        ``nodes`` is a node id when one node uses the instance, and otherwise
+        what selects the sharing nodes' rows of an (N, p) array: all of them
+        (a slice) or an index array. Rows are only stacked when dims are
+        uniform; otherwise every node is its own group."""
+        if not self.uniform:
+            return tuple((obj, i) for i, obj in enumerate(self.objectives))
+        shared = {}
+        for i, obj in enumerate(self.objectives):
+            shared.setdefault(id(obj), (obj, []))[1].append(i)
+        groups = []
+        for obj, nodes in shared.values():
+            if len(nodes) == 1:
+                groups.append((obj, nodes[0]))
+            elif len(nodes) == self.graph.n_nodes:
+                groups.append((obj, slice(None)))
+            else:
+                groups.append((obj, np.array(nodes)))
+        return tuple(groups)
 
 
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
-def observation_rng(seed: int, node: int, t: int) -> np.random.Generator:
-    """Counter-based generator: identical (seed, node, t) -> identical stream."""
+class _Slices(list):
+    """Per-node slices of the stacked vector ``stacked``."""
+
+    __slots__ = ("stacked",)
+
+
+def stack(vectors) -> np.ndarray:
+    """Per-node vectors as one flat float vector; no copy for ``spec.rows``
+    of a stacked vector."""
+    if isinstance(vectors, np.ndarray):
+        return vectors.reshape(-1)
+    if isinstance(vectors, _Slices):
+        return vectors.stacked
+    if len(vectors) == 0:
+        return np.zeros(0)
+    return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors])
+
+
+def tree_map(fn, tree, *rest):
+    """Apply ``fn`` leaf by leaf to observations (nested tuples of arrays)."""
+    if isinstance(tree, tuple):
+        return tuple([tree_map(fn, *leaves) for leaves in zip(tree, *rest)])
+    return fn(tree, *rest)
+
+
+def _stack_leaves(parts, axis: int):
+    """Stack equally structured observations leaf by leaf along a new ``axis``.
+
+    A leaf whose shape differs between the parts (per-node dimensions) becomes
+    an object array holding each part's sub-array."""
+    if isinstance(parts[0], tuple):
+        return tuple(_stack_leaves(leaf, axis) for leaf in zip(*parts))
+    parts = [np.asarray(p) for p in parts]
+    if all(p.shape == parts[0].shape for p in parts):
+        return np.stack(parts, axis=axis)
+    lead = parts[0].shape[:axis]
+    out = np.empty(lead + (len(parts),), dtype=object)
+    for k, p in enumerate(parts):
+        for r in np.ndindex(lead):
+            out[r + (k,)] = p[r]
+    return out
+
+
+class NodeObservations:
+    """Observations of all nodes, stacked leaf by leaf on a leading node axis.
+
+    ``obs[i]`` is node i's observation, as ``sample_observation`` returns it;
+    an index array or a slice gives the stacked observations of those nodes.
+    """
+
+    __slots__ = ("leaves", "_per_node")
+
+    def __init__(self, leaves):
+        self.leaves = leaves
+        self._per_node = None
+
+    @staticmethod
+    def of(ths) -> "NodeObservations":
+        """``ths`` itself, or a per-node sequence of observations stacked."""
+        if isinstance(ths, NodeObservations):
+            return ths
+        return NodeObservations(_stack_leaves(list(ths), axis=0))
+
+    def __getitem__(self, nodes):
+        if isinstance(nodes, (int, np.integer)):
+            if self._per_node is None:  # split once: per-node code asks for each node often
+                self._per_node = _split_nodes(self.leaves)
+            return self._per_node[nodes]
+        if isinstance(nodes, slice):
+            return tree_map(lambda leaf: leaf[nodes], self.leaves)
+        return tree_map(lambda leaf: leaf.take(nodes, axis=0), self.leaves)
+
+
+def _split_nodes(tree) -> list:
+    """Per-node observations of node-stacked ``tree``."""
+    if isinstance(tree, tuple):
+        return list(zip(*[_split_nodes(leaf) for leaf in tree]))
+    return list(tree)
+
+
+def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
+    """Counter-based generator: identical (seed, node, block) -> identical stream."""
     return np.random.default_rng(
-        np.random.SeedSequence([_OBS_STREAM, int(seed) & 0xFFFFFFFFFFFFFFFF, node, t])
+        np.random.SeedSequence([_OBS_STREAM, int(seed) & 0xFFFFFFFFFFFFFFFF, node, block])
     )
 
 
+def _draw_block(sampler: Sampler, rng: np.random.Generator):
+    if sampler.batch is not None:
+        return sampler.batch(rng, OBS_BLOCK)
+    return _stack_leaves([sampler.sample(rng) for _ in range(OBS_BLOCK)], axis=0)
+
+
+def observation_block(spec: ProblemSpec, seed: int, block: int):
+    """Observations of steps block*OBS_BLOCK onward for every node, stacked
+    leaf by leaf as (OBS_BLOCK, N, ...)."""
+    return _stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
+                          for node, sampler in enumerate(spec.samplers)], axis=1)
+
+
 def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
-    """Draw theta^node_t; random access, reproducible by construction."""
-    return spec.samplers[node].sample(observation_rng(seed, node, t))
+    """theta^node_t: the row the engine uses at step t, for any query order.
+
+    Row t of node ``node`` is row t mod OBS_BLOCK of the block drawn from the
+    generator of (seed, node, t // OBS_BLOCK), so the value does not depend on
+    the horizon, the number of nodes or what was drawn before."""
+    block, row = divmod(t, OBS_BLOCK)
+    drawn = _draw_block(spec.samplers[node], _block_rng(seed, node, block))
+    return tree_map(lambda leaf: leaf[row], drawn)
+
+
+def objective_grads(spec: ProblemSpec, xs, ths):
+    """Per-node objective gradients, one ``grad`` call per Objective instance
+    (on the stacked rows of the nodes sharing it); same layout as ``spec.rows``."""
+    grads = spec.rows(np.empty(spec.offsets[-1]))
+    for obj, nodes in spec.objective_groups:
+        if isinstance(nodes, int):
+            grads[nodes][...] = obj.grad(xs[nodes], ths[nodes])
+        else:
+            grads[nodes] = obj.grad(np.asarray(xs, dtype=float)[nodes],
+                                    NodeObservations.of(ths)[nodes])
+    return grads
+
+
+def objective_sum(spec: ProblemSpec, xs, ths) -> float:
+    """sum_i f^i(x^i, th^i), one ``value`` call per Objective instance."""
+    total = 0.0
+    for obj, nodes in spec.objective_groups:
+        if isinstance(nodes, int):
+            total += float(obj.value(xs[nodes], ths[nodes]))
+        else:
+            total += float(np.sum(obj.value(np.asarray(xs, dtype=float)[nodes],
+                                            NodeObservations.of(ths)[nodes])))
+    return total
 
 
 def objective_grad(spec: ProblemSpec, node: int, x_i, theta) -> np.ndarray:

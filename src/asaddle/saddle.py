@@ -27,10 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import DelaySchedule, StalenessBuffer, resolve
-from .errors import NoFeasibleDelta
+from .delay import DelaySchedule, StackedBuffer, resolve
+from .errors import NoFeasibleDelta, NonFiniteState
 from .graph import NetworkGraph
-from .problem import ProblemSpec, project, sample_observation
+from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, objective_grads, objective_sum,
+                      observation_block, project, stack, tree_map)
+# replays one node's row of the engine's observation stream; kept in this
+# namespace, where bench/run_bench.py looks it up
+from .problem import sample_observation  # noqa: F401
 from .trace import RunTrace
 
 __all__ = [
@@ -44,6 +48,8 @@ __all__ = [
     "dual_slack",
     "primal_step",
     "dual_step",
+    "project_nodes",
+    "domain_residual",
     "run",
     "run_generalized",
     "run_synchronous",
@@ -77,19 +83,15 @@ class Hyperparams:
 class SaddleState:
     """Primal block (per-node vectors) and nonnegative dual vector at time t.
 
-    ``lam`` is one (M,) array laid out like the stacked slack: each owner
-    node's constraints in turn, in node order.
+    The engine holds ``x`` as ``spec.rows`` of one stacked vector: an (N, p)
+    array, or per-node slices of it when dimensions differ. ``lam`` is one
+    (M,) array laid out like the stacked slack: each owner node's constraints
+    in turn, in node order.
     """
 
     x: list
     lam: np.ndarray
     t: int = 0
-
-
-def stack(vectors) -> np.ndarray:
-    if len(vectors) == 0:
-        return np.zeros(0)
-    return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +101,19 @@ def stack(vectors) -> np.ndarray:
 def stochastic_lagrangian(spec: ProblemSpec, state: SaddleState, observations, hp: Hyperparams) -> float:
     """Sampled augmented Lagrangian at (state.x, state.lam) and the given draws."""
     de = hp.delta * hp.epsilon
-    total = 0.0
-    for i in range(spec.graph.n_nodes):
-        total += float(spec.objectives[i].value(state.x[i], observations[i]))
+    total = objective_sum(spec, state.x, observations)
     lam = state.lam
     s = spec.constraints.slack(state.x, observations)
     return total + float(np.dot(lam, s)) - 0.5 * de * float(np.dot(lam, lam))
 
 
-def primal_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval) -> list:
+def primal_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval):
     """Per-node gradient of the sampled Lagrangian in x, at possibly stale points.
 
     ``lam`` is the current (undelayed) dual vector; xs_eval/ths_eval are indexed
     by node and already resolved to each node's own stale time.
     """
-    grads = [np.asarray(spec.objectives[i].grad(xs_eval[i], ths_eval[i]), dtype=float)
-             for i in range(spec.graph.n_nodes)]
+    grads = objective_grads(spec, xs_eval, ths_eval)
     return spec.constraints.add_jt_lam(grads, lam, xs_eval, ths_eval)
 
 
@@ -129,17 +128,47 @@ def dual_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval, hp: Hyperparams) ->
 
 
 # ---------------------------------------------------------------------------
+# stacked projection
+# ---------------------------------------------------------------------------
+
+def project_nodes(spec: ProblemSpec, flat: np.ndarray) -> np.ndarray:
+    """Projection of every node's block of a finite stacked vector: one clamp
+    when every domain is a box, ``project`` per node otherwise."""
+    box = spec.box_bounds
+    if box is not None:
+        return np.minimum(np.maximum(flat, box[0]), box[1])
+    return stack([project(dom, x) for dom, x in zip(spec.domains, spec.rows(flat))])
+
+
+def domain_residual(spec: ProblemSpec, flat: np.ndarray) -> float:
+    """Largest distance of a coordinate of the stacked vector from its domain:
+    max(lo - x, x - hi, 0) for boxes, the ``project`` distance otherwise.
+    NaN when the vector is not finite."""
+    box = spec.box_bounds
+    if box is not None:
+        return float(np.max(np.maximum(box[0] - flat, flat - box[1]), initial=0.0))
+    if not np.isfinite(flat).all():
+        return math.nan
+    return float(np.max(np.abs(project_nodes(spec, flat) - flat), initial=0.0))
+
+
+# ---------------------------------------------------------------------------
 # one-step updates
 # ---------------------------------------------------------------------------
 
-def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hyperparams) -> list:
+def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hyperparams):
     """Projected descent step from the current x with gradients at the
-    resolved (possibly stale) points xs_eval/ths_eval."""
+    resolved (possibly stale) points xs_eval/ths_eval, as ``spec.rows``.
+
+    Raises NonFiniteState naming step ``state.t`` and the first node whose
+    update holds NaN or inf."""
     grads = primal_gradient(spec, state.lam, xs_eval, ths_eval)
-    return [
-        project(spec.domains[i], state.x[i] - hp.epsilon * grads[i])
-        for i in range(spec.graph.n_nodes)
-    ]
+    u = stack(state.x) - hp.epsilon * stack(grads)
+    finite = np.isfinite(u)
+    if not finite.all():
+        node = spec.node_of(int(np.argmin(finite)))
+        raise NonFiniteState(f"non-finite primal update at step {state.t}, node {node}")
+    return spec.rows(project_nodes(spec, u))
 
 
 def dual_step(state: SaddleState, slack, hp: Hyperparams) -> np.ndarray:
@@ -155,10 +184,12 @@ def dual_step(state: SaddleState, slack, hp: Hyperparams) -> np.ndarray:
 class SaddleEngine:
     """Stateful iteration driver: construct, then step() / run(T) / trace().
 
-    All randomness flows from the single 64-bit ``seed``. Passing
+    All randomness flows from the single 64-bit ``seed``: observations are
+    drawn for all nodes in blocks of OBS_BLOCK steps (``observation_block``),
+    and ``sample_observation`` replays any single one. Passing
     ``schedule=None`` selects the reference synchronous loop (no buffers, no
-    staleness resolution); a zero schedule exercises the asynchronous machinery
-    and produces the identical trajectory.
+    staleness resolution); a zero schedule exercises the asynchronous
+    machinery and produces the identical trajectory.
     """
 
     def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None,
@@ -170,7 +201,7 @@ class SaddleEngine:
         self.seed = seed
         self.hooks = tuple(hooks)
         self.evaluator = evaluator
-        self.eval_every = eval_every
+        self.eval_every = eval_every if evaluator is not None else 0
         self.thin_every = thin_every
         self.mode = "sync" if schedule is None else "async"
 
@@ -179,16 +210,19 @@ class SaddleEngine:
         self._n = n
         n_cons = spec.constraints.size
         self.tau_bound = 0 if schedule is None else schedule.tau_max
-        if schedule is not None:
-            depth = self.tau_bound + 1
-            self._xbuf = StalenessBuffer(n, depth)
-            self._obuf = StalenessBuffer(n, depth)
-        self._prev_resolved = [0] * n
+        self._nodes = np.arange(n)
+        # node of every stacked coordinate: a stale read of x gathers each
+        # coordinate at its node's resolved time
+        self._coord_node = np.repeat(self._nodes, spec.dims)
+        self._prev_resolved = np.zeros(n, dtype=int)
+        self._block_id = -1
+        self._block = None
+        self._x_buf = self._th_buf = None
 
-        x = [np.asarray(v, dtype=float).copy() for v in spec.x0]
-        self.state = SaddleState(x=x, lam=np.zeros(n_cons), t=0)
+        self.state = SaddleState(x=spec.rows(stack(spec.x0).copy()), lam=np.zeros(n_cons), t=0)
 
         self._F_hat = np.full(T + 1, np.nan)
+        self._F_evaluated = np.zeros(T + 1, dtype=bool)
         self._obj_sample = np.zeros(T)
         self._lambda_norm = np.zeros(T + 1)
         self._lambda_min = np.zeros(T + 1)
@@ -209,56 +243,69 @@ class SaddleEngine:
         lam = self.state.lam
         self._lambda_norm[t] = float(np.linalg.norm(lam))
         self._lambda_min[t] = float(lam.min(initial=0.0))
-        if self.evaluator is not None and self.eval_every and \
-                (t % self.eval_every == 0 or t == self.hp.T):
+        if self.eval_every and (t % self.eval_every == 0 or t == self.hp.T):
             self._F_hat[t] = self.evaluator.value(self.state.x)
+            self._F_evaluated[t] = True
         if self.thin_every and (t % self.thin_every == 0 or t == self.hp.T):
-            self._snapshots[t] = stack(self.state.x)
-            # np.max keeps a NaN residual where the builtin max would drop it
-            self._domain_residual = float(np.max([self._domain_residual] + [
-                np.max(np.abs(project(self.spec.domains[i], self.state.x[i])
-                              - self.state.x[i]), initial=0.0)
-                for i in range(self._n)
-            ]))
+            flat = stack(self.state.x)
+            self._snapshots[t] = flat.copy()
+            # np.maximum keeps a NaN residual where the builtin max would drop it
+            self._domain_residual = float(np.maximum(self._domain_residual,
+                                                     domain_residual(self.spec, flat)))
 
     # -- iteration ---------------------------------------------------------
 
+    def _observations(self, k: int) -> NodeObservations:
+        """Every node's observation of step k, from the block holding it."""
+        block, row = divmod(k, OBS_BLOCK)
+        if block != self._block_id:
+            self._block = observation_block(self.spec, self.seed, block)
+            self._block_id = block
+        return NodeObservations(tree_map(lambda leaf: leaf[row], self._block))
+
+    def _stale_window(self, k: int, x, theta: NodeObservations):
+        """Record step k's iterate and observations, and return every node's
+        iterate and observation at its resolved time, with those times."""
+        res = resolve(self.schedule, k, self._nodes, self._prev_resolved)
+        self._prev_resolved = res
+        flat = stack(x)
+        if self._x_buf is None:
+            depth = self.tau_bound + 1
+            self._x_buf = StackedBuffer(depth, flat)
+            self._th_buf = tree_map(lambda leaf: StackedBuffer(depth, leaf), theta.leaves)
+        self._x_buf.record(k, flat)
+        tree_map(lambda buf, leaf: buf.record(k, leaf), self._th_buf, theta.leaves)
+        xs_eval = self.spec.rows(self._x_buf.fetch(res[self._coord_node]))
+        ths_eval = NodeObservations(tree_map(lambda buf: buf.fetch(res), self._th_buf))
+        return xs_eval, ths_eval, res
+
     def step(self) -> SaddleState:
         """Advance one iteration; raises past the configured horizon."""
-        spec, hp, n = self.spec, self.hp, self._n
+        spec, hp = self.spec, self.hp
         k = self.state.t
         if k >= hp.T:
             raise IndexError(f"horizon T={hp.T} exhausted")
-        theta = [sample_observation(spec, self.seed, i, k) for i in range(n)]
+        x = self.state.x
+        theta = self._observations(k)
 
         if self.schedule is not None:
-            for i in range(n):
-                self._xbuf.record(k, i, self.state.x[i])
-                self._obuf.record(k, i, theta[i])
-            res_k = [resolve(self.schedule, k, i, self._prev_resolved[i]) for i in range(n)]
-            self._prev_resolved = res_k
-            xs_eval = [self._xbuf.fetch(res_k[i], i) for i in range(n)]
-            ths_eval = [self._obuf.fetch(res_k[i], i) for i in range(n)]
+            xs_eval, ths_eval, res_k = self._stale_window(k, x, theta)
         else:
-            res_k = [k] * n
-            xs_eval = self.state.x
-            ths_eval = theta
+            xs_eval, ths_eval, res_k = x, theta, k
 
         s_delayed = dual_slack(spec, xs_eval, ths_eval)
         new_x = primal_step(spec, self.state, xs_eval, ths_eval, hp)
         new_lam = dual_step(self.state, s_delayed, hp)
 
-        self._obj_sample[k] = sum(
-            float(spec.objectives[i].value(self.state.x[i], theta[i])) for i in range(n)
-        )
+        self._obj_sample[k] = objective_sum(spec, x, theta)
         self._delayed_slack[k] = s_delayed
         if self._current_slack is not None:
-            if self.schedule is not None and any(r != k for r in res_k):
-                self._current_slack[k] = dual_slack(spec, self.state.x, theta)
+            if self.schedule is not None and (res_k != k).any():
+                self._current_slack[k] = dual_slack(spec, x, theta)
             else:
                 self._current_slack[k] = s_delayed
         self._resolved[k] = res_k
-        self._staleness[k] = [k - r for r in res_k]
+        self._staleness[k] = k - res_k
 
         self.state = SaddleState(x=new_x, lam=new_lam, t=k + 1)
         self._record_row(k + 1)
@@ -287,6 +334,7 @@ class SaddleEngine:
             resolved=self._resolved[:t].copy(), staleness=self._staleness[:t].copy(),
             x_snapshots=dict(self._snapshots), x_final=self.state.x,
             lam_final=self.state.lam, domain_residual_max=self._domain_residual,
+            F_evaluated=self._F_evaluated[:t + 1].copy(),
         )
 
 
@@ -295,11 +343,12 @@ def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed
         record_current_slack: bool = True) -> RunTrace:
     """Execute T iterations of the asynchronous method; deterministic given seed.
 
-    Each iteration samples fresh observations, resolves per-node staleness
-    (monotone, bounded by the schedule), then commits the primal and dual steps
-    computed from the time-t state (Jacobi order). ``evaluator`` supplies the
-    Monte Carlo objective recorded in the trace every ``eval_every`` rows.
-    ``schedule=None`` runs the synchronous reference loop.
+    Each iteration takes every node's observation of that step, resolves
+    per-node staleness (monotone, bounded by the schedule), then commits the
+    primal and dual steps computed from the time-t state (Jacobi order).
+    ``evaluator`` supplies the Monte Carlo objective recorded in the trace
+    every ``eval_every`` rows. ``schedule=None`` runs the synchronous
+    reference loop.
     """
     engine = SaddleEngine(spec, hp, schedule, seed, hooks=hooks, evaluator=evaluator,
                           eval_every=eval_every, thin_every=thin_every,

@@ -18,7 +18,9 @@ class RunTrace:
     step k (the quantity entering the dual update), ``current_slack[k]`` the
     same slack at the fresh pair (x_k, theta_k), ``resolved[k]``/``staleness[k]``
     the per-node delayed indices and their lags, and ``obj_sample[k]`` the
-    instantaneous objective sum f(x_k, theta_k).
+    instantaneous objective sum f(x_k, theta_k). ``F_evaluated[t]`` is True on
+    the rows whose ``F_hat`` the evaluator filled; the others hold NaN by
+    design (all of them when a run has no evaluator).
     """
 
     name: str
@@ -39,6 +41,7 @@ class RunTrace:
     x_final: list = field(default_factory=list)
     lam_final: np.ndarray | None = None
     domain_residual_max: float = 0.0
+    F_evaluated: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:

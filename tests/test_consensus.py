@@ -46,17 +46,22 @@ def test_zero_tolerance_with_shared_stream_gives_identical_iterates():
     g = build_graph(3, path_edges(3))
     z0 = np.array([1.0, -0.5])
     th0 = (z0, 0.7)
-    objs = [Objective(value=lambda x, th: 0.5 * (th[0] @ x - th[1]) ** 2,
-                      grad=lambda x, th: th[0] * (th[0] @ x - th[1]))] * 3
+    # one shared instance: called on the stacked rows (3, 2) of all nodes
+    def residual(x, th):
+        return np.sum(th[0] * x, axis=-1) - th[1]
+
+    objs = [Objective(value=lambda x, th: 0.5 * residual(x, th) ** 2,
+                      grad=lambda x, th: th[0] * residual(x, th)[..., None])] * 3
     samp = [Sampler(sample=lambda rng: th0)] * 3
 
+    # one edge's rows (2,) or every edge's rows (E, 2)
     def prox(a, b, ta, tb):
-        return float(np.linalg.norm(a - b))
+        return np.linalg.norm(a - b, axis=-1)
 
     def prox_grad(a, b, ta, tb):
         d = a - b
-        n = np.linalg.norm(d)
-        return d / n if n else np.zeros_like(d)
+        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        return np.divide(d, n, out=np.zeros_like(d), where=n > 0)
 
     fam = ConstraintFamily.from_symmetric_pairwise(g, prox, prox_grad, 0.0)
     spec = ProblemSpec.make(g, 2, objs, samp, fam,
@@ -103,3 +108,46 @@ def test_active_constraints_pull_estimates_together(ring5):
         w_gap = np.linalg.norm(w[i] - w[j])
         assert gap < w_gap  # tighter than the ground truth spread
         assert gap < cfg.gamma * 1.6  # near the proximity tolerance
+
+
+# ---------------------------------------------------------------------------
+# block observation stream
+# ---------------------------------------------------------------------------
+
+def _objective_replay(spec, trace, seed, k):
+    """sum_i f^i(x_k^i, theta_k^i) with every theta from sample_observation."""
+    xs = spec.rows(trace.x_snapshots[k])
+    return sum(float(spec.objectives[i].value(xs[i], sample_observation(spec, seed, i, k)))
+               for i in range(spec.graph.n_nodes))
+
+
+def test_engine_observations_replay_and_do_not_depend_on_T(consensus_spec):
+    long = run_synchronous(consensus_spec, Hyperparams(epsilon=0.05, delta=1e-5, T=150),
+                           seed=3, thin_every=1)
+    short = run_synchronous(consensus_spec, Hyperparams(epsilon=0.05, delta=1e-5, T=70),
+                            seed=3, thin_every=1)
+    assert np.array_equal(short.obj_sample, long.obj_sample[:70])
+    # rows on both sides of the 64-row block boundaries
+    for k in (0, 1, 63, 64, 65, 127, 128, 149):
+        assert long.obj_sample[k] == pytest.approx(_objective_replay(consensus_spec, long, 3, k),
+                                                   rel=1e-12, abs=1e-12)
+
+
+def test_delay_longer_than_an_observation_block_replays(small_consensus_spec):
+    from asaddle.metrics import audit_invariants
+    from asaddle.problem import OBS_BLOCK
+
+    spec, tau, seed = small_consensus_spec, OBS_BLOCK + 6, 5
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=2 * OBS_BLOCK + 30, tau=tau)
+    trace = run(spec, hp, DelaySchedule(kind="fixed", tau_max=tau, node_taus=(tau, 3, 0)),
+                seed=seed, thin_every=1)
+    assert audit_invariants(trace).ok
+    assert trace.staleness.max() > OBS_BLOCK
+    for k in range(0, hp.T, 7):
+        res = trace.resolved[k]
+        xs = [spec.rows(trace.x_snapshots[int(r)])[i] for i, r in enumerate(res)]
+        ths = [sample_observation(spec, seed, i, int(r)) for i, r in enumerate(res)]
+        assert np.allclose(trace.delayed_slack[k], spec.constraints.slack(xs, ths),
+                           rtol=0.0, atol=1e-12)
+        assert trace.obj_sample[k] == pytest.approx(_objective_replay(spec, trace, seed, k),
+                                                    rel=1e-12, abs=1e-12)

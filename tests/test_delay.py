@@ -95,3 +95,33 @@ def test_resolved_chain_properties(tau, seed, T):
         assert 0 <= idx <= t         # never from the future
         assert t - idx <= tau        # bounded staleness
         last, prev = idx, idx
+
+
+@pytest.mark.parametrize("sched", [
+    DelaySchedule(kind="zero"),
+    DelaySchedule(kind="fixed", tau_max=4, node_taus=(0, 2, 4)),
+    DelaySchedule(kind="uniform_random", tau_max=5, seed=9),
+    DelaySchedule(kind="custom_table", tau_max=3, table=np.arange(30).reshape(10, 3) % 4),
+], ids=["zero", "fixed", "uniform", "table"])
+def test_all_nodes_at_once_match_per_node_draws(sched):
+    nodes = np.arange(3)
+    prev = np.array([0, 3, 5])
+    for t in (0, 5, 9):
+        assert sched.tau(nodes, t).tolist() == [sched.tau(i, t) for i in range(3)]
+        assert resolve(sched, t, nodes, prev).tolist() == [
+            resolve(sched, t, i, int(prev[i])) for i in range(3)]
+    # draws past the first 4096-step chunk, asked for the whole network first
+    wide = DelaySchedule(kind="uniform_random", tau_max=7, seed=2)
+    one = DelaySchedule(kind="uniform_random", tau_max=7, seed=2)
+    assert wide.tau(np.arange(6), 5000)[4] == one.tau(4, 5000)
+
+
+def test_stacked_buffer_gathers_each_node_at_its_time():
+    from asaddle.delay import StackedBuffer
+    buf = StackedBuffer(depth=3, row=np.zeros((2, 2)))
+    for t in range(5):
+        buf.record(t, np.full((2, 2), float(t)) + np.array([[0.0], [0.5]]))
+    got = buf.fetch(np.array([2, 4]))
+    assert got.tolist() == [[2.0, 2.0], [4.5, 4.5]]
+    with pytest.raises(OutOfWindow):
+        buf.fetch(np.array([1, 4]))  # time 1 was evicted by time 4

@@ -210,3 +210,39 @@ def test_audit_invariants_clean_run(small_consensus_spec):
     assert audit.ok
     assert audit.max_staleness <= 4
     assert audit.min_dual >= 0.0
+
+
+def test_audit_catches_an_iterate_outside_its_box(monkeypatch):
+    # with the projection switched off, the constant gradient walks x out of
+    # [-1, 1]^2; the domain residual is measured without projecting again
+    import asaddle.saddle as saddle
+    monkeypatch.setattr(saddle, "project_nodes", lambda spec, flat: flat)
+    spec = linear_objective_spec(np.array([3.0, -4.0]))
+    trace = run(spec, Hyperparams(epsilon=0.1, delta=0.0, T=20), None, seed=0, thin_every=5)
+    audit = audit_invariants(trace)
+    assert not audit.primal_feasible and not audit.ok
+    assert audit.max_domain_residual == pytest.approx(20 * 0.1 * 4.0 - 1.0)
+
+
+def test_audit_checks_evaluated_F_hat_rows(small_consensus_spec):
+    from asaddle.problem import ExpectedObjective
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=40)
+    ev = ExpectedObjective(small_consensus_spec, 100, seed=4)
+    trace = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed=0,
+                evaluator=ev, eval_every=3)
+    assert audit_invariants(trace).finite
+    assert np.isnan(trace.F_hat[4])  # skipped by the evaluator, NaN by design
+    trace.F_hat[6] = np.nan  # an evaluated row
+    audit = audit_invariants(trace)
+    assert not audit.finite and not audit.ok
+
+
+def test_audit_passes_a_run_without_evaluator(small_consensus_spec):
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=40)
+    trace = run(small_consensus_spec, hp, DelaySchedule(kind="fixed", tau_max=2), seed=0,
+                evaluator=None, eval_every=0)
+    assert np.all(np.isnan(trace.F_hat))
+    audit = audit_invariants(trace)
+    assert audit.finite and audit.ok
+    trace.lambda_norm[3] = np.inf
+    assert not audit_invariants(trace).ok

@@ -271,6 +271,48 @@ def test_as_neighborhood_shape(small_consensus_spec):
         assert np.allclose(a, b, rtol=0.0, atol=1e-14)
 
 
+def test_edge_batched_pairwise_matches_per_node_family(ring5):
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    spec = build_consensus_problem(ConsensusRegressionConfig(gamma=0.4), ring5)
+    nb = as_neighborhood(spec)
+    rng = np.random.default_rng(21)
+    ths = [sample_observation(spec, 1, i, 0) for i in range(5)]
+    for trial in range(20):
+        xs = rng.uniform(-2.0, 2.0, size=(5, 4))
+        if trial % 2:
+            xs[1] = xs[0]  # coincident neighbors: the zero-norm subgradient
+        lam = rng.uniform(0.0, 2.0, size=spec.constraints.size)
+        grads = rng.normal(size=(5, 4))
+        assert np.allclose(spec.constraints.slack(xs, ths), nb.constraints.slack(xs, ths),
+                           rtol=0.0, atol=1e-12)
+        batched = spec.constraints.add_jt_lam(grads, lam, xs, ths)
+        per_node = nb.constraints.add_jt_lam(list(grads), lam, list(xs), ths)
+        assert np.allclose(batched, np.array(per_node), rtol=0.0, atol=1e-12)
+
+
+def test_sample_observation_is_the_block_row(consensus_spec):
+    from asaddle.problem import OBS_BLOCK, observation_block
+    block = observation_block(consensus_spec, 7, 2)
+    for node in (0, 4):
+        for row in (0, OBS_BLOCK - 1):
+            z, y = sample_observation(consensus_spec, 7, node, 2 * OBS_BLOCK + row)
+            assert np.array_equal(z, block[0][row, node]) and y == block[1][row, node]
+
+
+def test_shared_objective_is_called_once_on_stacked_rows(consensus_spec):
+    from asaddle.problem import NodeObservations, objective_grads, objective_sum
+    assert len(consensus_spec.objective_groups) == 1
+    rng = np.random.default_rng(2)
+    xs = rng.uniform(-1.0, 1.0, size=(5, 4))
+    ths = [sample_observation(consensus_spec, 0, i, 9) for i in range(5)]
+    grads = objective_grads(consensus_spec, xs, NodeObservations.of(ths))
+    for i in range(5):
+        assert np.allclose(grads[i], objective_grad(consensus_spec, i, xs[i], ths[i]),
+                           rtol=0.0, atol=1e-14)
+    expected = sum(float(consensus_spec.objectives[i].value(xs[i], ths[i])) for i in range(5))
+    assert objective_sum(consensus_spec, xs, ths) == pytest.approx(expected, rel=1e-14)
+
+
 def test_expected_objective_quadratic():
     g = build_graph(1, [])
 

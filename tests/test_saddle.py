@@ -7,7 +7,7 @@ from asaddle.delay import DelaySchedule, StalenessBuffer
 from asaddle.errors import NoFeasibleDelta, NonFiniteState
 from asaddle.graph import build_graph, path_edges
 from asaddle.problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, Objective,
-                             ProblemSpec, Sampler, as_neighborhood)
+                             ProblemSpec, Sampler, as_neighborhood, sample_observation)
 from asaddle.metrics import AssumptionEstimates
 from asaddle.saddle import (Hyperparams, SaddleState, advise, dual_gradient, dual_slack,
                             dual_step, primal_gradient, primal_step, run, run_generalized,
@@ -52,7 +52,7 @@ def two_node_quadratic_spec(gamma=1.0):
     ]
     constraints = ConstraintFamily.from_symmetric_pairwise(
         g,
-        value=lambda a, b, ta, tb: float((a[0] - b[0]) ** 2),
+        value=lambda a, b, ta, tb: np.sum((a - b) ** 2, axis=-1),
         grad_first=lambda a, b, ta, tb: 2.0 * (a - b),
         gamma=gamma,
     )
@@ -186,7 +186,8 @@ def test_pairwise_matches_neighborhood_encoding(small_consensus_spec):
 
 def test_generalized_zero_constraint_keeps_duals_zero():
     g = build_graph(2, [(0, 1)])
-    objs = [Objective(value=lambda x, th: 0.5 * float(x @ x), grad=lambda x, th: x.copy())] * 2
+    objs = [Objective(value=lambda x, th: 0.5 * np.sum(x * x, axis=-1),
+                      grad=lambda x, th: x.copy())] * 2
     cons = tuple(
         NeighborhoodConstraint(size=1,
                                value=lambda xs, ths: np.array([-1.0]),
@@ -260,8 +261,26 @@ def test_nan_gradient_stops_the_run():
                             ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
                             DomainSpec.box(np.array([-1.0]), np.array([1.0])))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=200)
-    with pytest.raises(NonFiniteState):
+    first_nan = next(t for t in range(hp.T) if sample_observation(spec, 0, 0, t))
+    with pytest.raises(NonFiniteState, match=f"step {first_nan}, node 0$"):
         run(spec, hp, DelaySchedule(kind="zero"), seed=0, thin_every=1)
+
+
+def test_non_finite_update_names_the_node():
+    # per-node dimensions 1, 2, 3: the NaN sits in the last coordinate block
+    g = build_graph(3, path_edges(3))
+    objs = [Objective(value=lambda x, th: 0.0, grad=lambda x, th: x.copy()),
+            Objective(value=lambda x, th: 0.0, grad=lambda x, th: x.copy()),
+            Objective(value=lambda x, th: 0.0,
+                      grad=lambda x, th: np.full_like(x, np.inf) if th else x.copy())]
+    samplers = [point_mass_sampler()] * 2 + [Sampler(sample=lambda rng: rng.random() < 0.2)]
+    spec = ProblemSpec.make(g, (1, 2, 3), objs, samplers,
+                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)] * 3),
+                            tuple(DomainSpec.box(-np.ones(d), np.ones(d)) for d in (1, 2, 3)))
+    hp = Hyperparams(epsilon=0.1, delta=0.0, T=100)
+    first = next(t for t in range(hp.T) if sample_observation(spec, 4, 2, t))
+    with pytest.raises(NonFiniteState, match=f"step {first}, node 2$"):
+        run_synchronous(spec, hp, seed=4)
 
 
 def test_staleness_monotone_and_bounded(small_consensus_spec):
