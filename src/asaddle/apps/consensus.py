@@ -97,9 +97,10 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
     def grad(x, th):
         return th[0] * residual(x, th)[..., None]
 
+    # x (p,) with draws (S, p), (S,), or stacked rows (n, p) with (n, S, p), (n, S)
     def batch_value(x, th):
         Z, y = th
-        return 0.5 * (Z @ x - y) ** 2
+        return 0.5 * ((Z @ x[..., None])[..., 0] - y) ** 2
 
     objective = Objective(value=value, grad=grad, batch_value=batch_value)
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from ..errors import InvalidConfig
 from ..graph import NetworkGraph, build_graph
-from ..problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint,
-                       Objective, ProblemSpec, Sampler)
+from ..problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, NodeObservations,
+                       Objective, ProblemSpec, Sampler, split_stacked, stack)
 from ..trace import RunTrace
 
 __all__ = [
@@ -151,53 +152,38 @@ def constraint_slots(cfg: PricingConfig) -> list:
 def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
     """Encode revenue maximization as engine-ready minimization.
 
-    Objective per SCBS: f^n = -sum_i x_n^i g_{ni} p_n^i. One size-|hosted|
-    neighborhood constraint per hosting SCBS with entries
-    sum_{n in N_i} g_{ni} p_n^i - gamma_i. Domain per SCBS: nonnegative prices
-    with c_min <= sum <= c_max, enforced every slot by projection.
+    Objective per SCBS: f^n = -sum_i x_n^i g_{ni} p_n^i, one shared instance
+    per distinct (c mu_n, nu_n). One size-|hosted| neighborhood constraint
+    per hosting SCBS with entries sum_{n in N_i} g_{ni} p_n^i - gamma_i.
+    Domain per SCBS: nonnegative prices with c_min <= sum <= c_max, enforced
+    every slot by projection.
     """
     graph = pricing_graph(cfg)
     subs = cfg.scbs_subchannels()
     dims = tuple(len(s) for s in subs)
-    W, c = cfg.bandwidth, cfg.cost
+    mean = cfg.gain_mean
 
+    shared = {}
     objectives = []
     samplers = []
     for n in range(cfg.n_scbs):
         k = dims[n]
-        mu_c = c * cfg.mu_param(n)
-        nu = cfg.nu_param(n)
-        mean = cfg.gain_mean
+        key = (cfg.cost * cfg.mu_param(n), cfg.nu_param(n))
+        if key not in shared:
+            shared[key] = _price_objective(cfg.bandwidth, *key)
+        objectives.append(shared[key])
 
-        def sample(rng, k=k, mean=mean):
-            return (rng.exponential(mean, size=k), rng.exponential(mean, size=k))
+        # (g, h) as one block of standard draws scaled by the mean: the
+        # variates, in the order, of two rng.exponential(mean) calls
+        def sample(rng, k=k):
+            return tuple(_exponential_pair(rng, (k,), mean))
 
-        def batch(rng, size, k=k, mean=mean):
-            return (rng.exponential(mean, size=(size, k)),
-                    rng.exponential(mean, size=(size, k)))
+        def batch(rng, size, k=k):
+            return tuple(_exponential_pair(rng, (size, k), mean))
 
-        def value(x, th, mu_c=mu_c, nu=nu):
-            g, h = th
-            p = np.maximum(W / (mu_c + nu * x) - 1.0 / h, 0.0)
-            return -float(np.sum(x * g * p))
-
-        def grad(x, th, mu_c=mu_c, nu=nu):
-            g, h = th
-            denom = mu_c + nu * x
-            active = (W / denom - 1.0 / h) > 0.0
-            return -g * (W * mu_c / denom**2 - 1.0 / h) * active
-
-        def batch_value(x, th, mu_c=mu_c, nu=nu):
-            G, H = th
-            p = np.maximum(W / (mu_c + nu * x) - 1.0 / H, 0.0)
-            return -(x * G * p).sum(axis=1)
-
-        objectives.append(Objective(value=value, grad=grad, batch_value=batch_value))
         samplers.append(Sampler(sample=sample, batch=batch))
 
-    local_pos = [{i: pos for pos, i in enumerate(s)} for s in subs]
-    per_node = [_interference_constraint(cfg, mus, local_pos) for mus in _hosted_mus(cfg)]
-    constraints = ConstraintFamily.from_per_node(graph, per_node)
+    constraints = _interference_family(cfg, subs, dims)
     domains = tuple(DomainSpec.sum_interval(dims[n], cfg.c_min, cfg.c_max, nonneg=True)
                     for n in range(cfg.n_scbs))
     x0 = None
@@ -205,6 +191,97 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
         x0 = [np.atleast_1d(np.asarray(v, dtype=float)) for v in cfg.x0]
     return ProblemSpec.make(graph, dims, objectives, samplers, constraints, domains,
                             x0=x0, name="pricing")
+
+
+def _exponential_pair(rng, shape: tuple, mean: float) -> np.ndarray:
+    """Two exponential draws of ``shape`` with mean ``mean``, stacked."""
+    pair = rng.standard_exponential((2,) + shape)
+    pair *= mean
+    return pair
+
+
+def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
+    """Negated revenue of the SCBSs with cost term ``mu_c`` = c mu_n and
+    ``nu``, separable by subchannel: ``value``/``grad`` take one SCBS's
+    prices x (k,) with gains (k,), or coordinate rows (n, 1) with (n, 1);
+    ``batch_value`` takes draws (S, k), or (n, S, 1) for rows (n, 1)."""
+
+    def value(x, th):
+        g, h = th
+        p = np.maximum(W / (mu_c + nu * x) - 1.0 / h, 0.0)
+        return -(x * g * p).sum(axis=-1)
+
+    def grad(x, th):
+        g, h = th
+        denom = mu_c + nu * x
+        active = (W / denom - 1.0 / h) > 0.0
+        return -g * (W * mu_c / denom**2 - 1.0 / h) * active
+
+    def batch_value(x, th):
+        G, H = th
+        x = x[..., None, :]
+        p = np.maximum(W / (mu_c + nu * x) - 1.0 / H, 0.0)
+        return -(x * G * p).sum(axis=-1)
+
+    return Objective(value=value, grad=grad, batch_value=batch_value)
+
+
+def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> ConstraintFamily:
+    """MU i's slack sum_{n in N_i} g_{ni} p_n^i - gamma_i, owned by its host SCBS.
+
+    The stacked vector holds SCBS n's price on MU subs[n][pos] at coordinate
+    offsets[n] + pos, and each coordinate enters exactly one MU's slack. So
+    the slack is one pass over the coordinates and a per-MU sum over its
+    members, and J^T lam adds to each coordinate its own diagonal Jacobian
+    entry -g W nu / (c mu + nu x)^2 (0 on inactive subchannels) times the
+    dual of its MU. The per-node constraints stay for ``as_neighborhood``
+    and the advisor."""
+    W = cfg.bandwidth
+    local_pos = [{i: pos for pos, i in enumerate(s)} for s in subs]
+    hosted = _hosted_mus(cfg)
+    per_node = [_interference_constraint(cfg, mus, local_pos) for mus in hosted]
+    offsets = list(accumulate(dims, initial=0))
+    slices = [slice(offsets[n], offsets[n + 1]) for n in range(cfg.n_scbs)]
+    order = [i for mus in hosted for i in mus]  # MU of each stacked slack row
+    member_coord, member_row = [], []
+    for r, i in enumerate(order):
+        for m in sorted(cfg.assignment[i]):
+            member_coord.append(offsets[m] + local_pos[m][i])
+            member_row.append(r)
+    row_of_coord = np.empty(offsets[-1], dtype=np.intp)
+    row_of_coord[member_coord] = member_row
+    gammas = np.array([cfg.gamma_linear(i) for i in order])
+    owner = [n for n in range(cfg.n_scbs) for _ in range(dims[n])]
+    mu_c = np.array([cfg.cost * cfg.mu_param(n) for n in owner])
+    nu = np.array([cfg.nu_param(n) for n in owner])
+
+    def coordinates(xs, ths):
+        """Stacked prices and gains (C,), in the layout of the stacked iterate."""
+        g, h = NodeObservations.of(ths).leaves
+        return stack(xs), g.reshape(-1), h.reshape(-1)
+
+    def slack(xs, ths):
+        x, g, h = coordinates(xs, ths)
+        p = W / (mu_c + nu * x) - 1.0 / h
+        received = np.where(p > 0.0, g * p, 0.0)
+        # bincount adds each MU's members in order, from 0.0
+        return np.bincount(member_row, weights=received[member_coord],
+                           minlength=len(order)) - gammas
+
+    def add_jt_lam(grads, lam, xs, ths):
+        if not lam.any():
+            return grads
+        x, g, h = coordinates(xs, ths)
+        denom = mu_c + nu * x
+        active = (W / denom - 1.0 / h) > 0.0
+        # float_power squares with pow(), as the per-node Jacobian's scalar
+        # denom**2 does; an array's denom**2 multiplies, which can differ in
+        # the last bit
+        jac = np.where(active, -g * W * nu / np.float_power(denom, 2), 0.0)
+        return split_stacked(stack(grads) + jac * lam[row_of_coord], slices)
+
+    return ConstraintFamily(per_node=tuple(per_node), size=len(order),
+                            slack=slack, add_jt_lam=add_jt_lam)
 
 
 def _interference_constraint(cfg: PricingConfig, mus: list, local_pos: list):

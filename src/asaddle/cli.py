@@ -317,10 +317,13 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
     return block
 
 
-def _run_one(spec, cfg: ExperimentConfig, seed: int, evaluator, mode: str):
+def _run_one(spec, cfg: ExperimentConfig, seed: int, evaluator, mode: str,
+             record_current_slack: bool = False):
+    """One seed's trace; ``current_slack`` (a second slack evaluation on
+    every stale step) only when a report reads it."""
     schedule = None if mode == "sync" else build_schedule(cfg, seed)
     return run(spec, build_hyperparams(cfg), schedule, seed, evaluator=evaluator,
-               thin_every=cfg.thin_every)
+               thin_every=cfg.thin_every, record_current_slack=record_current_slack)
 
 
 def _fit_or_none(series, t=None) -> float | None:
@@ -353,7 +356,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     traces = []
     per_seed_cols = []
     for seed in cfg.seeds:
-        trace = _run_one(spec, cfg, seed, evaluator, cfg.mode)
+        # the pricing SINR report reads the fresh slack
+        trace = _run_one(spec, cfg, seed, evaluator, cfg.mode,
+                         record_current_slack=cfg.problem_name == "pricing")
         traces.append(trace)
         cols = trace_columns(trace, f_star)
         per_seed_cols.append(cols)

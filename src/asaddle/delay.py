@@ -78,7 +78,10 @@ class DelaySchedule:
         return draws if nodes.ndim else int(draws)
 
     def _block(self, block: int, n_nodes: int) -> np.ndarray:
-        """(>= n_nodes, _CHUNK) uniform draws of ``block``; row i is node i's own substream."""
+        """(>= n_nodes, _CHUNK) uniform draws of ``block``; row i is node i's own substream.
+
+        Only the block last asked for is kept: the clock moves forward, and an
+        earlier block is drawn again, identically, when asked for."""
         table = self._chunks.get(block)
         have = 0 if table is None else table.shape[0]
         if have < n_nodes:
@@ -87,7 +90,7 @@ class DelaySchedule:
                     )).integers(0, self.tau_max + 1, size=_CHUNK)
                     for i in range(have, n_nodes)]
             table = np.stack(rows) if table is None else np.concatenate([table, np.stack(rows)])
-            self._chunks[block] = table
+            self._chunks = {block: table}
         return table
 
 
@@ -130,16 +133,17 @@ class StalenessBuffer:
 
 class StackedBuffer:
     """StalenessBuffer for all nodes at once: the last ``depth`` rows of a
-    node-stacked array (leading axis: node, or coordinate), kept as one array
-    indexed by (time slot, node)."""
+    node-stacked array (leading axis of length ``width``: node, or
+    coordinate), kept as one array indexed by (time slot, node)."""
 
     def __init__(self, depth: int, row: np.ndarray):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
+        self.width = row.shape[0]
         self._times = np.full(depth, -1)
         self._rows = np.empty((depth,) + row.shape, dtype=row.dtype)
-        self._cols = np.arange(row.shape[0])
+        self._cols = np.arange(self.width)
 
     def record(self, t: int, row: np.ndarray) -> None:
         """Store the row of time t, evicting the slot's older row."""

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "NodeObservations",
     "project",
     "stack",
+    "split_stacked",
     "tree_map",
     "sample_observation",
     "observation_block",
@@ -35,6 +37,7 @@ __all__ = [
     "objective_grads",
     "objective_sum",
     "as_neighborhood",
+    "ObjectiveGroup",
     "ExpectedObjective",
     "DEFAULT_MC_SAMPLES",
     "OBS_BLOCK",
@@ -114,7 +117,9 @@ def project(domain: DomainSpec, u) -> np.ndarray:
     Box: coordinatewise clamp. Sum interval: return u when already feasible;
     otherwise shift toward the violated bound C* (uniformly when coordinates
     are unconstrained in sign, or by the KKT shift-and-clip rule when the
-    nonnegativity option is set). Raises NonFiniteState on NaN or inf input.
+    nonnegativity option is set). Raises NonFiniteState on NaN or inf input,
+    and when the shift overflows (a plain slab with entries near the float
+    range).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size != domain.dim:
@@ -125,20 +130,28 @@ def project(domain: DomainSpec, u) -> np.ndarray:
     if domain.kind == "box":
         return np.minimum(np.maximum(u, domain.lo), domain.hi)
 
-    tol = 1e-9 * max(1.0, abs(domain.c_min), abs(domain.c_max))
+    tol = _sum_tolerance(domain)
     if domain.contains(u, tol=tol):
         return u.copy()
     if not domain.nonneg:
         s = u.sum()
         target = domain.c_min if s < domain.c_min else domain.c_max
-        return u + (target - s) / u.size
+        y = u + (target - s) / u.size
+    else:
+        base = np.maximum(u, 0.0)
+        s = base.sum()
+        if domain.c_min - tol <= s <= domain.c_max + tol:
+            return base
+        target = domain.c_min if s < domain.c_min else domain.c_max
+        y = _shift_clip_to_sum(u, target)
+    if not all(map(math.isfinite, y.tolist())):
+        raise NonFiniteState(f"projection of {u} onto the sum interval overflows")
+    return y
 
-    base = np.maximum(u, 0.0)
-    s = base.sum()
-    if domain.c_min - tol <= s <= domain.c_max + tol:
-        return base
-    target = domain.c_min if s < domain.c_min else domain.c_max
-    return _shift_clip_to_sum(u, target)
+
+def _sum_tolerance(domain: DomainSpec) -> float:
+    """Slack ``project`` allows a sum-interval point before moving it."""
+    return 1e-9 * max(1.0, abs(domain.c_min), abs(domain.c_max))
 
 
 def _shift_clip_to_sum(u: np.ndarray, target: float) -> np.ndarray:
@@ -146,13 +159,26 @@ def _shift_clip_to_sum(u: np.ndarray, target: float) -> np.ndarray:
     # y = (u + nu)_+ with nu chosen on the sorted breakpoint structure
     if target <= 0.0:
         return np.zeros_like(u)
+    y = _clip_at_breakpoint(u, target)
+    if y is None or not np.isfinite(y).all():
+        # entries far above target cancel in the breakpoints u + nu (none is
+        # active, or nu overflows). Solve relative to the largest entry: the
+        # active entries of u - max(u) lie in (-target, 0], so clamping at
+        # -target changes no y and keeps every partial sum finite.
+        y = _clip_at_breakpoint(np.maximum(u - u.max(), -target), target)
+    return y
+
+
+def _clip_at_breakpoint(u: np.ndarray, target: float):
+    """(u + nu)_+ at the last active breakpoint, None when none is active."""
     srt = np.sort(u)[::-1]
     csum = np.cumsum(srt)
     ks = np.arange(1, u.size + 1)
     nus = (target - csum) / ks
-    active = srt + nus > 0.0
-    k = int(np.nonzero(active)[0][-1]) + 1
-    return np.maximum(u + nus[k - 1], 0.0)
+    active = np.flatnonzero(srt + nus > 0.0)
+    if active.size == 0:
+        return None
+    return np.maximum(u + nus[active[-1]], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +356,23 @@ def _pairwise_block(i, nbr_gammas, value, grad_first):
 # problem spec
 # ---------------------------------------------------------------------------
 
+class ObjectiveGroup(NamedTuple):
+    """Nodes whose objective terms one call of a shared Objective evaluates.
+
+    A node alone with its instance has ``rows`` None and ``nodes`` its id: it
+    is called on its own row and observation. Otherwise the call takes the
+    rows ``rows`` of ``ProblemSpec.row_array`` and ``nodes`` selects the
+    member nodes (each a slice when consecutive). With uniform dims the rows
+    are the nodes and ``sums`` is None; otherwise every coordinate is a row
+    and ``sums`` is the plan ``_sum_node_rows`` adds each node's rows with.
+    """
+
+    objective: Objective
+    nodes: object
+    rows: object
+    sums: object
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Immutable bundle of graph, objectives, samplers, constraints and domains.
@@ -358,6 +401,8 @@ class ProblemSpec:
         if not (len(dims) == len(domains) == len(objectives) == len(samplers) == n):
             raise DimensionMismatch("per-node field lengths must equal n_nodes")
         for i in range(n):
+            if dims[i] < 1:
+                raise DimensionMismatch(f"node {i} has no coordinates")
             if domains[i].dim != dims[i]:
                 raise DimensionMismatch(f"domain dim {domains[i].dim} != dims[{i}]={dims[i]}")
         if x0 is None:
@@ -387,14 +432,26 @@ class ProblemSpec:
         """(N+1,) start of each node's coordinates in the stacked vector, then its length."""
         return np.array(list(accumulate(self.dims, initial=0)))
 
+    @cached_property
+    def obs_offsets(self):
+        """``offsets`` when dims differ, for the per-coordinate observation
+        leaves of ``NodeObservations``; None when they are uniform."""
+        return None if self.uniform else self.offsets
+
     def rows(self, flat: np.ndarray):
         """Per-node views of a stacked vector: an (N, p) array when dims are
         uniform, a list of slices otherwise."""
         if self.uniform:
             return flat.reshape(self.graph.n_nodes, self.dims[0])
-        rows = _Slices([flat[s] for s in self._slices])
-        rows.stacked = flat
-        return rows
+        return split_stacked(flat, self._slices)
+
+    def row_array(self, xs) -> np.ndarray:
+        """Per-node vectors (or a stacked vector) as the rows shared objectives
+        take: (N, p) when dims are uniform, otherwise every coordinate as a row
+        of dimension 1, (C, 1). A view of a stacked vector or of ``rows``."""
+        if self.uniform:
+            return np.asarray(xs, dtype=float).reshape(self.graph.n_nodes, -1)
+        return stack(xs)[:, None]
 
     @cached_property
     def _slices(self) -> list:
@@ -413,28 +470,108 @@ class ProblemSpec:
         return (np.concatenate([dom.lo for dom in self.domains]),
                 np.concatenate([dom.hi for dom in self.domains]))
 
+    def inside(self, flat: np.ndarray) -> np.ndarray:
+        """(N,) True where node i's block of the stacked vector lies in its sum
+        interval by the test ``project`` makes before it moves a point, so
+        ``project`` would return the block unchanged. Box blocks read False:
+        ``project`` clamps them, which also settles the sign of a zero."""
+        lo, sum_lo, sum_hi = self._domain_limits
+        ok = np.logical_and.reduceat(flat >= lo, self.offsets[:-1])
+        sums = np.empty(self.graph.n_nodes)
+        for nodes, coords in self._dim_classes:
+            # a row sum of an (n, d) gather adds in the order u.sum() does
+            sums[nodes] = flat[coords].sum(axis=1)
+        return ok & (sums >= sum_lo) & (sums <= sum_hi)
+
+    @cached_property
+    def _domain_limits(self):
+        """Stacked coordinate lower bounds and per-node sum bounds of ``inside``."""
+        lo, sum_lo, sum_hi = [], [], []
+        for dom in self.domains:
+            if dom.kind == "box":  # an empty sum interval
+                lo.append(np.full(dom.dim, -math.inf))
+                sum_lo.append(math.inf)
+                sum_hi.append(-math.inf)
+                continue
+            tol = _sum_tolerance(dom)
+            lo.append(np.full(dom.dim, -tol if dom.nonneg else -math.inf))
+            sum_lo.append(dom.c_min - tol)
+            sum_hi.append(dom.c_max + tol)
+        return np.concatenate(lo), np.array(sum_lo), np.array(sum_hi)
+
+    @cached_property
+    def _dim_classes(self) -> list:
+        """(nodes, (n, d) coordinate indices) once per node dimension d."""
+        classes = []
+        for d in sorted(set(self.dims)):
+            nodes = np.array([i for i, di in enumerate(self.dims) if di == d])
+            classes.append((nodes, self.offsets[nodes][:, None] + np.arange(d)))
+        return classes
+
     @cached_property
     def objective_groups(self) -> tuple:
-        """(objective, nodes) once per Objective instance.
+        """One ``ObjectiveGroup`` per Objective instance, in order of first use.
 
-        ``nodes`` is a node id when one node uses the instance, and otherwise
-        what selects the sharing nodes' rows of an (N, p) array: all of them
-        (a slice) or an index array. Rows are only stacked when dims are
-        uniform; otherwise every node is its own group."""
-        if not self.uniform:
-            return tuple((obj, i) for i, obj in enumerate(self.objectives))
+        Nodes of different dimensions that share an instance are evaluated on
+        their coordinates as rows of dimension 1: the instance must then be
+        separable by coordinate, with one observation entry per coordinate."""
         shared = {}
         for i, obj in enumerate(self.objectives):
             shared.setdefault(id(obj), (obj, []))[1].append(i)
         groups = []
         for obj, nodes in shared.values():
             if len(nodes) == 1:
-                groups.append((obj, nodes[0]))
-            elif len(nodes) == self.graph.n_nodes:
-                groups.append((obj, slice(None)))
+                groups.append(ObjectiveGroup(obj, nodes[0], None, None))
             else:
-                groups.append((obj, np.array(nodes)))
+                groups.append(ObjectiveGroup(obj, *_row_layout(self, nodes)))
         return tuple(groups)
+
+
+def _row_layout(spec: ProblemSpec, members: list):
+    """(nodes, rows, sums) of an ObjectiveGroup for ascending node ids ``members``."""
+    nodes = _selector(members)
+    if spec.uniform:
+        return nodes, nodes, None
+    counts = [spec.dims[i] for i in members]
+    starts = list(accumulate(counts[:-1], initial=0))
+    rest = []
+    for j in range(1, max(counts)):
+        longer = [m for m, c in enumerate(counts) if c > j]
+        rest.append((np.array(longer), np.array([starts[m] + j for m in longer])))
+    if isinstance(nodes, slice):  # consecutive nodes own consecutive coordinates
+        first = sum(spec.dims[:nodes.start])
+        rows = slice(first, first + starts[-1] + counts[-1])
+    else:
+        o = spec.offsets
+        rows = np.concatenate([np.arange(o[i], o[i + 1]) for i in members])
+    return nodes, rows, (np.array(starts), rest)
+
+
+def _members(nodes, n_nodes: int) -> list:
+    """Node ids a ``_selector`` selects among ``n_nodes``."""
+    return list(range(n_nodes)[nodes]) if isinstance(nodes, slice) else nodes.tolist()
+
+
+def _selector(ids: list):
+    """A slice for consecutive ascending ids, else an index array."""
+    if ids[-1] - ids[0] + 1 == len(ids):
+        return slice(int(ids[0]), int(ids[-1]) + 1)
+    return np.array(ids)
+
+
+def _sum_node_rows(values: np.ndarray, sums) -> np.ndarray:
+    """Each node's consecutive rows of ``values`` (leading axis) added in
+    order, as ``np.sum`` adds a short vector."""
+    starts, rest = sums
+    out = values[starts]
+    for nodes, rows in rest:
+        out[nodes] += values[rows]
+    return out
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ..., one term at a time (np.sum pairs them)."""
+    return 0.0 + float(np.cumsum(values)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +582,14 @@ class _Slices(list):
     """Per-node slices of the stacked vector ``stacked``."""
 
     __slots__ = ("stacked",)
+
+
+def split_stacked(flat: np.ndarray, slices) -> list:
+    """Views of the stacked vector ``flat`` at per-node ``slices``, which
+    ``stack`` turns back into ``flat`` without a copy."""
+    rows = _Slices([flat[s] for s in slices])
+    rows.stacked = flat
+    return rows
 
 
 def stack(vectors) -> np.ndarray:
@@ -466,59 +611,78 @@ def tree_map(fn, tree, *rest):
     return fn(tree, *rest)
 
 
+def _leaves(tree) -> list:
+    """The arrays of an observation, depth first."""
+    if isinstance(tree, tuple):
+        return [leaf for sub in tree for leaf in _leaves(sub)]
+    return [tree]
+
+
 def _stack_leaves(parts, axis: int):
     """Stack equally structured observations leaf by leaf along a new ``axis``.
 
-    A leaf whose shape differs between the parts (per-node dimensions) becomes
-    an object array holding each part's sub-array."""
+    A leaf whose length differs between the parts (one entry per coordinate
+    of nodes of different dimensions) is concatenated along ``axis`` instead,
+    coordinate after coordinate as in the stacked iterate."""
     if isinstance(parts[0], tuple):
         return tuple(_stack_leaves(leaf, axis) for leaf in zip(*parts))
     parts = [np.asarray(p) for p in parts]
     if all(p.shape == parts[0].shape for p in parts):
         return np.stack(parts, axis=axis)
-    lead = parts[0].shape[:axis]
-    out = np.empty(lead + (len(parts),), dtype=object)
-    for k, p in enumerate(parts):
-        for r in np.ndindex(lead):
-            out[r + (k,)] = p[r]
-    return out
+    return np.concatenate(parts, axis=axis)
 
 
 class NodeObservations:
-    """Observations of all nodes, stacked leaf by leaf on a leading node axis.
+    """Observations of all nodes, stacked leaf by leaf.
 
+    A leaf has a leading node axis, or, when its length differs between nodes
+    (``_stack_leaves``), a leading coordinate axis laid out like the stacked
+    iterate, split per node at ``offsets`` (``ProblemSpec.obs_offsets``).
     ``obs[i]`` is node i's observation, as ``sample_observation`` returns it;
-    an index array or a slice gives the stacked observations of those nodes.
+    an index array or a slice selects nodes of node-axis leaves, and
+    ``rows(sel)`` gives the observations of the rows ``sel`` of
+    ``ProblemSpec.row_array``.
     """
 
-    __slots__ = ("leaves", "_per_node")
+    __slots__ = ("leaves", "offsets", "_per_node")
 
-    def __init__(self, leaves):
+    def __init__(self, leaves, offsets=None):
         self.leaves = leaves
+        self.offsets = offsets
         self._per_node = None
 
     @staticmethod
-    def of(ths) -> "NodeObservations":
+    def of(ths, offsets=None) -> "NodeObservations":
         """``ths`` itself, or a per-node sequence of observations stacked."""
         if isinstance(ths, NodeObservations):
             return ths
-        return NodeObservations(_stack_leaves(list(ths), axis=0))
+        return NodeObservations(_stack_leaves(list(ths), axis=0), offsets)
 
     def __getitem__(self, nodes):
         if isinstance(nodes, (int, np.integer)):
             if self._per_node is None:  # split once: per-node code asks for each node often
-                self._per_node = _split_nodes(self.leaves)
+                self._per_node = _split_nodes(self.leaves, self.offsets)
             return self._per_node[nodes]
         if isinstance(nodes, slice):
             return tree_map(lambda leaf: leaf[nodes], self.leaves)
         return tree_map(lambda leaf: leaf.take(nodes, axis=0), self.leaves)
 
+    def rows(self, sel):
+        """Observations of rows ``sel`` of ``ProblemSpec.row_array``: the nodes
+        ``sel``, or coordinate rows of dimension 1 (leaves (rows, 1, ...))."""
+        if self.offsets is None:
+            return self[sel]
+        return tree_map(lambda leaf: leaf[sel, None], self.leaves)
 
-def _split_nodes(tree) -> list:
-    """Per-node observations of node-stacked ``tree``."""
+
+def _split_nodes(tree, offsets) -> list:
+    """Per-node observations of stacked ``tree``: a leaf with one row per
+    node is split by row, one with a row per coordinate at ``offsets``."""
     if isinstance(tree, tuple):
-        return list(zip(*[_split_nodes(leaf) for leaf in tree]))
-    return list(tree)
+        return list(zip(*[_split_nodes(leaf, offsets) for leaf in tree]))
+    if offsets is None or len(tree) == len(offsets) - 1:
+        return list(tree)
+    return np.split(tree, offsets[1:-1])
 
 
 def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
@@ -536,7 +700,8 @@ def _draw_block(sampler: Sampler, rng: np.random.Generator):
 
 def observation_block(spec: ProblemSpec, seed: int, block: int):
     """Observations of steps block*OBS_BLOCK onward for every node, stacked
-    leaf by leaf as (OBS_BLOCK, N, ...)."""
+    leaf by leaf as (OBS_BLOCK, N, ...), or (OBS_BLOCK, C, ...) for leaves
+    with one entry per coordinate of nodes of different dimensions."""
     return _stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
                           for node, sampler in enumerate(spec.samplers)], axis=1)
 
@@ -555,26 +720,33 @@ def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
 def objective_grads(spec: ProblemSpec, xs, ths):
     """Per-node objective gradients, one ``grad`` call per Objective instance
     (on the stacked rows of the nodes sharing it); same layout as ``spec.rows``."""
-    grads = spec.rows(np.empty(spec.offsets[-1]))
-    for obj, nodes in spec.objective_groups:
-        if isinstance(nodes, int):
+    flat = np.empty(spec.offsets[-1])
+    grads = spec.rows(flat)
+    rows_x = obs = None
+    for obj, nodes, rows, _ in spec.objective_groups:
+        if rows is None:
             grads[nodes][...] = obj.grad(xs[nodes], ths[nodes])
-        else:
-            grads[nodes] = obj.grad(np.asarray(xs, dtype=float)[nodes],
-                                    NodeObservations.of(ths)[nodes])
+            continue
+        if rows_x is None:
+            rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
+        spec.row_array(flat)[rows] = obj.grad(rows_x[rows], obs.rows(rows))
     return grads
 
 
 def objective_sum(spec: ProblemSpec, xs, ths) -> float:
-    """sum_i f^i(x^i, th^i), one ``value`` call per Objective instance."""
-    total = 0.0
-    for obj, nodes in spec.objective_groups:
-        if isinstance(nodes, int):
-            total += float(obj.value(xs[nodes], ths[nodes]))
-        else:
-            total += float(np.sum(obj.value(np.asarray(xs, dtype=float)[nodes],
-                                            NodeObservations.of(ths)[nodes])))
-    return total
+    """sum_i f^i(x^i, th^i) added in node order, one ``value`` call per
+    Objective instance; a node evaluated by coordinate adds its rows first."""
+    values = np.empty(spec.graph.n_nodes)
+    rows_x = obs = None
+    for obj, nodes, rows, sums in spec.objective_groups:
+        if rows is None:
+            values[nodes] = float(obj.value(xs[nodes], ths[nodes]))
+            continue
+        if rows_x is None:
+            rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
+        v = obj.value(rows_x[rows], obs.rows(rows))
+        values[nodes] = v if sums is None else _sum_node_rows(v, sums)
+    return _sum_in_order(values)
 
 
 def objective_grad(spec: ProblemSpec, node: int, x_i, theta) -> np.ndarray:
@@ -599,36 +771,99 @@ def as_neighborhood(spec: ProblemSpec) -> ProblemSpec:
 # Monte Carlo objective estimator
 # ---------------------------------------------------------------------------
 
+# draws (rows x samples) per batch_value call: a large group is evaluated in
+# pieces of its stacked draws, so one call's temporaries stay near 0.5 MB while
+# the draws of a 500-node problem take 40 MB
+_EVAL_PIECE = 1 << 16
+
+
 class ExpectedObjective:
     """F(x) estimator with a frozen evaluation sample, independent of training.
 
     The same draw set is reused for every query point, so differences
     F(x) - F(y) of nearby points carry far less Monte Carlo noise than the
-    individual values.
+    individual values. Nodes sharing an Objective are evaluated like the
+    engine step evaluates them (``ProblemSpec.objective_groups``): their
+    draws are stacked as (rows, S, ...) and ``batch_value`` maps the stacked
+    rows and draws to (rows, S) per-sample values.
     """
 
     def __init__(self, spec: ProblemSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
                  seed: int = 0):
         self.spec = spec
         self.mc_samples = int(mc_samples)
-        self._batched = []
-        self._plain = []
-        for node in range(spec.graph.n_nodes):
-            rng = np.random.default_rng(np.random.SeedSequence([2, int(seed) & 0xFFFFFFFFFFFFFFFF, node]))
-            sampler = spec.samplers[node]
-            obj = spec.objectives[node]
-            if sampler.batch is not None and obj.batch_value is not None:
-                self._batched.append((node, obj.batch_value, sampler.batch(rng, self.mc_samples)))
+        self._batched = []  # (batch_value, nodes, rows, sums, draws)
+        self._plain = []    # (node, value, draws)
+        S = self.mc_samples
+
+        def rng(node):
+            return np.random.default_rng(np.random.SeedSequence([2, int(seed) & 0xFFFFFFFFFFFFFFFF, node]))
+
+        for obj, nodes, rows, sums in spec.objective_groups:
+            members = [nodes] if rows is None else _members(nodes, spec.graph.n_nodes)
+            if obj.batch_value is None or any(spec.samplers[i].batch is None for i in members):
+                for i in members:
+                    node_rng = rng(i)
+                    self._plain.append((i, obj.value, [spec.samplers[i].sample(node_rng)
+                                                       for _ in range(S)]))
+            elif rows is None:
+                self._batched.append((obj.batch_value, nodes, None, None,
+                                      spec.samplers[nodes].batch(rng(nodes), S)))
             else:
-                self._plain.append((node, obj.value,
-                                    [sampler.sample(rng) for _ in range(self.mc_samples)]))
+                counts = [1 if spec.uniform else spec.dims[i] for i in members]
+                o = list(accumulate(counts, initial=0))  # first row of each member
+                draws = self._stacked_draws(members, o, rng)
+                # evaluated in pieces of whole nodes with at most _EVAL_PIECE
+                # rows x samples (one node's rows when they alone exceed it)
+                per_piece = max(1, _EVAL_PIECE // (S * max(counts)))
+                if per_piece >= len(members):
+                    self._batched.append((obj.batch_value, nodes, rows, sums, draws))
+                    continue
+                for a in range(0, len(members), per_piece):
+                    piece = members[a:a + per_piece]
+                    lo, hi = o[a], o[a + len(piece)]
+                    self._batched.append((obj.batch_value, *_row_layout(spec, piece),
+                                          tree_map(lambda leaf: leaf[lo:hi], draws)))
+
+    def _stacked_draws(self, members: list, o: list, rng):
+        """The draws of ``members`` stacked as (rows, S, ...), member j's at
+        rows o[j]:o[j+1]: one node's draws are written in as they come, so no
+        second copy is held."""
+        spec, S = self.spec, self.mc_samples
+        tree = stacked = None
+        for j, i in enumerate(members):
+            draws = spec.samplers[i].batch(rng(i), S)
+            leaves = _leaves(draws)
+            if stacked is None:
+                # (S, ...) per node -> one row (1, S, ...), or per coordinate
+                # (S, k, ...) -> k rows of dimension 1 (k, S, 1, ...)
+                tree, stacked = draws, [
+                    np.empty((o[-1], S) + leaf.shape[1:] if spec.uniform
+                             else (o[-1], S, 1) + leaf.shape[2:], leaf.dtype) for leaf in leaves]
+            for out, leaf in zip(stacked, leaves):
+                if spec.uniform:
+                    out[j] = leaf
+                else:
+                    out[o[j]:o[j + 1], :, 0] = leaf.swapaxes(0, 1)
+        rows = iter(stacked)
+        return tree_map(lambda _: next(rows), tree)
 
     def value(self, x) -> float:
-        """Estimate F(x) = sum_i E[f^i(x^i, theta^i)] at per-node vectors x."""
-        total = 0.0
-        for node, batch_value, draws in self._batched:
-            total += float(np.mean(batch_value(np.asarray(x[node], dtype=float), draws)))
+        """Estimate F(x) = sum_i E[f^i(x^i, theta^i)] at per-node vectors x:
+        every node's sample mean, added in node order."""
+        means = np.empty(self.spec.graph.n_nodes)
+        rows_x = None
+        for batch_value, nodes, rows, sums, draws in self._batched:
+            if rows is None:
+                means[nodes] = np.mean(batch_value(np.asarray(x[nodes], dtype=float), draws))
+                continue
+            if rows_x is None:
+                rows_x = self.spec.row_array(x)
+            values = batch_value(rows_x[rows], draws)
+            if sums is not None:
+                values = _sum_node_rows(values, sums)
+            means[nodes] = np.mean(values, axis=1)
         for node, value, draws in self._plain:
             xi = np.asarray(x[node], dtype=float)
-            total += float(np.mean([value(xi, th) for th in draws]))
-        return total
+            means[node] = np.mean([value(xi, th) for th in draws])
+        return _sum_in_order(means)

@@ -133,11 +133,16 @@ def dual_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval, hp: Hyperparams) ->
 
 def project_nodes(spec: ProblemSpec, flat: np.ndarray) -> np.ndarray:
     """Projection of every node's block of a finite stacked vector: one clamp
-    when every domain is a box, ``project`` per node otherwise."""
+    when every domain is a box; otherwise ``project`` on the blocks that left
+    their domain (``ProblemSpec.inside``), the others kept as they are."""
     box = spec.box_bounds
     if box is not None:
         return np.minimum(np.maximum(flat, box[0]), box[1])
-    return stack([project(dom, x) for dom, x in zip(spec.domains, spec.rows(flat))])
+    out = flat.copy()
+    o = spec.offsets
+    for i in np.flatnonzero(~spec.inside(flat)).tolist():
+        out[o[i]:o[i + 1]] = project(spec.domains[i], flat[o[i]:o[i + 1]])
+    return out
 
 
 def domain_residual(spec: ProblemSpec, flat: np.ndarray) -> float:
@@ -211,8 +216,9 @@ class SaddleEngine:
         n_cons = spec.constraints.size
         self.tau_bound = 0 if schedule is None else schedule.tau_max
         self._nodes = np.arange(n)
-        # node of every stacked coordinate: a stale read of x gathers each
-        # coordinate at its node's resolved time
+        # node of every stacked coordinate: a stale read of x (and of the
+        # per-coordinate observation leaves) gathers each coordinate at its
+        # node's resolved time
         self._coord_node = np.repeat(self._nodes, spec.dims)
         self._prev_resolved = np.zeros(n, dtype=int)
         self._block_id = -1
@@ -261,7 +267,7 @@ class SaddleEngine:
         if block != self._block_id:
             self._block = observation_block(self.spec, self.seed, block)
             self._block_id = block
-        return NodeObservations(tree_map(lambda leaf: leaf[row], self._block))
+        return NodeObservations(tree_map(lambda leaf: leaf[row], self._block), self.spec.obs_offsets)
 
     def _stale_window(self, k: int, x, theta: NodeObservations):
         """Record step k's iterate and observations, and return every node's
@@ -275,8 +281,11 @@ class SaddleEngine:
             self._th_buf = tree_map(lambda leaf: StackedBuffer(depth, leaf), theta.leaves)
         self._x_buf.record(k, flat)
         tree_map(lambda buf, leaf: buf.record(k, leaf), self._th_buf, theta.leaves)
-        xs_eval = self.spec.rows(self._x_buf.fetch(res[self._coord_node]))
-        ths_eval = NodeObservations(tree_map(lambda buf: buf.fetch(res), self._th_buf))
+        res_coord = res[self._coord_node]
+        xs_eval = self.spec.rows(self._x_buf.fetch(res_coord))
+        ths_eval = NodeObservations(
+            tree_map(lambda buf: buf.fetch(res if buf.width == self._n else res_coord), self._th_buf),
+            self.spec.obs_offsets)
         return xs_eval, ths_eval, res
 
     def step(self) -> SaddleState:

@@ -223,3 +223,25 @@ def test_main_advise_and_audit_verbs(tmp_path, capsys):
     advice = json.loads("{" + blocks[-1] if len(blocks) > 1 else out)
     # tiny horizon: the closed form has no real root, reported as infeasible
     assert advice["feasible"] is False and advice["min_T"] > 120
+
+
+def test_fresh_slack_is_recorded_only_for_the_sinr_report(tmp_path):
+    _, _, traces = run_experiment(config_from_dict(SMALL), out_dir=str(tmp_path / "c"))
+    assert all(tr.current_slack is None for tr in traces)
+    pricing = {"problem": {"name": "pricing"}, "algo": {"T": 40, "epsilon": 0.01},
+               "delay": {"kind": "uniform_random", "tau_max": 3},
+               "eval": {"seeds": [0], "mc_samples": 50, "optimum_budget": 40}}
+    summary, _, traces = run_experiment(config_from_dict(pricing), out_dir=str(tmp_path / "p"))
+    assert traces[0].current_slack.shape == (40, 2) and summary.sinr_db is not None
+
+
+def test_main_huge_finite_start_is_projected(tmp_path, capsys):
+    # 1e300 + (20 - 1e300) rounds to 0, so the shift-and-clip solve used to
+    # find no active breakpoint and end in a bare IndexError (exit 1)
+    path = tmp_path / "huge.json"
+    path.write_text('{"problem": {"name": "pricing", "x0": [[1.0], [1e300, 5.0], [1.0]]},'
+                    ' "algo": {"T": 10}, "eval": {"mc_samples": 50}}', encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "x")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    spec, _ = build_problem(parse_config(str(path)))
+    assert spec.x0[1].tolist() == [20.0, 0.0]

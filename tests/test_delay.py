@@ -125,3 +125,15 @@ def test_stacked_buffer_gathers_each_node_at_its_time():
     assert got.tolist() == [[2.0, 2.0], [4.5, 4.5]]
     with pytest.raises(OutOfWindow):
         buf.fetch(np.array([1, 4]))  # time 1 was evicted by time 4
+
+
+def test_schedule_keeps_only_the_block_in_use():
+    from asaddle.delay import _CHUNK
+    sched = DelaySchedule(kind="uniform_random", tau_max=7, seed=4)
+    nodes = np.arange(3)
+    early = sched.tau(nodes, 10)
+    for t in range(0, 3 * _CHUNK + 1, 64):  # a run reaching a fourth block
+        resolve(sched, t, nodes, np.zeros(3, dtype=int))
+    assert len(sched._chunks) == 1
+    assert sched.tau(nodes, 10).tolist() == early.tolist()
+    assert sched.tau(1, 10) == early[1]

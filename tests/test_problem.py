@@ -339,3 +339,210 @@ def test_expected_objective_quadratic():
         DomainSpec.box(np.array([-5.0]), np.array([5.0])))
     est_plain = ExpectedObjective(spec_plain, mc_samples=4000, seed=1)
     assert est_plain.value([np.array([1.0])]) == pytest.approx(0.5, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# projection on extreme inputs, and the stacked projection
+# ---------------------------------------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DOMAIN_IDS = st.integers(0, len(DOMAINS) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOMAIN_IDS, st.data())
+def test_projection_of_nan_or_inf_anywhere_raises(k, data):
+    domain = DOMAINS[k]
+    u = data.draw(st.lists(_FINITE, min_size=domain.dim, max_size=domain.dim))
+    u[data.draw(st.integers(0, domain.dim - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(NonFiniteState):
+        project(domain, np.array(u))
+
+
+def _in_domain(domain, y, u):
+    """``domain.contains`` with a slack for the rounding of entries as large as u's."""
+    tol = 1e-9 * max(1.0, abs(domain.c_min), abs(domain.c_max))
+    tol += 4 * domain.dim * np.finfo(float).eps * float(np.max(np.abs(u)))
+    if domain.kind == "box":
+        return domain.contains(y, tol=0.0)
+    return domain.contains(y, tol=tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOMAIN_IDS, st.data())
+def test_projection_of_huge_finite_input_is_in_domain_or_non_finite_state(k, data):
+    domain = DOMAINS[k]
+    huge = st.one_of(_FINITE, st.sampled_from([1e300, -1e300, 1e308, -1e308, 5.0]))
+    u = np.array(data.draw(st.lists(huge, min_size=domain.dim, max_size=domain.dim)))
+    try:
+        y = project(domain, u)
+    except NonFiniteState:
+        return
+    assert np.isfinite(y).all() and _in_domain(domain, y, u)
+
+
+def test_projection_when_the_breakpoints_cancel():
+    dom = DomainSpec.sum_interval(2, 0.9, 20.0, nonneg=True)
+    # 1e300 + (20 - 1e300) rounds to 0: no breakpoint read active
+    assert project(dom, np.array([1e300, 5.0])).tolist() == [20.0, 0.0]
+    # the partial sums overflow to -inf: nu came out inf
+    assert project(dom, np.array([-1e308, -1e308])).tolist() == [0.45, 0.45]
+    dom3 = DomainSpec.sum_interval(3, 0.9, 20.0, nonneg=True)
+    assert project(dom3, np.array([1e308, 0.0, 0.0])).tolist() == [20.0, 0.0, 0.0]
+    slab = DomainSpec.sum_interval(2, 0.9, 20.0)
+    with pytest.raises(NonFiniteState):
+        project(slab, np.array([1e308, 1e308]))  # the sum overflows
+
+
+def _spec_on(domains):
+    """A constraint-free problem with one node per domain."""
+    n = len(domains)
+    g = build_graph(n, path_edges(n)) if n > 1 else build_graph(1, [])
+    obj = Objective(value=lambda x, th: 0.0, grad=lambda x, th: np.zeros_like(x))
+    return ProblemSpec.make(g, tuple(d.dim for d in domains), [obj] * n,
+                            [Sampler(sample=lambda rng: None)] * n,
+                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)] * n),
+                            tuple(domains))
+
+
+_NODE_DOMAINS = [
+    DomainSpec.sum_interval(1, 0.9, 20.0, nonneg=True),
+    DomainSpec.sum_interval(2, 0.9, 20.0, nonneg=True),
+    DomainSpec.sum_interval(3, 0.9, 20.0, nonneg=True),
+    DomainSpec.sum_interval(9, -5.0, 5.0, nonneg=True),
+    DomainSpec.sum_interval(2, 0.9, 20.0),
+    DomainSpec.sum_interval(4, -5.0, 5.0),
+    DomainSpec.box(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
+    DomainSpec.box(np.zeros(3), np.ones(3)),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, len(_NODE_DOMAINS) - 1), min_size=1, max_size=5), st.data())
+def test_project_nodes_equals_per_node_project_bitwise(kinds, data):
+    from asaddle.saddle import project_nodes
+    domains = [_NODE_DOMAINS[k] for k in kinds]
+    spec = _spec_on(domains)
+    blocks = []
+    for dom in domains:
+        u = np.array(data.draw(st.lists(st.floats(-30.0, 30.0), min_size=dom.dim, max_size=dom.dim)))
+        if data.draw(st.booleans()):  # on a face of the domain, or just off it
+            u = project(dom, u) + data.draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-8, -1e-8]))
+        blocks.append(u)
+    flat = np.concatenate(blocks)
+    expected = np.concatenate([project(dom, u) for dom, u in zip(domains, blocks)])
+    got = project_nodes(spec, flat)
+    assert got.tobytes() == expected.tobytes()
+    assert flat.tobytes() == np.concatenate(blocks).tobytes()  # input left as it was
+
+
+# ---------------------------------------------------------------------------
+# observations of nodes of different dimensions
+# ---------------------------------------------------------------------------
+
+def test_per_coordinate_leaves_are_concatenated_floats():
+    from asaddle.problem import NodeObservations, OBS_BLOCK, observation_block
+    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
+    spec = build_pricing_problem(PricingConfig())
+    g, h = observation_block(spec, 3, 0)
+    assert g.shape == h.shape == (OBS_BLOCK, 4) and g.dtype == float
+    ths = [sample_observation(spec, 3, i, 5) for i in range(3)]
+    obs = NodeObservations.of(ths, spec.obs_offsets)
+    assert np.array_equal(obs.leaves[0], g[5]) and np.array_equal(obs.leaves[1], h[5])
+    for i in range(3):
+        assert all(np.array_equal(a, b) for a, b in zip(obs[i], ths[i]))
+    rows = obs.rows(np.array([1, 2]))
+    assert rows[0].shape == (2, 1) and rows[0][:, 0].tolist() == ths[1][0].tolist()
+
+
+def test_a_node_needs_a_coordinate():
+    g = build_graph(2, path_edges(2))
+    obj = Objective(value=lambda x, th: 0.0, grad=lambda x, th: x)
+    with pytest.raises(DimensionMismatch):
+        ProblemSpec.make(g, (1, 0), [obj] * 2, [Sampler(sample=lambda rng: None)] * 2,
+                         no_constraints(g),
+                         (DomainSpec.box(np.zeros(1), np.ones(1)),
+                          DomainSpec.sum_interval(0, 0.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# grouped kernels and evaluator against per-node calls
+# ---------------------------------------------------------------------------
+
+def _pricing_specs():
+    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
+    return [build_pricing_problem(PricingConfig()),
+            # SCBS 1 serves three MUs and MU 2 has three members
+            build_pricing_problem(PricingConfig(n_mus=3, assignment=((0, 1), (1, 2), (0, 1, 2)),
+                                                gamma_db=(-3.0, 0.0, 2.0))),
+            # distinct (c mu_n, nu_n): SCBSs 0 and 2 share an instance, SCBS 1 is alone
+            build_pricing_problem(PricingConfig(mu_n=(1.0, 2.0, 1.0), nu_n=(1.0, 0.5, 1.0)))]
+
+
+def _random_prices(spec, rng):
+    # prices around the activation kink W / (c mu + nu x) = 1 / h: most
+    # subchannels are active, some are not
+    return [rng.uniform(0.0, 2.0, size=d) for d in spec.dims]
+
+
+def test_grouped_objective_kernels_equal_per_node_calls(consensus_spec):
+    from asaddle.problem import NodeObservations, objective_grads, objective_sum
+    rng = np.random.default_rng(11)
+    for spec in _pricing_specs() + [consensus_spec]:
+        for t in range(40):
+            xs = (_random_prices(spec, rng) if spec.name == "pricing"
+                  else list(rng.uniform(-2.0, 2.0, size=(5, 4))))
+            ths = [sample_observation(spec, 1, i, t) for i in range(spec.graph.n_nodes)]
+            grads = objective_grads(spec, xs, NodeObservations.of(ths, spec.obs_offsets))
+            total = 0.0
+            for i in range(spec.graph.n_nodes):
+                assert np.array_equal(grads[i], spec.objectives[i].grad(xs[i], ths[i]))
+                total += float(spec.objectives[i].value(xs[i], ths[i]))
+            assert objective_sum(spec, xs, ths) == total
+
+
+def test_pricing_family_equals_the_per_node_encoding():
+    rng = np.random.default_rng(12)
+    for spec in _pricing_specs():
+        nb = as_neighborhood(spec)
+        for t in range(60):
+            xs = _random_prices(spec, rng)
+            ths = [sample_observation(spec, 2, i, t) for i in range(spec.graph.n_nodes)]
+            assert np.array_equal(spec.constraints.slack(xs, ths), nb.constraints.slack(xs, ths))
+            grads = [rng.normal(size=d) for d in spec.dims]
+            lam = rng.uniform(0.0, 2.0, size=spec.constraints.size) * (rng.random(spec.constraints.size) < 0.7)
+            for duals in (lam, np.zeros_like(lam)):
+                got = spec.constraints.add_jt_lam(grads, duals, xs, ths)
+                want = nb.constraints.add_jt_lam(grads, duals, xs, ths)
+                for i in range(spec.graph.n_nodes):
+                    assert np.array_equal(got[i], want[i])
+
+
+def _per_node_expectation(spec, x, mc_samples, seed):
+    """The estimator as a per-node batch_value loop, node means added in order."""
+    total = 0.0
+    for i in range(spec.graph.n_nodes):
+        rng = np.random.default_rng(np.random.SeedSequence([2, seed, i]))
+        draws = spec.samplers[i].batch(rng, mc_samples)
+        total += float(np.mean(spec.objectives[i].batch_value(np.asarray(x[i], dtype=float), draws)))
+    return total
+
+
+def test_grouped_evaluator_equals_per_node_loop(consensus_spec):
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    from asaddle.graph import ring_edges
+    # 40 nodes x 2000 draws do not fit one batch_value call: two pieces
+    ring40 = build_consensus_problem(ConsensusRegressionConfig(), build_graph(40, ring_edges(40)))
+    rng = np.random.default_rng(13)
+    for spec in _pricing_specs() + [consensus_spec, ring40]:
+        est = ExpectedObjective(spec, mc_samples=2000, seed=5)
+        for _ in range(3):
+            if spec.name == "pricing":
+                xs = _random_prices(spec, rng)
+                rows = spec.rows(np.concatenate(xs))
+            else:
+                rows = rng.uniform(-2.0, 2.0, size=(spec.graph.n_nodes, 4))
+                xs = list(rows)
+            want = _per_node_expectation(spec, xs, 2000, 5)
+            assert est.value(xs) == want  # a plain per-node list
+            assert est.value(rows) == want  # the engine's rows
