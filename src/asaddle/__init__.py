@@ -9,7 +9,7 @@ from .metrics import (AssumptionEstimates, audit_assumptions, audit_invariants,
 from .problem import (ConstraintFamily, DomainSpec, ExpectedObjective, Objective,
                       ProblemSpec, Sampler, as_neighborhood, project, sample_observation)
 from .saddle import (AdvisorConstants, Hyperparams, SaddleEngine, SaddleState, advise,
-                     dual_step, primal_step, run, run_generalized, run_synchronous,
+                     dual_step, primal_step, run, run_generalized, run_lanes, run_synchronous,
                      stochastic_lagrangian)
 from .trace import RunTrace
 

@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import InvalidConfig
 from ..graph import NetworkGraph, build_graph
 from ..problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, NodeObservations,
-                       Objective, ProblemSpec, Sampler, split_stacked, stack)
+                       Objective, ProblemSpec, Sampler, lane_copies, split_stacked, stack)
 from ..trace import RunTrace
 
 __all__ = [
@@ -241,7 +241,6 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
     hosted = _hosted_mus(cfg)
     per_node = [_interference_constraint(cfg, mus, local_pos) for mus in hosted]
     offsets = list(accumulate(dims, initial=0))
-    slices = [slice(offsets[n], offsets[n + 1]) for n in range(cfg.n_scbs)]
     order = [i for mus in hosted for i in mus]  # MU of each stacked slack row
     member_coord, member_row = [], []
     for r, i in enumerate(order):
@@ -254,34 +253,49 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
     owner = [n for n in range(cfg.n_scbs) for _ in range(dims[n])]
     mu_c = np.array([cfg.cost * cfg.mu_param(n) for n in owner])
     nu = np.array([cfg.nu_param(n) for n in owner])
+    n_coords, n_rows = offsets[-1], len(order)
 
-    def coordinates(xs, ths):
-        """Stacked prices and gains (C,), in the layout of the stacked iterate."""
-        g, h = NodeObservations.of(ths).leaves
-        return stack(xs), g.reshape(-1), h.reshape(-1)
+    def copies(lanes):
+        """The kernels on ``lanes`` copies: copy s's coordinates shifted by
+        s*C, its MU rows (and duals) by s*M."""
+        coord_l, row_l = lane_copies(lanes, member_coord, n_coords), lane_copies(lanes, member_row, n_rows)
+        row_of_coord_l = lane_copies(lanes, row_of_coord, n_rows)
+        gammas_l, mu_c_l, nu_l = (lane_copies(lanes, a) for a in (gammas, mu_c, nu))
+        starts = list(accumulate(dims * lanes, initial=0))
+        slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
 
-    def slack(xs, ths):
-        x, g, h = coordinates(xs, ths)
-        p = W / (mu_c + nu * x) - 1.0 / h
-        received = np.where(p > 0.0, g * p, 0.0)
-        # bincount adds each MU's members in order, from 0.0
-        return np.bincount(member_row, weights=received[member_coord],
-                           minlength=len(order)) - gammas
+        def coordinates(xs, ths):
+            """Stacked prices and gains (C,), in the layout of the stacked iterate."""
+            g, h = NodeObservations.of(ths).leaves
+            return stack(xs), g.reshape(-1), h.reshape(-1)
 
-    def add_jt_lam(grads, lam, xs, ths):
-        if not lam.any():
-            return grads
-        x, g, h = coordinates(xs, ths)
-        denom = mu_c + nu * x
-        active = (W / denom - 1.0 / h) > 0.0
-        # float_power squares with pow(), as the per-node Jacobian's scalar
-        # denom**2 does; an array's denom**2 multiplies, which can differ in
-        # the last bit
-        jac = np.where(active, -g * W * nu / np.float_power(denom, 2), 0.0)
-        return split_stacked(stack(grads) + jac * lam[row_of_coord], slices)
+        def slack(xs, ths):
+            x, g, h = coordinates(xs, ths)
+            p = W / (mu_c_l + nu_l * x) - 1.0 / h
+            received = np.where(p > 0.0, g * p, 0.0)
+            # bincount adds each MU's members in order, from 0.0
+            return np.bincount(row_l, weights=received[coord_l],
+                               minlength=lanes * n_rows) - gammas_l
 
-    return ConstraintFamily(per_node=tuple(per_node), size=len(order),
-                            slack=slack, add_jt_lam=add_jt_lam)
+        def add_jt_lam(grads, lam, xs, ths):
+            live = lam.reshape(lanes, n_rows).any(axis=1)
+            if not live.any():
+                return grads
+            x, g, h = coordinates(xs, ths)
+            denom = mu_c_l + nu_l * x
+            active = (W / denom - 1.0 / h) > 0.0
+            # float_power squares with pow(), as the per-node Jacobian's scalar
+            # denom**2 does; an array's denom**2 multiplies, which can differ in
+            # the last bit
+            jac = np.where(active, -g * W * nu_l / np.float_power(denom, 2), 0.0)
+            out = stack(grads) + jac * lam[row_of_coord_l]
+            if not live.all():  # a copy with no positive dual keeps its gradients
+                out = np.where(np.repeat(live, n_coords), out, stack(grads))
+            return split_stacked(out, slices)
+
+        return slack, add_jt_lam
+
+    return ConstraintFamily.from_lane_kernels(per_node, n_rows, copies)
 
 
 def _interference_constraint(cfg: PricingConfig, mus: list, local_pos: list):

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,12 +26,12 @@ import numpy as np
 from .apps.consensus import ConsensusRegressionConfig, build_consensus_problem
 from .apps.pricing import PricingConfig, build_pricing_problem, naive_baseline, revenue_series, sinr_report
 from .delay import DelaySchedule
-from .errors import DegenerateSeries, NoFeasibleDelta, SaddleError
+from .errors import AuditFailure, DegenerateSeries, NoFeasibleDelta, OutputError, SaddleError
 from .graph import build_graph, ring_edges
 from .metrics import (audit_assumptions, audit_invariants, delayed_violation,
                       estimate_optimum, fit_rate, running_suboptimality)
 from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective
-from .saddle import Hyperparams, advise, run
+from .saddle import Hyperparams, advise, run_lanes
 
 __all__ = ["ExperimentConfig", "SummaryReport", "ParseError", "ValidationError",
            "parse_config", "run_experiment", "compare_modes", "main",
@@ -252,11 +253,22 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: str, columns: dict, order: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write(",".join(order) + "\n")
         n = len(columns[order[0]])
         for r in range(n):
             fh.write(",".join(_fmt(columns[c][r]) for c in order) + "\n")
+
+
+@contextmanager
+def _output(path: str):
+    """``open(path, "w")`` for an output file; an OSError from opening,
+    writing or closing it becomes OutputError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def average_columns(per_seed: list) -> dict:
@@ -317,13 +329,16 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
     return block
 
 
-def _run_one(spec, cfg: ExperimentConfig, seed: int, evaluator, mode: str,
-             record_current_slack: bool = False):
-    """One seed's trace; ``current_slack`` (a second slack evaluation on
-    every stale step) only when a report reads it."""
-    schedule = None if mode == "sync" else build_schedule(cfg, seed)
-    return run(spec, build_hyperparams(cfg), schedule, seed, evaluator=evaluator,
-               thin_every=cfg.thin_every, record_current_slack=record_current_slack)
+def _run_bundle(spec, cfg: ExperimentConfig, evaluator, modes, record_current_slack: bool = False):
+    """One trace per (mode, seed), ``modes`` outer, every seed of
+    ``cfg.seeds`` inner, all run as the lanes of one engine;
+    ``current_slack`` (a second slack evaluation on every stale step) only
+    when a report reads it."""
+    schedules = [None if mode == "sync" else build_schedule(cfg, seed)
+                 for mode in modes for seed in cfg.seeds]
+    return run_lanes(spec, build_hyperparams(cfg), schedules, list(cfg.seeds) * len(modes),
+                     evaluator=evaluator, thin_every=cfg.thin_every,
+                     record_current_slack=record_current_slack)
 
 
 def _fit_or_none(series, t=None) -> float | None:
@@ -338,7 +353,12 @@ def _setup(cfg: ExperimentConfig, out_dir: str | None):
 
     Returns (out, spec, app, evaluator, f_star)."""
     out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot create output directory {out}: {exc}") from exc
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise OutputError(f"output directory {out} is not writable")
     spec, app = build_problem(cfg)
     evaluator = ExpectedObjective(spec, mc_samples=cfg.mc_samples, seed=cfg.eval_seed)
     f_star, _ = estimate_optimum(spec, cfg.resolved_optimum_budget(), cfg.optimum_seed,
@@ -348,18 +368,17 @@ def _setup(cfg: ExperimentConfig, out_dir: str | None):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
-    """Run every seed, write per-seed and averaged CSVs plus summary JSON.
+    """Run every seed (the lanes of one bundle), write per-seed and averaged
+    CSVs plus summary JSON.
 
     Returns (summary, paths, traces)."""
     out, spec, app, evaluator, f_star = _setup(cfg, out_dir)
     paths = []
-    traces = []
     per_seed_cols = []
-    for seed in cfg.seeds:
-        # the pricing SINR report reads the fresh slack
-        trace = _run_one(spec, cfg, seed, evaluator, cfg.mode,
+    # the pricing SINR report reads the fresh slack
+    traces = _run_bundle(spec, cfg, evaluator, [cfg.mode],
                          record_current_slack=cfg.problem_name == "pricing")
-        traces.append(trace)
+    for seed, trace in zip(cfg.seeds, traces):
         cols = trace_columns(trace, f_star)
         per_seed_cols.append(cols)
         path = os.path.join(out, f"trace_seed{seed}.csv")
@@ -398,20 +417,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         advisor=_advisor_block(spec, cfg),
     )
     summary_path = os.path.join(out, "summary.json")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(summary_path) as fh:
         fh.write(summary.to_json() + "\n")
     paths.append(summary_path)
     return summary, paths, traces
 
 
-def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None):
-    """Aligned sync vs async series for the same config; returns (summary, path)."""
+def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None, strict: bool = False):
+    """Aligned sync vs async series for the same config; returns (summary, path).
+
+    Every seed's sync and async runs step together as one bundle of lanes.
+    With ``strict``, raises AuditFailure (after writing the outputs) when
+    the invariant audit fails on any of them."""
     out, spec, _, evaluator, f_star = _setup(cfg, out_dir)
-    sides = {}
-    for mode in ("sync", "async"):
-        cols = [trace_columns(_run_one(spec, cfg, seed, evaluator, mode), f_star)
-                for seed in cfg.seeds]
-        sides[mode] = average_columns(cols)
+    modes = ("sync", "async")
+    traces = _run_bundle(spec, cfg, evaluator, modes)
+    n = len(cfg.seeds)
+    sides = {mode: average_columns([trace_columns(tr, f_star) for tr in traces[k * n:(k + 1) * n]])
+             for k, mode in enumerate(modes)}
 
     columns = {"t": sides["sync"]["t"]}
     order = ["t"]
@@ -434,8 +457,12 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None):
         "final_gap_async_minus_sync": a_final - s_final,
     }
     spath = os.path.join(out, "compare_summary.json")
-    with open(spath, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(spath) as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    if strict:
+        failed = [f"{tr.mode} seed {tr.seed}" for tr in traces if not audit_invariants(tr).ok]
+        if failed:
+            raise AuditFailure(f"invariant audit failed: {', '.join(failed)}")
     return summary, path
 
 
@@ -497,7 +524,7 @@ def main(argv=None) -> int:
                 print("invariant audit failed", file=sys.stderr)
                 return 4
         elif args.verb == "compare":
-            summary, path = compare_modes(cfg)
+            summary, path = compare_modes(cfg, strict=args.strict)
             print(json.dumps(summary, sort_keys=True, indent=2))
             print(f"wrote {path}")
         elif args.verb in ("advise", "audit"):
@@ -513,6 +540,9 @@ def main(argv=None) -> int:
                 except NoFeasibleDelta as exc:
                     print(json.dumps({"feasible": False, "C": exc.C,
                                       "min_T": exc.min_T}, sort_keys=True, indent=2))
+    except AuditFailure as exc:
+        print(exc, file=sys.stderr)
+        return 4
     except SaddleError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -52,3 +52,12 @@ class DegenerateSeries(SaddleError, ValueError):
 
 class InvalidConfig(SaddleError, ValueError):
     """An application config violates its declared invariants."""
+
+
+class OutputError(SaddleError):
+    """An output directory or file cannot be created or written."""
+
+
+class AuditFailure(SaddleError):
+    """A run's trace fails the invariant audit where the caller asked for a
+    passing one."""

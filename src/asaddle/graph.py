@@ -12,7 +12,8 @@ from functools import cached_property
 
 from .errors import DisconnectedGraph, SelfLoop
 
-__all__ = ["NetworkGraph", "build_graph", "closed_neighborhood", "ring_edges", "path_edges"]
+__all__ = ["NetworkGraph", "build_graph", "closed_neighborhood", "disjoint_copies",
+           "ring_edges", "path_edges"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,17 @@ def _bfs(adjacency, src, n):
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def disjoint_copies(g: NetworkGraph, copies: int) -> NetworkGraph:
+    """``copies`` unlinked copies of ``g``, copy s's node i numbered s*N + i.
+
+    Not connected when ``copies`` > 1: it lays out a bundle of independent
+    runs of one network, not a network of its own."""
+    n = g.n_nodes
+    edges = tuple((i + s * n, j + s * n) for s in range(copies) for i, j in g.edges)
+    adjacency = tuple(tuple(j + s * n for j in nbrs) for s in range(copies) for nbrs in g.adjacency)
+    return NetworkGraph(n_nodes=copies * n, edges=edges, adjacency=adjacency)
 
 
 def closed_neighborhood(g: NetworkGraph, i: int) -> tuple:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleDomain, NonFiniteState
-from .graph import NetworkGraph, closed_neighborhood
+from .graph import NetworkGraph, closed_neighborhood, disjoint_copies
 
 __all__ = [
     "DomainSpec",
@@ -38,6 +38,7 @@ __all__ = [
     "objective_sum",
     "as_neighborhood",
     "ObjectiveGroup",
+    "lane_copies",
     "ExpectedObjective",
     "DEFAULT_MC_SAMPLES",
     "OBS_BLOCK",
@@ -131,19 +132,22 @@ def project(domain: DomainSpec, u) -> np.ndarray:
         return np.minimum(np.maximum(u, domain.lo), domain.hi)
 
     tol = _sum_tolerance(domain)
-    if domain.contains(u, tol=tol):
-        return u.copy()
-    if not domain.nonneg:
-        s = u.sum()
-        target = domain.c_min if s < domain.c_min else domain.c_max
-        y = u + (target - s) / u.size
-    else:
-        base = np.maximum(u, 0.0)
-        s = base.sum()
-        if domain.c_min - tol <= s <= domain.c_max + tol:
-            return base
-        target = domain.c_min if s < domain.c_min else domain.c_max
-        y = _shift_clip_to_sum(u, target)
+    # sums and breakpoints of entries near the float range may overflow; the
+    # finiteness check below turns an overflowed result into NonFiniteState
+    with np.errstate(over="ignore", invalid="ignore"):
+        if domain.contains(u, tol=tol):
+            return u.copy()
+        if not domain.nonneg:
+            s = u.sum()
+            target = domain.c_min if s < domain.c_min else domain.c_max
+            y = u + (target - s) / u.size
+        else:
+            base = np.maximum(u, 0.0)
+            s = base.sum()
+            if domain.c_min - tol <= s <= domain.c_max + tol:
+                return base
+            target = domain.c_min if s < domain.c_min else domain.c_max
+            y = _shift_clip_to_sum(u, target)
     if not all(map(math.isfinite, y.tolist())):
         raise NonFiniteState(f"projection of {u} onto the sum interval overflows")
     return y
@@ -242,12 +246,19 @@ class ConstraintFamily:
     order. ``slack(xs, ths)`` returns that (size,) vector and
     ``add_jt_lam(grads, lam, xs, ths)`` returns the per-node gradients plus
     J^T lam, with J the Jacobian of the stacked slack at (xs, ths).
+
+    ``tile(S)``, when given, returns the family of S independent copies of
+    the problem laid out one after the other (``ProblemSpec.tile``), whose
+    kernels evaluate every copy in one call and give each copy's entries
+    bit for bit as the family gives them alone. Such a family keeps no
+    per-node constraints.
     """
 
     per_node: tuple
     size: int
     slack: callable
     add_jt_lam: callable
+    tile: callable = None
 
     @staticmethod
     def from_per_node(graph: NetworkGraph, per_node) -> "ConstraintFamily":
@@ -314,24 +325,58 @@ class ConstraintFamily:
         # edges are sorted by source and every node of a connected graph with
         # N >= 2 has one, so node i's edges start at first[i]
         first = np.searchsorted(src, np.arange(graph.n_nodes))
+        n, m = graph.n_nodes, len(gammas)
 
-        def edge_rows(xs, ths):
-            """(x_src, x_dst, th_src, th_dst) stacked over all edges."""
-            xs, ths = np.asarray(xs, dtype=float), NodeObservations.of(ths)
-            return xs.take(src, axis=0), xs.take(dst, axis=0), ths[src], ths[dst]
+        def copies(lanes):
+            """The kernels on ``lanes`` copies: copy s's nodes shifted by s*n,
+            its edges (and duals) by s*m."""
+            src_l, dst_l = lane_copies(lanes, src, n), lane_copies(lanes, dst, n)
+            mirror_l, first_l = lane_copies(lanes, mirror, m), lane_copies(lanes, first, m)
+            gammas_l = lane_copies(lanes, gammas)
 
-        def slack(xs, ths):
-            return np.asarray(value(*edge_rows(xs, ths)), dtype=float) - gammas
+            def edge_rows(xs, ths):
+                """(x_src, x_dst, th_src, th_dst) stacked over all edges."""
+                xs, ths = np.asarray(xs, dtype=float), NodeObservations.of(ths)
+                return xs.take(src_l, axis=0), xs.take(dst_l, axis=0), ths[src_l], ths[dst_l]
 
-        def add_jt_lam(grads, lam, xs, ths):
-            w = lam + lam[mirror]
-            if not w.any():
-                return grads
-            jac = np.asarray(grad_first(*edge_rows(xs, ths)), dtype=float)
-            return np.asarray(grads, dtype=float) + np.add.reduceat(w[:, None] * jac, first, axis=0)
+            def slack(xs, ths):
+                return np.asarray(value(*edge_rows(xs, ths)), dtype=float) - gammas_l
 
-        return replace(ConstraintFamily.from_per_node(graph, per_node),
-                       slack=slack, add_jt_lam=add_jt_lam)
+            def add_jt_lam(grads, lam, xs, ths):
+                w = lam + lam[mirror_l]
+                live = w.reshape(lanes, m).any(axis=1)
+                if not live.any():
+                    return grads
+                jac = np.asarray(grad_first(*edge_rows(xs, ths)), dtype=float)
+                out = np.asarray(grads, dtype=float) + np.add.reduceat(w[:, None] * jac, first_l, axis=0)
+                # a copy whose duals all vanish keeps its gradients as they
+                # are, as it would alone (adding zeros can flip a -0.0)
+                return out if live.all() else np.where(np.repeat(live, n)[:, None], out, grads)
+
+            return slack, add_jt_lam
+
+        return ConstraintFamily.from_lane_kernels(per_node, m, copies)
+
+    @staticmethod
+    def from_lane_kernels(per_node, size: int, kernels) -> "ConstraintFamily":
+        """Family of ``size`` stacked entries whose ``kernels(S)`` returns the
+        (slack, add_jt_lam) of S copies; ``per_node`` describes one copy."""
+        def tile(lanes):
+            return ConstraintFamily((), lanes * size, *kernels(lanes))
+
+        return ConstraintFamily(tuple(per_node), size, *kernels(1), tile=tile)
+
+
+def lane_copies(lanes: int, idx, by: int | None = None) -> np.ndarray:
+    """Per-entry array ``idx`` of one copy of a problem, for ``lanes``
+    copies one after the other: repeated, each copy's entries shifted by
+    s*``by`` when ``by`` is given (an index array); ``idx`` itself for one."""
+    idx = np.asarray(idx)
+    if lanes == 1:
+        return idx
+    if by is None:
+        return np.tile(idx, lanes)
+    return (idx + by * np.arange(lanes)[:, None]).reshape(-1)
 
 
 def _pairwise_block(i, nbr_gammas, value, grad_first):
@@ -508,6 +553,26 @@ class ProblemSpec:
             classes.append((nodes, self.offsets[nodes][:, None] + np.arange(d)))
         return classes
 
+    def tile(self, lanes: int) -> "ProblemSpec":
+        """``lanes`` independent copies of the problem as one problem (the
+        layout of a bundle of seeds): copy s holds nodes s*N..(s+1)*N-1 and
+        slack entries s*M..(s+1)*M-1, so its stacked vector is row s of a
+        (lanes, C) array. An Objective that nodes share covers every copy in
+        one call; a node's own Objective gets one instance per copy, so it is
+        still called on its own row. The problem itself when ``lanes`` is 1."""
+        if lanes == 1:
+            return self
+        own = {id(obj) for obj, _, rows, _ in self.objective_groups if rows is None}
+        objectives = tuple(replace(obj) if s and id(obj) in own else obj
+                           for s in range(lanes) for obj in self.objectives)
+        tiled = replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
+                        objectives=objectives, samplers=self.samplers * lanes,
+                        domains=self.domains * lanes, x0=self.x0 * lanes)
+        family = self.constraints
+        constraints = (family.tile(lanes) if family.tile is not None
+                       else _lane_by_lane(self, tiled, lanes))
+        return replace(tiled, constraints=constraints)
+
     @cached_property
     def objective_groups(self) -> tuple:
         """One ``ObjectiveGroup`` per Objective instance, in order of first use.
@@ -525,6 +590,32 @@ class ProblemSpec:
             else:
                 groups.append(ObjectiveGroup(obj, *_row_layout(self, nodes)))
         return tuple(groups)
+
+
+def _lane_by_lane(spec: ProblemSpec, tiled: ProblemSpec, lanes: int) -> ConstraintFamily:
+    """``lanes`` copies of ``spec.constraints`` for ``tiled`` (its
+    ``ProblemSpec.tile``), evaluated one copy at a time."""
+    family = spec.constraints
+    n, c, m = spec.graph.n_nodes, int(spec.offsets[-1]), family.size
+
+    def lane(s, xs, ths):
+        """Copy s's iterate and observations."""
+        flat = stack(xs)[s * c:(s + 1) * c]
+        leaves = tree_map(lambda leaf: leaf[s * n:(s + 1) * n] if len(leaf) == lanes * n
+                          else leaf[s * c:(s + 1) * c], NodeObservations.of(ths).leaves)
+        return spec.rows(flat), NodeObservations(leaves, spec.obs_offsets)
+
+    def slack(xs, ths):
+        return np.concatenate([family.slack(*lane(s, xs, ths)) for s in range(lanes)])
+
+    def add_jt_lam(grads, lam, xs, ths):
+        g = stack(grads)
+        return tiled.rows(np.concatenate([
+            stack(family.add_jt_lam(spec.rows(g[s * c:(s + 1) * c]), lam[s * m:(s + 1) * m],
+                                    *lane(s, xs, ths)))
+            for s in range(lanes)]))
+
+    return ConstraintFamily(per_node=(), size=lanes * m, slack=slack, add_jt_lam=add_jt_lam)
 
 
 def _row_layout(spec: ProblemSpec, members: list):
@@ -569,9 +660,10 @@ def _sum_node_rows(values: np.ndarray, sums) -> np.ndarray:
     return out
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """0.0 + values[0] + values[1] + ..., one term at a time (np.sum pairs them)."""
-    return 0.0 + float(np.cumsum(values)[-1])
+def _sum_in_order(values: np.ndarray):
+    """0.0 + values[0] + values[1] + ..., one term at a time (np.sum pairs
+    them), along the last axis."""
+    return 0.0 + np.cumsum(values, axis=-1)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +825,12 @@ def objective_grads(spec: ProblemSpec, xs, ths):
     return grads
 
 
-def objective_sum(spec: ProblemSpec, xs, ths) -> float:
+def objective_sum(spec: ProblemSpec, xs, ths, lanes: int | None = None):
     """sum_i f^i(x^i, th^i) added in node order, one ``value`` call per
-    Objective instance; a node evaluated by coordinate adds its rows first."""
+    Objective instance; a node evaluated by coordinate adds its rows first.
+
+    With ``lanes``, ``spec`` is a ``ProblemSpec.tile`` of that many copies
+    and the result is the (lanes,) array of each copy's own sum."""
     values = np.empty(spec.graph.n_nodes)
     rows_x = obs = None
     for obj, nodes, rows, sums in spec.objective_groups:
@@ -746,7 +841,9 @@ def objective_sum(spec: ProblemSpec, xs, ths) -> float:
             rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
         v = obj.value(rows_x[rows], obs.rows(rows))
         values[nodes] = v if sums is None else _sum_node_rows(v, sums)
-    return _sum_in_order(values)
+    if lanes is not None:
+        return _sum_in_order(values.reshape(lanes, -1))
+    return float(_sum_in_order(values))
 
 
 def objective_grad(spec: ProblemSpec, node: int, x_i, theta) -> np.ndarray:
@@ -866,4 +963,4 @@ class ExpectedObjective:
         for node, value, draws in self._plain:
             xi = np.asarray(x[node], dtype=float)
             means[node] = np.mean([value(xi, th) for th in draws])
-        return _sum_in_order(means)
+        return float(_sum_in_order(means))

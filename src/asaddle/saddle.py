@@ -51,6 +51,7 @@ __all__ = [
     "project_nodes",
     "domain_residual",
     "run",
+    "run_lanes",
     "run_generalized",
     "run_synchronous",
     "advise",
@@ -86,7 +87,8 @@ class SaddleState:
     The engine holds ``x`` as ``spec.rows`` of one stacked vector: an (N, p)
     array, or per-node slices of it when dimensions differ. ``lam`` is one
     (M,) array laid out like the stacked slack: each owner node's constraints
-    in turn, in node order.
+    in turn, in node order. An engine of several lanes holds the state of
+    its tiled problem (``ProblemSpec.tile``), lane after lane.
     """
 
     x: list
@@ -161,18 +163,24 @@ def domain_residual(spec: ProblemSpec, flat: np.ndarray) -> float:
 # one-step updates
 # ---------------------------------------------------------------------------
 
-def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hyperparams):
+def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hyperparams,
+                seeds=None):
     """Projected descent step from the current x with gradients at the
     resolved (possibly stale) points xs_eval/ths_eval, as ``spec.rows``.
 
     Raises NonFiniteState naming step ``state.t`` and the first node whose
-    update holds NaN or inf."""
+    update holds NaN or inf; with ``seeds``, one per lane of a tiled
+    problem (``ProblemSpec.tile``), also that node's seed."""
     grads = primal_gradient(spec, state.lam, xs_eval, ths_eval)
     u = stack(state.x) - hp.epsilon * stack(grads)
     finite = np.isfinite(u)
     if not finite.all():
         node = spec.node_of(int(np.argmin(finite)))
-        raise NonFiniteState(f"non-finite primal update at step {state.t}, node {node}")
+        where = f"step {state.t}, node {node}"
+        if seeds is not None:
+            lane, node = divmod(node, spec.graph.n_nodes // len(seeds))
+            where = f"seed {seeds[lane]}, step {state.t}, node {node}"
+        raise NonFiniteState(f"non-finite primal update at {where}")
     return spec.rows(project_nodes(spec, u))
 
 
@@ -195,10 +203,19 @@ class SaddleEngine:
     ``schedule=None`` selects the reference synchronous loop (no buffers, no
     staleness resolution); a zero schedule exercises the asynchronous
     machinery and produces the identical trajectory.
+
+    Lanes: with a sequence of seeds and one schedule (or None) per seed, the
+    engine steps every seed's run at once as the lanes of one problem of S
+    copies (``ProblemSpec.tile``): the stacked x and lam are (S, C) and
+    (S, M) arrays laid out lane after lane, each lane with its own
+    observation blocks, delay schedule and staleness-buffer rows. ``traces()`` gives each lane's RunTrace, equal
+    byte for byte to the run of that seed alone; a None schedule in a bundle
+    with stale lanes runs as a zero-delay lane, which is the same trajectory.
+    ``state`` and the hooks then see the state of the tiled problem.
     """
 
-    def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None,
-                 seed: int, hooks=(), evaluator=None, eval_every: int = 1,
+    def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule, seed,
+                 hooks=(), evaluator=None, eval_every: int = 1,
                  thin_every: int = 50, record_current_slack: bool = True):
         self.spec = spec
         self.hp = hp
@@ -208,36 +225,53 @@ class SaddleEngine:
         self.evaluator = evaluator
         self.eval_every = eval_every if evaluator is not None else 0
         self.thin_every = thin_every
-        self.mode = "sync" if schedule is None else "async"
+
+        seeds = list(seed) if np.ndim(seed) else [seed]
+        schedules = list(schedule) if np.ndim(seed) else [schedule]
+        if len(schedules) != len(seeds):
+            raise ValueError(f"{len(schedules)} schedules for {len(seeds)} seeds")
+        self.seeds = seeds
+        self._lanes = S = len(seeds)
+        self._modes = ["sync" if sch is None else "async" for sch in schedules]
+        self._tau_bounds = [0 if sch is None else sch.tau_max for sch in schedules]
+        # a bundle with any stale lane resolves every lane; a sync lane is a
+        # zero-delay lane there
+        self._schedules = None
+        if any(sch is not None for sch in schedules):
+            self._schedules = [DelaySchedule() if sch is None else sch for sch in schedules]
+        self.mode = "sync" if self._schedules is None else "async"
+        self._tiled = tiled = spec.tile(S)
 
         n = spec.graph.n_nodes
         T = hp.T
         self._n = n
-        n_cons = spec.constraints.size
-        self.tau_bound = 0 if schedule is None else schedule.tau_max
+        self._n_cons = n_cons = spec.constraints.size
+        self._n_coords = int(spec.offsets[-1])
+        self.tau_bound = max(self._tau_bounds)
         self._nodes = np.arange(n)
-        # node of every stacked coordinate: a stale read of x (and of the
-        # per-coordinate observation leaves) gathers each coordinate at its
-        # node's resolved time
-        self._coord_node = np.repeat(self._nodes, spec.dims)
-        self._prev_resolved = np.zeros(n, dtype=int)
+        # node of every stacked coordinate of the tiled problem: a stale read
+        # of x (and of the per-coordinate observation leaves) gathers each
+        # coordinate at its node's resolved time
+        self._coord_node = np.repeat(np.arange(S * n), tiled.dims)
+        self._prev_resolved = np.zeros((S, n), dtype=int)
         self._block_id = -1
         self._block = None
         self._x_buf = self._th_buf = None
 
-        self.state = SaddleState(x=spec.rows(stack(spec.x0).copy()), lam=np.zeros(n_cons), t=0)
+        self.state = SaddleState(x=tiled.rows(stack(tiled.x0).copy()),
+                                 lam=np.zeros(S * n_cons), t=0)
 
-        self._F_hat = np.full(T + 1, np.nan)
+        self._F_hat = np.full((S, T + 1), np.nan)
         self._F_evaluated = np.zeros(T + 1, dtype=bool)
-        self._obj_sample = np.zeros(T)
-        self._lambda_norm = np.zeros(T + 1)
-        self._lambda_min = np.zeros(T + 1)
-        self._delayed_slack = np.zeros((T, n_cons))
-        self._current_slack = np.zeros((T, n_cons)) if record_current_slack else None
-        self._resolved = np.zeros((T, n), dtype=int)
-        self._staleness = np.zeros((T, n), dtype=int)
-        self._snapshots = {}
-        self._domain_residual = 0.0
+        self._obj_sample = np.zeros((S, T))
+        self._lambda_norm = np.zeros((S, T + 1))
+        self._lambda_min = np.zeros((S, T + 1))
+        self._delayed_slack = np.zeros((T, S, n_cons))
+        self._current_slack = np.zeros((T, S, n_cons)) if record_current_slack else None
+        self._resolved = np.zeros((T, S, n), dtype=int)
+        self._staleness = np.zeros((T, S, n), dtype=int)
+        self._snapshots = [{} for _ in range(S)]
+        self._domain_residual = [0.0] * S
 
         self._record_row(0)
         for hook in self.hooks:
@@ -245,35 +279,50 @@ class SaddleEngine:
 
     # -- recording ---------------------------------------------------------
 
+    def _lane_x(self, s: int) -> np.ndarray:
+        """Lane s's stacked iterate: a view into the tiled one."""
+        c = self._n_coords
+        return stack(self.state.x)[s * c:(s + 1) * c]
+
     def _record_row(self, t):
-        lam = self.state.lam
-        self._lambda_norm[t] = float(np.linalg.norm(lam))
-        self._lambda_min[t] = float(lam.min(initial=0.0))
+        lam = self.state.lam.reshape(self._lanes, self._n_cons)
+        for s in range(self._lanes):
+            # one 1-D norm per lane: the norm of a 2-D array's rows adds differently
+            self._lambda_norm[s, t] = float(np.linalg.norm(lam[s]))
+        self._lambda_min[:, t] = lam.min(axis=1, initial=0.0)
         if self.eval_every and (t % self.eval_every == 0 or t == self.hp.T):
-            self._F_hat[t] = self.evaluator.value(self.state.x)
+            for s in range(self._lanes):
+                self._F_hat[s, t] = self.evaluator.value(self.spec.rows(self._lane_x(s)))
             self._F_evaluated[t] = True
         if self.thin_every and (t % self.thin_every == 0 or t == self.hp.T):
-            flat = stack(self.state.x)
-            self._snapshots[t] = flat.copy()
-            # np.maximum keeps a NaN residual where the builtin max would drop it
-            self._domain_residual = float(np.maximum(self._domain_residual,
-                                                     domain_residual(self.spec, flat)))
+            for s in range(self._lanes):
+                flat = self._lane_x(s)
+                self._snapshots[s][t] = flat.copy()
+                # np.maximum keeps a NaN residual where the builtin max would drop it
+                self._domain_residual[s] = float(np.maximum(self._domain_residual[s],
+                                                            domain_residual(self.spec, flat)))
 
     # -- iteration ---------------------------------------------------------
 
     def _observations(self, k: int) -> NodeObservations:
-        """Every node's observation of step k, from the block holding it."""
+        """Every node's observation of step k, from the block holding it; the
+        lanes' blocks side by side along the node (or coordinate) axis."""
         block, row = divmod(k, OBS_BLOCK)
         if block != self._block_id:
-            self._block = observation_block(self.spec, self.seed, block)
+            blocks = [observation_block(self.spec, seed, block) for seed in self.seeds]
+            self._block = blocks[0] if self._lanes == 1 else tree_map(
+                lambda *leaves: np.concatenate(leaves, axis=1), *blocks)
             self._block_id = block
-        return NodeObservations(tree_map(lambda leaf: leaf[row], self._block), self.spec.obs_offsets)
+        return NodeObservations(tree_map(lambda leaf: leaf[row], self._block), self._tiled.obs_offsets)
 
     def _stale_window(self, k: int, x, theta: NodeObservations):
         """Record step k's iterate and observations, and return every node's
         iterate and observation at its resolved time, with those times."""
-        res = resolve(self.schedule, k, self._nodes, self._prev_resolved)
+        res = np.empty_like(self._prev_resolved)
+        for s, schedule in enumerate(self._schedules):
+            res[s] = resolve(schedule, k, self._nodes, self._prev_resolved[s])
         self._prev_resolved = res
+        res = res.reshape(-1)
         flat = stack(x)
         if self._x_buf is None:
             depth = self.tau_bound + 1
@@ -282,37 +331,43 @@ class SaddleEngine:
         self._x_buf.record(k, flat)
         tree_map(lambda buf, leaf: buf.record(k, leaf), self._th_buf, theta.leaves)
         res_coord = res[self._coord_node]
-        xs_eval = self.spec.rows(self._x_buf.fetch(res_coord))
+        n_nodes = res.size
+        xs_eval = self._tiled.rows(self._x_buf.fetch(res_coord))
         ths_eval = NodeObservations(
-            tree_map(lambda buf: buf.fetch(res if buf.width == self._n else res_coord), self._th_buf),
-            self.spec.obs_offsets)
+            tree_map(lambda buf: buf.fetch(res if buf.width == n_nodes else res_coord), self._th_buf),
+            self._tiled.obs_offsets)
         return xs_eval, ths_eval, res
 
     def step(self) -> SaddleState:
         """Advance one iteration; raises past the configured horizon."""
-        spec, hp = self.spec, self.hp
+        spec, hp = self._tiled, self.hp
+        S, n, m = self._lanes, self._n, self._n_cons
         k = self.state.t
         if k >= hp.T:
             raise IndexError(f"horizon T={hp.T} exhausted")
         x = self.state.x
         theta = self._observations(k)
 
-        if self.schedule is not None:
+        if self._schedules is not None:
             xs_eval, ths_eval, res_k = self._stale_window(k, x, theta)
         else:
             xs_eval, ths_eval, res_k = x, theta, k
 
         s_delayed = dual_slack(spec, xs_eval, ths_eval)
-        new_x = primal_step(spec, self.state, xs_eval, ths_eval, hp)
+        new_x = primal_step(spec, self.state, xs_eval, ths_eval, hp, seeds=self.seeds)
         new_lam = dual_step(self.state, s_delayed, hp)
 
-        self._obj_sample[k] = objective_sum(spec, x, theta)
-        self._delayed_slack[k] = s_delayed
+        self._obj_sample[:, k] = objective_sum(spec, x, theta, lanes=S)
+        self._delayed_slack[k] = s_delayed.reshape(S, m)
         if self._current_slack is not None:
-            if self.schedule is not None and (res_k != k).any():
-                self._current_slack[k] = dual_slack(spec, x, theta)
+            # every lane's slack again when any lane is stale: a fresh lane's
+            # comes out equal to its delayed one
+            if self._schedules is not None and (res_k != k).any():
+                self._current_slack[k] = dual_slack(spec, x, theta).reshape(S, m)
             else:
-                self._current_slack[k] = s_delayed
+                self._current_slack[k] = s_delayed.reshape(S, m)
+        if self._schedules is not None:
+            res_k = res_k.reshape(S, n)
         self._resolved[k] = res_k
         self._staleness[k] = k - res_k
 
@@ -329,22 +384,45 @@ class SaddleEngine:
             self.step()
         return self
 
-    def trace(self) -> RunTrace:
-        """Snapshot of the history up to the current iteration."""
+    def traces(self) -> list:
+        """Every lane's history up to the current iteration, in seed order."""
         t = self.state.t
-        cur = self._current_slack[:t].copy() if self._current_slack is not None else None
-        return RunTrace(
-            name=self.spec.name, seed=self.seed, T=t, n_nodes=self._n,
-            tau_bound=self.tau_bound, mode=self.mode,
-            F_hat=self._F_hat[:t + 1].copy(), obj_sample=self._obj_sample[:t].copy(),
-            lambda_norm=self._lambda_norm[:t + 1].copy(),
-            lambda_min=self._lambda_min[:t + 1].copy(),
-            delayed_slack=self._delayed_slack[:t].copy(), current_slack=cur,
-            resolved=self._resolved[:t].copy(), staleness=self._staleness[:t].copy(),
-            x_snapshots=dict(self._snapshots), x_final=self.state.x,
-            lam_final=self.state.lam, domain_residual_max=self._domain_residual,
-            F_evaluated=self._F_evaluated[:t + 1].copy(),
-        )
+        m = self._n_cons
+        out = []
+        for s, seed in enumerate(self.seeds):
+            cur = self._current_slack[:t, s].copy() if self._current_slack is not None else None
+            out.append(RunTrace(
+                name=self.spec.name, seed=seed, T=t, n_nodes=self._n,
+                tau_bound=self._tau_bounds[s], mode=self._modes[s],
+                F_hat=self._F_hat[s, :t + 1].copy(), obj_sample=self._obj_sample[s, :t].copy(),
+                lambda_norm=self._lambda_norm[s, :t + 1].copy(),
+                lambda_min=self._lambda_min[s, :t + 1].copy(),
+                delayed_slack=self._delayed_slack[:t, s].copy(), current_slack=cur,
+                resolved=self._resolved[:t, s].copy(), staleness=self._staleness[:t, s].copy(),
+                x_snapshots=dict(self._snapshots[s]), x_final=self.spec.rows(self._lane_x(s).copy()),
+                lam_final=self.state.lam[s * m:(s + 1) * m].copy(),
+                domain_residual_max=self._domain_residual[s],
+                F_evaluated=self._F_evaluated[:t + 1].copy(),
+            ))
+        return out
+
+    def trace(self) -> RunTrace:
+        """Snapshot of the history up to the current iteration (one lane)."""
+        if self._lanes != 1:
+            raise ValueError(f"the engine runs {self._lanes} lanes; use traces()")
+        return self.traces()[0]
+
+
+def run_lanes(spec: ProblemSpec, hp: Hyperparams, schedules, seeds, hooks=(), evaluator=None,
+              eval_every: int = 1, thin_every: int = 50,
+              record_current_slack: bool = True) -> list:
+    """Run every seed with its schedule (None: synchronous) as the lanes of
+    one engine; one RunTrace per seed, each equal byte for byte to ``run``
+    of that seed alone. ``evaluator`` scores each lane on its own."""
+    engine = SaddleEngine(spec, hp, list(schedules), list(seeds), hooks=hooks,
+                          evaluator=evaluator, eval_every=eval_every, thin_every=thin_every,
+                          record_current_slack=record_current_slack)
+    return engine.run().traces()
 
 
 def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed: int,
@@ -357,12 +435,11 @@ def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed
     primal and dual steps computed from the time-t state (Jacobi order).
     ``evaluator`` supplies the Monte Carlo objective recorded in the trace
     every ``eval_every`` rows. ``schedule=None`` runs the synchronous
-    reference loop.
+    reference loop. The one-lane case of ``run_lanes``.
     """
-    engine = SaddleEngine(spec, hp, schedule, seed, hooks=hooks, evaluator=evaluator,
-                          eval_every=eval_every, thin_every=thin_every,
-                          record_current_slack=record_current_slack)
-    return engine.run().trace()
+    return run_lanes(spec, hp, [schedule], [seed], hooks=hooks, evaluator=evaluator,
+                     eval_every=eval_every, thin_every=thin_every,
+                     record_current_slack=record_current_slack)[0]
 
 
 def run_generalized(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule, seed: int,

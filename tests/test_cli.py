@@ -245,3 +245,44 @@ def test_main_huge_finite_start_is_projected(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     spec, _ = build_problem(parse_config(str(path)))
     assert spec.x0[1].tolist() == [20.0, 0.0]
+
+
+def test_unwritable_output_dir_exit_3(tmp_path, monkeypatch, capsys):
+    path = write_cfg(tmp_path, SMALL)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    import asaddle.cli as cli_mod
+
+    def no_fstar(*a, **k):
+        raise AssertionError("the F* run started before the output directory was checked")
+
+    monkeypatch.setattr(cli_mod, "estimate_optimum", no_fstar)
+    for verb in ("run", "compare"):
+        assert main([verb, path, "--T", "20", "--out", str(blocker / "sub")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def test_compare_strict_audit_failure_exit_4(tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, SMALL)
+    import asaddle.cli as cli_mod
+    from asaddle.metrics import AuditResult
+
+    audited = []
+
+    def failing_audit(trace, feas_tol=1e-9):
+        audited.append((trace.mode, trace.seed))
+        return AuditResult(ok=False, dual_nonnegative=False, staleness_bounded=True,
+                           staleness_monotone=True, primal_feasible=True,
+                           max_staleness=0, min_dual=-1.0, max_domain_residual=0.0)
+
+    monkeypatch.setattr(cli_mod, "audit_invariants", failing_audit)
+    strict, lax = tmp_path / "strict", tmp_path / "lax"
+    assert main(["compare", path, "--strict", "--T", "60", "--out", str(strict)]) == 4
+    assert sorted(audited) == [("async", 0), ("async", 1), ("sync", 0), ("sync", 1)]
+    assert main(["compare", path, "--T", "60", "--out", str(lax)]) == 0  # only strict gates
+    for name in ("compare.csv", "compare_summary.json"):
+        assert (strict / name).read_bytes() == (lax / name).read_bytes()
+    monkeypatch.undo()
+    assert main(["compare", path, "--strict", "--T", "60", "--out", str(lax)]) == 0

@@ -368,6 +368,7 @@ def _in_domain(domain, y, u):
     return domain.contains(y, tol=tol)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_DOMAIN_IDS, st.data())
 def test_projection_of_huge_finite_input_is_in_domain_or_non_finite_state(k, data):
@@ -381,6 +382,7 @@ def test_projection_of_huge_finite_input_is_in_domain_or_non_finite_state(k, dat
     assert np.isfinite(y).all() and _in_domain(domain, y, u)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_projection_when_the_breakpoints_cancel():
     dom = DomainSpec.sum_interval(2, 0.9, 20.0, nonneg=True)
     # 1e300 + (20 - 1e300) rounds to 0: no breakpoint read active
@@ -546,3 +548,62 @@ def test_grouped_evaluator_equals_per_node_loop(consensus_spec):
             want = _per_node_expectation(spec, xs, 2000, 5)
             assert est.value(xs) == want  # a plain per-node list
             assert est.value(rows) == want  # the engine's rows
+
+
+def _lane_inputs(spec, rng, lanes, t):
+    """Per-lane (x, observations) and their tiled (lane after lane) forms."""
+    from asaddle.problem import NodeObservations, stack, tree_map
+    xs = [stack(_random_prices(spec, rng) if spec.name.startswith("pricing")
+                else list(rng.uniform(-2.0, 2.0, size=(spec.graph.n_nodes, spec.dims[0]))))
+          for _ in range(lanes)]
+    obs = [NodeObservations.of([sample_observation(spec, s, i, t) for i in range(spec.graph.n_nodes)],
+                               spec.obs_offsets) for s in range(lanes)]
+    tiled = spec.tile(lanes)
+    tiled_obs = NodeObservations(tree_map(lambda *leaves: np.concatenate(leaves),
+                                          *[o.leaves for o in obs]), tiled.obs_offsets)
+    return xs, obs, tiled, tiled.rows(np.concatenate(xs)), tiled_obs
+
+
+@pytest.mark.parametrize("per_node", [False, True], ids=["batched", "per_node"])
+def test_tiled_family_gives_each_copy_its_own_bits(consensus_spec, per_node):
+    # one copy's duals all zero while the other's are positive, and gradients
+    # holding -0.0: the zero copy keeps its gradients exactly, as alone
+    from asaddle.problem import stack
+    rng = np.random.default_rng(5)
+    for spec in _pricing_specs() + [consensus_spec]:
+        spec = as_neighborhood(spec) if per_node else spec
+        m, c = spec.constraints.size, spec.offsets[-1]
+        for t in range(10):
+            xs, obs, tiled, tiled_xs, tiled_obs = _lane_inputs(spec, rng, 3, t)
+            assert tiled.constraints.size == 3 * m
+            grads = [np.where(rng.random(c) < 0.3, -0.0, rng.normal(size=c)) for _ in range(3)]
+            lams = [rng.uniform(0.0, 2.0, size=m), np.zeros(m), rng.uniform(0.0, 2.0, size=m)]
+            slack = tiled.constraints.slack(tiled_xs, tiled_obs)
+            jt = stack(tiled.constraints.add_jt_lam(tiled.rows(np.concatenate(grads)),
+                                                    np.concatenate(lams), tiled_xs, tiled_obs))
+            for s in range(3):
+                solo_slack = spec.constraints.slack(spec.rows(xs[s]), obs[s])
+                assert slack[s * m:(s + 1) * m].tobytes() == solo_slack.tobytes()
+                solo = stack(spec.constraints.add_jt_lam(spec.rows(grads[s].copy()), lams[s],
+                                                         spec.rows(xs[s]), obs[s]))
+                assert jt[s * c:(s + 1) * c].tobytes() == solo.tobytes()
+
+
+def test_tiled_objectives_and_sums_per_copy(consensus_spec):
+    from asaddle.problem import objective_grads, objective_sum, stack
+    rng = np.random.default_rng(6)
+    for spec in _pricing_specs() + [consensus_spec]:
+        for t in range(10):
+            xs, obs, tiled, tiled_xs, tiled_obs = _lane_inputs(spec, rng, 4, t)
+            sums = objective_sum(tiled, tiled_xs, tiled_obs, lanes=4)
+            grads = stack(objective_grads(tiled, tiled_xs, tiled_obs))
+            c = spec.offsets[-1]
+            for s in range(4):
+                assert sums[s] == objective_sum(spec, spec.rows(xs[s]), obs[s])
+                solo = stack(objective_grads(spec, spec.rows(xs[s]), obs[s]))
+                assert grads[s * c:(s + 1) * c].tobytes() == solo.tobytes()
+    # a node's own Objective stays one call per copy; shared ones span every copy
+    groups = _pricing_specs()[-1].tile(3).objective_groups
+    members = sorted(tuple(range(9)[g.nodes]) if isinstance(g.nodes, slice)
+                     else tuple(np.atleast_1d(g.nodes).tolist()) for g in groups)
+    assert members == [(0, 2, 3, 5, 6, 8), (1,), (4,), (7,)]

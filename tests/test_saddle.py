@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from asaddle.apps.pricing import PricingConfig, build_pricing_problem
 from asaddle.delay import DelaySchedule, StalenessBuffer
 from asaddle.errors import NoFeasibleDelta, NonFiniteState
 from asaddle.graph import build_graph, path_edges
-from asaddle.problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, Objective,
-                             ProblemSpec, Sampler, as_neighborhood, sample_observation)
+from asaddle.problem import (OBS_BLOCK, ConstraintFamily, DomainSpec, ExpectedObjective,
+                             NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
+                             as_neighborhood, sample_observation)
 from asaddle.metrics import AssumptionEstimates
-from asaddle.saddle import (Hyperparams, SaddleState, advise, dual_gradient, dual_slack,
-                            dual_step, primal_gradient, primal_step, run, run_generalized,
-                            run_synchronous, stack, stochastic_lagrangian)
+from asaddle.saddle import (Hyperparams, SaddleEngine, SaddleState, advise, dual_gradient,
+                            dual_slack, dual_step, primal_gradient, primal_step, run,
+                            run_generalized, run_lanes, run_synchronous, stack,
+                            stochastic_lagrangian)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,6 @@ def test_generalized_single_node_reduces_to_projected_sgd():
 
 
 def test_engine_stepwise_matches_one_shot(small_consensus_spec):
-    from asaddle.saddle import SaddleEngine
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=80)
     sched = DelaySchedule(kind="uniform_random", tau_max=4, seed=6)
     one_shot = run(small_consensus_spec, hp, sched, seed=9, thin_every=1)
@@ -251,15 +253,20 @@ def test_engine_stepwise_matches_one_shot(small_consensus_spec):
         engine.step()
 
 
-def test_nan_gradient_stops_the_run():
-    # one NaN gradient used to leave x NaN for the rest of the run while the
-    # invariant audit still reported a feasible trace
+def nan_gradient_spec():
+    """One node whose gradient is NaN on the steps its observation is True."""
     g = build_graph(1, [])
     obj = Objective(value=lambda x, th: 0.5 * float(x @ x),
                     grad=lambda x, th: np.full_like(x, np.nan) if th else x.copy())
-    spec = ProblemSpec.make(g, 1, [obj], [Sampler(sample=lambda rng: rng.random() < 0.1)],
+    return ProblemSpec.make(g, 1, [obj], [Sampler(sample=lambda rng: rng.random() < 0.1)],
                             ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
                             DomainSpec.box(np.array([-1.0]), np.array([1.0])))
+
+
+def test_nan_gradient_stops_the_run():
+    # one NaN gradient used to leave x NaN for the rest of the run while the
+    # invariant audit still reported a feasible trace
+    spec = nan_gradient_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=200)
     first_nan = next(t for t in range(hp.T) if sample_observation(spec, 0, 0, t))
     with pytest.raises(NonFiniteState, match=f"step {first_nan}, node 0$"):
@@ -290,6 +297,110 @@ def test_staleness_monotone_and_bounded(small_consensus_spec):
     assert np.all(np.diff(trace.resolved, axis=0) >= 0)
     assert trace.staleness.max() <= 6
     assert np.all(trace.staleness >= 0)
+
+
+# ---------------------------------------------------------------------------
+# seed lanes: every lane's trace is the solo run's, byte for byte
+# ---------------------------------------------------------------------------
+
+def assert_traces_identical(a, b):
+    for name, va in vars(a).items():
+        vb = getattr(b, name)
+        if name == "x_snapshots":
+            assert va.keys() == vb.keys()
+            for t in va:
+                assert va[t].tobytes() == vb[t].tobytes(), (name, t)
+        elif name == "x_final":
+            assert stack(va).tobytes() == stack(vb).tobytes(), name
+        elif isinstance(va, np.ndarray):
+            assert va.dtype == vb.dtype and va.shape == vb.shape, name
+            assert va.tobytes() == vb.tobytes(), name
+        else:
+            assert va == vb, name
+
+
+def assert_lanes_match_solo(spec, hp, schedules, seeds, **kwargs):
+    lanes = run_lanes(spec, hp, schedules, seeds, **kwargs)
+    assert [tr.seed for tr in lanes] == list(seeds)
+    for schedule, seed, trace in zip(schedules, seeds, lanes):
+        assert_traces_identical(trace, run(spec, hp, schedule, seed, **kwargs))
+    return lanes
+
+
+def uniform(tau, seed):
+    return DelaySchedule(kind="uniform_random", tau_max=tau, seed=seed)
+
+
+@pytest.mark.parametrize("neighborhood", [False, True], ids=["pairwise", "per_node"])
+def test_consensus_lanes_match_solo_runs(consensus_spec, neighborhood):
+    spec = as_neighborhood(consensus_spec) if neighborhood else consensus_spec
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
+    evaluator = ExpectedObjective(spec, mc_samples=64, seed=1)
+    assert_lanes_match_solo(spec, hp, [uniform(5, s) for s in (3, 4, 5)], [3, 4, 5],
+                            evaluator=evaluator, thin_every=7)
+
+
+@pytest.mark.parametrize("mu_n", [1.0, (1.0, 2.0, 1.0)], ids=["shared", "own_objective"])
+def test_pricing_lanes_match_solo_runs(mu_n):
+    # dims 1, 2, 1; with mu_n differing, SCBS 1 has an Objective of its own
+    spec = build_pricing_problem(PricingConfig(mu_n=mu_n))
+    assert spec.dims == (1, 2, 1)
+    hp = Hyperparams(epsilon=0.3, delta=1e-5, T=150)
+    evaluator = ExpectedObjective(spec, mc_samples=64, seed=1)
+    lanes = assert_lanes_match_solo(spec, hp, [uniform(4, s) for s in range(4)], [0, 1, 2, 3],
+                                    evaluator=evaluator, thin_every=9, record_current_slack=True)
+    assert all(tr.current_slack is not None for tr in lanes)
+    assert any(tr.lambda_norm.max() > 0 for tr in lanes)  # the duals take part
+
+
+def test_lanes_with_delays_longer_than_an_observation_block():
+    spec = build_pricing_problem(PricingConfig())
+    tau = 70
+    assert tau > OBS_BLOCK
+    hp = Hyperparams(epsilon=0.3, delta=1e-5, T=3 * OBS_BLOCK)
+    lanes = assert_lanes_match_solo(spec, hp, [DelaySchedule(kind="fixed", tau_max=tau),
+                                               uniform(tau, 9)], [8, 9])
+    assert lanes[0].staleness.max() == tau
+
+
+def test_mixed_sync_and_async_lanes(consensus_spec):
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=120)
+    seeds = [6, 7, 6, 7]
+    lanes = assert_lanes_match_solo(consensus_spec, hp, [None, None, uniform(6, 6), uniform(6, 7)],
+                                    seeds, thin_every=5)
+    for seed, trace in zip(seeds[:2], lanes[:2]):
+        assert trace.mode == "sync" and trace.tau_bound == 0
+        assert_traces_identical(trace, run_synchronous(consensus_spec, hp, seed, thin_every=5))
+    assert [tr.mode for tr in lanes[2:]] == ["async", "async"]
+
+
+def test_one_lane_engine_is_the_solo_engine(small_consensus_spec):
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=90)
+    assert_lanes_match_solo(small_consensus_spec, hp, [uniform(3, 2)], [2])
+    engine = SaddleEngine(small_consensus_spec, hp, [uniform(3, 2)], [2]).run()
+    assert_traces_identical(engine.trace(), run(small_consensus_spec, hp, uniform(3, 2), 2))
+    with pytest.raises(ValueError, match="traces"):
+        SaddleEngine(small_consensus_spec, hp, [None, None], [0, 1]).trace()
+
+
+def test_lanes_sharing_one_delay_seed(consensus_spec):
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=100)
+    shared = uniform(5, 11)  # one schedule object for every lane, as a fixed delay seed gives
+    lanes = assert_lanes_match_solo(consensus_spec, hp, [shared] * 3, [0, 1, 2])
+    assert np.array_equal(lanes[0].resolved, lanes[2].resolved)
+    assert not np.array_equal(lanes[0].delayed_slack, lanes[2].delayed_slack)
+
+
+def test_non_finite_lane_names_its_seed():
+    spec = nan_gradient_spec()
+    hp = Hyperparams(epsilon=0.1, delta=0.0, T=200)
+    seeds = [0, 1, 2, 3]
+    first = {seed: next(t for t in range(hp.T) if sample_observation(spec, seed, 0, t))
+             for seed in seeds}
+    step, seed = min((t, seed) for seed, t in first.items())
+    assert sorted(first.values()).count(step) == 1
+    with pytest.raises(NonFiniteState, match=f"seed {seed}, step {step}, node 0$"):
+        run_lanes(spec, hp, [DelaySchedule(kind="zero")] * 4, seeds)
 
 
 # ---------------------------------------------------------------------------
