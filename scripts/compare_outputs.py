@@ -4,14 +4,18 @@
 
 Runs ``asaddle run`` and ``asaddle compare`` on every shipped config in both
 checkouts, each from its own ``src/`` with one BLAS thread, and lists every
-output file that differs by a single byte or exists on one side only. Exits
-0 when every file is identical, 1 otherwise, 2 when a run fails.
+output file that differs by a single byte or exists on one side only, with
+what differs in it: the columns of a CSV, the keys of a JSON file (nested
+keys joined by dots). Exits 0 when every file is identical, 1 otherwise, 2
+when a run fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -50,6 +54,44 @@ def differing_files(a: str, b: str) -> list:
     return found
 
 
+def _csv_columns(path: str) -> dict:
+    """Column name -> the column's cells, as written."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    return {name: [row[k] if k < len(row) else None for row in body]
+            for k, name in enumerate(header)}
+
+
+def _json_leaves(value, prefix: str = "") -> dict:
+    """Dotted key -> JSON text of every non-object value in a JSON document
+    (as text, a NaN equals itself)."""
+    if not isinstance(value, dict):
+        return {prefix: json.dumps(value)}
+    out = {}
+    for key, sub in value.items():
+        out.update(_json_leaves(sub, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
+def what_differs(a: str, b: str) -> str:
+    """What differs between two files of the same name: a CSV's differing
+    columns, a JSON file's differing keys, else "content"; "only on one
+    side" when one of them is missing."""
+    if not (os.path.isfile(a) and os.path.isfile(b)):
+        return "only on one side"
+    if a.endswith(".csv"):
+        ca, cb = _csv_columns(a), _csv_columns(b)
+        names = [n for n in ca if ca[n] != cb.get(n)] + [n for n in cb if n not in ca]
+        return "columns " + ", ".join(names) if names else "content"
+    if a.endswith(".json"):
+        with open(a, encoding="utf-8") as fa, open(b, encoding="utf-8") as fb:
+            ja, jb = _json_leaves(json.load(fa)), _json_leaves(json.load(fb))
+        keys = [k for k in ja if ja[k] != jb.get(k)] + [k for k in jb if k not in ja]
+        return "keys " + ", ".join(keys) if keys else "content"
+    return "content"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", help="root of the checkout to compare against")
@@ -67,10 +109,11 @@ def main(argv=None) -> int:
         except RuntimeError as exc:
             print(f"compare_outputs: {exc}", file=sys.stderr)
             return 2
-        diff = differing_files(os.path.join(tmp, "this"), os.path.join(tmp, "other"))
-        n_files = sum(len(files) for _, _, files in os.walk(os.path.join(tmp, "this")))
-    for path in diff:
-        print(f"differs: {path}")
+        this, that = os.path.join(tmp, "this"), os.path.join(tmp, "other")
+        diff = differing_files(this, that)
+        n_files = sum(len(files) for _, _, files in os.walk(this))
+        for path in diff:
+            print(f"differs: {path}: {what_differs(os.path.join(this, path), os.path.join(that, path))}")
     print(f"{len(diff)} of {n_files} files differ ({other} vs {ROOT}, T={args.T})")
     return 1 if diff else 0
 

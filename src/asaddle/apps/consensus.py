@@ -83,7 +83,7 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
             y = Z @ w_i + noise * rng.standard_normal(size)
             return (Z, y)
 
-        samplers.append(Sampler(sample=sample, batch=batch))
+        samplers.append(Sampler(sample=sample, batch=batch, law=(w_i, noise * noise)))
 
     # one instance for every node: only the samplers depend on the node, so
     # the engine evaluates all nodes' rows (N, p) in one call
@@ -102,7 +102,14 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
         Z, y = th
         return 0.5 * ((Z @ x[..., None])[..., 0] - y) ** 2
 
-    objective = Objective(value=value, grad=grad, batch_value=batch_value)
+    # z ~ N(0, I) and y = z^T w + noise: E f = (|x - w|^2 + noise^2) / 2,
+    # with the law (w, noise^2) of one node (p,), () or of n rows (n, p), (n,)
+    def expected(x, law):
+        w, noise2 = law
+        d = x - w
+        return 0.5 * ((d * d).sum(axis=-1) + noise2)
+
+    objective = Objective(value=value, grad=grad, batch_value=batch_value, expected=expected)
 
     # both accept one pair of rows (p,) or every edge's rows (E, p)
     def prox(a, b, th_a, th_b):

@@ -42,6 +42,7 @@ __all__ = [
     "sinr_report",
     "interference_series",
     "revenue_series",
+    "exp1",
 ]
 
 
@@ -181,7 +182,7 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
         def batch(rng, size, k=k):
             return tuple(_exponential_pair(rng, (size, k), mean))
 
-        samplers.append(Sampler(sample=sample, batch=batch))
+        samplers.append(Sampler(sample=sample, batch=batch, law=np.full(k, mean)))
 
     constraints = _interference_family(cfg, subs, dims)
     domains = tuple(DomainSpec.sum_interval(dims[n], cfg.c_min, cfg.c_max, nonneg=True)
@@ -204,7 +205,12 @@ def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
     """Negated revenue of the SCBSs with cost term ``mu_c`` = c mu_n and
     ``nu``, separable by subchannel: ``value``/``grad`` take one SCBS's
     prices x (k,) with gains (k,), or coordinate rows (n, 1) with (n, 1);
-    ``batch_value`` takes draws (S, k), or (n, S, 1) for rows (n, 1)."""
+    ``batch_value`` takes draws (S, k), or (n, S, 1) for rows (n, 1).
+
+    ``expected`` takes prices (..., k) and the gain mean m of every
+    coordinate, the law of g and h. With A = W / (c mu + nu x) and
+    z = 1 / (m A), independence gives E[x g (A - 1/h)_+] = x m E(A - 1/h)_+
+    = x m (A e^{-z} - E1(z) / m) = x (e^{-z} / z - E1(z))."""
 
     def value(x, th):
         g, h = th
@@ -223,7 +229,47 @@ def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
         p = np.maximum(W / (mu_c + nu * x) - 1.0 / H, 0.0)
         return -(x * G * p).sum(axis=-1)
 
-    return Objective(value=value, grad=grad, batch_value=batch_value)
+    def expected(x, m):
+        z = (mu_c + nu * x) / (m * W)
+        return -(x * (np.exp(-z) / z - exp1(z))).sum(axis=-1)
+
+    return Objective(value=value, grad=grad, batch_value=batch_value, expected=expected)
+
+
+# Euler-Mascheroni constant
+_EULER = 0.57721566490153286061
+# below _E1_SPLIT the power series, above it the continued fraction; the
+# term counts keep both within 2e-13 relative error of E1 on [1e-8, 700]
+_E1_SPLIT = 3.0
+# the series' coefficients (-1)^k / (k k!), k = 1..30
+_E1_SERIES = [(-1.0) ** k / (k * math.factorial(k)) for k in range(1, 31)]
+_E1_FRACTION_TERMS = 25
+
+
+def exp1(z) -> np.ndarray:
+    """Exponential integral E1(z) = int_z^inf e^{-t} / t dt for z > 0.
+
+    For z <= 3 the power series -gamma - ln z - sum_k (-z)^k / (k k!)
+    (Abramowitz & Stegun 5.1.11), by Horner's rule; above, the continued
+    fraction of 5.1.22 in its even form
+    e^{-z} / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))), evaluated from a
+    fixed depth back. Both take elementwise operations only, so an entry
+    does not depend on the others in the array, and temporaries stay the
+    size of z."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    small = z <= _E1_SPLIT
+    zs = z[small]
+    series = np.zeros_like(zs)
+    for c in reversed(_E1_SERIES):
+        series = (series + c) * zs
+    out[small] = -_EULER - np.log(zs) - series
+    zl = z[~small]
+    tail = zl + (2 * _E1_FRACTION_TERMS + 1)
+    for j in range(_E1_FRACTION_TERMS, 0, -1):
+        tail = zl + (2 * j - 1) - j * j / tail
+    out[~small] = np.exp(-zl) / tail
+    return out
 
 
 def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> ConstraintFamily:

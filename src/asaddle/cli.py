@@ -26,7 +26,8 @@ import numpy as np
 from .apps.consensus import ConsensusRegressionConfig, build_consensus_problem
 from .apps.pricing import PricingConfig, build_pricing_problem, naive_baseline, revenue_series, sinr_report
 from .delay import DelaySchedule
-from .errors import AuditFailure, DegenerateSeries, NoFeasibleDelta, OutputError, SaddleError
+from .errors import (AuditFailure, DegenerateEstimates, DegenerateSeries, InvalidConfig,
+                     NoFeasibleDelta, OutputError, SaddleError)
 from .graph import build_graph, ring_edges
 from .metrics import (audit_assumptions, audit_invariants, delayed_violation,
                       estimate_optimum, fit_rate, running_suboptimality)
@@ -34,7 +35,7 @@ from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective
 from .saddle import Hyperparams, advise, run_lanes
 
 __all__ = ["ExperimentConfig", "SummaryReport", "ParseError", "ValidationError",
-           "parse_config", "run_experiment", "compare_modes", "main",
+           "parse_config", "app_config", "run_experiment", "compare_modes", "main",
            "TRACE_COLUMNS", "OUTPUT_DIR_ENV"]
 
 OUTPUT_DIR_ENV = "ASADDLE_OUT"
@@ -152,6 +153,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         thin_every=int(out.get("thin_every", 50)),
     )
     _validate(cfg)
+    app_config(cfg)
     return cfg
 
 
@@ -166,7 +168,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValidationError("algo.mode must be 'sync' or 'async'")
     if cfg.mode == "sync" and cfg.tau_max != 0:
         raise ValidationError("algo.mode 'sync' forces delay.tau_max = 0")
-    if cfg.delay_kind not in ("zero", "fixed", "uniform_random", "custom_table"):
+    if cfg.delay_kind == "custom_table":
+        raise ValidationError("delay.kind 'custom_table' needs a delay table, which no config "
+                              "key gives; build that DelaySchedule in Python")
+    if cfg.delay_kind not in ("zero", "fixed", "uniform_random"):
         raise ValidationError(f"unknown delay.kind {cfg.delay_kind!r}")
     if cfg.tau_max < 0:
         raise ValidationError("delay.tau_max must be >= 0")
@@ -182,27 +187,34 @@ def _validate(cfg: ExperimentConfig) -> None:
 # builders
 # ---------------------------------------------------------------------------
 
-def build_problem(cfg: ExperimentConfig):
-    """Return (ProblemSpec, app_config_or_None)."""
-    if cfg.problem_name == "pricing":
-        params = {k: (tuple(tuple(g) for g in v) if k == "assignment" else v)
-                  for k, v in cfg.problem_params.items()}
-        for key in ("mu_n", "nu_n", "gamma_db", "x0"):
-            if key in params and isinstance(params[key], list):
-                params[key] = tuple(params[key])
-        try:
-            app = PricingConfig(**params)
-        except TypeError as exc:
-            raise ValidationError(f"pricing params: {exc}")
-        return build_pricing_problem(app), app
-
+def app_config(cfg: ExperimentConfig):
+    """The problem's ``PricingConfig`` or ``ConsensusRegressionConfig``;
+    ValidationError when its parameters are invalid."""
+    name = "pricing" if cfg.problem_name == "pricing" else "consensus"
     params = dict(cfg.problem_params)
-    if "weights" in params and params["weights"] is not None:
-        params["weights"] = tuple(tuple(row) for row in params["weights"])
     try:
+        if name == "pricing":
+            if "assignment" in params:
+                params["assignment"] = tuple(tuple(g) for g in params["assignment"])
+            for key in ("mu_n", "nu_n", "gamma_db", "x0"):
+                if isinstance(params.get(key), list):
+                    params[key] = tuple(params[key])
+            return PricingConfig(**params)
+        if params.get("weights") is not None:
+            params["weights"] = tuple(tuple(row) for row in params["weights"])
         app = ConsensusRegressionConfig(**params)
-    except TypeError as exc:
-        raise ValidationError(f"consensus params: {exc}")
+    except (TypeError, InvalidConfig) as exc:
+        raise ValidationError(f"{name} params: {exc}") from exc
+    if app.weights is not None and np.shape(app.weights) != (cfg.graph_n_nodes, app.p):
+        raise ValidationError(f"consensus params: weights must have shape ({cfg.graph_n_nodes}, {app.p})")
+    return app
+
+
+def build_problem(cfg: ExperimentConfig):
+    """Return (ProblemSpec, app config)."""
+    app = app_config(cfg)
+    if cfg.problem_name == "pricing":
+        return build_pricing_problem(app), app
     edges = ring_edges(cfg.graph_n_nodes) if cfg.graph_edges == "ring" else cfg.graph_edges
     graph = build_graph(cfg.graph_n_nodes, edges)
     return build_consensus_problem(app, graph), app
@@ -326,6 +338,8 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
         block["feasible"] = False
         block["C"] = exc.C
         block["min_T"] = exc.min_T
+    except DegenerateEstimates as exc:  # e.g. a network without constraints
+        block["error"] = f"advisor: {exc}"
     return block
 
 

@@ -50,6 +50,11 @@ class DegenerateSeries(SaddleError, ValueError):
     """A series has too few positive points for a log-log rate fit."""
 
 
+class DegenerateEstimates(SaddleError, ValueError):
+    """Moment estimates the advisor cannot use: one of them is not positive,
+    as the constraint moments of a network without constraints are."""
+
+
 class InvalidConfig(SaddleError, ValueError):
     """An application config violates its declared invariants."""
 

@@ -99,7 +99,8 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
 
     Runs the tau=0 method for ``budget`` iterations with epsilon = 1/sqrt(budget)
     unless overridden, and returns (F*, x_ref) where x_ref is the running
-    average of the iterates x_1..x_T and F* its Monte Carlo objective value.
+    average of the iterates x_1..x_T and F* its expected objective value
+    (``ExpectedObjective``: exact where the problem gives its expectation).
     """
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=eval_seed)
     if budget <= 0:
@@ -131,8 +132,9 @@ class AssumptionEstimates:
     sigma_f2 / sigma_h2: largest mean squared norm of a per-node objective
     gradient / of one constraint's gradient in one node's variables, over
     sampled feasible points; sigma_lambda2: largest mean squared slack of one
-    constraint; L_f: largest secant slope of the Monte Carlo objective. Means
-    are over observation draws at a fixed point.
+    constraint; L_f: largest secant slope of the expected objective
+    (``ExpectedObjective``). Means are over observation draws at a fixed
+    point.
     """
 
     sigma_f2: float
@@ -201,15 +203,17 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
                 sigma_h2 = max(sigma_h2, _max_draw_mean(np.sum(jac ** 2, axis=2)))
 
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=seed + 1)
+    # the secants' ends (a, b) of every pair, scored in one call
+    ends = np.array([np.concatenate(_random_feasible(spec, rng))
+                     for _ in range(2 * secant_pairs)]).reshape(secant_pairs, 2, -1)
+    F = evaluator.values(ends.reshape(2 * secant_pairs, -1)).reshape(secant_pairs, 2)
     L_f = 0.0
-    for _ in range(secant_pairs):
-        xa, xb = _random_feasible(spec, rng), _random_feasible(spec, rng)
-        gap = np.linalg.norm(np.concatenate(xa) - np.concatenate(xb))
-        if gap < 1e-9:
-            continue
-        L_f = max(L_f, abs(evaluator.value(xa) - evaluator.value(xb)) / gap)
+    for (xa, xb), (fa, fb) in zip(ends, F):
+        gap = np.linalg.norm(xa - xb)
+        if gap >= 1e-9:
+            L_f = max(L_f, abs(fa - fb) / gap)
     return AssumptionEstimates(sigma_f2=sigma_f2, sigma_h2=sigma_h2,
-                               sigma_lambda2=sigma_l2, L_f=L_f)
+                               sigma_lambda2=sigma_l2, L_f=float(L_f))
 
 
 # ---------------------------------------------------------------------------

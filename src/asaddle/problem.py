@@ -199,12 +199,16 @@ class Objective:
     stacked leaf by leaf (see ``NodeObservations``), and expects (n,) values
     and (n, p) gradients. ``batch_value``, when given, maps (x,
     batched-observations) to a vector of per-sample values and is used by
-    Monte Carlo estimators.
+    Monte Carlo estimators. ``expected``, when given, maps rows x (..., p)
+    and the samplers' laws (``Sampler.law``, stacked like the rows) to the
+    exact expectations E f(x, theta), one per row (...,); ``ExpectedObjective``
+    then draws no sample for these nodes.
     """
 
     value: callable
     grad: callable
     batch_value: callable | None = None
+    expected: callable | None = None
 
 
 @dataclass(frozen=True)
@@ -215,11 +219,15 @@ class Sampler:
     draws a batched observation set consumable by Objective.batch_value,
     whose row r (of every leaf) is one observation. The engine draws its
     observations in blocks of OBS_BLOCK rows with ``batch``, or with
-    OBS_BLOCK calls of ``sample`` when ``batch`` is missing.
+    OBS_BLOCK calls of ``sample`` when ``batch`` is missing. ``law``, when
+    given, holds the distribution's parameters as ``Objective.expected``
+    reads them: a tree of arrays, whose leaves have one entry per coordinate
+    when nodes of different dimensions share the objective.
     """
 
     sample: callable
     batch: callable | None = None
+    law: object = None
 
 
 @dataclass(frozen=True)
@@ -865,7 +873,7 @@ def as_neighborhood(spec: ProblemSpec) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo objective estimator
+# expected objective
 # ---------------------------------------------------------------------------
 
 # draws (rows x samples) per batch_value call: a large group is evaluated in
@@ -875,20 +883,27 @@ _EVAL_PIECE = 1 << 16
 
 
 class ExpectedObjective:
-    """F(x) estimator with a frozen evaluation sample, independent of training.
+    """F(x) = sum_i E[f^i(x^i, theta^i)], exact where the problem says how.
 
-    The same draw set is reused for every query point, so differences
+    Nodes sharing an Objective are evaluated like the engine step evaluates
+    them (``ProblemSpec.objective_groups``). A group whose Objective has
+    ``expected`` and whose samplers all give a ``law`` is evaluated exactly:
+    its laws are stacked once, as (rows, ...) in the row layout of the
+    group's iterate rows, and one ``expected`` call scores every row. Any
+    other group is estimated with a frozen evaluation sample, independent of
+    training: its draws are stacked as (rows, S, ...), and ``batch_value``
+    maps the stacked rows and draws to (rows, S) per-sample values (without
+    ``batch_value`` or ``Sampler.batch``, ``value`` is called per draw). The
+    same draw set is reused for every query point, so differences
     F(x) - F(y) of nearby points carry far less Monte Carlo noise than the
-    individual values. Nodes sharing an Objective are evaluated like the
-    engine step evaluates them (``ProblemSpec.objective_groups``): their
-    draws are stacked as (rows, S, ...) and ``batch_value`` maps the stacked
-    rows and draws to (rows, S) per-sample values.
+    individual values.
     """
 
     def __init__(self, spec: ProblemSpec, mc_samples: int = DEFAULT_MC_SAMPLES,
                  seed: int = 0):
         self.spec = spec
         self.mc_samples = int(mc_samples)
+        self._exact = []    # (expected, nodes, rows, sums, laws)
         self._batched = []  # (batch_value, nodes, rows, sums, draws)
         self._plain = []    # (node, value, draws)
         S = self.mc_samples
@@ -898,7 +913,10 @@ class ExpectedObjective:
 
         for obj, nodes, rows, sums in spec.objective_groups:
             members = [nodes] if rows is None else _members(nodes, spec.graph.n_nodes)
-            if obj.batch_value is None or any(spec.samplers[i].batch is None for i in members):
+            if obj.expected is not None and all(spec.samplers[i].law is not None for i in members):
+                laws = spec.samplers[nodes].law if rows is None else self._stacked_laws(members)
+                self._exact.append((obj.expected, nodes, rows, sums, laws))
+            elif obj.batch_value is None or any(spec.samplers[i].batch is None for i in members):
                 for i in members:
                     node_rng = rng(i)
                     self._plain.append((i, obj.value, [spec.samplers[i].sample(node_rng)
@@ -921,6 +939,14 @@ class ExpectedObjective:
                     lo, hi = o[a], o[a + len(piece)]
                     self._batched.append((obj.batch_value, *_row_layout(spec, piece),
                                           tree_map(lambda leaf: leaf[lo:hi], draws)))
+
+    def _stacked_laws(self, members: list):
+        """The laws of ``members`` stacked leaf by leaf: (n, ...) per node, or
+        per coordinate (rows, 1, ...) as coordinate rows of dimension 1."""
+        laws = [self.spec.samplers[i].law for i in members]
+        if self.spec.uniform:
+            return tree_map(lambda *leaves: np.stack(leaves), *laws)
+        return tree_map(lambda *leaves: np.concatenate(leaves)[:, None], *laws)
 
     def _stacked_draws(self, members: list, o: list, rng):
         """The draws of ``members`` stacked as (rows, S, ...), member j's at
@@ -946,9 +972,38 @@ class ExpectedObjective:
         return tree_map(lambda _: next(rows), tree)
 
     def value(self, x) -> float:
-        """Estimate F(x) = sum_i E[f^i(x^i, theta^i)] at per-node vectors x:
-        every node's sample mean, added in node order."""
-        means = np.empty(self.spec.graph.n_nodes)
+        """F at per-node vectors x (a list of vectors or ``spec.rows``): the
+        one-row case of ``values``."""
+        return float(self.values(stack(x)[None])[0])
+
+    def values(self, X) -> np.ndarray:
+        """F at every row of X (B, C), each a stacked iterate: every node's
+        expectation (or sample mean), added in node order per row.
+
+        Exact groups score all B rows in one ``expected`` call; Monte Carlo
+        groups one row at a time. A row's value does not depend on the other
+        rows, so it equals ``value`` of that row bit for bit."""
+        spec = self.spec
+        X = np.asarray(X, dtype=float)
+        B = len(X)
+        node_values = np.empty((B, spec.graph.n_nodes))
+        # every row as the rows shared objectives take (spec.row_array), (B, ...)
+        rows_x = X.reshape(B, spec.graph.n_nodes, -1) if spec.uniform else X[:, :, None]
+        for expected, nodes, rows, sums, laws in self._exact:
+            if rows is None:
+                o = spec.offsets
+                node_values[:, nodes] = expected(X[:, o[nodes]:o[nodes + 1]], laws)
+                continue
+            v = expected(rows_x[:, rows], laws)
+            node_values[:, nodes] = v if sums is None else _sum_node_rows(v.T, sums).T
+        if self._batched or self._plain:
+            for b in range(B):
+                self._sample_means(spec.rows(X[b]), node_values[b])
+        return _sum_in_order(node_values)
+
+    def _sample_means(self, x, means: np.ndarray) -> None:
+        """Every Monte Carlo node's sample mean at per-node vectors x, into
+        ``means``."""
         rows_x = None
         for batch_value, nodes, rows, sums, draws in self._batched:
             if rows is None:
@@ -963,4 +1018,3 @@ class ExpectedObjective:
         for node, value, draws in self._plain:
             xi = np.asarray(x[node], dtype=float)
             means[node] = np.mean([value(xi, th) for th in draws])
-        return float(_sum_in_order(means))

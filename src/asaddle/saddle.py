@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay import DelaySchedule, StackedBuffer, resolve
-from .errors import NoFeasibleDelta, NonFiniteState
+from .errors import DegenerateEstimates, NoFeasibleDelta, NonFiniteState
 from .graph import NetworkGraph
 from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, objective_grads, objective_sum,
                       observation_block, project, stack, tree_map)
@@ -212,6 +212,11 @@ class SaddleEngine:
     byte for byte to the run of that seed alone; a None schedule in a bundle
     with stale lanes runs as a zero-delay lane, which is the same trajectory.
     ``state`` and the hooks then see the state of the tiled problem.
+
+    The ``evaluator`` scores the iterates in blocks: the rows it must score
+    are buffered, up to OBS_BLOCK of them with every lane's iterate, and
+    scored in one ``ExpectedObjective.values`` call when the buffer is full
+    and when ``traces()`` is read.
     """
 
     def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule, seed,
@@ -263,6 +268,10 @@ class SaddleEngine:
 
         self._F_hat = np.full((S, T + 1), np.nan)
         self._F_evaluated = np.zeros(T + 1, dtype=bool)
+        # the rows still to score: every lane's iterate of each, and their times
+        self._to_score = np.empty((min(OBS_BLOCK, T + 1) if self.eval_every else 0,
+                                   S, self._n_coords))
+        self._to_score_t = []
         self._obj_sample = np.zeros((S, T))
         self._lambda_norm = np.zeros((S, T + 1))
         self._lambda_min = np.zeros((S, T + 1))
@@ -291,9 +300,11 @@ class SaddleEngine:
             self._lambda_norm[s, t] = float(np.linalg.norm(lam[s]))
         self._lambda_min[:, t] = lam.min(axis=1, initial=0.0)
         if self.eval_every and (t % self.eval_every == 0 or t == self.hp.T):
-            for s in range(self._lanes):
-                self._F_hat[s, t] = self.evaluator.value(self.spec.rows(self._lane_x(s)))
+            self._to_score[len(self._to_score_t)] = stack(self.state.x).reshape(self._lanes, -1)
+            self._to_score_t.append(t)
             self._F_evaluated[t] = True
+            if len(self._to_score_t) == len(self._to_score):
+                self._score()
         if self.thin_every and (t % self.thin_every == 0 or t == self.hp.T):
             for s in range(self._lanes):
                 flat = self._lane_x(s)
@@ -301,6 +312,14 @@ class SaddleEngine:
                 # np.maximum keeps a NaN residual where the builtin max would drop it
                 self._domain_residual[s] = float(np.maximum(self._domain_residual[s],
                                                             domain_residual(self.spec, flat)))
+
+    def _score(self):
+        """F_hat of the buffered rows, every lane's, in one evaluator call."""
+        ts = self._to_score_t
+        if ts:
+            X = self._to_score[:len(ts)].reshape(len(ts) * self._lanes, -1)
+            self._F_hat[:, ts] = self.evaluator.values(X).reshape(len(ts), self._lanes).T
+            self._to_score_t = []
 
     # -- iteration ---------------------------------------------------------
 
@@ -386,6 +405,7 @@ class SaddleEngine:
 
     def traces(self) -> list:
         """Every lane's history up to the current iteration, in seed order."""
+        self._score()
         t = self.state.t
         m = self._n_cons
         out = []
@@ -418,7 +438,8 @@ def run_lanes(spec: ProblemSpec, hp: Hyperparams, schedules, seeds, hooks=(), ev
               record_current_slack: bool = True) -> list:
     """Run every seed with its schedule (None: synchronous) as the lanes of
     one engine; one RunTrace per seed, each equal byte for byte to ``run``
-    of that seed alone. ``evaluator`` scores each lane on its own."""
+    of that seed alone. ``evaluator`` scores the rows of every lane in
+    blocks, each row as it would alone."""
     engine = SaddleEngine(spec, hp, list(schedules), list(seeds), hooks=hooks,
                           evaluator=evaluator, eval_every=eval_every, thin_every=thin_every,
                           record_current_slack=record_current_slack)
@@ -433,9 +454,9 @@ def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed
     Each iteration takes every node's observation of that step, resolves
     per-node staleness (monotone, bounded by the schedule), then commits the
     primal and dual steps computed from the time-t state (Jacobi order).
-    ``evaluator`` supplies the Monte Carlo objective recorded in the trace
-    every ``eval_every`` rows. ``schedule=None`` runs the synchronous
-    reference loop. The one-lane case of ``run_lanes``.
+    ``evaluator`` (an ``ExpectedObjective``) supplies the objective recorded
+    in the trace every ``eval_every`` rows. ``schedule=None`` runs the
+    synchronous reference loop. The one-lane case of ``run_lanes``.
     """
     return run_lanes(spec, hp, [schedule], [seed], hooks=hooks, evaluator=evaluator,
                      eval_every=eval_every, thin_every=thin_every,
@@ -487,14 +508,18 @@ def advise(estimates, graph: NetworkGraph, tau: int, T: int):
     K4 = 2 delta^2 eps^2 + C reduces to 2 eps^2 d^2 - d + C <= 0; the smallest
     root exists iff 1 - 8 C eps^2 >= 0, otherwise NoFeasibleDelta is raised
     with the horizon that would make it solvable. The returned delta is a
-    diagnostic: practical runs typically use a much smaller value.
+    diagnostic: practical runs typically use a much smaller value. Raises
+    DegenerateEstimates when an estimate is not positive (a network without
+    constraints has no constraint moments).
     """
     sf2, sh2, sl2, Lf = (
         float(estimates.sigma_f2), float(estimates.sigma_h2),
         float(estimates.sigma_lambda2), float(estimates.L_f),
     )
-    if min(sf2, sh2, sl2, Lf) <= 0:
-        raise ValueError("moment estimates must be positive")
+    if not all(v > 0 for v in (sf2, sh2, sl2, Lf)):  # NaN fails too
+        raise DegenerateEstimates(
+            f"moment estimates must be positive: sigma_f2={sf2:.6g}, sigma_h2={sh2:.6g}, "
+            f"sigma_lambda2={sl2:.6g}, L_f={Lf:.6g}")
     if T < 1:
         raise ValueError("T must be >= 1")
     eps = 1.0 / math.sqrt(T)

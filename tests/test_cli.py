@@ -286,3 +286,61 @@ def test_compare_strict_audit_failure_exit_4(tmp_path, monkeypatch):
         assert (strict / name).read_bytes() == (lax / name).read_bytes()
     monkeypatch.undo()
     assert main(["compare", path, "--strict", "--T", "60", "--out", str(lax)]) == 0
+
+
+def test_network_without_constraints_reports_the_advisor_error(tmp_path, capsys):
+    # one node: no constraint, so the constraint moments are 0 and the
+    # advisor cannot run; the run still writes everything and exits 0
+    path = write_cfg(tmp_path, {"problem": {"name": "consensus_regression"},
+                                "graph": {"n_nodes": 1}, "algo": {"T": 20}})
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["averaged.csv", "summary.json", "trace_seed0.csv"]
+    advisor = json.loads((out / "summary.json").read_text(encoding="utf-8"))["advisor"]
+    assert "moment estimates must be positive" in advisor["error"]
+    assert advisor["sigma_h2"] == 0.0 and "constants" not in advisor
+    capsys.readouterr()
+    assert main(["advise", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: moment estimates must be positive")
+    assert "Traceback" not in err
+
+
+def test_advise_raises_a_typed_error_on_degenerate_estimates(path3):
+    from asaddle.errors import DegenerateEstimates, SaddleError
+    from asaddle.metrics import AssumptionEstimates
+    from asaddle.saddle import advise
+    for bad in (0.0, -1.0, math.nan):
+        est = AssumptionEstimates(sigma_f2=1.0, sigma_h2=bad, sigma_lambda2=1.0, L_f=1.0)
+        with pytest.raises(DegenerateEstimates) as info:
+            advise(est, path3, tau=1, T=100)
+        assert isinstance(info.value, SaddleError) and isinstance(info.value, ValueError)
+
+
+def test_custom_table_delay_is_a_config_error(tmp_path, capsys):
+    body = dict(SMALL, delay={"kind": "custom_table", "tau_max": 2})
+    with pytest.raises(ValidationError, match="custom_table"):
+        config_from_dict(body)
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", [
+    {"name": "pricing", "gain_mean": -1},
+    {"name": "consensus_regression", "noise_std": -1},
+    {"name": "consensus_regression", "p": 2, "weights": [[1.0, 0.0]]},  # one row for 3 nodes
+    {"name": "pricing", "assignment": 5},
+    {"name": "pricing", "no_such_parameter": 1},
+])
+def test_invalid_app_parameters_exit_2_before_any_output(tmp_path, capsys, problem):
+    body = dict(SMALL, problem=problem)
+    if problem["name"] == "pricing":
+        body.pop("graph")
+    out = tmp_path / "out"
+    for verb in ("run", "compare", "advise"):
+        assert main([verb, write_cfg(tmp_path, body), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()

@@ -530,14 +530,23 @@ def _per_node_expectation(spec, x, mc_samples, seed):
     return total
 
 
+def monte_carlo(spec):
+    """``spec`` with every Objective's ``expected`` taken away (an instance
+    shared by nodes stays shared), so ExpectedObjective estimates it."""
+    from dataclasses import replace
+    stripped = {id(obj): replace(obj, expected=None) for obj in spec.objectives}
+    return replace(spec, objectives=tuple(stripped[id(obj)] for obj in spec.objectives))
+
+
 def test_grouped_evaluator_equals_per_node_loop(consensus_spec):
     from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
     from asaddle.graph import ring_edges
     # 40 nodes x 2000 draws do not fit one batch_value call: two pieces
     ring40 = build_consensus_problem(ConsensusRegressionConfig(), build_graph(40, ring_edges(40)))
     rng = np.random.default_rng(13)
-    for spec in _pricing_specs() + [consensus_spec, ring40]:
+    for spec in map(monte_carlo, _pricing_specs() + [consensus_spec, ring40]):
         est = ExpectedObjective(spec, mc_samples=2000, seed=5)
+        assert not est._exact
         for _ in range(3):
             if spec.name == "pricing":
                 xs = _random_prices(spec, rng)
