@@ -2,12 +2,13 @@
 
     python scripts/compare_outputs.py OTHER_CHECKOUT [--T 300]
 
-Runs ``asaddle run`` and ``asaddle compare`` on every shipped config in both
-checkouts, each from its own ``src/`` with one BLAS thread, and lists every
-output file that differs by a single byte or exists on one side only, with
-what differs in it: the columns of a CSV, the keys of a JSON file (nested
-keys joined by dots). Exits 0 when every file is identical, 1 otherwise, 2
-when a run fails.
+Runs ``asaddle run``, ``compare``, ``advise`` and ``audit`` on every shipped
+config in both checkouts, each from its own ``src/`` with one BLAS thread,
+and lists every output file that differs by a single byte or exists on one
+side only, with what differs in it: the columns of a CSV, the keys of a JSON
+file (nested keys joined by dots). ``advise`` and ``audit`` write no files;
+their stdout is saved as ``<config>-<verb>.txt``. Exits 0 when every file is
+identical, 1 otherwise, 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = ("consensus.json", "pricing.json", "pricing_margin4db.json")
 VERBS = ("run", "compare")
+STDOUT_VERBS = ("advise", "audit")
 
 
 def run_outputs(checkout: str, out_root: str, T: int) -> None:
@@ -31,14 +33,20 @@ def run_outputs(checkout: str, out_root: str, T: int) -> None:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("ASADDLE_OUT", None)
+    os.makedirs(out_root, exist_ok=True)
     for config in CONFIGS:
-        for verb in VERBS:
+        for verb in VERBS + STDOUT_VERBS:
             out = os.path.join(out_root, f"{os.path.splitext(config)[0]}-{verb}")
             cmd = [sys.executable, "-m", "asaddle.cli", verb,
-                   os.path.join(checkout, "configs", config), "--T", str(T), "--out", out]
+                   os.path.join(checkout, "configs", config), "--T", str(T)]
+            if verb in VERBS:
+                cmd += ["--out", out]
             done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
             if done.returncode != 0:
                 raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+            if verb in STDOUT_VERBS:
+                with open(out + ".txt", "w", encoding="utf-8") as fh:
+                    fh.write(done.stdout)
 
 
 def differing_files(a: str, b: str) -> list:

@@ -258,18 +258,20 @@ def trace_columns(trace, f_star: float) -> dict:
     }
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _cells(column) -> list:
+    """A column's cells as text: integers with ``str``, anything else as
+    the ``repr`` of a Python float (``nan``, ``-0.0``, shortest round trip)."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map(repr, column.astype(float).tolist()))
 
 
 def write_csv(path: str, columns: dict, order: list) -> None:
+    cells = [_cells(columns[c]) for c in order]
     with _output(path) as fh:
         fh.write(",".join(order) + "\n")
-        n = len(columns[order[0]])
-        for r in range(n):
-            fh.write(",".join(_fmt(columns[c][r]) for c in order) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @contextmanager

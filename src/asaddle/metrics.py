@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSeries
-from .graph import closed_neighborhood
-from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective, ProblemSpec, project, stack
+from .problem import (DEFAULT_MC_SAMPLES, ExpectedObjective, NodeObservations, ProblemSpec,
+                      objective_grads, project, stack)
 from .saddle import Hyperparams, project_nodes, run_synchronous
 from .trace import RunTrace
 
@@ -155,12 +155,18 @@ def _random_feasible(spec: ProblemSpec, rng) -> list:
     return xs
 
 
-def _max_draw_mean(per_draw: np.ndarray) -> float:
-    """Largest per-constraint mean of a (draws, constraints) array.
+# points whose lanes one chunk scores: with 8 (64 lanes at 8 draws) the
+# advisor of the shipped configs peaks at 0.25-0.4 MB (tracemalloc), where
+# scoring all 50 points at once took 1.7-2.7 MB
+_AUDIT_CHUNK = 8
 
-    Each row is averaged as one contiguous vector, the summation order of
-    ``np.mean`` on a list of draws."""
-    return float(np.mean(np.ascontiguousarray(per_draw.T), axis=1).max())
+
+def _draw_means(per_lane: np.ndarray, points: int) -> np.ndarray:
+    """(points, K) means over each point's draws of per-lane values
+    (points * draws, K): each mean is taken over one contiguous vector, the
+    summation order of ``np.mean`` on a list of draws."""
+    v = per_lane.reshape(points, -1, per_lane.shape[-1]).swapaxes(1, 2)
+    return np.ascontiguousarray(v).mean(axis=-1)
 
 
 def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
@@ -168,52 +174,71 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
                       mc_samples: int = 512) -> AssumptionEstimates:
     """Monte Carlo maxima over random feasible points and observations.
 
-    Each sampled point contributes a ``theta_draws``-sample mean of the
-    squared gradient norms and squared slacks, per node, per constraint and
-    per node the constraint depends on; the Lipschitz constant of the
-    expected objective comes from random feasible secants.
+    Each of the ``n_samples // theta_draws`` sampled points contributes a
+    ``theta_draws``-sample mean of the squared gradient norms and squared
+    slacks, per node, per constraint and per node the constraint depends
+    on; the Lipschitz constant of the expected objective comes from random
+    feasible secants. A NaN sample makes its estimate NaN.
+
+    The draws come one point at a time (the point, then ``theta_draws``
+    observations of each node in turn); they are scored in chunks of
+    points, as lanes of the tiled problem (``ProblemSpec.tile``): lane
+    (point, draw) holds the point's stacked iterate and that draw's
+    observation of every node, so one ``objective_grads`` and one ``slack``
+    call score a chunk. Row c of the stacked Jacobian is read from one
+    ``add_jt_lam`` call with lam = e_c in every lane: node i's block of
+    J^T e_c is the row of c's owner's Jacobian in node i's variables, and 0
+    for a node outside the owner's closed neighborhood.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
+    if theta_draws < 1 or secant_pairs < 1:
+        raise ValueError("theta_draws and secant_pairs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([4, int(seed) & 0xFFFFFFFFFFFFFFFF]))
     n_points = max(1, n_samples // theta_draws)
-    g = spec.graph
+    n, m = spec.graph.n_nodes, spec.constraints.size
+    tiles = {}
+    # every chunk's largest mean, NaN-propagating through np.max at the end
+    f2, h2, l2 = [0.0], [0.0], [0.0]
+    for first in range(0, n_points, _AUDIT_CHUNK):
+        points = min(_AUDIT_CHUNK, n_points - first)
+        lanes = points * theta_draws
+        xs, obs = [], []
+        for _ in range(points):
+            xs.append(stack(_random_feasible(spec, rng)))
+            ths = [[spec.samplers[i].sample(rng) for _ in range(theta_draws)] for i in range(n)]
+            obs += [ths[i][d] for d in range(theta_draws) for i in range(n)]
+        if lanes not in tiles:
+            tiles[lanes] = spec.tile(lanes)
+        tiled = tiles[lanes]
+        xs = tiled.rows(np.repeat(np.array(xs), theta_draws, axis=0).reshape(-1))
+        th = NodeObservations.of(obs, tiled.obs_offsets)
 
-    sigma_f2 = 0.0
-    sigma_h2 = 0.0
-    sigma_l2 = 0.0
-    for _ in range(n_points):
-        xs = _random_feasible(spec, rng)
-        ths = [[spec.samplers[i].sample(rng) for _ in range(theta_draws)]
-               for i in range(g.n_nodes)]
-        for i in range(g.n_nodes):
-            ms = np.mean([
-                float(np.sum(np.asarray(spec.objectives[i].grad(xs[i], th), dtype=float)**2))
-                for th in ths[i]
-            ])
-            sigma_f2 = max(sigma_f2, ms)
-        th_draws = [[ths[i][d] for i in range(g.n_nodes)] for d in range(theta_draws)]
-        for k, con in enumerate(spec.constraints.per_node):
-            if con.size == 0:
-                continue
-            s2 = np.array([con.value(xs, th) for th in th_draws], dtype=float) ** 2
-            sigma_l2 = max(sigma_l2, _max_draw_mean(s2))
-            for i in closed_neighborhood(g, k):
-                jac = np.array([con.jacobian(i, xs, th) for th in th_draws], dtype=float)
-                sigma_h2 = max(sigma_h2, _max_draw_mean(np.sum(jac ** 2, axis=2)))
+        g = stack(objective_grads(tiled, xs, th)).reshape(lanes, -1)
+        f2.append(_draw_means(spec.node_sums(g ** 2), points).max())
+        if m == 0:
+            continue
+        s = tiled.constraints.slack(xs, th).reshape(lanes, m)
+        l2.append(_draw_means(s ** 2, points).max())
+        zeros = tiled.rows(np.zeros(g.size))
+        for c in range(m):
+            lam = np.zeros(lanes * m)
+            lam[c::m] = 1.0
+            jt = stack(tiled.constraints.add_jt_lam(zeros, lam, xs, th)).reshape(lanes, -1)
+            h2.append(_draw_means(spec.node_sums(jt ** 2), points).max())
 
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=seed + 1)
     # the secants' ends (a, b) of every pair, scored in one call
     ends = np.array([np.concatenate(_random_feasible(spec, rng))
                      for _ in range(2 * secant_pairs)]).reshape(secant_pairs, 2, -1)
     F = evaluator.values(ends.reshape(2 * secant_pairs, -1)).reshape(secant_pairs, 2)
-    L_f = 0.0
+    slopes = [0.0]
     for (xa, xb), (fa, fb) in zip(ends, F):
         gap = np.linalg.norm(xa - xb)
         if gap >= 1e-9:
-            L_f = max(L_f, abs(fa - fb) / gap)
-    return AssumptionEstimates(sigma_f2=sigma_f2, sigma_h2=sigma_h2,
-                               sigma_lambda2=sigma_l2, L_f=float(L_f))
+            slopes.append(abs(fa - fb) / gap)
+    return AssumptionEstimates(sigma_f2=float(np.max(f2)), sigma_h2=float(np.max(h2)),
+                               sigma_lambda2=float(np.max(l2)), L_f=float(np.max(slopes)))
 
 
 # ---------------------------------------------------------------------------

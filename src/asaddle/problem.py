@@ -536,6 +536,15 @@ class ProblemSpec:
             sums[nodes] = flat[coords].sum(axis=1)
         return ok & (sums >= sum_lo) & (sums <= sum_hi)
 
+    def node_sums(self, flat: np.ndarray) -> np.ndarray:
+        """(..., N) sum of each node's block of stacked vectors (..., C),
+        added in the order ``np.sum`` adds the block alone, as in ``inside``
+        (whose 1-D indexing takes half the time on one vector)."""
+        sums = np.empty(flat.shape[:-1] + (self.graph.n_nodes,))
+        for nodes, coords in self._dim_classes:
+            sums[..., nodes] = flat[..., coords].sum(axis=-1)
+        return sums
+
     @cached_property
     def _domain_limits(self):
         """Stacked coordinate lower bounds and per-node sum bounds of ``inside``."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,19 @@ def consensus_spec(ring5):
 def small_consensus_spec(path3):
     cfg = ConsensusRegressionConfig(p=2, gamma=0.3, noise_std=0.1)
     return build_consensus_problem(cfg, path3)
+
+
+@pytest.fixture(scope="session")
+def nan_gradients():
+    """Maps a consensus spec to the same spec with a gradient that is NaN on
+    the draws with y > 2 (about 2 % of them)."""
+    def with_nan_gradients(spec):
+        obj = spec.objectives[0]
+
+        def grad(x, th):
+            return np.where(np.asarray(th[1])[..., None] > 2.0, np.nan, obj.grad(x, th))
+
+        bad = replace(obj, grad=grad)
+        return replace(spec, objectives=(bad,) * spec.graph.n_nodes)
+
+    return with_nan_gradients

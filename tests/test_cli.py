@@ -8,7 +8,7 @@ import pytest
 
 from asaddle.cli import (OUTPUT_DIR_ENV, TRACE_COLUMNS, ParseError, ValidationError,
                          build_problem, compare_modes, config_from_dict, main,
-                         parse_config, run_experiment)
+                         parse_config, run_experiment, trace_columns, write_csv)
 
 
 def write_cfg(tmp_path, body, name="cfg.json"):
@@ -304,6 +304,49 @@ def test_network_without_constraints_reports_the_advisor_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("runtime error: moment estimates must be positive")
     assert "Traceback" not in err
+
+
+def test_a_nan_moment_sample_is_an_advisor_error(tmp_path, monkeypatch, capsys, nan_gradients):
+    # a gradient that is NaN on some draws makes sigma_f2 NaN: run records
+    # the advisor error and exits 0, advise exits 3
+    import asaddle.cli as cli_mod
+    audit = cli_mod.audit_assumptions
+    monkeypatch.setattr(cli_mod, "audit_assumptions",
+                        lambda spec, **sizes: audit(nan_gradients(spec), **sizes))
+    path = write_cfg(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 0
+    advisor = json.loads((out / "summary.json").read_text(encoding="utf-8"))["advisor"]
+    assert math.isnan(advisor["sigma_f2"])
+    assert advisor["error"].startswith("advisor: moment estimates must be positive")
+    capsys.readouterr()
+    assert main(["advise", path]) == 3
+    assert capsys.readouterr().err.startswith("runtime error: moment estimates must be positive")
+
+
+def _cell_by_cell_csv(columns, order) -> str:
+    """CSV text written one cell at a time: integers with str, every other
+    value as repr(float(v))."""
+    def fmt(v):
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return repr(float(v))
+
+    lines = [",".join(order)]
+    for r in range(len(columns[order[0]])):
+        lines.append(",".join(fmt(columns[c][r]) for c in order))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_the_cell_by_cell_writer(tmp_path):
+    _, _, traces = run_experiment(config_from_dict(SMALL), out_dir=str(tmp_path / "run"))
+    columns = trace_columns(traces[0], 0.5)
+    edge = {"t": np.arange(7), "F_hat": np.array([np.nan, -0.0, 0.0, 1e-310, 0.1 + 0.2, -np.inf, 1e22]),
+            "max_staleness": np.array([0, 3, 10, 2, 1, 0, 7])}
+    for cols, order in ((columns, TRACE_COLUMNS), (edge, ["t", "F_hat", "max_staleness"])):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), cols, order)
+        assert path.read_bytes() == _cell_by_cell_csv(cols, order).encode("utf-8")
 
 
 def test_advise_raises_a_typed_error_on_degenerate_estimates(path3):

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 _PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "scripts", "compare_outputs.py")
@@ -50,3 +51,24 @@ def test_columns_present_on_one_side_and_byte_only_differences(tmp_path):
     write(tmp_path / "d.json", '{"k":  1}')
     assert compare_outputs.what_differs(str(tmp_path / "c.json"),
                                         str(tmp_path / "d.json")) == "content"
+
+
+def test_advise_and_audit_stdout_is_saved_per_config_and_verb(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        verb, config = cmd[3], os.path.basename(cmd[4])
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{verb} of {config}\n", stderr="")
+
+    monkeypatch.setattr(compare_outputs.subprocess, "run", fake_run)
+    out = tmp_path / "out"
+    compare_outputs.run_outputs("checkout", str(out), T=7)
+    stems = [os.path.splitext(c)[0] for c in compare_outputs.CONFIGS]
+    assert sorted(os.listdir(out)) == sorted(f"{s}-{v}.txt" for s in stems
+                                             for v in ("advise", "audit"))
+    assert (out / "pricing-audit.txt").read_text(encoding="utf-8") == "audit of pricing.json\n"
+    # every config runs all four verbs at the horizon; only run and compare write files
+    assert [(cmd[3], cmd[5:7], "--out" in cmd) for cmd in calls] == [
+        (verb, ["--T", "7"], verb in ("run", "compare"))
+        for _ in stems for verb in ("run", "compare", "advise", "audit")]

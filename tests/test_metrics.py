@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from asaddle.apps.pricing import PricingConfig, build_pricing_problem
 from asaddle.delay import DelaySchedule
-from asaddle.errors import DegenerateSeries
-from asaddle.graph import build_graph
-from asaddle.metrics import (audit_assumptions, audit_invariants, cumulative_suboptimality,
-                             delayed_violation, estimate_optimum, fit_rate,
-                             running_suboptimality)
-from asaddle.problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, Objective,
-                             ProblemSpec, Sampler)
-from asaddle.saddle import Hyperparams, run
+from asaddle.errors import DegenerateEstimates, DegenerateSeries
+from asaddle.graph import build_graph, closed_neighborhood
+from asaddle.metrics import (AssumptionEstimates, _random_feasible, audit_assumptions,
+                             audit_invariants, cumulative_suboptimality, delayed_violation,
+                             estimate_optimum, fit_rate, running_suboptimality)
+from asaddle.problem import (ConstraintFamily, DomainSpec, ExpectedObjective,
+                             NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
+                             as_neighborhood)
+from asaddle.saddle import Hyperparams, advise, run
 
 
 def scalar_noisy_quadratic_spec():
@@ -196,6 +200,124 @@ def test_audit_deterministic_spec_zero_variance_across_seeds():
 def test_audit_requires_min_samples(small_consensus_spec):
     with pytest.raises(ValueError):
         audit_assumptions(small_consensus_spec, n_samples=10)
+
+
+@pytest.mark.parametrize("sizes", [{"theta_draws": 0}, {"theta_draws": -1},
+                                   {"secant_pairs": 0}, {"secant_pairs": -3}])
+def test_audit_rejects_empty_draw_and_secant_counts(small_consensus_spec, sizes):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        audit_assumptions(small_consensus_spec, n_samples=100, **sizes)
+
+
+def test_audit_estimates_are_python_floats(small_consensus_spec):
+    est = audit_assumptions(small_consensus_spec, n_samples=100, theta_draws=4,
+                            secant_pairs=3, mc_samples=32)
+    for v in (est.sigma_f2, est.sigma_h2, est.sigma_lambda2, est.L_f):
+        assert type(v) is float
+    assert "np." not in repr(est)
+
+
+def test_audit_propagates_a_nan_moment_sample(small_consensus_spec, nan_gradients):
+    spec = nan_gradients(small_consensus_spec)
+    sizes = dict(n_samples=400, theta_draws=8, secant_pairs=4, mc_samples=32)
+    est = audit_assumptions(spec, **sizes)
+    assert math.isnan(est.sigma_f2)
+    assert all(math.isfinite(v) for v in (est.sigma_h2, est.sigma_lambda2, est.L_f))
+    # the per-draw loop kept the finite point means and reported a finite bound
+    assert math.isfinite(_reference_audit(spec, **sizes).sigma_f2)
+    with pytest.raises(DegenerateEstimates):
+        advise(est, spec.graph, tau=1, T=100)
+
+
+# ---------------------------------------------------------------------------
+# the lane audit against the per-draw loop
+# ---------------------------------------------------------------------------
+
+def _max_draw_mean(per_draw: np.ndarray) -> float:
+    """Largest per-constraint mean of a (draws, constraints) array.
+
+    Each row is averaged as one contiguous vector, the summation order of
+    ``np.mean`` on a list of draws."""
+    return float(np.mean(np.ascontiguousarray(per_draw.T), axis=1).max())
+
+
+def _reference_audit(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
+                     theta_draws: int = 16, secant_pairs: int = 40,
+                     mc_samples: int = 512) -> AssumptionEstimates:
+    """The audit scored one node, one draw and one Jacobian at a time."""
+    if n_samples < 100:
+        raise ValueError("n_samples must be >= 100")
+    rng = np.random.default_rng(np.random.SeedSequence([4, int(seed) & 0xFFFFFFFFFFFFFFFF]))
+    n_points = max(1, n_samples // theta_draws)
+    g = spec.graph
+
+    sigma_f2 = 0.0
+    sigma_h2 = 0.0
+    sigma_l2 = 0.0
+    for _ in range(n_points):
+        xs = _random_feasible(spec, rng)
+        ths = [[spec.samplers[i].sample(rng) for _ in range(theta_draws)]
+               for i in range(g.n_nodes)]
+        for i in range(g.n_nodes):
+            ms = np.mean([
+                float(np.sum(np.asarray(spec.objectives[i].grad(xs[i], th), dtype=float)**2))
+                for th in ths[i]
+            ])
+            sigma_f2 = max(sigma_f2, ms)
+        th_draws = [[ths[i][d] for i in range(g.n_nodes)] for d in range(theta_draws)]
+        for k, con in enumerate(spec.constraints.per_node):
+            if con.size == 0:
+                continue
+            s2 = np.array([con.value(xs, th) for th in th_draws], dtype=float) ** 2
+            sigma_l2 = max(sigma_l2, _max_draw_mean(s2))
+            for i in closed_neighborhood(g, k):
+                jac = np.array([con.jacobian(i, xs, th) for th in th_draws], dtype=float)
+                sigma_h2 = max(sigma_h2, _max_draw_mean(np.sum(jac ** 2, axis=2)))
+
+    evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=seed + 1)
+    # the secants' ends (a, b) of every pair, scored in one call
+    ends = np.array([np.concatenate(_random_feasible(spec, rng))
+                     for _ in range(2 * secant_pairs)]).reshape(secant_pairs, 2, -1)
+    F = evaluator.values(ends.reshape(2 * secant_pairs, -1)).reshape(secant_pairs, 2)
+    L_f = 0.0
+    for (xa, xb), (fa, fb) in zip(ends, F):
+        gap = np.linalg.norm(xa - xb)
+        if gap >= 1e-9:
+            L_f = max(L_f, abs(fa - fb) / gap)
+    return AssumptionEstimates(sigma_f2=sigma_f2, sigma_h2=sigma_h2,
+                               sigma_lambda2=sigma_l2, L_f=float(L_f))
+
+
+def _audit_spec(name, consensus_spec):
+    if name.startswith("consensus"):
+        spec = consensus_spec
+    elif name.startswith("pricing"):
+        spec = build_pricing_problem(PricingConfig())  # dims 1, 2, 1
+    else:
+        return linear_objective_spec(np.array([3.0, -4.0]))  # None observations, no constraint
+    return as_neighborhood(spec) if name.endswith("nbhd") else spec
+
+
+# (spec, sizes): 50 and 25 points leave a partial last chunk, 16 points fill two
+@pytest.mark.parametrize("name, sizes", [
+    ("consensus", dict(n_samples=400, theta_draws=8, seed=0)),
+    ("consensus", dict(n_samples=128, theta_draws=8, seed=1707)),
+    ("consensus", dict(n_samples=100, theta_draws=1, seed=3)),
+    ("pricing", dict(n_samples=400, theta_draws=8, seed=1707)),
+    ("pricing", dict(n_samples=2000, theta_draws=16, seed=0)),
+    ("pricing", dict(n_samples=100, theta_draws=1, seed=2)),
+    ("consensus_nbhd", dict(n_samples=200, theta_draws=8, seed=0)),
+    ("pricing_nbhd", dict(n_samples=200, theta_draws=8, seed=3)),
+    ("linear", dict(n_samples=200, theta_draws=8, seed=0)),
+])
+def test_lane_audit_matches_the_per_draw_loop_bit_for_bit(consensus_spec, name, sizes):
+    spec = _audit_spec(name, consensus_spec)
+    sizes = dict(sizes, secant_pairs=6, mc_samples=64)
+    got, want = audit_assumptions(spec, **sizes), _reference_audit(spec, **sizes)
+    fields = ("sigma_f2", "sigma_h2", "sigma_lambda2", "L_f")
+    assert ([float(getattr(got, f)).hex() for f in fields]
+            == [float(getattr(want, f)).hex() for f in fields])
+    assert got.sigma_f2 > 0.0
 
 
 # ---------------------------------------------------------------------------
