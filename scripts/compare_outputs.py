@@ -3,7 +3,8 @@
     python scripts/compare_outputs.py OTHER_CHECKOUT [--T 300]
 
 Runs ``asaddle run``, ``compare``, ``advise`` and ``audit`` on every shipped
-config in both checkouts, each from its own ``src/`` with one BLAS thread,
+config, and ``run`` on the pricing config with ``--tau 70``, in both
+checkouts, each from its own ``src/`` with one BLAS thread,
 and lists every output file that differs by a single byte or exists on one
 side only, with what differs in it: the columns of a CSV, the keys of a JSON
 file (nested keys joined by dots). ``advise`` and ``audit`` write no files;
@@ -28,25 +29,32 @@ VERBS = ("run", "compare")
 STDOUT_VERBS = ("advise", "audit")
 
 
+# (verb, config, extra arguments, output name): every verb on every config,
+# then a pricing run whose stale window (tau = 70) reaches two observation
+# blocks back
+JOBS = tuple((verb, config, (), f"{os.path.splitext(config)[0]}-{verb}")
+             for config in CONFIGS for verb in VERBS + STDOUT_VERBS) + (
+    ("run", "pricing.json", ("--tau", "70"), "pricing-run-tau70"),)
+
+
 def run_outputs(checkout: str, out_root: str, T: int) -> None:
-    """Write every (config, verb) output of ``checkout`` under ``out_root``."""
+    """Write the output of every job of ``checkout`` under ``out_root``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env.pop("ASADDLE_OUT", None)
     os.makedirs(out_root, exist_ok=True)
-    for config in CONFIGS:
-        for verb in VERBS + STDOUT_VERBS:
-            out = os.path.join(out_root, f"{os.path.splitext(config)[0]}-{verb}")
-            cmd = [sys.executable, "-m", "asaddle.cli", verb,
-                   os.path.join(checkout, "configs", config), "--T", str(T)]
-            if verb in VERBS:
-                cmd += ["--out", out]
-            done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
-                raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
-            if verb in STDOUT_VERBS:
-                with open(out + ".txt", "w", encoding="utf-8") as fh:
-                    fh.write(done.stdout)
+    for verb, config, extra, name in JOBS:
+        out = os.path.join(out_root, name)
+        cmd = [sys.executable, "-m", "asaddle.cli", verb,
+               os.path.join(checkout, "configs", config), "--T", str(T), *extra]
+        if verb in VERBS:
+            cmd += ["--out", out]
+        done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+        if verb in STDOUT_VERBS:
+            with open(out + ".txt", "w", encoding="utf-8") as fh:
+                fh.write(done.stdout)
 
 
 def differing_files(a: str, b: str) -> list:

@@ -28,7 +28,7 @@ def main():
     for gdb in args.margins_db:
         cfg = PricingConfig(gamma_db=gdb, x0=X0_LOW)
         spec = build_pricing_problem(cfg)
-        hp = Hyperparams(epsilon=0.01, delta=1e-5, T=args.T, tau=10)
+        hp = Hyperparams(epsilon=0.01, delta=1e-5, T=args.T)
         finals = []
         for seed in args.seeds:
             sched = DelaySchedule(kind="uniform_random", tau_max=10, seed=seed)

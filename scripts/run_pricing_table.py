@@ -24,7 +24,7 @@ def main():
 
     cfg = PricingConfig()
     spec = build_pricing_problem(cfg)
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=args.T, tau=args.tau)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=args.T)
 
     sinrs, revenues = [], []
     for seed in args.seeds:

@@ -26,8 +26,8 @@ import numpy as np
 from .apps.consensus import ConsensusRegressionConfig, build_consensus_problem
 from .apps.pricing import PricingConfig, build_pricing_problem, naive_baseline, revenue_series, sinr_report
 from .delay import DelaySchedule
-from .errors import (AuditFailure, DegenerateEstimates, DegenerateSeries, InvalidConfig,
-                     NoFeasibleDelta, OutputError, SaddleError)
+from .errors import (AuditFailure, DegenerateEstimates, DegenerateSeries, DisconnectedGraph,
+                     InvalidConfig, NoFeasibleDelta, OutputError, SaddleError, SelfLoop)
 from .graph import build_graph, ring_edges
 from .metrics import (audit_assumptions, audit_invariants, delayed_violation,
                       estimate_optimum, fit_rate, running_suboptimality)
@@ -112,7 +112,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValidationError(f"unknown config block(s): {sorted(unknown)}")
     for block, allowed in _KNOWN_KEYS.items():
-        extra = set(raw.get(block, {}) or {}) - allowed
+        if not isinstance(raw.get(block) or {}, dict):
+            raise ValidationError(f"'{block}' must be an object")
+        extra = set(raw.get(block) or {}) - allowed
         if extra:
             raise ValidationError(f"unknown key(s) in '{block}': {sorted(extra)}")
 
@@ -132,28 +134,36 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     ev = raw.get("eval", {}) or {}
     out = raw.get("output", {}) or {}
 
-    cfg = ExperimentConfig(
-        problem_name=name,
-        problem_params=params,
-        graph_n_nodes=int(graph_block.get("n_nodes", 5)),
-        graph_edges=graph_block.get("edges", "ring"),
-        epsilon=None if algo.get("epsilon") is None else float(algo["epsilon"]),
-        delta=float(algo.get("delta", 1e-5)),
-        T=int(algo.get("T", 10000)),
-        mode=str(algo.get("mode", "async")),
-        delay_kind=str(delay_block.get("kind", "zero")),
-        tau_max=int(delay_block.get("tau_max", 0)),
-        delay_seed=None if delay_block.get("seed") is None else int(delay_block["seed"]),
-        mc_samples=int(ev.get("mc_samples", DEFAULT_MC_SAMPLES)),
-        optimum_budget=None if ev.get("optimum_budget") is None else int(ev["optimum_budget"]),
-        seeds=tuple(int(s) for s in ev.get("seeds", [0])),
-        eval_seed=int(ev.get("eval_seed", 2020)),
-        optimum_seed=int(ev.get("optimum_seed", 424243)),
-        out_dir=str(out.get("dir", "out")),
-        thin_every=int(out.get("thin_every", 50)),
-    )
+    try:
+        cfg = ExperimentConfig(
+            problem_name=name,
+            problem_params=params,
+            graph_n_nodes=int(graph_block.get("n_nodes", 5)),
+            graph_edges=graph_block.get("edges", "ring"),
+            epsilon=None if algo.get("epsilon") is None else float(algo["epsilon"]),
+            delta=float(algo.get("delta", 1e-5)),
+            T=int(algo.get("T", 10000)),
+            mode=str(algo.get("mode", "async")),
+            delay_kind=str(delay_block.get("kind", "zero")),
+            tau_max=int(delay_block.get("tau_max", 0)),
+            delay_seed=None if delay_block.get("seed") is None else int(delay_block["seed"]),
+            mc_samples=int(ev.get("mc_samples", DEFAULT_MC_SAMPLES)),
+            optimum_budget=None if ev.get("optimum_budget") is None else int(ev["optimum_budget"]),
+            seeds=tuple(int(s) for s in ev.get("seeds", [0])),
+            eval_seed=int(ev.get("eval_seed", 2020)),
+            optimum_seed=int(ev.get("optimum_seed", 424243)),
+            out_dir=str(out.get("dir", "out")),
+            thin_every=int(out.get("thin_every", 50)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"invalid config value: {exc}") from exc
     _validate(cfg)
     app_config(cfg)
+    if name == "consensus_regression":
+        try:
+            consensus_graph(cfg)
+        except (SelfLoop, DisconnectedGraph, TypeError, ValueError) as exc:
+            raise ValidationError(f"graph: {exc}") from exc
     return cfg
 
 
@@ -215,21 +225,23 @@ def build_problem(cfg: ExperimentConfig):
     app = app_config(cfg)
     if cfg.problem_name == "pricing":
         return build_pricing_problem(app), app
+    return build_consensus_problem(app, consensus_graph(cfg)), app
+
+
+def consensus_graph(cfg: ExperimentConfig):
+    """The configured network of a consensus problem: a ring, or an edge list."""
     edges = ring_edges(cfg.graph_n_nodes) if cfg.graph_edges == "ring" else cfg.graph_edges
-    graph = build_graph(cfg.graph_n_nodes, edges)
-    return build_consensus_problem(app, graph), app
+    return build_graph(cfg.graph_n_nodes, edges)
 
 
 def build_schedule(cfg: ExperimentConfig, run_seed: int) -> DelaySchedule:
     kind = "zero" if cfg.mode == "sync" else cfg.delay_kind
     seed = cfg.delay_seed if cfg.delay_seed is not None else run_seed
-    tau = 0 if kind == "zero" else cfg.tau_max
-    return DelaySchedule(kind=kind, tau_max=tau, seed=seed)
+    return DelaySchedule(kind=kind, tau_max=cfg.tau_max, seed=seed)  # kind "zero" sets tau_max 0
 
 
 def build_hyperparams(cfg: ExperimentConfig) -> Hyperparams:
-    return Hyperparams(epsilon=cfg.resolved_epsilon(), delta=cfg.delta,
-                       T=cfg.T, tau=cfg.tau_max)
+    return Hyperparams(epsilon=cfg.resolved_epsilon(), delta=cfg.delta, T=cfg.T)
 
 
 # ---------------------------------------------------------------------------

@@ -57,25 +57,30 @@ class DelaySchedule:
             if self.table.size and (self.table.min() < 0 or self.table.max() > self.tau_max):
                 raise ValueError("custom table entries outside [0, tau_max]")
 
-    def tau(self, i, t: int):
+    def tau(self, i, t):
         """Raw delay draw for node i at time t (before monotonicity clamping).
 
-        ``i`` may be an array of node ids: their draws come back as one array.
+        ``i`` may be an array of node ids and ``t`` one of times inside one
+        _CHUNK-step chunk (else ValueError): one (times, nodes) array back.
         """
         nodes = np.asarray(i)
-        if self.kind == "zero":
-            draws = np.zeros(nodes.shape, dtype=int)
-        elif self.kind == "fixed":
-            draws = (np.full(nodes.shape, self.tau_max) if self.node_taus is None
-                     else np.asarray(self.node_taus)[nodes])
-        elif self.kind == "custom_table":
-            if t >= self.table.shape[0]:
-                raise OutOfWindow(f"custom delay table has {self.table.shape[0]} rows, asked t={t}")
-            draws = self.table[t, nodes]
-        else:
-            block, off = divmod(t, _CHUNK)
-            draws = self._block(block, int(nodes.max(initial=0)) + 1)[nodes, off]
-        return draws if nodes.ndim else int(draws)
+        times = np.asarray(t)
+        if times.ndim and times.min() // _CHUNK != times.max() // _CHUNK:
+            raise ValueError(f"times {times.min()}..{times.max()} span two {_CHUNK}-step chunks")
+        times = times.reshape(times.shape + (1,) * nodes.ndim)
+        if self.kind == "custom_table":
+            if times.max() >= self.table.shape[0]:
+                raise OutOfWindow(f"custom delay table has {self.table.shape[0]} rows, "
+                                  f"asked t={times.max()}")
+            draws = self.table[times, nodes]
+        elif self.kind == "uniform_random":
+            block = int(times.max()) // _CHUNK
+            draws = self._block(block, int(nodes.max(initial=0)) + 1)[nodes, times % _CHUNK]
+        elif self.kind == "fixed" and self.node_taus is not None:
+            draws = np.asarray(self.node_taus)[nodes] + np.zeros_like(times)
+        else:  # tau_max is 0 for kind "zero"
+            draws = np.full(nodes.shape, self.tau_max) + np.zeros_like(times)
+        return draws if draws.ndim else int(draws)
 
     def _block(self, block: int, n_nodes: int) -> np.ndarray:
         """(>= n_nodes, _CHUNK) uniform draws of ``block``; row i is node i's own substream.
@@ -94,14 +99,20 @@ class DelaySchedule:
         return table
 
 
-def resolve(schedule: DelaySchedule, t: int, i, prev):
+def resolve(schedule: DelaySchedule, t, i, prev):
     """Delayed index [t]_i = max(prev, t - tau_i(t), 0).
 
     The max with the previously resolved index enforces freshness monotonicity
     (tau_i(t) <= tau_i(t-1) + 1); the floor at 0 clips warm-up reads to the
     initial iterate. With arrays ``i`` and ``prev`` every listed node is
-    resolved at once.
+    resolved at once; with consecutive times ``t``, one row per step comes
+    back, carried from ``prev`` exactly as the per-step chain.
     """
+    if np.ndim(t):
+        t = np.asarray(t)
+        stale = t.reshape(t.shape + (1,) * np.ndim(i)) - schedule.tau(i, t)
+        stale[0] = np.maximum(stale[0], prev)
+        return np.maximum(np.maximum.accumulate(stale, axis=0), 0)
     if np.ndim(i):
         return np.maximum(np.maximum(prev, t - schedule.tau(i, t)), 0)
     return max(prev, t - schedule.tau(i, t), 0)
@@ -134,7 +145,8 @@ class StalenessBuffer:
 class StackedBuffer:
     """StalenessBuffer for all nodes at once: the last ``depth`` rows of a
     node-stacked array (leading axis of length ``width``: node, or
-    coordinate), kept as one array indexed by (time slot, node)."""
+    coordinate), kept as one array indexed by (time slot, node). Its writes
+    are fancy assignments, so ``record`` also takes up to ``depth`` times at once."""
 
     def __init__(self, depth: int, row: np.ndarray):
         if depth < 1:
@@ -145,8 +157,8 @@ class StackedBuffer:
         self._rows = np.empty((depth,) + row.shape, dtype=row.dtype)
         self._cols = np.arange(self.width)
 
-    def record(self, t: int, row: np.ndarray) -> None:
-        """Store the row of time t, evicting the slot's older row."""
+    def record(self, t, row: np.ndarray) -> None:
+        """Store the row of time t (rows of times t), evicting the slot's older row."""
         slot = t % self.depth
         self._times[slot] = t
         self._rows[slot] = row

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DegenerateSeries
 from .problem import (DEFAULT_MC_SAMPLES, ExpectedObjective, NodeObservations, ProblemSpec,
                       objective_grads, project, stack)
-from .saddle import Hyperparams, project_nodes, run_synchronous
+from .saddle import Hyperparams, project_nodes, run
 from .trace import RunTrace
 
 __all__ = [
@@ -115,8 +115,8 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
         if t >= 1:
             np.add(acc, stack(state.x), out=acc)
 
-    run_synchronous(spec, hp, seed, hooks=(accumulate,), evaluator=None,
-                    eval_every=0, thin_every=0, record_current_slack=False)
+    run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None,
+        eval_every=0, thin_every=0, record_current_slack=False)
     x_ref = spec.rows(project_nodes(spec, acc / budget))
     return evaluator.value(x_ref), x_ref
 

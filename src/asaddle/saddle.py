@@ -52,8 +52,6 @@ __all__ = [
     "domain_residual",
     "run",
     "run_lanes",
-    "run_generalized",
-    "run_synchronous",
     "advise",
     "stack",
 ]
@@ -61,12 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Step size, dual regularizer, horizon and delay bound."""
+    """Step size, dual regularizer and horizon; the delay bound is the schedule's."""
 
     epsilon: float
     delta: float
     T: int
-    tau: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -76,8 +73,8 @@ class Hyperparams:
         shrink = 1.0 - self.epsilon**2 * self.delta
         if not 0.0 < shrink <= 1.0:
             raise ValueError("(1 - epsilon^2 delta) must lie in (0, 1]")
-        if self.T < 0 or self.tau < 0:
-            raise ValueError("T and tau must be >= 0")
+        if self.T < 0:
+            raise ValueError("T must be >= 0")
 
 
 @dataclass
@@ -224,8 +221,6 @@ class SaddleEngine:
                  thin_every: int = 50, record_current_slack: bool = True):
         self.spec = spec
         self.hp = hp
-        self.schedule = schedule
-        self.seed = seed
         self.hooks = tuple(hooks)
         self.evaluator = evaluator
         self.eval_every = eval_every if evaluator is not None else 0
@@ -244,7 +239,6 @@ class SaddleEngine:
         self._schedules = None
         if any(sch is not None for sch in schedules):
             self._schedules = [DelaySchedule() if sch is None else sch for sch in schedules]
-        self.mode = "sync" if self._schedules is None else "async"
         self._tiled = tiled = spec.tile(S)
 
         n = spec.graph.n_nodes
@@ -252,13 +246,10 @@ class SaddleEngine:
         self._n = n
         self._n_cons = n_cons = spec.constraints.size
         self._n_coords = int(spec.offsets[-1])
-        self.tau_bound = max(self._tau_bounds)
-        self._nodes = np.arange(n)
         # node of every stacked coordinate of the tiled problem: a stale read
         # of x (and of the per-coordinate observation leaves) gathers each
         # coordinate at its node's resolved time
         self._coord_node = np.repeat(np.arange(S * n), tiled.dims)
-        self._prev_resolved = np.zeros((S, n), dtype=int)
         self._block_id = -1
         self._block = None
         self._x_buf = self._th_buf = None
@@ -277,8 +268,7 @@ class SaddleEngine:
         self._lambda_min = np.zeros((S, T + 1))
         self._delayed_slack = np.zeros((T, S, n_cons))
         self._current_slack = np.zeros((T, S, n_cons)) if record_current_slack else None
-        self._resolved = np.zeros((T, S, n), dtype=int)
-        self._staleness = np.zeros((T, S, n), dtype=int)
+        self._resolved = np.repeat(np.arange(T), S * n).reshape(T, S, n)  # async: set per block
         self._snapshots = [{} for _ in range(S)]
         self._domain_residual = [0.0] * S
 
@@ -334,33 +324,35 @@ class SaddleEngine:
             self._block_id = block
         return NodeObservations(tree_map(lambda leaf: leaf[row], self._block), self._tiled.obs_offsets)
 
-    def _stale_window(self, k: int, x, theta: NodeObservations):
-        """Record step k's iterate and observations, and return every node's
-        iterate and observation at its resolved time, with those times."""
-        res = np.empty_like(self._prev_resolved)
-        for s, schedule in enumerate(self._schedules):
-            res[s] = resolve(schedule, k, self._nodes, self._prev_resolved[s])
-        self._prev_resolved = res
-        res = res.reshape(-1)
-        flat = stack(x)
-        if self._x_buf is None:
-            depth = self.tau_bound + 1
-            self._x_buf = StackedBuffer(depth, flat)
-            self._th_buf = tree_map(lambda leaf: StackedBuffer(depth, leaf), theta.leaves)
-        self._x_buf.record(k, flat)
-        tree_map(lambda buf, leaf: buf.record(k, leaf), self._th_buf, theta.leaves)
+    def _stale_window(self, k: int, x):
+        """Record step k's iterate, and return every node's iterate and
+        observation at its resolved time, and whether any of them is stale.
+        A block's first step writes all of the block's rows into the
+        observation rings and resolves every lane's delays for its steps."""
+        if k % OBS_BLOCK == 0:
+            if self._x_buf is None:  # tau+1 iterates; the block and the tau rows before it
+                tau = max(self._tau_bounds)
+                self._x_buf = StackedBuffer(tau + 1, stack(x))
+                self._th_buf = tree_map(lambda leaf: StackedBuffer(OBS_BLOCK + tau, leaf[0]), self._block)
+            rows = np.arange(k, k + OBS_BLOCK)
+            tree_map(lambda buf, leaf: buf.record(rows, leaf), self._th_buf, self._block)
+            steps = rows[:self.hp.T - k]
+            prev = self._resolved[k - 1] if k else np.zeros((self._lanes, self._n), dtype=int)
+            for s, schedule in enumerate(self._schedules):
+                self._resolved[steps, s] = resolve(schedule, steps, np.arange(self._n), prev[s])
+        res = self._resolved[k].reshape(-1)
+        self._x_buf.record(k, stack(x))
         res_coord = res[self._coord_node]
-        n_nodes = res.size
         xs_eval = self._tiled.rows(self._x_buf.fetch(res_coord))
         ths_eval = NodeObservations(
-            tree_map(lambda buf: buf.fetch(res if buf.width == n_nodes else res_coord), self._th_buf),
+            tree_map(lambda buf: buf.fetch(res if buf.width == res.size else res_coord), self._th_buf),
             self._tiled.obs_offsets)
-        return xs_eval, ths_eval, res
+        return xs_eval, ths_eval, bool((res != k).any())
 
     def step(self) -> SaddleState:
         """Advance one iteration; raises past the configured horizon."""
         spec, hp = self._tiled, self.hp
-        S, n, m = self._lanes, self._n, self._n_cons
+        S, m = self._lanes, self._n_cons
         k = self.state.t
         if k >= hp.T:
             raise IndexError(f"horizon T={hp.T} exhausted")
@@ -368,9 +360,9 @@ class SaddleEngine:
         theta = self._observations(k)
 
         if self._schedules is not None:
-            xs_eval, ths_eval, res_k = self._stale_window(k, x, theta)
+            xs_eval, ths_eval, stale = self._stale_window(k, x)
         else:
-            xs_eval, ths_eval, res_k = x, theta, k
+            xs_eval, ths_eval, stale = x, theta, False
 
         s_delayed = dual_slack(spec, xs_eval, ths_eval)
         new_x = primal_step(spec, self.state, xs_eval, ths_eval, hp, seeds=self.seeds)
@@ -381,14 +373,10 @@ class SaddleEngine:
         if self._current_slack is not None:
             # every lane's slack again when any lane is stale: a fresh lane's
             # comes out equal to its delayed one
-            if self._schedules is not None and (res_k != k).any():
+            if stale:
                 self._current_slack[k] = dual_slack(spec, x, theta).reshape(S, m)
             else:
                 self._current_slack[k] = s_delayed.reshape(S, m)
-        if self._schedules is not None:
-            res_k = res_k.reshape(S, n)
-        self._resolved[k] = res_k
-        self._staleness[k] = k - res_k
 
         self.state = SaddleState(x=new_x, lam=new_lam, t=k + 1)
         self._record_row(k + 1)
@@ -418,7 +406,8 @@ class SaddleEngine:
                 lambda_norm=self._lambda_norm[s, :t + 1].copy(),
                 lambda_min=self._lambda_min[s, :t + 1].copy(),
                 delayed_slack=self._delayed_slack[:t, s].copy(), current_slack=cur,
-                resolved=self._resolved[:t, s].copy(), staleness=self._staleness[:t, s].copy(),
+                resolved=self._resolved[:t, s].copy(),
+                staleness=np.arange(t)[:, None] - self._resolved[:t, s],
                 x_snapshots=dict(self._snapshots[s]), x_final=self.spec.rows(self._lane_x(s).copy()),
                 lam_final=self.state.lam[s * m:(s + 1) * m].copy(),
                 domain_residual_max=self._domain_residual[s],
@@ -461,19 +450,6 @@ def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed
     return run_lanes(spec, hp, [schedule], [seed], hooks=hooks, evaluator=evaluator,
                      eval_every=eval_every, thin_every=thin_every,
                      record_current_slack=record_current_slack)[0]
-
-
-def run_generalized(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule, seed: int,
-                    **kwargs) -> RunTrace:
-    """Same as ``run``: every constraint family goes through one step kernel."""
-    return run(spec, hp, schedule, seed, **kwargs)
-
-
-def run_synchronous(spec: ProblemSpec, hp: Hyperparams, seed: int, **kwargs) -> RunTrace:
-    """Reference synchronous loop: no schedule, no buffers, fresh gradients.
-
-    Keyword arguments are those of ``run``."""
-    return run(spec, hp, None, seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +522,7 @@ def advise(estimates, graph: NetworkGraph, tau: int, T: int):
     constants = AdvisorConstants(L2=L2, K1=K1, K2=K2, K3=K3, K4=K4, K=K, C=C,
                                  discriminant=disc, N=N, M=M, tau=tau, T=T,
                                  epsilon=eps, delta=delta)
-    return Hyperparams(epsilon=eps, delta=delta, T=T, tau=tau), constants
+    return Hyperparams(epsilon=eps, delta=delta, T=T), constants
 
 
 def _k4(delta, eps, C):

@@ -20,7 +20,7 @@ from asaddle.graph import build_graph, ring_edges
 from asaddle.metrics import (AssumptionEstimates, audit_invariants, delayed_violation,
                              estimate_optimum, fit_rate, running_suboptimality)
 from asaddle.problem import ExpectedObjective, as_neighborhood, project, sample_observation
-from asaddle.saddle import (Hyperparams, advise, run, run_generalized, run_synchronous)
+from asaddle.saddle import (Hyperparams, advise, run)
 
 from conftest import assert_grad_close, central_difference
 from test_problem import DOMAINS, slsqp_projection
@@ -57,7 +57,7 @@ def consensus_bundle():
     start = time.perf_counter()
     spec = consensus_rate_spec()
     T = 10**4
-    hp = Hyperparams(epsilon=1.0 / math.sqrt(T), delta=1e-5, T=T, tau=10)
+    hp = Hyperparams(epsilon=1.0 / math.sqrt(T), delta=1e-5, T=T)
     evaluator = ExpectedObjective(spec, 2000, seed=EVAL_SEED)
     f_star, _ = estimate_optimum(spec, 50000, seed=OPT_SEED, eval_seed=EVAL_SEED)
     traces = [
@@ -87,7 +87,7 @@ def pricing_sinr_bundle():
     cfg = PricingConfig()
     spec = build_pricing_problem(cfg)
     T = 50000
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T, tau=10)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     traces = [
         run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
             seed=s, evaluator=None, eval_every=0, thin_every=1000)
@@ -111,7 +111,7 @@ def margin_bundle():
     for gdb in (-3.0, 4.0):
         cfg = PricingConfig(gamma_db=gdb, x0=x0_low)
         spec = build_pricing_problem(cfg)
-        hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T, tau=10)
+        hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
         finals = []
         for s in (0, 1, 2):
             tr = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
@@ -130,7 +130,7 @@ def mode_bundle():
     cfg = PricingConfig()
     spec = build_pricing_problem(cfg)
     T = 30000
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T, tau=10)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     evaluator = ExpectedObjective(spec, 2000, seed=EVAL_SEED)
     f_star, _ = estimate_optimum(spec, 60000, seed=OPT_SEED, epsilon=0.01,
                                  eval_seed=EVAL_SEED)
@@ -139,8 +139,8 @@ def mode_bundle():
         traces = []
         for s in (0, 1, 2):
             if mode == "sync":
-                traces.append(run_synchronous(spec, hp, s, evaluator=evaluator,
-                                              thin_every=1000))
+                traces.append(run(spec, hp, None, s, evaluator=evaluator,
+                                  thin_every=1000))
             else:
                 traces.append(run(spec, hp,
                                   DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
@@ -163,7 +163,7 @@ def test_criterion_1_zero_delay_bitwise_equivalence():
     identical = True
     traces = []
     for seed in SEEDS5:
-        sync = run_synchronous(spec, hp, seed, thin_every=1)
+        sync = run(spec, hp, None, seed, thin_every=1)
         asyn = run(spec, hp, DelaySchedule(kind="zero"), seed, thin_every=1)
         traces += [sync, asyn]
         for t in sync.x_snapshots:
@@ -285,8 +285,8 @@ def test_criterion_7_oracle_suites(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
     sched = lambda: DelaySchedule(kind="uniform_random", tau_max=3, seed=5)
     pw = run(small_consensus_spec, hp, sched(), seed=2, thin_every=1)
-    nb = run_generalized(as_neighborhood(small_consensus_spec), hp, sched(),
-                         seed=2, thin_every=1)
+    nb = run(as_neighborhood(small_consensus_spec), hp, sched(),
+             seed=2, thin_every=1)
     enc_worst = max(float(np.max(np.abs(pw.x_snapshots[t] - nb.x_snapshots[t])))
                     for t in pw.x_snapshots)
     enc_ok = enc_worst <= 1e-12

@@ -164,6 +164,30 @@ def test_main_config_error_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"algo": {"T": "x"}},
+    {"eval": {"seeds": 3}},
+    {"output": {"thin_every": None}},
+    {"algo": 5},
+    {"graph": {"n_nodes": 5, "edges": [[0, 7]]}},
+    {"graph": {"n_nodes": 5, "edges": "star"}},
+    {"graph": {"n_nodes": 0}},
+    {"graph": {"n_nodes": 3, "edges": [[0, 0]]}},
+    {"graph": {"n_nodes": 4, "edges": [[0, 1], [2, 3]]}},  # disconnected
+], ids=["T_text", "seeds_int", "thin_null", "block_int", "edge_outside", "edges_text",
+        "no_nodes", "self_loop", "disconnected"])
+def test_malformed_config_values_exit_2_without_traceback(tmp_path, capsys, change):
+    body = dict(SMALL, **change)
+    with pytest.raises(ValidationError):
+        config_from_dict(body)
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_main_runtime_error_exit_3(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, SMALL)
     import asaddle.cli as cli_mod

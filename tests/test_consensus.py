@@ -8,7 +8,7 @@ from asaddle.errors import InvalidConfig
 from asaddle.graph import build_graph, path_edges, ring_edges
 from asaddle.problem import (ConstraintFamily, DomainSpec, Objective, ProblemSpec,
                              Sampler, sample_observation)
-from asaddle.saddle import Hyperparams, run, run_synchronous
+from asaddle.saddle import Hyperparams, run
 
 
 def test_ring_weights_nearby_nodes_similar():
@@ -78,7 +78,7 @@ def test_generous_tolerance_matches_per_node_sgd(path3):
     cfg = ConsensusRegressionConfig(p=2, gamma=100.0, weights=w, noise_std=0.1)
     spec = build_consensus_problem(cfg, path3)
     hp = Hyperparams(epsilon=0.02, delta=0.0, T=4000)
-    trace = run_synchronous(spec, hp, seed=8)
+    trace = run(spec, hp, None, seed=8)
     for node in range(3):
         x = spec.x0[node].copy()
         for t in range(hp.T):
@@ -93,7 +93,7 @@ def test_single_node_is_plain_stochastic_least_squares():
     cfg = ConsensusRegressionConfig(p=3, weights=((0.8, -0.3, 0.1),), noise_std=0.05)
     spec = build_consensus_problem(cfg, g)
     hp = Hyperparams(epsilon=0.02, delta=0.0, T=6000)
-    trace = run_synchronous(spec, hp, seed=2)
+    trace = run(spec, hp, None, seed=2)
     assert np.linalg.norm(trace.x_final[0] - np.array([0.8, -0.3, 0.1])) < 0.1
 
 
@@ -101,7 +101,7 @@ def test_active_constraints_pull_estimates_together(ring5):
     cfg = ConsensusRegressionConfig(p=4, gamma=0.5, noise_std=0.2)
     spec = build_consensus_problem(cfg, ring5)
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=4000)
-    trace = run_synchronous(spec, hp, seed=0)
+    trace = run(spec, hp, None, seed=0)
     w = ring_weights(5, 4, 1.0)
     for (i, j) in ring5.edges:
         gap = np.linalg.norm(trace.x_final[i] - trace.x_final[j])
@@ -122,10 +122,10 @@ def _objective_replay(spec, trace, seed, k):
 
 
 def test_engine_observations_replay_and_do_not_depend_on_T(consensus_spec):
-    long = run_synchronous(consensus_spec, Hyperparams(epsilon=0.05, delta=1e-5, T=150),
-                           seed=3, thin_every=1)
-    short = run_synchronous(consensus_spec, Hyperparams(epsilon=0.05, delta=1e-5, T=70),
-                            seed=3, thin_every=1)
+    long = run(consensus_spec, Hyperparams(epsilon=0.05, delta=1e-5, T=150), None,
+               seed=3, thin_every=1)
+    short = run(consensus_spec, Hyperparams(epsilon=0.05, delta=1e-5, T=70), None,
+                seed=3, thin_every=1)
     assert np.array_equal(short.obj_sample, long.obj_sample[:70])
     # rows on both sides of the 64-row block boundaries
     for k in (0, 1, 63, 64, 65, 127, 128, 149):
@@ -138,7 +138,7 @@ def test_delay_longer_than_an_observation_block_replays(small_consensus_spec):
     from asaddle.problem import OBS_BLOCK
 
     spec, tau, seed = small_consensus_spec, OBS_BLOCK + 6, 5
-    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=2 * OBS_BLOCK + 30, tau=tau)
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=2 * OBS_BLOCK + 30)
     trace = run(spec, hp, DelaySchedule(kind="fixed", tau_max=tau, node_taus=(tau, 3, 0)),
                 seed=seed, thin_every=1)
     assert audit_invariants(trace).ok

@@ -137,3 +137,42 @@ def test_schedule_keeps_only_the_block_in_use():
     assert len(sched._chunks) == 1
     assert sched.tau(nodes, 10).tolist() == early.tolist()
     assert sched.tau(1, 10) == early[1]
+
+
+def _schedule(kind, tau, seed, rows):
+    if kind == "fixed":
+        return DelaySchedule(kind="fixed", tau_max=tau, node_taus=(tau, tau // 2, 0))
+    if kind == "custom_table":
+        table = np.random.default_rng(seed).integers(0, tau + 1, size=(rows, 3))
+        return DelaySchedule(kind="custom_table", tau_max=tau, table=table)
+    return DelaySchedule(kind=kind, tau_max=tau, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["zero", "fixed", "uniform_random", "custom_table"]),
+       tau=st.integers(0, 80), seed=st.integers(0, 10_000),
+       # block 64 starts at the first 4096-step chunk boundary
+       block=st.one_of(st.just(64), st.integers(0, 70)),
+       prev=st.lists(st.integers(0, 5000), min_size=3, max_size=3))
+def test_block_resolution_equals_the_per_step_chain(kind, tau, seed, block, prev):
+    a = 64 * block
+    sched = _schedule(kind, tau, seed, rows=a + 64)
+    nodes = np.arange(3)
+    prev = np.minimum(prev, a)
+    rows = resolve(sched, np.arange(a, a + 64), nodes, prev)
+    assert rows.shape == (64, 3)
+    chain = prev
+    for r, t in enumerate(range(a, a + 64)):
+        chain = resolve(sched, t, nodes, chain)
+        assert rows[r].tolist() == chain.tolist(), (r, t)
+
+
+@pytest.mark.parametrize("kind", ["zero", "fixed", "uniform_random", "custom_table"])
+def test_delay_draws_of_many_times_stay_in_one_chunk(kind):
+    from asaddle.delay import _CHUNK
+    sched = _schedule(kind, 5, 3, rows=2 * _CHUNK)
+    nodes = np.arange(3)
+    times = np.arange(_CHUNK - 64, _CHUNK)
+    assert sched.tau(nodes, times).tolist() == [sched.tau(nodes, t).tolist() for t in times]
+    with pytest.raises(ValueError, match="chunks"):
+        sched.tau(nodes, np.arange(_CHUNK - 1, _CHUNK + 1))

@@ -184,14 +184,14 @@ def test_engine_step_matches_algorithm_closed_form(cfg, spec):
 def test_generous_margin_keeps_duals_zero():
     cfg = PricingConfig(gamma_db=60.0)  # margin 1e6: interference never binds
     spec = build_pricing_problem(cfg)
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=2000, tau=5)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=2000)
     trace = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=5, seed=0), seed=0,
                 eval_every=0)
     assert trace.lambda_norm.max() == 0.0
 
 
 def test_revenue_nonnegative_and_running_mean(cfg, spec):
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=500, tau=0)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=500)
     trace = run(spec, hp, DelaySchedule(kind="zero"), seed=1, eval_every=0)
     rev = revenue_series(cfg, trace)
     assert rev.shape == (500,)
@@ -222,7 +222,7 @@ def test_prices_pinned_at_cap_beat_naive(cfg):
     # prices frozen near C_max give minimal powers, hence minimal interference
     pinned = PricingConfig(x0=((20.0,), (10.0, 10.0), (20.0,)))
     spec = build_pricing_problem(pinned)
-    hp = Hyperparams(epsilon=1e-9, delta=0.0, T=400, tau=0)
+    hp = Hyperparams(epsilon=1e-9, delta=0.0, T=400)
     trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0, eval_every=0)
     sinr = sinr_report(pinned, trace)
     naive = naive_baseline(pinned, seed=0, T=50000)
@@ -234,7 +234,7 @@ def test_interference_settles_within_margin_tolerance():
     low_start = PricingConfig(x0=((0.9,), (0.45, 0.45), (0.9,)))
     spec = build_pricing_problem(low_start)
     T = 20000
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T, tau=10)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     trace = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=1),
                 seed=1, eval_every=0, thin_every=0)
     series = interference_series(low_start, trace)
@@ -244,7 +244,7 @@ def test_interference_settles_within_margin_tolerance():
 
 
 def test_interference_series_matches_slots(cfg, spec):
-    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=50, tau=0)
+    hp = Hyperparams(epsilon=0.01, delta=1e-5, T=50)
     trace = run(spec, hp, DelaySchedule(kind="zero"), seed=3, eval_every=0)
     series = interference_series(cfg, trace)
     assert series.shape == (50, 2)

@@ -9,11 +9,11 @@ from asaddle.errors import NoFeasibleDelta, NonFiniteState
 from asaddle.graph import build_graph, path_edges
 from asaddle.problem import (OBS_BLOCK, ConstraintFamily, DomainSpec, ExpectedObjective,
                              NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
-                             as_neighborhood, sample_observation)
+                             as_neighborhood, sample_observation, tree_map)
 from asaddle.metrics import AssumptionEstimates
 from asaddle.saddle import (Hyperparams, SaddleEngine, SaddleState, advise, dual_gradient,
                             dual_slack, dual_step, primal_gradient, primal_step, run,
-                            run_generalized, run_lanes, run_synchronous, stack,
+                            run_lanes, stack,
                             stochastic_lagrangian)
 
 
@@ -167,7 +167,7 @@ def test_run_deterministic_given_seed(small_consensus_spec):
 def test_zero_delay_matches_synchronous_bitwise(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=200)
     for seed in range(3):
-        sync = run_synchronous(small_consensus_spec, hp, seed, thin_every=1)
+        sync = run(small_consensus_spec, hp, None, seed, thin_every=1)
         asyn = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed, thin_every=1)
         for t in sync.x_snapshots:
             assert np.array_equal(sync.x_snapshots[t], asyn.x_snapshots[t])
@@ -179,9 +179,9 @@ def test_pairwise_matches_neighborhood_encoding(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
     sched = DelaySchedule(kind="uniform_random", tau_max=3, seed=5)
     pw = run(small_consensus_spec, hp, sched, seed=2, thin_every=1)
-    nb = run_generalized(as_neighborhood(small_consensus_spec), hp,
-                         DelaySchedule(kind="uniform_random", tau_max=3, seed=5),
-                         seed=2, thin_every=1)
+    nb = run(as_neighborhood(small_consensus_spec), hp,
+             DelaySchedule(kind="uniform_random", tau_max=3, seed=5),
+             seed=2, thin_every=1)
     for t in pw.x_snapshots:
         assert np.max(np.abs(pw.x_snapshots[t] - nb.x_snapshots[t])) <= 1e-12
     assert np.max(np.abs(pw.lambda_norm - nb.lambda_norm)) <= 1e-12
@@ -201,7 +201,7 @@ def test_generalized_zero_constraint_keeps_duals_zero():
                             ConstraintFamily.from_per_node(g, cons),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=50)
-    trace = run_generalized(spec, hp, DelaySchedule(kind="zero"), seed=0)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0)
     assert np.all(trace.lambda_norm == 0.0)
 
 
@@ -217,7 +217,7 @@ def test_generalized_single_node_reduces_to_projected_sgd():
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])),
                             x0=[np.array([0.0])])
     hp = Hyperparams(epsilon=0.05, delta=0.0, T=120)
-    trace = run_generalized(spec, hp, DelaySchedule(kind="zero"), seed=0, thin_every=1)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0, thin_every=1)
 
     # independent reference: scalar projected gradient with one multiplier
     x, lam = 0.0, 0.0
@@ -287,7 +287,7 @@ def test_non_finite_update_names_the_node():
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=100)
     first = next(t for t in range(hp.T) if sample_observation(spec, 4, 2, t))
     with pytest.raises(NonFiniteState, match=f"step {first}, node 2$"):
-        run_synchronous(spec, hp, seed=4)
+        run(spec, hp, None, seed=4)
 
 
 def test_staleness_monotone_and_bounded(small_consensus_spec):
@@ -297,6 +297,61 @@ def test_staleness_monotone_and_bounded(small_consensus_spec):
     assert np.all(np.diff(trace.resolved, axis=0) >= 0)
     assert trace.staleness.max() <= 6
     assert np.all(trace.staleness >= 0)
+
+
+def test_custom_table_of_exactly_T_rows(small_consensus_spec):
+    from asaddle.delay import resolve
+    from asaddle.errors import OutOfWindow
+    T = 2 * OBS_BLOCK + 11
+    table = np.random.default_rng(0).integers(0, 9, size=(T, 3))
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=T)
+    trace = run(small_consensus_spec, hp,
+                DelaySchedule(kind="custom_table", tau_max=8, table=table), seed=1)
+    sched = DelaySchedule(kind="custom_table", tau_max=8, table=table)
+    chain = np.zeros(3, dtype=int)
+    for t in range(T):
+        chain = resolve(sched, t, np.arange(3), chain)
+        assert trace.resolved[t].tolist() == chain.tolist(), t
+    # one row short: the engine stops at the start of the block holding row T - 1
+    engine = SaddleEngine(small_consensus_spec, hp,
+                          DelaySchedule(kind="custom_table", tau_max=8, table=table[:-1]), seed=1)
+    with pytest.raises(OutOfWindow):
+        engine.run()
+    assert engine.state.t == 2 * OBS_BLOCK
+
+
+def test_rings_are_written_and_delays_resolved_once_per_block(monkeypatch):
+    import asaddle.saddle as saddle_mod
+    from asaddle.delay import StackedBuffer
+    records, resolves = {}, []
+    record, resolve = StackedBuffer.record, saddle_mod.resolve
+
+    def counting_record(buf, t, row):
+        records[id(buf)] = records.get(id(buf), 0) + 1
+        return record(buf, t, row)
+
+    def counting_resolve(*args):
+        resolves.append(args[1])
+        return resolve(*args)
+
+    monkeypatch.setattr(StackedBuffer, "record", counting_record)
+    monkeypatch.setattr(saddle_mod, "resolve", counting_resolve)
+    spec = build_pricing_problem(PricingConfig())
+    T, S = 150, 5
+    hp = Hyperparams(epsilon=0.3, delta=1e-5, T=T)
+    engine = SaddleEngine(spec, hp, [uniform(10, s) for s in range(S)], list(range(S))).run()
+    obs_rings = []
+    tree_map(lambda buf: obs_rings.append(id(buf)), engine._th_buf)
+    assert records.pop(id(engine._x_buf)) == T
+    assert sorted(records) == sorted(obs_rings) and len(obs_rings) >= 1
+    assert set(records.values()) == {math.ceil(T / OBS_BLOCK)}
+    assert len(resolves) == S * math.ceil(T / OBS_BLOCK)
+    assert [len(steps) for steps in resolves[::S]] == [OBS_BLOCK, OBS_BLOCK, T - 2 * OBS_BLOCK]
+    # the synchronous path neither fills rings nor resolves
+    records.clear()
+    resolves.clear()
+    SaddleEngine(spec, hp, [None] * S, list(range(S))).run()
+    assert records == {} and resolves == []
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +425,7 @@ def test_mixed_sync_and_async_lanes(consensus_spec):
                                     seeds, thin_every=5)
     for seed, trace in zip(seeds[:2], lanes[:2]):
         assert trace.mode == "sync" and trace.tau_bound == 0
-        assert_traces_identical(trace, run_synchronous(consensus_spec, hp, seed, thin_every=5))
+        assert_traces_identical(trace, run(consensus_spec, hp, None, seed, thin_every=5))
     assert [tr.mode for tr in lanes[2:]] == ["async", "async"]
 
 
@@ -472,7 +527,7 @@ def test_one_step_decrement_property(schedule):
 def test_two_node_instance_converges_to_known_saddle():
     spec = two_node_quadratic_spec(gamma=1.0)
     hp = Hyperparams(epsilon=0.02, delta=0.0, T=6000)
-    trace = run_synchronous(spec, hp, seed=0)
+    trace = run(spec, hp, None, seed=0)
     assert trace.x_final[0][0] == pytest.approx(0.5, abs=2e-2)
     assert trace.x_final[1][0] == pytest.approx(-0.5, abs=2e-2)
     assert trace.lam_final.sum() == pytest.approx(0.25, abs=2e-2)
