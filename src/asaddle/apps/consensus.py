@@ -8,6 +8,7 @@ but distinct, which keeps the proximity constraints active at the optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,33 @@ def ring_weights(n_nodes: int, p: int, scale: float) -> np.ndarray:
         w[:, 1::2] = np.sin(angles)[:, None]
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     return scale * w / np.where(norms > 0, norms, 1.0)
+
+
+def _ring_optimum(cfg: ConsensusRegressionConfig, graph: NetworkGraph, w: np.ndarray):
+    """Stacked minimizer of the expected problem where it has a closed form,
+    else None.
+
+    On the ring 0-1-...-(N-1)-0 with N >= 3, the default circular weights w
+    with p even (so every w_i lies on one circle), one scalar gamma and a box
+    holding every w_i (and so 0, their mean), the minimizer of
+    sum_i (|x_i - w_i|^2 + noise^2) / 2 subject to |x_i - x_j| <= gamma on
+    the edges is x_i* = r w_i, with r = min(1, gamma / chord) and
+    chord = 2 |weight_scale| sin(pi/N) the distance of neighbouring w_i. It is
+    a KKT point: w_{i-1} + w_{i+1} = 2 cos(2 pi/N) w_i, so the multiplier
+    (1 - r) chord / (2 - 2 cos(2 pi/N)) >= 0 on every edge balances
+    x_i* - w_i; and the problem is strictly convex, so it is the only one.
+    """
+    n = graph.n_nodes
+    if (n < 3 or cfg.weights is not None or cfg.p % 2 or cfg.gamma_table is not None
+            or not cfg.box_lo <= w.min() or not w.max() <= cfg.box_hi):
+        return None
+    # n links, among them every {i, i + 1 mod n}: the ring's and no other
+    if graph.n_edges != 2 * n or not all((i + 1) % n in nbrs
+                                         for i, nbrs in enumerate(graph.adjacency)):
+        return None
+    chord = 2.0 * abs(cfg.weight_scale) * math.sin(math.pi / n)
+    r = 1.0 if chord <= cfg.gamma else cfg.gamma / chord
+    return (r * w).reshape(-1)
 
 
 def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph) -> ProblemSpec:
@@ -129,4 +157,4 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
     if cfg.x0_value is not None:
         x0 = [np.full(cfg.p, float(cfg.x0_value)) for _ in range(n)]
     return ProblemSpec.make(graph, cfg.p, [objective] * n, samplers, constraints, domain,
-                            x0=x0, name="consensus_regression")
+                            x0=x0, name="consensus_regression", x_star=_ring_optimum(cfg, graph, w))

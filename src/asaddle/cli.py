@@ -321,6 +321,7 @@ class SummaryReport:
     T: int
     seeds: tuple
     f_star: float
+    f_star_source: str
     final_subopt_running: float
     slope_subopt_cum: float | None
     slope_violation_cum: float | None
@@ -379,7 +380,10 @@ def _fit_or_none(series, t=None) -> float | None:
 def _setup(cfg: ExperimentConfig, out_dir: str | None):
     """Output directory, problem, evaluator and F* shared by run and compare.
 
-    Returns (out, spec, app, evaluator, f_star)."""
+    F* is the evaluator's value at the problem's closed-form minimizer
+    (``ProblemSpec.x_star``) when it has one, else from ``estimate_optimum``.
+    Returns (out, spec, app, evaluator, f_star, f_star_source), the source
+    "closed_form" or "estimate_optimum"."""
     out = out_dir or cfg.out_dir
     try:
         os.makedirs(out, exist_ok=True)
@@ -389,10 +393,12 @@ def _setup(cfg: ExperimentConfig, out_dir: str | None):
         raise OutputError(f"output directory {out} is not writable")
     spec, app = build_problem(cfg)
     evaluator = ExpectedObjective(spec, mc_samples=cfg.mc_samples, seed=cfg.eval_seed)
+    if spec.x_star is not None:
+        return out, spec, app, evaluator, evaluator.value(spec.rows(spec.x_star)), "closed_form"
     f_star, _ = estimate_optimum(spec, cfg.resolved_optimum_budget(), cfg.optimum_seed,
                                  delta=cfg.delta, epsilon=cfg.resolved_epsilon(),
                                  mc_samples=cfg.mc_samples, eval_seed=cfg.eval_seed)
-    return out, spec, app, evaluator, f_star
+    return out, spec, app, evaluator, f_star, "estimate_optimum"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
@@ -400,7 +406,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
     CSVs plus summary JSON.
 
     Returns (summary, paths, traces)."""
-    out, spec, app, evaluator, f_star = _setup(cfg, out_dir)
+    out, spec, app, evaluator, f_star, f_star_source = _setup(cfg, out_dir)
     paths = []
     per_seed_cols = []
     # the pricing SINR report reads the fresh slack
@@ -433,6 +439,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         T=cfg.T,
         seeds=tuple(cfg.seeds),
         f_star=float(f_star),
+        f_star_source=f_star_source,
         final_subopt_running=float(avg["subopt_running"][-1]),
         slope_subopt_cum=_fit_or_none(cum_subopt),
         slope_violation_cum=_fit_or_none(avg["violation_agg_cumclip"][1:]),
@@ -457,7 +464,7 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None, strict: boo
     Every seed's sync and async runs step together as one bundle of lanes.
     With ``strict``, raises AuditFailure (after writing the outputs) when
     the invariant audit fails on any of them."""
-    out, spec, _, evaluator, f_star = _setup(cfg, out_dir)
+    out, spec, _, evaluator, f_star, f_star_source = _setup(cfg, out_dir)
     modes = ("sync", "async")
     traces = _run_bundle(spec, cfg, evaluator, modes)
     n = len(cfg.seeds)
@@ -479,6 +486,7 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None, strict: boo
     ratio = a_final / s_final if s_final > 0 else None
     summary = {
         "f_star": float(f_star),
+        "f_star_source": f_star_source,
         "final_subopt_running_sync": s_final,
         "final_subopt_running_async": a_final,
         "final_ratio_async_over_sync": ratio,

@@ -105,8 +105,14 @@ class DomainSpec:
         u = np.asarray(u, dtype=float)
         if self.kind == "box":
             return bool((u >= self.lo - tol).all() and (u <= self.hi + tol).all())
+        # a sum of entries near the float range may overflow: not contained
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._sum_contains(u, tol)
+
+    def _sum_contains(self, u: np.ndarray, tol: float) -> bool:
+        """``contains`` for a sum interval, under the caller's ``np.errstate``."""
         s = u.sum()
-        ok = self.c_min - tol <= s <= self.c_max + tol
+        ok = math.isfinite(s) and self.c_min - tol <= s <= self.c_max + tol
         if self.nonneg:
             ok = ok and bool((u >= -tol).all())
         return ok
@@ -119,8 +125,8 @@ def project(domain: DomainSpec, u) -> np.ndarray:
     otherwise shift toward the violated bound C* (uniformly when coordinates
     are unconstrained in sign, or by the KKT shift-and-clip rule when the
     nonnegativity option is set). Raises NonFiniteState on NaN or inf input,
-    and when the shift overflows (a plain slab with entries near the float
-    range).
+    and when the shifted point or its sum overflows (a plain slab with entries
+    near the float range), so every point returned passes ``contains``.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size != domain.dim:
@@ -133,9 +139,10 @@ def project(domain: DomainSpec, u) -> np.ndarray:
 
     tol = _sum_tolerance(domain)
     # sums and breakpoints of entries near the float range may overflow; the
-    # finiteness check below turns an overflowed result into NonFiniteState
+    # check of y's sum below (NaN or inf when any entry is) turns an
+    # overflowed result into NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
-        if domain.contains(u, tol=tol):
+        if domain._sum_contains(u, tol):
             return u.copy()
         if not domain.nonneg:
             s = u.sum()
@@ -148,7 +155,8 @@ def project(domain: DomainSpec, u) -> np.ndarray:
                 return base
             target = domain.c_min if s < domain.c_min else domain.c_max
             y = _shift_clip_to_sum(u, target)
-    if not all(map(math.isfinite, y.tolist())):
+        total = y.sum()
+    if not math.isfinite(total):
         raise NonFiniteState(f"projection of {u} onto the sum interval overflows")
     return y
 
@@ -432,6 +440,8 @@ class ProblemSpec:
 
     ``dims`` and ``domains`` are per-node; uniform problems may pass a single
     int / DomainSpec which is broadcast at construction via ``make``.
+    ``x_star`` is the stacked minimizer of the expected problem when the app
+    knows it in closed form, else None.
     """
 
     graph: NetworkGraph
@@ -442,10 +452,11 @@ class ProblemSpec:
     domains: tuple
     x0: tuple = None
     name: str = "problem"
+    x_star: np.ndarray | None = None
 
     @staticmethod
     def make(graph, dim, objectives, samplers, constraints, domain,
-             x0=None, name="problem") -> "ProblemSpec":
+             x0=None, name="problem", x_star=None) -> "ProblemSpec":
         n = graph.n_nodes
         dims = tuple(dim) if isinstance(dim, (tuple, list)) else (int(dim),) * n
         domains = tuple(domain) if isinstance(domain, (tuple, list)) else (domain,) * n
@@ -464,7 +475,7 @@ class ProblemSpec:
             x0 = tuple(project(domains[i], np.asarray(x, dtype=float)) for i, x in enumerate(x0))
         return ProblemSpec(graph=graph, dims=dims, objectives=objectives,
                            samplers=samplers, constraints=constraints,
-                           domains=domains, x0=x0, name=name)
+                           domains=domains, x0=x0, name=name, x_star=x_star)
 
     @property
     def dim(self) -> int:
@@ -531,9 +542,11 @@ class ProblemSpec:
         lo, sum_lo, sum_hi = self._domain_limits
         ok = np.logical_and.reduceat(flat >= lo, self.offsets[:-1])
         sums = np.empty(self.graph.n_nodes)
-        for nodes, coords in self._dim_classes:
-            # a row sum of an (n, d) gather adds in the order u.sum() does
-            sums[nodes] = flat[coords].sum(axis=1)
+        # a sum that overflows (NaN or inf) reads outside, as in ``contains``
+        with np.errstate(over="ignore", invalid="ignore"):
+            for nodes, coords in self._dim_classes:
+                # a row sum of an (n, d) gather adds in the order u.sum() does
+                sums[nodes] = flat[coords].sum(axis=1)
         return ok & (sums >= sum_lo) & (sums <= sum_hi)
 
     def node_sums(self, flat: np.ndarray) -> np.ndarray:
@@ -576,7 +589,8 @@ class ProblemSpec:
         slack entries s*M..(s+1)*M-1, so its stacked vector is row s of a
         (lanes, C) array. An Objective that nodes share covers every copy in
         one call; a node's own Objective gets one instance per copy, so it is
-        still called on its own row. The problem itself when ``lanes`` is 1."""
+        still called on its own row. ``x_star`` is not carried. The problem
+        itself when ``lanes`` is 1."""
         if lanes == 1:
             return self
         own = {id(obj) for obj, _, rows, _ in self.objective_groups if rows is None}
@@ -584,7 +598,7 @@ class ProblemSpec:
                            for s in range(lanes) for obj in self.objectives)
         tiled = replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
                         objectives=objectives, samplers=self.samplers * lanes,
-                        domains=self.domains * lanes, x0=self.x0 * lanes)
+                        domains=self.domains * lanes, x0=self.x0 * lanes, x_star=None)
         family = self.constraints
         constraints = (family.tile(lanes) if family.tile is not None
                        else _lane_by_lane(self, tiled, lanes))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from asaddle.errors import DimensionMismatch, InfeasibleDomain, NonFiniteState
@@ -368,9 +368,22 @@ def _in_domain(domain, y, u):
     return domain.contains(y, tol=tol)
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: every ``draw`` returns
+    a copy of the given list, whatever the strategy."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return list(self.value)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_DOMAIN_IDS, st.data())
+# the slab -5 <= sum(y) <= 5: the shifted point is finite but its sum overflows
+@example(5, _Drawn([0.0, 1e308, -1e308, -1.5953862697246314e308]))
 def test_projection_of_huge_finite_input_is_in_domain_or_non_finite_state(k, data):
     domain = DOMAINS[k]
     huge = st.one_of(_FINITE, st.sampled_from([1e300, -1e300, 1e308, -1e308, 5.0]))
