@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -157,4 +158,5 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
     if cfg.x0_value is not None:
         x0 = [np.full(cfg.p, float(cfg.x0_value)) for _ in range(n)]
     return ProblemSpec.make(graph, cfg.p, [objective] * n, samplers, constraints, domain,
-                            x0=x0, name="consensus_regression", x_star=_ring_optimum(cfg, graph, w))
+                            x0=x0, name="consensus_regression",
+                            optimum=partial(_ring_optimum, cfg, graph, w), optimum_source="closed_form")

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +38,8 @@ __all__ = [
     "PricingConfig",
     "power_allocation",
     "build_pricing_problem",
+    "expected_optimum",
+    "PricingOptimum",
     "pricing_graph",
     "constraint_slots",
     "naive_baseline",
@@ -191,7 +195,8 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
     if cfg.x0 is not None:
         x0 = [np.atleast_1d(np.asarray(v, dtype=float)) for v in cfg.x0]
     return ProblemSpec.make(graph, dims, objectives, samplers, constraints, domains,
-                            x0=x0, name="pricing")
+                            x0=x0, name="pricing", optimum=partial(_optimum_prices, cfg),
+                            optimum_source="kkt_solve")
 
 
 def _exponential_pair(rng, shape: tuple, mean: float) -> np.ndarray:
@@ -231,9 +236,113 @@ def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
 
     def expected(x, m):
         z = (mu_c + nu * x) / (m * W)
-        return -(x * (np.exp(-z) / z - exp1(z))).sum(axis=-1)
+        return -(x * _interference(z)[0]).sum(axis=-1)
 
     return Objective(value=value, grad=grad, batch_value=batch_value, expected=expected)
+
+
+def _interference(z):
+    """(psi(z), e^{-z}, E1(z)) with psi(z) = e^{-z} / z - E1(z): at price x,
+    with z = (c mu + nu x) / (m W), a coordinate's expected interference
+    E g (W / (c mu + nu x) - 1/h)_+ is psi(z) and its expected revenue
+    x psi(z)."""
+    ez, e1 = np.exp(-z), exp1(z)
+    return ez / z - e1, ez, e1
+
+
+class PricingOptimum(NamedTuple):
+    """Minimizer of the expected pricing problem: the stacked prices, the
+    duals of the MU interference budgets (MU order) and the KKT residual."""
+
+    x: np.ndarray
+    lam: np.ndarray
+    kkt_residual: float
+
+
+# the solve's KKT residual bar, well under the 1e-8 an F* reference needs,
+# and its step cap (the shipped configs take 5)
+_KKT_TOL = 1e-12
+_NEWTON_STEPS = 50
+
+
+def expected_optimum(cfg: PricingConfig) -> PricingOptimum | None:
+    """The minimizer of the expected pricing problem by a certified Newton
+    solve, or None.
+
+    Coordinate k (SCBS n, MU i) with z_k = (c mu_n + nu_n x_k) / (m W) has
+    expected interference u_k = psi(z_k) (``_interference``), decreasing in
+    x_k, and expected revenue x_k psi(z_k), which is strictly concave in u_k
+    (that needs E1(z) > e^{-z} / (z + 2), and E1(z) > e^{-z} / (z + 1),
+    from A&S 5.1.20). Keep the MU budgets sum_{k in i} u_k <= gamma_i, linear
+    in u, and each coordinate's bounds (x >= 0, and [c_min, c_max] for an
+    SCBS with one coordinate), but drop the sum bounds of SCBSs with several:
+    that relaxation maximizes a concave function over a convex set, so its
+    KKT point is its optimum (water-filling, Boyd & Vandenberghe, Convex
+    Optimization, 2004, 5.5.3), and where the point meets every dropped sum
+    bound it is the optimum of the expected problem.
+
+    Stationarity reads m W h(z_k) - c mu_n = nu_n lam_i with
+    h(z) = z^2 e^z E1(z) increasing. Newton runs on (z, lam) from z = 1,
+    lam = 0, and eliminates each MU's dual with one bincount. A coordinate
+    at a bound its residual pushes outward is frozen out of its MU's
+    equation; an MU with every coordinate frozen takes lam = 0 when within
+    its budget and keeps them all otherwise. lam is clipped at 0, and a step
+    raises z by at most 1. The KKT residual is the largest of |dL/dx_k| over
+    the coordinates not frozen and each MU's budget excess, or its slack
+    where lam > 0, relative to gamma_i. None when the residual does not reach
+    ``_KKT_TOL`` in ``_NEWTON_STEPS`` steps (an infeasible budget among
+    others), a price or dual is not finite, or a dropped sum bound is
+    violated."""
+    s = cfg.gain_mean * cfg.bandwidth
+    subs = cfg.scbs_subchannels()
+    owner = np.array([n for n, sub in enumerate(subs) for _ in sub])
+    mu = np.array([i for sub in subs for i in sub])
+    a = np.array([cfg.cost * cfg.mu_param(n) for n in owner])
+    b = np.array([cfg.nu_param(n) for n in owner])
+    single = np.array([len(subs[n]) == 1 for n in owner])
+    lo = np.where(single, max(cfg.c_min, 0.0), 0.0)
+    hi = np.where(single, cfg.c_max, np.inf)
+    z_lo, z_hi = (a + b * lo) / s, (a + b * hi) / s
+    M = cfg.n_mus
+    gamma = np.array([cfg.gamma_linear(i) for i in range(M)])
+    z, lam = np.clip(1.0, z_lo, z_hi), np.zeros(M)
+    # z beyond ~700 underflows e^{-z}: the residual turns NaN and never converges
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            psi, ez, e1 = _interference(z)
+            h = z * z * (e1 / ez)
+            F = s * h - a - b * lam[mu]  # dL/dx_k = psi'(z_k) F_k / s
+            G = np.bincount(mu, psi, M) - gamma
+            frozen = ((z <= z_lo) & (F >= 0.0)) | ((z >= z_hi) & (F <= 0.0))
+            grad = np.where(frozen, 0.0, ez / (z * z) * F / s)
+            residual = max(np.abs(grad).max(),
+                           (np.where(lam > 0.0, np.abs(G), np.maximum(G, 0.0)) / gamma).max())
+            if residual <= _KKT_TOL:
+                break
+            dh = h * (z + 2.0) / z - z
+            all_frozen = np.bincount(mu, ~frozen, M) == 0
+            # dz_k = (nu_n dlam_i - F_k) / (m W h'_k); the budget's Newton
+            # equation sum_k psi'_k dz_k = -G_i then gives dlam_i
+            w = np.where(frozen & ~all_frozen[mu], 0.0, -ez / (z * z) / (s * dh))
+            den = np.bincount(mu, w * b, M)
+            dlam = np.divide(np.bincount(mu, w * F, M) - G, den, out=np.zeros(M), where=den != 0.0)
+            new = np.where(all_frozen & (G <= 0.0), 0.0, np.maximum(lam + dlam, 0.0))
+            dz = (b * (new - lam)[mu] - F) / (s * dh)
+            z, lam = np.clip(z + np.minimum(dz, 1.0), z_lo, z_hi), new
+        else:
+            return None
+    x = np.clip((s * z - a) / b, lo, hi)
+    sums = np.bincount(owner, x, cfg.n_scbs)
+    if not (np.isfinite(x).all() and np.isfinite(lam).all()
+            and all(cfg.c_min <= sums[n] <= cfg.c_max for n, sub in enumerate(subs) if len(sub) > 1)):
+        return None
+    return PricingOptimum(x, lam, float(residual))
+
+
+def _optimum_prices(cfg: PricingConfig):
+    """``expected_optimum``'s prices, or None."""
+    opt = expected_optimum(cfg)
+    return None if opt is None else opt.x
 
 
 # Euler-Mascheroni constant

@@ -380,10 +380,11 @@ def _fit_or_none(series, t=None) -> float | None:
 def _setup(cfg: ExperimentConfig, out_dir: str | None):
     """Output directory, problem, evaluator and F* shared by run and compare.
 
-    F* is the evaluator's value at the problem's closed-form minimizer
-    (``ProblemSpec.x_star``) when it has one, else from ``estimate_optimum``.
-    Returns (out, spec, app, evaluator, f_star, f_star_source), the source
-    "closed_form" or "estimate_optimum"."""
+    F* is the evaluator's value at the problem's minimizer
+    (``ProblemSpec.x_star``) when its app gives one, else from
+    ``estimate_optimum``. Returns (out, spec, app, evaluator, f_star,
+    f_star_source), the source the problem's ``optimum_source``
+    ("closed_form", "kkt_solve") or "estimate_optimum"."""
     out = out_dir or cfg.out_dir
     try:
         os.makedirs(out, exist_ok=True)
@@ -394,7 +395,8 @@ def _setup(cfg: ExperimentConfig, out_dir: str | None):
     spec, app = build_problem(cfg)
     evaluator = ExpectedObjective(spec, mc_samples=cfg.mc_samples, seed=cfg.eval_seed)
     if spec.x_star is not None:
-        return out, spec, app, evaluator, evaluator.value(spec.rows(spec.x_star)), "closed_form"
+        f_star = evaluator.value(spec.rows(spec.x_star))
+        return out, spec, app, evaluator, f_star, spec.optimum_source
     f_star, _ = estimate_optimum(spec, cfg.resolved_optimum_budget(), cfg.optimum_seed,
                                  delta=cfg.delta, epsilon=cfg.resolved_epsilon(),
                                  mc_samples=cfg.mc_samples, eval_seed=cfg.eval_seed)

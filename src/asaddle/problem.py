@@ -440,8 +440,10 @@ class ProblemSpec:
 
     ``dims`` and ``domains`` are per-node; uniform problems may pass a single
     int / DomainSpec which is broadcast at construction via ``make``.
-    ``x_star`` is the stacked minimizer of the expected problem when the app
-    knows it in closed form, else None.
+    ``optimum`` is a zero-argument callable giving the stacked minimizer of
+    the expected problem, or None where it finds none, and
+    ``optimum_source`` names how (``"closed_form"``, ``"kkt_solve"``); it is
+    called on the first read of ``x_star``, not at construction.
     """
 
     graph: NetworkGraph
@@ -452,11 +454,12 @@ class ProblemSpec:
     domains: tuple
     x0: tuple = None
     name: str = "problem"
-    x_star: np.ndarray | None = None
+    optimum: object = None
+    optimum_source: str | None = None
 
     @staticmethod
     def make(graph, dim, objectives, samplers, constraints, domain,
-             x0=None, name="problem", x_star=None) -> "ProblemSpec":
+             x0=None, name="problem", optimum=None, optimum_source=None) -> "ProblemSpec":
         n = graph.n_nodes
         dims = tuple(dim) if isinstance(dim, (tuple, list)) else (int(dim),) * n
         domains = tuple(domain) if isinstance(domain, (tuple, list)) else (domain,) * n
@@ -475,7 +478,13 @@ class ProblemSpec:
             x0 = tuple(project(domains[i], np.asarray(x, dtype=float)) for i, x in enumerate(x0))
         return ProblemSpec(graph=graph, dims=dims, objectives=objectives,
                            samplers=samplers, constraints=constraints,
-                           domains=domains, x0=x0, name=name, x_star=x_star)
+                           domains=domains, x0=x0, name=name, optimum=optimum,
+                           optimum_source=optimum_source)
+
+    @cached_property
+    def x_star(self) -> np.ndarray | None:
+        """The stacked minimizer from ``optimum``, or None."""
+        return None if self.optimum is None else self.optimum()
 
     @property
     def dim(self) -> int:
@@ -554,8 +563,10 @@ class ProblemSpec:
         added in the order ``np.sum`` adds the block alone, as in ``inside``
         (whose 1-D indexing takes half the time on one vector)."""
         sums = np.empty(flat.shape[:-1] + (self.graph.n_nodes,))
-        for nodes, coords in self._dim_classes:
-            sums[..., nodes] = flat[..., coords].sum(axis=-1)
+        # a sum that overflows is NaN or inf, without a warning, as in ``inside``
+        with np.errstate(over="ignore", invalid="ignore"):
+            for nodes, coords in self._dim_classes:
+                sums[..., nodes] = flat[..., coords].sum(axis=-1)
         return sums
 
     @cached_property
@@ -589,7 +600,7 @@ class ProblemSpec:
         slack entries s*M..(s+1)*M-1, so its stacked vector is row s of a
         (lanes, C) array. An Objective that nodes share covers every copy in
         one call; a node's own Objective gets one instance per copy, so it is
-        still called on its own row. ``x_star`` is not carried. The problem
+        still called on its own row. ``optimum`` is not carried. The problem
         itself when ``lanes`` is 1."""
         if lanes == 1:
             return self
@@ -598,7 +609,7 @@ class ProblemSpec:
                            for s in range(lanes) for obj in self.objectives)
         tiled = replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
                         objectives=objectives, samplers=self.samplers * lanes,
-                        domains=self.domains * lanes, x0=self.x0 * lanes, x_star=None)
+                        domains=self.domains * lanes, x0=self.x0 * lanes, optimum=None)
         family = self.constraints
         constraints = (family.tile(lanes) if family.tile is not None
                        else _lane_by_lane(self, tiled, lanes))

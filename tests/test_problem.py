@@ -409,6 +409,18 @@ def test_projection_when_the_breakpoints_cancel():
         project(slab, np.array([1e308, 1e308]))  # the sum overflows
 
 
+@pytest.mark.filterwarnings("error")
+def test_node_sums_of_a_near_overflow_block_are_non_finite_without_a_warning():
+    spec = _spec_on([DomainSpec.sum_interval(1, 0.9, 20.0, nonneg=True),
+                     DomainSpec.sum_interval(2, 0.9, 20.0),
+                     DomainSpec.sum_interval(3, -5.0, 5.0)])
+    flat = np.array([[1.0, 1e308, 1e308, 1e308, 1e308, -1e308],
+                     [1.0, 1e308, -1e308, -1e308, -1e308, 1e308]])
+    sums = spec.node_sums(flat)
+    assert sums[:, 0].tolist() == [1.0, 1.0] and sums[:, 1].tolist() == [np.inf, 0.0]
+    assert sums[:, 2].tolist() == [np.inf, -np.inf]  # overflowed before the last entry
+
+
 def _spec_on(domains):
     """A constraint-free problem with one node per domain."""
     n = len(domains)
