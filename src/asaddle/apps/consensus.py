@@ -112,7 +112,13 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
             y = Z @ w_i + noise * rng.standard_normal(size)
             return (Z, y)
 
-        samplers.append(Sampler(sample=sample, batch=batch, law=(w_i, noise * noise)))
+        # the variates of ``size`` sample calls: each draw's z, then its noise
+        def draws(rng, size, w_i=w_i):
+            E = rng.standard_normal((size, cfg.p + 1))
+            Z = E[:, :cfg.p]
+            return (Z, np.vecdot(Z, w_i) + noise * E[:, cfg.p])
+
+        samplers.append(Sampler(sample=sample, batch=batch, law=(w_i, noise * noise), draws=draws))
 
     # one instance for every node: only the samplers depend on the node, so
     # the engine evaluates all nodes' rows (N, p) in one call

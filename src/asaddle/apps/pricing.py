@@ -186,7 +186,12 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
         def batch(rng, size, k=k):
             return tuple(_exponential_pair(rng, (size, k), mean))
 
-        samplers.append(Sampler(sample=sample, batch=batch, law=np.full(k, mean)))
+        def draws(rng, size, k=k):
+            gh = rng.standard_exponential((size, 2, k))
+            gh *= mean
+            return gh[:, 0], gh[:, 1]
+
+        samplers.append(Sampler(sample=sample, batch=batch, law=np.full(k, mean), draws=draws))
 
     constraints = _interference_family(cfg, subs, dims)
     domains = tuple(DomainSpec.sum_interval(dims[n], cfg.c_min, cfg.c_max, nonneg=True)

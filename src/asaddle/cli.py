@@ -158,7 +158,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"invalid config value: {exc}") from exc
     _validate(cfg)
-    app_config(cfg)
+    app = app_config(cfg)
+    try:  # 10^(dB/10) overflows a float above ~3082 dB
+        finite = name != "pricing" or all(math.isfinite(app.gamma_linear(i)) for i in range(app.n_mus))
+    except (OverflowError, IndexError, ValueError):
+        finite = False
+    if not finite:
+        raise ValidationError("pricing params: gamma_db must give every MU a finite linear margin")
     if name == "consensus_regression":
         try:
             consensus_graph(cfg)

@@ -144,18 +144,18 @@ class StalenessBuffer:
 
 class StackedBuffer:
     """StalenessBuffer for all nodes at once: the last ``depth`` rows of a
-    node-stacked array (leading axis of length ``width``: node, or
-    coordinate), kept as one array indexed by (time slot, node). Its writes
+    node-stacked array (leading axis: node, or coordinate), kept as one
+    array indexed by (time slot, node). The engine keeps the iterates in
+    one; its observations are read from their blocks by index. Its writes
     are fancy assignments, so ``record`` also takes up to ``depth`` times at once."""
 
     def __init__(self, depth: int, row: np.ndarray):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.depth = depth
-        self.width = row.shape[0]
         self._times = np.full(depth, -1)
         self._rows = np.empty((depth,) + row.shape, dtype=row.dtype)
-        self._cols = np.arange(self.width)
+        self._cols = np.arange(row.shape[0])
 
     def record(self, t, row: np.ndarray) -> None:
         """Store the row of time t (rows of times t), evicting the slot's older row."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateSeries
 from .problem import (DEFAULT_MC_SAMPLES, ExpectedObjective, NodeObservations, ProblemSpec,
-                      objective_grads, project, stack)
+                      objective_grads, sample_rows, stack, stack_leaves)
 from .saddle import Hyperparams, project_nodes, run
 from .trace import RunTrace
 
@@ -143,16 +143,17 @@ class AssumptionEstimates:
     L_f: float
 
 
-def _random_feasible(spec: ProblemSpec, rng) -> list:
-    xs = []
-    for i, dom in enumerate(spec.domains):
-        if dom.kind == "box":
-            u = rng.uniform(dom.lo, dom.hi)
-        else:
-            hi = max(abs(dom.c_min), abs(dom.c_max), 1.0)
-            u = rng.uniform(0.0 if dom.nonneg else -hi, hi, size=dom.dim)
-        xs.append(project(dom, np.atleast_1d(u)))
-    return xs
+def _feasible_box(spec: ProblemSpec):
+    """Stacked (lo, hi) the audit draws a random point's coordinates from,
+    before it projects the point: its node's box, or [-b, b] ([0, b] when
+    nonnegative) for a sum interval, with b the largest of 1, |C_min| and
+    |C_max|."""
+    lo, hi = [], []
+    for dom in spec.domains:
+        b, box = max(abs(dom.c_min), abs(dom.c_max), 1.0), dom.kind == "box"
+        lo.append(dom.lo if box else np.full(dom.dim, 0.0 if dom.nonneg else -b))
+        hi.append(dom.hi if box else np.full(dom.dim, b))
+    return np.concatenate(lo), np.concatenate(hi)
 
 
 # points whose lanes one chunk scores: with 8 (64 lanes at 8 draws) the
@@ -180,8 +181,10 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
     on; the Lipschitz constant of the expected objective comes from random
     feasible secants. A NaN sample makes its estimate NaN.
 
-    The draws come one point at a time (the point, then ``theta_draws``
-    observations of each node in turn); they are scored in chunks of
+    The draws come one point at a time: the point, one ``rng.uniform`` over
+    the stacked bounds projected by ``project_nodes``, then each node's
+    ``theta_draws`` observations in one ``sample_rows`` call, stacked into
+    a chunk's lanes with one stack per leaf. They are scored in chunks of
     points, as lanes of the tiled problem (``ProblemSpec.tile``): lane
     (point, draw) holds the point's stacked iterate and that draw's
     observation of every node, so one ``objective_grads`` and one ``slack``
@@ -196,23 +199,27 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
         raise ValueError("theta_draws and secant_pairs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([4, int(seed) & 0xFFFFFFFFFFFFFFFF]))
     n_points = max(1, n_samples // theta_draws)
-    n, m = spec.graph.n_nodes, spec.constraints.size
+    m = spec.constraints.size
+    box = _feasible_box(spec)
     tiles = {}
     # every chunk's largest mean, NaN-propagating through np.max at the end
     f2, h2, l2 = [0.0], [0.0], [0.0]
     for first in range(0, n_points, _AUDIT_CHUNK):
         points = min(_AUDIT_CHUNK, n_points - first)
         lanes = points * theta_draws
-        xs, obs = [], []
+        xs, draws = [], []
         for _ in range(points):
-            xs.append(stack(_random_feasible(spec, rng)))
-            ths = [[spec.samplers[i].sample(rng) for _ in range(theta_draws)] for i in range(n)]
-            obs += [ths[i][d] for d in range(theta_draws) for i in range(n)]
+            xs.append(project_nodes(spec, rng.uniform(*box)))
+            draws += [sample_rows(sampler, rng, theta_draws) for sampler in spec.samplers]
         if lanes not in tiles:
             tiles[lanes] = spec.tile(lanes)
         tiled = tiles[lanes]
         xs = tiled.rows(np.repeat(np.array(xs), theta_draws, axis=0).reshape(-1))
-        th = NodeObservations.of(obs, tiled.obs_offsets)
+        # one stack per leaf: (draw, point and node or coordinate, ...), then point first
+        drawn = NodeObservations.stacked(stack_leaves(draws, axis=1))
+        th = NodeObservations([leaf.reshape((theta_draws, points, -1) + leaf.shape[2:]).swapaxes(0, 1)
+                               .reshape((-1,) + leaf.shape[2:]) for leaf in drawn.leaves],
+                              tiled.obs_offsets, drawn.build)
 
         g = stack(objective_grads(tiled, xs, th)).reshape(lanes, -1)
         f2.append(_draw_means(spec.node_sums(g ** 2), points).max())
@@ -229,7 +236,7 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
 
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=seed + 1)
     # the secants' ends (a, b) of every pair, scored in one call
-    ends = np.array([np.concatenate(_random_feasible(spec, rng))
+    ends = np.array([project_nodes(spec, rng.uniform(*box))
                      for _ in range(2 * secant_pairs)]).reshape(secant_pairs, 2, -1)
     F = evaluator.values(ends.reshape(2 * secant_pairs, -1)).reshape(secant_pairs, 2)
     slopes = [0.0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -29,9 +29,11 @@ __all__ = [
     "NodeObservations",
     "project",
     "stack",
+    "stack_leaves",
     "split_stacked",
     "tree_map",
     "sample_observation",
+    "sample_rows",
     "observation_block",
     "objective_grad",
     "objective_grads",
@@ -226,16 +228,19 @@ class Sampler:
     ``sample(rng)`` draws one observation; ``batch(rng, size)``, when given,
     draws a batched observation set consumable by Objective.batch_value,
     whose row r (of every leaf) is one observation. The engine draws its
-    observations in blocks of OBS_BLOCK rows with ``batch``, or with
-    OBS_BLOCK calls of ``sample`` when ``batch`` is missing. ``law``, when
+    observations in blocks of OBS_BLOCK rows with ``batch``, or as
+    ``sample_rows`` does when ``batch`` is missing. ``law``, when
     given, holds the distribution's parameters as ``Objective.expected``
     reads them: a tree of arrays, whose leaves have one entry per coordinate
-    when nodes of different dimensions share the objective.
+    when nodes of different dimensions share the objective. ``draws(rng,
+    n)``, when given, returns n observations stacked leaf by leaf, equal bit
+    for bit to n ``sample`` calls and leaving ``rng`` in the same state.
     """
 
     sample: callable
     batch: callable | None = None
     law: object = None
+    draws: callable | None = None
 
 
 @dataclass(frozen=True)
@@ -351,9 +356,12 @@ class ConstraintFamily:
             gammas_l = lane_copies(lanes, gammas)
 
             def edge_rows(xs, ths):
-                """(x_src, x_dst, th_src, th_dst) stacked over all edges."""
+                """(x_src, x_dst, th_src, th_dst) stacked over all edges; the
+                slack and J^T lam at ``ths`` share its observations' gather."""
                 xs, ths = np.asarray(xs, dtype=float), NodeObservations.of(ths)
-                return xs.take(src_l, axis=0), xs.take(dst_l, axis=0), ths[src_l], ths[dst_l]
+                if ths.edges is None or ths.edges[0] is not src_l:
+                    ths.edges = (src_l, ths.take(src_l), ths.take(dst_l))
+                return xs.take(src_l, axis=0), xs.take(dst_l, axis=0), *ths.edges[1:]
 
             def slack(xs, ths):
                 return np.asarray(value(*edge_rows(xs, ths)), dtype=float) - gammas_l
@@ -643,9 +651,10 @@ def _lane_by_lane(spec: ProblemSpec, tiled: ProblemSpec, lanes: int) -> Constrai
     def lane(s, xs, ths):
         """Copy s's iterate and observations."""
         flat = stack(xs)[s * c:(s + 1) * c]
-        leaves = tree_map(lambda leaf: leaf[s * n:(s + 1) * n] if len(leaf) == lanes * n
-                          else leaf[s * c:(s + 1) * c], NodeObservations.of(ths).leaves)
-        return spec.rows(flat), NodeObservations(leaves, spec.obs_offsets)
+        obs = NodeObservations.of(ths)
+        leaves = [leaf[s * n:(s + 1) * n] if len(leaf) == lanes * n else leaf[s * c:(s + 1) * c]
+                  for leaf in obs.leaves]
+        return spec.rows(flat), NodeObservations(leaves, spec.obs_offsets, obs.build)
 
     def slack(xs, ths):
         return np.concatenate([family.slack(*lane(s, xs, ths)) for s in range(lanes)])
@@ -752,14 +761,20 @@ def _leaves(tree) -> list:
     return [tree]
 
 
-def _stack_leaves(parts, axis: int):
+def _rebuild(like, leaves):
+    """The tree of ``like``'s structure holding ``leaves``, depth first."""
+    leaves = iter(leaves)
+    return tree_map(lambda _: next(leaves), like)
+
+
+def stack_leaves(parts, axis: int):
     """Stack equally structured observations leaf by leaf along a new ``axis``.
 
     A leaf whose length differs between the parts (one entry per coordinate
     of nodes of different dimensions) is concatenated along ``axis`` instead,
     coordinate after coordinate as in the stacked iterate."""
     if isinstance(parts[0], tuple):
-        return tuple(_stack_leaves(leaf, axis) for leaf in zip(*parts))
+        return tuple(stack_leaves(leaf, axis) for leaf in zip(*parts))
     parts = [np.asarray(p) for p in parts]
     if all(p.shape == parts[0].shape for p in parts):
         return np.stack(parts, axis=axis)
@@ -769,54 +784,63 @@ def _stack_leaves(parts, axis: int):
 class NodeObservations:
     """Observations of all nodes, stacked leaf by leaf.
 
-    A leaf has a leading node axis, or, when its length differs between nodes
-    (``_stack_leaves``), a leading coordinate axis laid out like the stacked
+    ``leaves`` is the flat tuple of the stacked arrays, depth first, and
+    ``build`` makes an observation from a sequence of such arrays. A leaf
+    has a leading node axis, or, when its length differs between nodes
+    (``stack_leaves``), a leading coordinate axis laid out like the stacked
     iterate, split per node at ``offsets`` (``ProblemSpec.obs_offsets``).
     ``obs[i]`` is node i's observation, as ``sample_observation`` returns it;
     an index array or a slice selects nodes of node-axis leaves, and
     ``rows(sel)`` gives the observations of the rows ``sel`` of
-    ``ProblemSpec.row_array``.
+    ``ProblemSpec.row_array``. ``edges`` keeps a constraint family's gather.
     """
 
-    __slots__ = ("leaves", "offsets", "_per_node")
+    __slots__ = ("leaves", "offsets", "build", "edges", "_per_node")
 
-    def __init__(self, leaves, offsets=None):
-        self.leaves = leaves
+    def __init__(self, leaves, offsets=None, build=tuple):
+        self.leaves = tuple(leaves)
         self.offsets = offsets
-        self._per_node = None
+        self.build = build
+        self.edges = self._per_node = None
 
     @staticmethod
     def of(ths, offsets=None) -> "NodeObservations":
         """``ths`` itself, or a per-node sequence of observations stacked."""
         if isinstance(ths, NodeObservations):
             return ths
-        return NodeObservations(_stack_leaves(list(ths), axis=0), offsets)
+        return NodeObservations.stacked(stack_leaves(list(ths), axis=0), offsets)
+
+    @staticmethod
+    def stacked(tree, offsets=None) -> "NodeObservations":
+        """The observations whose leaves ``tree`` stacks (``stack_leaves``);
+        ``build`` is ``tuple`` when ``tree`` is a flat tuple of arrays, else
+        it rebuilds ``tree``'s structure (kept without its arrays)."""
+        if isinstance(tree, tuple) and not any(isinstance(sub, tuple) for sub in tree):
+            return NodeObservations(tree, offsets)
+        return NodeObservations(_leaves(tree), offsets,
+                                partial(_rebuild, tree_map(lambda _: None, tree)))
 
     def __getitem__(self, nodes):
         if isinstance(nodes, (int, np.integer)):
             if self._per_node is None:  # split once: per-node code asks for each node often
-                self._per_node = _split_nodes(self.leaves, self.offsets)
+                o = self.offsets  # a leaf with a row per coordinate splits at the offsets
+                split = [list(leaf) if o is None or len(leaf) == len(o) - 1 else np.split(leaf, o[1:-1])
+                         for leaf in self.leaves]
+                self._per_node = [self.build(parts) for parts in zip(*split)]
             return self._per_node[nodes]
-        if isinstance(nodes, slice):
-            return tree_map(lambda leaf: leaf[nodes], self.leaves)
-        return tree_map(lambda leaf: leaf.take(nodes, axis=0), self.leaves)
+        return self.build([leaf[nodes] for leaf in self.leaves])
+
+    def take(self, nodes):
+        """``obs[nodes]`` for an index array: ``take`` gathers rows of a 2-D
+        leaf several times faster than fancy indexing does."""
+        return self.build([leaf.take(nodes, axis=0) for leaf in self.leaves])
 
     def rows(self, sel):
         """Observations of rows ``sel`` of ``ProblemSpec.row_array``: the nodes
         ``sel``, or coordinate rows of dimension 1 (leaves (rows, 1, ...))."""
         if self.offsets is None:
-            return self[sel]
-        return tree_map(lambda leaf: leaf[sel, None], self.leaves)
-
-
-def _split_nodes(tree, offsets) -> list:
-    """Per-node observations of stacked ``tree``: a leaf with one row per
-    node is split by row, one with a row per coordinate at ``offsets``."""
-    if isinstance(tree, tuple):
-        return list(zip(*[_split_nodes(leaf, offsets) for leaf in tree]))
-    if offsets is None or len(tree) == len(offsets) - 1:
-        return list(tree)
-    return np.split(tree, offsets[1:-1])
+            return self.build([leaf[sel] for leaf in self.leaves])
+        return self.build([leaf[sel, None] for leaf in self.leaves])
 
 
 def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
@@ -829,14 +853,22 @@ def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
 def _draw_block(sampler: Sampler, rng: np.random.Generator):
     if sampler.batch is not None:
         return sampler.batch(rng, OBS_BLOCK)
-    return _stack_leaves([sampler.sample(rng) for _ in range(OBS_BLOCK)], axis=0)
+    return sample_rows(sampler, rng, OBS_BLOCK)
+
+
+def sample_rows(sampler: Sampler, rng: np.random.Generator, n: int):
+    """n observations stacked leaf by leaf, drawn as n ``sample`` calls draw
+    them: with ``Sampler.draws``, or by stacking the ``sample`` calls."""
+    if sampler.draws is not None:
+        return sampler.draws(rng, n)
+    return stack_leaves([sampler.sample(rng) for _ in range(n)], axis=0)
 
 
 def observation_block(spec: ProblemSpec, seed: int, block: int):
     """Observations of steps block*OBS_BLOCK onward for every node, stacked
     leaf by leaf as (OBS_BLOCK, N, ...), or (OBS_BLOCK, C, ...) for leaves
     with one entry per coordinate of nodes of different dimensions."""
-    return _stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
+    return stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
                           for node, sampler in enumerate(spec.samplers)], axis=1)
 
 
@@ -1002,8 +1034,7 @@ class ExpectedObjective:
                     out[j] = leaf
                 else:
                     out[o[j]:o[j + 1], :, 0] = leaf.swapaxes(0, 1)
-        rows = iter(stacked)
-        return tree_map(lambda _: next(rows), tree)
+        return _rebuild(tree, stacked)
 
     def value(self, x) -> float:
         """F at per-node vectors x (a list of vectors or ``spec.rows``): the

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delay import DelaySchedule, StackedBuffer, resolve
-from .errors import DegenerateEstimates, NoFeasibleDelta, NonFiniteState
+from .errors import DegenerateEstimates, NoFeasibleDelta, NonFiniteState, OutOfWindow
 from .graph import NetworkGraph
 from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, objective_grads, objective_sum,
-                      observation_block, project, stack, tree_map)
+                      observation_block, project, stack)
 # replays one node's row of the engine's observation stream; kept in this
 # namespace, where bench/run_bench.py looks it up
 from .problem import sample_observation  # noqa: F401
@@ -196,16 +196,21 @@ class SaddleEngine:
 
     All randomness flows from the single 64-bit ``seed``: observations are
     drawn for all nodes in blocks of OBS_BLOCK steps (``observation_block``),
-    and ``sample_observation`` replays any single one. Passing
-    ``schedule=None`` selects the reference synchronous loop (no buffers, no
-    staleness resolution); a zero schedule exercises the asynchronous
-    machinery and produces the identical trajectory.
+    and ``sample_observation`` replays any single one. The blocks go into an
+    observation window of flat leaves, which holds the current block and
+    the ceil(tau/OBS_BLOCK) blocks before it, and stale observations are
+    read from it by index; the iterates go into a ring of tau+1
+    (``StackedBuffer``). Passing ``schedule=None`` selects the reference
+    synchronous loop (no iterate ring, no staleness resolution); a zero
+    schedule exercises the asynchronous machinery and produces the
+    identical trajectory.
 
     Lanes: with a sequence of seeds and one schedule (or None) per seed, the
     engine steps every seed's run at once as the lanes of one problem of S
     copies (``ProblemSpec.tile``): the stacked x and lam are (S, C) and
     (S, M) arrays laid out lane after lane, each lane with its own
-    observation blocks, delay schedule and staleness-buffer rows. ``traces()`` gives each lane's RunTrace, equal
+    observation blocks, delay schedule, and columns of the ring and the
+    window. ``traces()`` gives each lane's RunTrace, equal
     byte for byte to the run of that seed alone; a None schedule in a bundle
     with stale lanes runs as a zero-delay lane, which is the same trajectory.
     ``state`` and the hooks then see the state of the tiled problem.
@@ -250,9 +255,12 @@ class SaddleEngine:
         # of x (and of the per-coordinate observation leaves) gathers each
         # coordinate at its node's resolved time
         self._coord_node = np.repeat(np.arange(S * n), tiled.dims)
-        self._block_id = -1
-        self._block = None
-        self._x_buf = self._th_buf = None
+        self._node_cols, self._coord_cols = np.arange(S * n), np.arange(S * self._n_coords)
+        # the observation window: the current block and the ceil(tau/OBS_BLOCK)
+        # blocks before it, one array per leaf, row t mod _depth for time t
+        self._depth = OBS_BLOCK * (1 + -(-max(self._tau_bounds) // OBS_BLOCK))
+        self._window = self._build = self._x_buf = None
+        self._stale = np.zeros(T, dtype=bool)
 
         self.state = SaddleState(x=tiled.rows(stack(tiled.x0).copy()),
                                  lam=np.zeros(S * n_cons), t=0)
@@ -285,10 +293,9 @@ class SaddleEngine:
 
     def _record_row(self, t):
         lam = self.state.lam.reshape(self._lanes, self._n_cons)
-        for s in range(self._lanes):
-            # one 1-D norm per lane: the norm of a 2-D array's rows adds differently
-            self._lambda_norm[s, t] = float(np.linalg.norm(lam[s]))
-        self._lambda_min[:, t] = lam.min(axis=1, initial=0.0)
+        # a dot product per lane, as np.linalg.norm of the lane's 1-D vector
+        self._lambda_norm[:, t] = np.sqrt(np.vecdot(lam, lam))
+        self._lambda_min[:, t] = np.minimum.reduce(lam, axis=1, initial=0.0)
         if self.eval_every and (t % self.eval_every == 0 or t == self.hp.T):
             self._to_score[len(self._to_score_t)] = stack(self.state.x).reshape(self._lanes, -1)
             self._to_score_t.append(t)
@@ -314,40 +321,55 @@ class SaddleEngine:
     # -- iteration ---------------------------------------------------------
 
     def _observations(self, k: int) -> NodeObservations:
-        """Every node's observation of step k, from the block holding it; the
-        lanes' blocks side by side along the node (or coordinate) axis."""
-        block, row = divmod(k, OBS_BLOCK)
-        if block != self._block_id:
-            blocks = [observation_block(self.spec, seed, block) for seed in self.seeds]
-            self._block = blocks[0] if self._lanes == 1 else tree_map(
-                lambda *leaves: np.concatenate(leaves, axis=1), *blocks)
-            self._block_id = block
-        return NodeObservations(tree_map(lambda leaf: leaf[row], self._block), self._tiled.obs_offsets)
+        """Every node's observation of step k: row k mod ``_depth`` of the
+        window, into which a block's first step writes the lanes' blocks,
+        side by side along the node (or coordinate) axis; a window of one
+        block is the block itself."""
+        depth = self._depth
+        if k % OBS_BLOCK == 0:
+            blocks = [NodeObservations.stacked(observation_block(self.spec, seed, k // OBS_BLOCK))
+                      for seed in self.seeds]
+            self._build = blocks[0].build
+            leaves = blocks[0].leaves if self._lanes == 1 else [
+                np.concatenate(parts, axis=1) for parts in zip(*[b.leaves for b in blocks])]
+            if depth == OBS_BLOCK:
+                self._window = leaves
+            else:
+                self._window = self._window or [np.empty((depth,) + a.shape[1:], a.dtype) for a in leaves]
+                for rows, leaf in zip(self._window, leaves):
+                    rows[k % depth:k % depth + OBS_BLOCK] = leaf
+        return NodeObservations([rows[k % depth] for rows in self._window],
+                                self._tiled.obs_offsets, self._build)
 
     def _stale_window(self, k: int, x):
         """Record step k's iterate, and return every node's iterate and
         observation at its resolved time, and whether any of them is stale.
-        A block's first step writes all of the block's rows into the
-        observation rings and resolves every lane's delays for its steps."""
+        A block's first step resolves every lane's delays for its steps and
+        checks them against the window, which holds times from ``_depth`` -
+        OBS_BLOCK before the block on; a stale observation is read by index,
+        at row (resolved time mod ``_depth``) and node or coordinate."""
         if k % OBS_BLOCK == 0:
-            if self._x_buf is None:  # tau+1 iterates; the block and the tau rows before it
-                tau = max(self._tau_bounds)
-                self._x_buf = StackedBuffer(tau + 1, stack(x))
-                self._th_buf = tree_map(lambda leaf: StackedBuffer(OBS_BLOCK + tau, leaf[0]), self._block)
-            rows = np.arange(k, k + OBS_BLOCK)
-            tree_map(lambda buf, leaf: buf.record(rows, leaf), self._th_buf, self._block)
-            steps = rows[:self.hp.T - k]
+            if self._x_buf is None:  # tau+1 iterates
+                self._x_buf = StackedBuffer(max(self._tau_bounds) + 1, stack(x))
+            steps = np.arange(k, min(k + OBS_BLOCK, self.hp.T))
             prev = self._resolved[k - 1] if k else np.zeros((self._lanes, self._n), dtype=int)
             for s, schedule in enumerate(self._schedules):
                 self._resolved[steps, s] = resolve(schedule, steps, np.arange(self._n), prev[s])
+            resolved = self._resolved[steps]
+            base = k + OBS_BLOCK - self._depth
+            if resolved.min() < base:
+                raise OutOfWindow(f"time {resolved.min()} before the observation window at {base}")
+            self._stale[steps] = (resolved != steps[:, None, None]).any(axis=(1, 2))
         res = self._resolved[k].reshape(-1)
-        self._x_buf.record(k, stack(x))
         res_coord = res[self._coord_node]
+        self._x_buf.record(k, stack(x))
         xs_eval = self._tiled.rows(self._x_buf.fetch(res_coord))
+        at_node = (res % self._depth, self._node_cols)
+        at_coord = (res_coord % self._depth, self._coord_cols)
         ths_eval = NodeObservations(
-            tree_map(lambda buf: buf.fetch(res if buf.width == res.size else res_coord), self._th_buf),
-            self._tiled.obs_offsets)
-        return xs_eval, ths_eval, bool((res != k).any())
+            [rows[at_node if rows.shape[1] == res.size else at_coord] for rows in self._window],
+            self._tiled.obs_offsets, self._build)
+        return xs_eval, ths_eval, bool(self._stale[k])
 
     def step(self) -> SaddleState:
         """Advance one iteration; raises past the configured horizon."""

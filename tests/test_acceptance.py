@@ -20,7 +20,7 @@ from asaddle.graph import build_graph, ring_edges
 from asaddle.metrics import (AssumptionEstimates, audit_invariants, delayed_violation,
                              estimate_optimum, fit_rate, running_suboptimality)
 from asaddle.problem import ExpectedObjective, as_neighborhood, project, sample_observation
-from asaddle.saddle import (Hyperparams, advise, run)
+from asaddle.saddle import Hyperparams, advise, run, run_lanes
 
 from conftest import assert_grad_close, central_difference
 from test_problem import DOMAINS, slsqp_projection
@@ -60,11 +60,8 @@ def consensus_bundle():
     hp = Hyperparams(epsilon=1.0 / math.sqrt(T), delta=1e-5, T=T)
     evaluator = ExpectedObjective(spec, 2000, seed=EVAL_SEED)
     f_star, _ = estimate_optimum(spec, 50000, seed=OPT_SEED, eval_seed=EVAL_SEED)
-    traces = [
-        run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
-            seed=s, evaluator=evaluator)
-        for s in SEEDS5
-    ]
+    traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=10, seed=s)
+                                  for s in SEEDS5], SEEDS5, evaluator=evaluator)
     elapsed = time.perf_counter() - start
     _register("consensus_rates", traces)
     mean_fhat = np.mean([tr.F_hat for tr in traces], axis=0)
@@ -88,11 +85,9 @@ def pricing_sinr_bundle():
     spec = build_pricing_problem(cfg)
     T = 50000
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
-    traces = [
-        run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
-            seed=s, evaluator=None, eval_every=0, thin_every=1000)
-        for s in SEEDS5
-    ]
+    traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=10, seed=s)
+                                  for s in SEEDS5], SEEDS5, evaluator=None, eval_every=0,
+                       thin_every=1000)
     sinr = np.mean([sinr_report(cfg, tr) for tr in traces], axis=0)
     naive = naive_baseline(cfg, seed=EVAL_SEED, T=T)
     elapsed = time.perf_counter() - start

@@ -400,6 +400,9 @@ def test_custom_table_delay_is_a_config_error(tmp_path, capsys):
     {"name": "consensus_regression", "p": 2, "weights": [[1.0, 0.0]]},  # one row for 3 nodes
     {"name": "pricing", "assignment": 5},
     {"name": "pricing", "no_such_parameter": 1},
+    {"name": "pricing", "gamma_db": 4000.0},  # 10^400 overflows a float
+    {"name": "pricing", "gamma_db": [-3.0, 4000.0]},
+    {"name": "pricing", "gamma_db": [-3.0]},  # two MUs
 ])
 def test_invalid_app_parameters_exit_2_before_any_output(tmp_path, capsys, problem):
     body = dict(SMALL, problem=problem)

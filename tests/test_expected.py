@@ -8,9 +8,9 @@ from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_pr
 from asaddle.apps.pricing import PricingConfig, build_pricing_problem, exp1
 from asaddle.delay import DelaySchedule
 from asaddle.graph import build_graph, ring_edges
-from asaddle.metrics import _random_feasible
 from asaddle.problem import OBS_BLOCK, ExpectedObjective, stack
 from asaddle.saddle import Hyperparams, run_lanes
+from test_metrics import _random_feasible
 from test_problem import _pricing_specs, _random_prices, monte_carlo
 from test_saddle import assert_lanes_match_solo
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from asaddle.apps.pricing import PricingConfig, build_pricing_problem
 from asaddle.delay import DelaySchedule
 from asaddle.errors import DegenerateEstimates, DegenerateSeries
 from asaddle.graph import build_graph, closed_neighborhood
-from asaddle.metrics import (AssumptionEstimates, _random_feasible, audit_assumptions,
+from asaddle.metrics import (AssumptionEstimates, audit_assumptions,
                              audit_invariants, cumulative_suboptimality, delayed_violation,
                              estimate_optimum, fit_rate, running_suboptimality)
 from asaddle.problem import (ConstraintFamily, DomainSpec, ExpectedObjective,
                              NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
-                             as_neighborhood)
+                             as_neighborhood, project)
 from asaddle.saddle import Hyperparams, advise, run
 
 
@@ -241,6 +242,19 @@ def _max_draw_mean(per_draw: np.ndarray) -> float:
     return float(np.mean(np.ascontiguousarray(per_draw.T), axis=1).max())
 
 
+def _random_feasible(spec: ProblemSpec, rng) -> list:
+    """A feasible point drawn and projected one node at a time."""
+    xs = []
+    for dom in spec.domains:
+        if dom.kind == "box":
+            u = rng.uniform(dom.lo, dom.hi)
+        else:
+            hi = max(abs(dom.c_min), abs(dom.c_max), 1.0)
+            u = rng.uniform(0.0 if dom.nonneg else -hi, hi, size=dom.dim)
+        xs.append(project(dom, np.atleast_1d(u)))
+    return xs
+
+
 def _reference_audit(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
                      theta_draws: int = 16, secant_pairs: int = 40,
                      mc_samples: int = 512) -> AssumptionEstimates:
@@ -295,6 +309,8 @@ def _audit_spec(name, consensus_spec):
         spec = build_pricing_problem(PricingConfig())  # dims 1, 2, 1
     else:
         return linear_objective_spec(np.array([3.0, -4.0]))  # None observations, no constraint
+    if name.endswith("sample_only"):  # the audit stacks sample calls
+        return replace(spec, samplers=tuple(replace(s, draws=None) for s in spec.samplers))
     return as_neighborhood(spec) if name.endswith("nbhd") else spec
 
 
@@ -309,6 +325,7 @@ def _audit_spec(name, consensus_spec):
     ("consensus_nbhd", dict(n_samples=200, theta_draws=8, seed=0)),
     ("pricing_nbhd", dict(n_samples=200, theta_draws=8, seed=3)),
     ("linear", dict(n_samples=200, theta_draws=8, seed=0)),
+    ("pricing_sample_only", dict(n_samples=200, theta_draws=8, seed=4)),
 ])
 def test_lane_audit_matches_the_per_draw_loop_bit_for_bit(consensus_spec, name, sizes):
     spec = _audit_spec(name, consensus_spec)

@@ -641,3 +641,67 @@ def test_tiled_objectives_and_sums_per_copy(consensus_spec):
     members = sorted(tuple(range(9)[g.nodes]) if isinstance(g.nodes, slice)
                      else tuple(np.atleast_1d(g.nodes).tolist()) for g in groups)
     assert members == [(0, 2, 3, 5, 6, 8), (1,), (4,), (7,)]
+
+
+# ---------------------------------------------------------------------------
+# Sampler.draws: n observations in the stream order of n sample calls
+# ---------------------------------------------------------------------------
+
+def _assert_draws_equal_sample_calls(sampler, n, seed):
+    from asaddle.problem import stack_leaves
+    rng_draws, rng_calls = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sampler.draws(rng_draws, n)
+    want = stack_leaves([sampler.sample(rng_calls) for _ in range(n)], axis=0)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        a = np.ascontiguousarray(a)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rng_draws.bit_generator.state == rng_calls.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), p=st.integers(1, 7), n_nodes=st.integers(3, 6),
+       scale=st.floats(0.1, 10.0), noise=st.floats(0.0, 3.0), seed=st.integers(0, 2**32),
+       explicit=st.booleans())
+def test_consensus_draws_equal_sample_calls(n, p, n_nodes, scale, noise, seed, explicit):
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    from asaddle.graph import ring_edges
+    weights = None
+    if explicit:
+        weights = tuple(map(tuple, np.random.default_rng(seed).normal(0.0, scale, (n_nodes, p))))
+    cfg = ConsensusRegressionConfig(p=p, weight_scale=scale, noise_std=noise, weights=weights)
+    spec = build_consensus_problem(cfg, build_graph(n_nodes, ring_edges(n_nodes)))
+    for sampler in spec.samplers:
+        _assert_draws_equal_sample_calls(sampler, n, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 70), mean=st.floats(0.01, 100.0), seed=st.integers(0, 2**32),
+       assignment=st.sampled_from([((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 1, 2)), ((0,),)]))
+def test_pricing_draws_equal_sample_calls(n, mean, seed, assignment):
+    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
+    n_scbs = 1 + max(max(group) for group in assignment)
+    cfg = PricingConfig(n_mus=len(assignment), n_scbs=n_scbs, assignment=assignment,
+                        gain_mean=mean, gamma_db=0.0)
+    for sampler in build_pricing_problem(cfg).samplers:
+        _assert_draws_equal_sample_calls(sampler, n, seed)
+
+
+def test_edge_gather_is_shared_and_reads_the_iterate_on_every_call(consensus_spec):
+    # slack and J^T lam at one evaluation share the observations' gather; an
+    # iterate changed in place between the calls is still read afresh
+    from asaddle.problem import NodeObservations, stack
+    rng = np.random.default_rng(3)
+    family = consensus_spec.constraints
+    ths = [sample_observation(consensus_spec, 0, i, 4) for i in range(5)]
+    xs = rng.uniform(-2.0, 2.0, size=(5, 4))
+    obs = NodeObservations.of(ths)
+    family.slack(xs, obs)
+    gathered = obs.edges
+    xs[:] = rng.uniform(-2.0, 2.0, size=(5, 4))
+    grads, lam = rng.normal(size=(5, 4)), rng.uniform(0.0, 1.0, size=family.size)
+    shared = stack(family.add_jt_lam(grads, lam, xs, obs))
+    assert obs.edges is gathered
+    fresh = stack(family.add_jt_lam(grads, lam, xs, NodeObservations.of(ths)))
+    assert shared.tobytes() == fresh.tobytes()
+    assert family.slack(xs, obs).tobytes() == family.slack(xs, ths).tobytes()
