@@ -3,7 +3,8 @@
 Asynchrony is modeled, not executed: a single deterministic loop advances the
 global clock and evaluates gradients at resolved stale indices. A node's
 resolved index never decreases (only the most recent received copy is kept)
-and never lags the clock by more than tau_max.
+and never lags the clock by more than tau_max. ``resolve`` gives the indices
+of many nodes at consecutive times at once; ``StalenessBuffer`` is a per-node ring.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import OutOfWindow
 
-__all__ = ["DelaySchedule", "StalenessBuffer", "StackedBuffer", "resolve"]
+__all__ = ["DelaySchedule", "StalenessBuffer", "resolve"]
 
 _DELAY_STREAM = 3
 _CHUNK = 4096
@@ -57,30 +58,32 @@ class DelaySchedule:
             if self.table.size and (self.table.min() < 0 or self.table.max() > self.tau_max):
                 raise ValueError("custom table entries outside [0, tau_max]")
 
-    def tau(self, i, t):
-        """Raw delay draw for node i at time t (before monotonicity clamping).
-
-        ``i`` may be an array of node ids and ``t`` one of times inside one
-        _CHUNK-step chunk (else ValueError): one (times, nodes) array back.
-        """
-        nodes = np.asarray(i)
-        times = np.asarray(t)
-        if times.ndim and times.min() // _CHUNK != times.max() // _CHUNK:
-            raise ValueError(f"times {times.min()}..{times.max()} span two {_CHUNK}-step chunks")
-        times = times.reshape(times.shape + (1,) * nodes.ndim)
+    def covered_nodes(self) -> int | None:
+        """Nodes with delays of their own: a custom table's columns or the
+        entries of ``node_taus``; None when every node draws alike."""
         if self.kind == "custom_table":
-            if times.max() >= self.table.shape[0]:
+            return self.table.shape[1]
+        return len(self.node_taus) if self.kind == "fixed" and self.node_taus is not None else None
+
+    def tau(self, nodes, times):
+        """Raw delay draws (before monotonicity clamping) of the node array ``nodes``
+        at the consecutive ``times``, inside one _CHUNK-step chunk (else
+        ValueError): a (times, nodes) array, one row per time."""
+        nodes = np.asarray(nodes)
+        times = np.asarray(times)
+        if times[0] // _CHUNK != times[-1] // _CHUNK:
+            raise ValueError(f"times {times[0]}..{times[-1]} span two {_CHUNK}-step chunks")
+        if self.kind == "custom_table":
+            if times[-1] >= self.table.shape[0]:
                 raise OutOfWindow(f"custom delay table has {self.table.shape[0]} rows, "
-                                  f"asked t={times.max()}")
-            draws = self.table[times, nodes]
-        elif self.kind == "uniform_random":
-            block = int(times.max()) // _CHUNK
-            draws = self._block(block, int(nodes.max(initial=0)) + 1)[nodes, times % _CHUNK]
-        elif self.kind == "fixed" and self.node_taus is not None:
-            draws = np.asarray(self.node_taus)[nodes] + np.zeros_like(times)
-        else:  # tau_max is 0 for kind "zero"
-            draws = np.full(nodes.shape, self.tau_max) + np.zeros_like(times)
-        return draws if draws.ndim else int(draws)
+                                  f"asked t={times[-1]}")
+            return self.table[times[:, None], nodes]
+        if self.kind == "uniform_random":
+            table = self._block(int(times[0]) // _CHUNK, int(nodes.max(initial=0)) + 1)
+            return table[nodes, times[:, None] % _CHUNK]
+        if self.kind == "fixed" and self.node_taus is not None:
+            return np.asarray(self.node_taus)[nodes] + np.zeros_like(times)[:, None]
+        return np.full((len(times), len(nodes)), self.tau_max)  # tau_max is 0 for kind "zero"
 
     def _block(self, block: int, n_nodes: int) -> np.ndarray:
         """(>= n_nodes, _CHUNK) uniform draws of ``block``; row i is node i's own substream.
@@ -99,23 +102,19 @@ class DelaySchedule:
         return table
 
 
-def resolve(schedule: DelaySchedule, t, i, prev):
-    """Delayed index [t]_i = max(prev, t - tau_i(t), 0).
+def resolve(schedule: DelaySchedule, times, nodes, prev) -> np.ndarray:
+    """Delayed indices [t]_i = max([t-1]_i, t - tau_i(t), 0) of the node array
+    ``nodes`` at the consecutive ``times``: one row per time, carried from
+    ``prev``, the nodes' indices at the time before the first.
 
     The max with the previously resolved index enforces freshness monotonicity
     (tau_i(t) <= tau_i(t-1) + 1); the floor at 0 clips warm-up reads to the
-    initial iterate. With arrays ``i`` and ``prev`` every listed node is
-    resolved at once; with consecutive times ``t``, one row per step comes
-    back, carried from ``prev`` exactly as the per-step chain.
+    initial iterate.
     """
-    if np.ndim(t):
-        t = np.asarray(t)
-        stale = t.reshape(t.shape + (1,) * np.ndim(i)) - schedule.tau(i, t)
-        stale[0] = np.maximum(stale[0], prev)
-        return np.maximum(np.maximum.accumulate(stale, axis=0), 0)
-    if np.ndim(i):
-        return np.maximum(np.maximum(prev, t - schedule.tau(i, t)), 0)
-    return max(prev, t - schedule.tau(i, t), 0)
+    times = np.asarray(times)
+    stale = times[:, None] - schedule.tau(nodes, times)
+    stale[0] = np.maximum(stale[0], prev)
+    return np.maximum(np.maximum.accumulate(stale, axis=0), 0)
 
 
 class StalenessBuffer:
@@ -140,33 +139,3 @@ class StalenessBuffer:
         if self._times[i][slot] != s:
             raise OutOfWindow(f"time {s} for node {i} outside retained window")
         return self._values[i][slot]
-
-
-class StackedBuffer:
-    """StalenessBuffer for all nodes at once: the last ``depth`` rows of a
-    node-stacked array (leading axis: node, or coordinate), kept as one
-    array indexed by (time slot, node). The engine keeps the iterates in
-    one; its observations are read from their blocks by index. Its writes
-    are fancy assignments, so ``record`` also takes up to ``depth`` times at once."""
-
-    def __init__(self, depth: int, row: np.ndarray):
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        self.depth = depth
-        self._times = np.full(depth, -1)
-        self._rows = np.empty((depth,) + row.shape, dtype=row.dtype)
-        self._cols = np.arange(row.shape[0])
-
-    def record(self, t, row: np.ndarray) -> None:
-        """Store the row of time t (rows of times t), evicting the slot's older row."""
-        slot = t % self.depth
-        self._times[slot] = t
-        self._rows[slot] = row
-
-    def fetch(self, times: np.ndarray) -> np.ndarray:
-        """Entry k of the row recorded at times[k], for every k, in one fancy
-        index; OutOfWindow if any of those rows was evicted."""
-        slots = times % self.depth
-        if (self._times[slots] != times).any():
-            raise OutOfWindow(f"times {times} outside retained window")
-        return self._rows[slots, self._cols]

@@ -26,7 +26,7 @@ class NonFiniteState(SaddleError, ValueError):
 
 
 class OutOfWindow(SaddleError, KeyError):
-    """A staleness-buffer fetch referenced a time outside the retained window."""
+    """A stale read reaches a time its window (or a delay table) does not hold."""
 
 
 class NoFeasibleDelta(SaddleError):

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay import DelaySchedule, StackedBuffer, resolve
-from .errors import DegenerateEstimates, NoFeasibleDelta, NonFiniteState, OutOfWindow
+from .delay import DelaySchedule, resolve
+from .errors import DegenerateEstimates, DimensionMismatch, NoFeasibleDelta, NonFiniteState, OutOfWindow
 from .graph import NetworkGraph
 from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, objective_grads, objective_sum,
                       observation_block, project, stack)
@@ -196,23 +196,23 @@ class SaddleEngine:
 
     All randomness flows from the single 64-bit ``seed``: observations are
     drawn for all nodes in blocks of OBS_BLOCK steps (``observation_block``),
-    and ``sample_observation`` replays any single one. The blocks go into an
-    observation window of flat leaves, which holds the current block and
-    the ceil(tau/OBS_BLOCK) blocks before it, and stale observations are
-    read from it by index; the iterates go into a ring of tau+1
-    (``StackedBuffer``). Passing ``schedule=None`` selects the reference
-    synchronous loop (no iterate ring, no staleness resolution); a zero
-    schedule exercises the asynchronous machinery and produces the
-    identical trajectory.
+    and ``sample_observation`` replays any single one. All staleness state
+    is one window on the global clock: the current block and the
+    ceil(tau/OBS_BLOCK) blocks before it, time t at row t mod its depth, of
+    every flat observation leaf and of the stacked iterate, both read by
+    index at (resolved time mod depth, node or coordinate). Passing
+    ``schedule=None`` selects the reference synchronous loop (no iterate
+    window, no staleness resolution); a zero schedule exercises the
+    asynchronous machinery and produces the identical trajectory.
 
     Lanes: with a sequence of seeds and one schedule (or None) per seed, the
     engine steps every seed's run at once as the lanes of one problem of S
     copies (``ProblemSpec.tile``): the stacked x and lam are (S, C) and
     (S, M) arrays laid out lane after lane, each lane with its own
-    observation blocks, delay schedule, and columns of the ring and the
-    window. ``traces()`` gives each lane's RunTrace, equal
-    byte for byte to the run of that seed alone; a None schedule in a bundle
-    with stale lanes runs as a zero-delay lane, which is the same trajectory.
+    observation blocks, delay schedule, and columns of the window.
+    ``traces()`` gives each lane's RunTrace, equal byte for byte to the run
+    of that seed alone; a None schedule in a bundle with stale lanes runs as
+    a zero-delay lane, which is the same trajectory.
     ``state`` and the hooks then see the state of the tiled problem.
 
     The ``evaluator`` scores the iterates in blocks: the rows it must score
@@ -235,6 +235,11 @@ class SaddleEngine:
         schedules = list(schedule) if np.ndim(seed) else [schedule]
         if len(schedules) != len(seeds):
             raise ValueError(f"{len(schedules)} schedules for {len(seeds)} seeds")
+        n = spec.graph.n_nodes
+        for sch, sd in zip(schedules, seeds):
+            covered = None if sch is None else sch.covered_nodes()
+            if covered is not None and covered < n:
+                raise DimensionMismatch(f"seed {sd}: {sch.kind} delays for {covered} of {n} nodes")
         self.seeds = seeds
         self._lanes = S = len(seeds)
         self._modes = ["sync" if sch is None else "async" for sch in schedules]
@@ -246,7 +251,6 @@ class SaddleEngine:
             self._schedules = [DelaySchedule() if sch is None else sch for sch in schedules]
         self._tiled = tiled = spec.tile(S)
 
-        n = spec.graph.n_nodes
         T = hp.T
         self._n = n
         self._n_cons = n_cons = spec.constraints.size
@@ -256,10 +260,11 @@ class SaddleEngine:
         # coordinate at its node's resolved time
         self._coord_node = np.repeat(np.arange(S * n), tiled.dims)
         self._node_cols, self._coord_cols = np.arange(S * n), np.arange(S * self._n_coords)
-        # the observation window: the current block and the ceil(tau/OBS_BLOCK)
-        # blocks before it, one array per leaf, row t mod _depth for time t
+        # the staleness window, time t at row t mod _depth: the current block and the
+        # ceil(tau/OBS_BLOCK) before it, of every observation leaf and (async) of x
         self._depth = OBS_BLOCK * (1 + -(-max(self._tau_bounds) // OBS_BLOCK))
-        self._window = self._build = self._x_buf = None
+        self._window = self._build = None
+        self._x_window = None if self._schedules is None else np.empty((self._depth, S * self._n_coords))
         self._stale = np.zeros(T, dtype=bool)
 
         self.state = SaddleState(x=tiled.rows(stack(tiled.x0).copy()),
@@ -320,52 +325,44 @@ class SaddleEngine:
 
     # -- iteration ---------------------------------------------------------
 
-    def _observations(self, k: int) -> NodeObservations:
-        """Every node's observation of step k: row k mod ``_depth`` of the
-        window, into which a block's first step writes the lanes' blocks,
-        side by side along the node (or coordinate) axis; a window of one
-        block is the block itself."""
+    def _next_block(self, k: int) -> None:
+        """Step k starts a block: write every lane's observations of its steps
+        into the window (a window of one block is the block itself) and, when
+        any lane is stale, resolve every lane's delays for them, check them
+        against the window, which holds every time from ``_depth`` - OBS_BLOCK
+        before the block on, and flag the steps where any node is stale."""
         depth = self._depth
-        if k % OBS_BLOCK == 0:
-            blocks = [NodeObservations.stacked(observation_block(self.spec, seed, k // OBS_BLOCK))
-                      for seed in self.seeds]
-            self._build = blocks[0].build
-            leaves = blocks[0].leaves if self._lanes == 1 else [
-                np.concatenate(parts, axis=1) for parts in zip(*[b.leaves for b in blocks])]
-            if depth == OBS_BLOCK:
-                self._window = leaves
-            else:
-                self._window = self._window or [np.empty((depth,) + a.shape[1:], a.dtype) for a in leaves]
-                for rows, leaf in zip(self._window, leaves):
-                    rows[k % depth:k % depth + OBS_BLOCK] = leaf
-        return NodeObservations([rows[k % depth] for rows in self._window],
-                                self._tiled.obs_offsets, self._build)
+        blocks = [NodeObservations.stacked(observation_block(self.spec, seed, k // OBS_BLOCK))
+                  for seed in self.seeds]
+        self._build = blocks[0].build
+        leaves = blocks[0].leaves if self._lanes == 1 else [
+            np.concatenate(parts, axis=1) for parts in zip(*[b.leaves for b in blocks])]
+        if depth == OBS_BLOCK:
+            self._window = leaves
+        else:
+            self._window = self._window or [np.empty((depth,) + a.shape[1:], a.dtype) for a in leaves]
+            for rows, leaf in zip(self._window, leaves):
+                rows[k % depth:k % depth + OBS_BLOCK] = leaf
+        if self._schedules is None:
+            return
+        steps = np.arange(k, min(k + OBS_BLOCK, self.hp.T))
+        prev = self._resolved[k - 1] if k else np.zeros((self._lanes, self._n), dtype=int)
+        for s, schedule in enumerate(self._schedules):
+            self._resolved[steps, s] = resolve(schedule, steps, np.arange(self._n), prev[s])
+        resolved = self._resolved[steps]
+        base = k + OBS_BLOCK - depth
+        if resolved.min() < base:
+            raise OutOfWindow(f"time {resolved.min()} before the observation window at {base}")
+        self._stale[steps] = (resolved != steps[:, None, None]).any(axis=(1, 2))
 
-    def _stale_window(self, k: int, x):
-        """Record step k's iterate, and return every node's iterate and
-        observation at its resolved time, and whether any of them is stale.
-        A block's first step resolves every lane's delays for its steps and
-        checks them against the window, which holds times from ``_depth`` -
-        OBS_BLOCK before the block on; a stale observation is read by index,
-        at row (resolved time mod ``_depth``) and node or coordinate."""
-        if k % OBS_BLOCK == 0:
-            if self._x_buf is None:  # tau+1 iterates
-                self._x_buf = StackedBuffer(max(self._tau_bounds) + 1, stack(x))
-            steps = np.arange(k, min(k + OBS_BLOCK, self.hp.T))
-            prev = self._resolved[k - 1] if k else np.zeros((self._lanes, self._n), dtype=int)
-            for s, schedule in enumerate(self._schedules):
-                self._resolved[steps, s] = resolve(schedule, steps, np.arange(self._n), prev[s])
-            resolved = self._resolved[steps]
-            base = k + OBS_BLOCK - self._depth
-            if resolved.min() < base:
-                raise OutOfWindow(f"time {resolved.min()} before the observation window at {base}")
-            self._stale[steps] = (resolved != steps[:, None, None]).any(axis=(1, 2))
+    def _stale_window(self, k: int):
+        """Every node's iterate and observation at its resolved time of step
+        k, read from the window by index at row (resolved time mod
+        ``_depth``) and node or coordinate, and whether any of them is stale."""
         res = self._resolved[k].reshape(-1)
-        res_coord = res[self._coord_node]
-        self._x_buf.record(k, stack(x))
-        xs_eval = self._tiled.rows(self._x_buf.fetch(res_coord))
         at_node = (res % self._depth, self._node_cols)
-        at_coord = (res_coord % self._depth, self._coord_cols)
+        at_coord = (res[self._coord_node] % self._depth, self._coord_cols)
+        xs_eval = self._tiled.rows(self._x_window[at_coord])
         ths_eval = NodeObservations(
             [rows[at_node if rows.shape[1] == res.size else at_coord] for rows in self._window],
             self._tiled.obs_offsets, self._build)
@@ -378,11 +375,15 @@ class SaddleEngine:
         k = self.state.t
         if k >= hp.T:
             raise IndexError(f"horizon T={hp.T} exhausted")
+        if k % OBS_BLOCK == 0:
+            self._next_block(k)
         x = self.state.x
-        theta = self._observations(k)
+        row = k % self._depth
+        theta = NodeObservations([rows[row] for rows in self._window], spec.obs_offsets, self._build)
 
         if self._schedules is not None:
-            xs_eval, ths_eval, stale = self._stale_window(k, x)
+            self._x_window[row] = stack(x)
+            xs_eval, ths_eval, stale = self._stale_window(k)
         else:
             xs_eval, ths_eval, stale = x, theta, False
 

@@ -108,9 +108,10 @@ def margin_bundle():
         spec = build_pricing_problem(cfg)
         hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
         finals = []
-        for s in (0, 1, 2):
-            tr = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
-                     seed=s, evaluator=None, eval_every=0, thin_every=0)
+        traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=10, seed=s)
+                                      for s in (0, 1, 2)], (0, 1, 2), evaluator=None,
+                           eval_every=0, thin_every=0)
+        for tr in traces:
             inst = -tr.obj_sample
             finals.append(inst[3 * T // 4:].mean())
             all_traces.append(tr)
@@ -130,16 +131,12 @@ def mode_bundle():
     f_star, _ = estimate_optimum(spec, 60000, seed=OPT_SEED, epsilon=0.01,
                                  eval_seed=EVAL_SEED)
     series = {}
-    for mode in ("sync", "async"):
-        traces = []
-        for s in (0, 1, 2):
-            if mode == "sync":
-                traces.append(run(spec, hp, None, s, evaluator=evaluator,
-                                  thin_every=1000))
-            else:
-                traces.append(run(spec, hp,
-                                  DelaySchedule(kind="uniform_random", tau_max=10, seed=s),
-                                  seed=s, evaluator=evaluator, thin_every=1000))
+    # one bundle of 6 lanes, as `compare` runs it: a sync lane runs as a
+    # zero-delay lane there, which is the same trajectory
+    bundle = run_lanes(spec, hp, [None] * 3 + [DelaySchedule(kind="uniform_random", tau_max=10,
+                                                             seed=s) for s in (0, 1, 2)],
+                       (0, 1, 2) * 2, evaluator=evaluator, thin_every=1000)
+    for mode, traces in (("sync", bundle[:3]), ("async", bundle[3:])):
         _register(f"pricing_modes_{mode}", traces)
         mean_fhat = np.mean([tr.F_hat for tr in traces], axis=0)
         series[mode] = running_suboptimality(mean_fhat, f_star)
@@ -157,9 +154,11 @@ def test_criterion_1_zero_delay_bitwise_equivalence():
     start = time.perf_counter()
     identical = True
     traces = []
-    for seed in SEEDS5:
-        sync = run(spec, hp, None, seed, thin_every=1)
-        asyn = run(spec, hp, DelaySchedule(kind="zero"), seed, thin_every=1)
+    # two bundles: in one bundle with zero-delay lanes, a sync lane would run
+    # as a zero-delay lane itself
+    syncs = run_lanes(spec, hp, [None] * 5, SEEDS5, thin_every=1)
+    asyncs = run_lanes(spec, hp, [DelaySchedule(kind="zero")] * 5, SEEDS5, thin_every=1)
+    for sync, asyn in zip(syncs, asyncs):
         traces += [sync, asyn]
         for t in sync.x_snapshots:
             identical &= bool(np.array_equal(sync.x_snapshots[t], asyn.x_snapshots[t]))

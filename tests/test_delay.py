@@ -6,17 +6,27 @@ from asaddle.delay import DelaySchedule, StalenessBuffer, resolve
 from asaddle.errors import OutOfWindow
 
 
+def resolve_one(sched, t, i, prev):
+    """[t]_i of node i alone, one step on from ``prev``."""
+    return int(resolve(sched, [t], [i], [prev])[0, 0])
+
+
+def tau_one(sched, i, t):
+    """tau_i(t) of node i alone."""
+    return int(sched.tau([i], [t])[0, 0])
+
+
 def test_resolve_zero_schedule_is_fresh():
     sched = DelaySchedule(kind="zero")
     prev = 0
     for t in range(50):
-        prev = resolve(sched, t, 0, prev)
+        prev = resolve_one(sched, t, 0, prev)
         assert prev == t
 
 
 def test_resolve_fixed_paper_delay():
     sched = DelaySchedule(kind="fixed", tau_max=10)
-    assert resolve(sched, 100, 0, 89) == 90
+    assert resolve_one(sched, 100, 0, 89) == 90
 
 
 def test_resolve_monotonicity_clamp():
@@ -24,28 +34,28 @@ def test_resolve_monotonicity_clamp():
     table = np.zeros((20, 1), dtype=int)
     table[8, 0] = 4  # t - tau = 8 - 4 = 4
     sched = DelaySchedule(kind="custom_table", tau_max=6, table=table)
-    assert resolve(sched, 8, 0, 6) == 6
+    assert resolve_one(sched, 8, 0, 6) == 6
 
 
 def test_resolve_clips_at_history_start():
     sched = DelaySchedule(kind="fixed", tau_max=10)
-    assert resolve(sched, 3, 0, 0) == 0
+    assert resolve_one(sched, 3, 0, 0) == 0
 
 
 def test_uniform_bounds_and_determinism():
     a = DelaySchedule(kind="uniform_random", tau_max=5, seed=9)
     b = DelaySchedule(kind="uniform_random", tau_max=5, seed=9)
-    vals = [a.tau(i, t) for i in range(3) for t in range(200)]
+    vals = a.tau(np.arange(3), np.arange(200)).ravel().tolist()
     assert all(0 <= v <= 5 for v in vals)
     assert len(set(vals)) > 1
     # same seed, arbitrary query order: identical draws
     pairs = [(2, 150), (0, 0), (1, 4097), (2, 150), (0, 9000)]
-    assert [a.tau(i, t) for i, t in pairs] == [b.tau(i, t) for i, t in pairs]
+    assert [tau_one(a, i, t) for i, t in pairs] == [tau_one(b, i, t) for i, t in pairs]
 
 
 def test_per_node_fixed_delays_validated():
     sched = DelaySchedule(kind="fixed", tau_max=4, node_taus=(0, 2, 4))
-    assert [sched.tau(i, 7) for i in range(3)] == [0, 2, 4]
+    assert sched.tau(np.arange(3), [7])[0].tolist() == [0, 2, 4]
     with pytest.raises(ValueError):
         DelaySchedule(kind="fixed", tau_max=3, node_taus=(5,))
 
@@ -55,7 +65,7 @@ def test_custom_table_validation():
         DelaySchedule(kind="custom_table", tau_max=2, table=np.array([[3]]))
     sched = DelaySchedule(kind="custom_table", tau_max=2, table=np.array([[1], [2]]))
     with pytest.raises(OutOfWindow):
-        sched.tau(0, 5)
+        sched.tau([0], [5])
 
 
 def test_buffer_record_fetch_round_trip():
@@ -90,7 +100,7 @@ def test_resolved_chain_properties(tau, seed, T):
     prev = 0
     last = 0
     for t in range(T):
-        idx = resolve(sched, t, 0, prev)
+        idx = resolve_one(sched, t, 0, prev)
         assert idx >= last           # nondecreasing
         assert 0 <= idx <= t         # never from the future
         assert t - idx <= tau        # bounded staleness
@@ -107,36 +117,25 @@ def test_all_nodes_at_once_match_per_node_draws(sched):
     nodes = np.arange(3)
     prev = np.array([0, 3, 5])
     for t in (0, 5, 9):
-        assert sched.tau(nodes, t).tolist() == [sched.tau(i, t) for i in range(3)]
-        assert resolve(sched, t, nodes, prev).tolist() == [
-            resolve(sched, t, i, int(prev[i])) for i in range(3)]
+        assert sched.tau(nodes, [t])[0].tolist() == [tau_one(sched, i, t) for i in range(3)]
+        assert resolve(sched, [t], nodes, prev)[0].tolist() == [
+            resolve_one(sched, t, i, int(prev[i])) for i in range(3)]
     # draws past the first 4096-step chunk, asked for the whole network first
     wide = DelaySchedule(kind="uniform_random", tau_max=7, seed=2)
     one = DelaySchedule(kind="uniform_random", tau_max=7, seed=2)
-    assert wide.tau(np.arange(6), 5000)[4] == one.tau(4, 5000)
-
-
-def test_stacked_buffer_gathers_each_node_at_its_time():
-    from asaddle.delay import StackedBuffer
-    buf = StackedBuffer(depth=3, row=np.zeros((2, 2)))
-    for t in range(5):
-        buf.record(t, np.full((2, 2), float(t)) + np.array([[0.0], [0.5]]))
-    got = buf.fetch(np.array([2, 4]))
-    assert got.tolist() == [[2.0, 2.0], [4.5, 4.5]]
-    with pytest.raises(OutOfWindow):
-        buf.fetch(np.array([1, 4]))  # time 1 was evicted by time 4
+    assert wide.tau(np.arange(6), [5000])[0, 4] == tau_one(one, 4, 5000)
 
 
 def test_schedule_keeps_only_the_block_in_use():
     from asaddle.delay import _CHUNK
     sched = DelaySchedule(kind="uniform_random", tau_max=7, seed=4)
     nodes = np.arange(3)
-    early = sched.tau(nodes, 10)
+    early = sched.tau(nodes, [10])[0]
     for t in range(0, 3 * _CHUNK + 1, 64):  # a run reaching a fourth block
-        resolve(sched, t, nodes, np.zeros(3, dtype=int))
+        resolve(sched, [t], nodes, np.zeros(3, dtype=int))
     assert len(sched._chunks) == 1
-    assert sched.tau(nodes, 10).tolist() == early.tolist()
-    assert sched.tau(1, 10) == early[1]
+    assert sched.tau(nodes, [10])[0].tolist() == early.tolist()
+    assert tau_one(sched, 1, 10) == early[1]
 
 
 def _schedule(kind, tau, seed, rows):
@@ -163,7 +162,7 @@ def test_block_resolution_equals_the_per_step_chain(kind, tau, seed, block, prev
     assert rows.shape == (64, 3)
     chain = prev
     for r, t in enumerate(range(a, a + 64)):
-        chain = resolve(sched, t, nodes, chain)
+        chain = resolve(sched, [t], nodes, chain)[0]
         assert rows[r].tolist() == chain.tolist(), (r, t)
 
 
@@ -173,6 +172,6 @@ def test_delay_draws_of_many_times_stay_in_one_chunk(kind):
     sched = _schedule(kind, 5, 3, rows=2 * _CHUNK)
     nodes = np.arange(3)
     times = np.arange(_CHUNK - 64, _CHUNK)
-    assert sched.tau(nodes, times).tolist() == [sched.tau(nodes, t).tolist() for t in times]
+    assert sched.tau(nodes, times).tolist() == [sched.tau(nodes, [t])[0].tolist() for t in times]
     with pytest.raises(ValueError, match="chunks"):
         sched.tau(nodes, np.arange(_CHUNK - 1, _CHUNK + 1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from asaddle.apps.pricing import PricingConfig, build_pricing_problem
 from asaddle.delay import DelaySchedule, StalenessBuffer
-from asaddle.errors import NoFeasibleDelta, NonFiniteState
+from asaddle.errors import DimensionMismatch, NoFeasibleDelta, NonFiniteState
 from asaddle.graph import build_graph, path_edges
 from asaddle.problem import (OBS_BLOCK, ConstraintFamily, DomainSpec, ExpectedObjective,
                              NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
@@ -311,7 +311,7 @@ def test_custom_table_of_exactly_T_rows(small_consensus_spec):
     sched = DelaySchedule(kind="custom_table", tau_max=8, table=table)
     chain = np.zeros(3, dtype=int)
     for t in range(T):
-        chain = resolve(sched, t, np.arange(3), chain)
+        chain = resolve(sched, [t], np.arange(3), chain)[0]
         assert trace.resolved[t].tolist() == chain.tolist(), t
     # one row short: the engine stops at the start of the block holding row T - 1
     engine = SaddleEngine(small_consensus_spec, hp,
@@ -321,35 +321,52 @@ def test_custom_table_of_exactly_T_rows(small_consensus_spec):
     assert engine.state.t == 2 * OBS_BLOCK
 
 
+@pytest.mark.parametrize("short", [
+    DelaySchedule(kind="fixed", tau_max=4, node_taus=(1, 2, 4)),
+    DelaySchedule(kind="custom_table", tau_max=4, table=np.full((100, 3), 2)),
+], ids=["fixed", "custom_table"])
+def test_a_schedule_for_fewer_nodes_than_the_network_is_a_dimension_mismatch(short):
+    import os
+    from asaddle import cli
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "configs", "consensus.json")
+    spec, _ = cli.build_problem(cli.parse_config(config))
+    assert spec.graph.n_nodes == 5
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=100)
+    with pytest.raises(DimensionMismatch, match=f"seed 7: {short.kind} delays for 3 of 5 nodes"):
+        SaddleEngine(spec, hp, short, seed=7)
+    with pytest.raises(DimensionMismatch, match="seed 9: "):
+        run_lanes(spec, hp, [uniform(4, 8), short], [8, 9])
+    # a schedule with delays for every node runs; for more nodes, the first ones are read
+    wide = (DelaySchedule(kind="fixed", tau_max=4, node_taus=(1, 2, 4, 0, 3, 2))
+            if short.kind == "fixed" else
+            DelaySchedule(kind="custom_table", tau_max=4, table=np.full((100, 6), 2)))
+    assert run(spec, hp, wide, seed=7).staleness.max() > 0
+
+
 def test_rings_are_written_and_delays_resolved_once_per_block(monkeypatch):
     import asaddle.saddle as saddle_mod
-    from asaddle.delay import StackedBuffer
-    records, resolves = {}, []
-    record, resolve = StackedBuffer.record, saddle_mod.resolve
-
-    def counting_record(buf, t, row):
-        records[id(buf)] = records.get(id(buf), 0) + 1
-        return record(buf, t, row)
+    resolves = []
+    resolve = saddle_mod.resolve
 
     def counting_resolve(*args):
         resolves.append(args[1])
         return resolve(*args)
 
-    monkeypatch.setattr(StackedBuffer, "record", counting_record)
     monkeypatch.setattr(saddle_mod, "resolve", counting_resolve)
     spec = build_pricing_problem(PricingConfig())
     T, S = 150, 5
     hp = Hyperparams(epsilon=0.3, delta=1e-5, T=T)
     engine = SaddleEngine(spec, hp, [uniform(10, s) for s in range(S)], list(range(S))).run()
-    # one ring, for x; observations are read from the window by index
-    assert records == {id(engine._x_buf): T}
+    # x shares the observations' window: the current block and the one before
+    # it, one column per coordinate of every lane
+    assert engine._x_window.shape == (2 * OBS_BLOCK, S * sum(spec.dims))
     assert len(resolves) == S * math.ceil(T / OBS_BLOCK)
     assert [len(steps) for steps in resolves[::S]] == [OBS_BLOCK, OBS_BLOCK, T - 2 * OBS_BLOCK]
-    # the synchronous path neither fills rings nor resolves
-    records.clear()
+    # the synchronous path neither keeps an iterate window nor resolves
     resolves.clear()
-    SaddleEngine(spec, hp, [None] * S, list(range(S))).run()
-    assert records == {} and resolves == []
+    engine = SaddleEngine(spec, hp, [None] * S, list(range(S))).run()
+    assert engine._x_window is None and resolves == []
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +448,9 @@ def test_a_delay_beyond_the_observation_window_is_out_of_window(small_consensus_
     schedule = DelaySchedule(kind="fixed", tau_max=70)
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=6 * OBS_BLOCK)
     engine = SaddleEngine(small_consensus_spec, hp, schedule, seed=0)  # a window of 3 blocks
-    # delays the window was not built for, with an iterate ring deep enough
-    # for them, so the window's own check is the one that trips
+    # delays the window was not built for: its block-level check trips before
+    # any iterate or observation is read from an overwritten row
     schedule.tau_max = 200
-    engine._tau_bounds = [200]
     with pytest.raises(OutOfWindow, match="observation window"):
         engine.run()
     assert engine.state.t == 3 * OBS_BLOCK  # the first block reaching before the window
@@ -510,14 +526,14 @@ def one_step_decrement_audit(spec, hp, schedule, x_star, lam_star, T):
 
     x = [v.copy() for v in spec.x0]
     lam = np.zeros(spec.graph.n_edges)
-    prev = [0] * n
+    prev = np.zeros(n, dtype=int)
     xs_star = [np.asarray(v, dtype=float) for v in x_star]
     for k in range(T):
         th = [sample_observation(spec, 0, i, k) for i in range(n)]
         for i in range(n):
             xbuf.record(k, i, x[i])
             obuf.record(k, i, th[i])
-        res = [resolve(schedule, k, i, prev[i]) for i in range(n)]
+        res = resolve(schedule, [k], np.arange(n), prev)[0]
         prev = res
         xs_eval = [xbuf.fetch(res[i], i) for i in range(n)]
         ths_eval = [obuf.fetch(res[i], i) for i in range(n)]
@@ -625,13 +641,14 @@ def test_advise_rejects_nonpositive_estimates(path3):
 # ---------------------------------------------------------------------------
 
 # (app, mode): calls per step of one lane at T=1280, seed 0, no evaluator,
-# after a warm-up run (cProfile); each ceiling is the flat-leaf engine's
-# count + 5 %
+# after a warm-up run (cProfile); each ceiling is the one-window engine's
+# count + 5 % (in parentheses: with a separate iterate ring, then with
+# observation trees)
 STEP_CALL_CEILINGS = {
-    ("consensus", "sync"): 123.2,  # 117.3 (205.8 with observation trees)
-    ("consensus", "async"): 160.5,  # 152.9 (280.7)
-    ("pricing", "sync"): 124.3,  # 118.4 (153.3)
-    ("pricing", "async"): 153.0,  # 145.7 (199.6)
+    ("consensus", "sync"): 122.1,  # 116.3 (117.3, 205.8)
+    ("consensus", "async"): 154.0,  # 146.7 (152.9, 280.7)
+    ("pricing", "sync"): 123.3,  # 117.4 (118.4, 153.3)
+    ("pricing", "async"): 146.4,  # 139.4 (145.7, 199.6)
 }
 
 
