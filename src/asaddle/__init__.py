@@ -7,7 +7,7 @@ from .metrics import (AssumptionEstimates, audit_assumptions, audit_invariants,
                       cumulative_suboptimality, delayed_violation, estimate_optimum,
                       fit_rate, running_suboptimality)
 from .problem import (ConstraintFamily, DomainSpec, ExpectedObjective, Objective,
-                      ProblemSpec, Sampler, as_neighborhood, project, sample_observation)
+                      ProblemSpec, Sampler, project, sample_observation)
 from .saddle import (AdvisorConstants, Hyperparams, SaddleEngine, SaddleState, advise,
                      dual_step, primal_step, run, run_lanes, stochastic_lagrangian)
 from .trace import RunTrace

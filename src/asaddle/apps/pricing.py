@@ -30,8 +30,8 @@ import numpy as np
 
 from ..errors import InvalidConfig
 from ..graph import NetworkGraph, build_graph
-from ..problem import (ConstraintFamily, DomainSpec, NeighborhoodConstraint, NodeObservations,
-                       Objective, ProblemSpec, Sampler, lane_copies, split_stacked, stack)
+from ..problem import (ConstraintFamily, DomainSpec, NodeObservations, Objective, ProblemSpec,
+                       Sampler, lane_copies, split_stacked, stack)
 from ..trace import RunTrace
 
 __all__ = [
@@ -158,8 +158,8 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
     """Encode revenue maximization as engine-ready minimization.
 
     Objective per SCBS: f^n = -sum_i x_n^i g_{ni} p_n^i, one shared instance
-    per distinct (c mu_n, nu_n). One size-|hosted| neighborhood constraint
-    per hosting SCBS with entries sum_{n in N_i} g_{ni} p_n^i - gamma_i.
+    per distinct (c mu_n, nu_n). One slack entry per MU,
+    sum_{n in N_i} g_{ni} p_n^i - gamma_i, owned by its host SCBS.
     Domain per SCBS: nonnegative prices with c_min <= sum <= c_max, enforced
     every slot by projection.
     """
@@ -394,14 +394,12 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
     the slack is one pass over the coordinates and a per-MU sum over its
     members, and J^T lam adds to each coordinate its own diagonal Jacobian
     entry -g W nu / (c mu + nu x)^2 (0 on inactive subchannels) times the
-    dual of its MU. The per-node constraints stay for ``as_neighborhood``
-    and the advisor."""
+    dual of its MU. Hosts take their MUs' rows in SCBS order
+    (``constraint_slots``)."""
     W = cfg.bandwidth
     local_pos = [{i: pos for pos, i in enumerate(s)} for s in subs]
-    hosted = _hosted_mus(cfg)
-    per_node = [_interference_constraint(cfg, mus, local_pos) for mus in hosted]
     offsets = list(accumulate(dims, initial=0))
-    order = [i for mus in hosted for i in mus]  # MU of each stacked slack row
+    order = [i for mus in _hosted_mus(cfg) for i in mus]  # MU of each stacked slack row
     member_coord, member_row = [], []
     for r, i in enumerate(order):
         for m in sorted(cfg.assignment[i]):
@@ -455,43 +453,7 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
 
         return slack, add_jt_lam
 
-    return ConstraintFamily.from_lane_kernels(per_node, n_rows, copies)
-
-
-def _interference_constraint(cfg: PricingConfig, mus: list, local_pos: list):
-    W, c = cfg.bandwidth, cfg.cost
-    rows = []
-    for i in mus:
-        members = sorted(cfg.assignment[i])
-        rows.append((i, cfg.gamma_linear(i), tuple((m, local_pos[m][i]) for m in members)))
-
-    def value(xs, ths):
-        out = np.zeros(len(rows))
-        for r, (_, gamma, members) in enumerate(rows):
-            acc = 0.0
-            for m, pos in members:
-                g, h = ths[m]
-                x = xs[m][pos]
-                p = W / (c * cfg.mu_param(m) + cfg.nu_param(m) * x) - 1.0 / h[pos]
-                if p > 0.0:
-                    acc += g[pos] * p
-            out[r] = acc - gamma
-        return out
-
-    def jacobian(wrt, xs, ths):
-        jac = np.zeros((len(rows), xs[wrt].shape[0]))
-        for r, (_, _, members) in enumerate(rows):
-            for m, pos in members:
-                if m != wrt:
-                    continue
-                g, h = ths[m]
-                x = xs[m][pos]
-                denom = c * cfg.mu_param(m) + cfg.nu_param(m) * x
-                if W / denom - 1.0 / h[pos] > 0.0:
-                    jac[r, pos] = -g[pos] * W * cfg.nu_param(m) / denom**2
-        return jac
-
-    return NeighborhoodConstraint(size=len(rows), value=value, jacobian=jacobian)
+    return ConstraintFamily.from_lane_kernels(n_rows, copies)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,10 @@ def app_config(cfg: ExperimentConfig):
                 if isinstance(params.get(key), list):
                     params[key] = tuple(params[key])
             return PricingConfig(**params)
+        if params.get("gamma_table") is not None:
+            raise ValidationError("consensus params: gamma_table keys its tolerances by (i, j) "
+                                  "edge tuples, which JSON cannot give; build that "
+                                  "ConsensusRegressionConfig in Python")
         if params.get("weights") is not None:
             params["weights"] = tuple(tuple(row) for row in params["weights"])
         app = ConsensusRegressionConfig(**params)

@@ -16,14 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleDomain, NonFiniteState
-from .graph import NetworkGraph, closed_neighborhood, disjoint_copies
+from .errors import DimensionMismatch, InfeasibleDomain, InvalidConfig, NonFiniteState
+from .graph import NetworkGraph, disjoint_copies
 
 __all__ = [
     "DomainSpec",
     "Objective",
     "Sampler",
-    "NeighborhoodConstraint",
     "ConstraintFamily",
     "ProblemSpec",
     "NodeObservations",
@@ -35,10 +34,8 @@ __all__ = [
     "sample_observation",
     "sample_rows",
     "observation_block",
-    "objective_grad",
     "objective_grads",
     "objective_sum",
-    "as_neighborhood",
     "ObjectiveGroup",
     "lane_copies",
     "ExpectedObjective",
@@ -244,75 +241,23 @@ class Sampler:
 
 
 @dataclass(frozen=True)
-class NeighborhoodConstraint:
-    """Vector slack function owned by one node over its closed neighborhood.
-
-    value(xs, ths) -> array of length ``size``; jacobian(wrt, xs, ths) ->
-    (size, dim(wrt)) matrix. ``xs`` and ``ths`` are indexed by node id and
-    cover at least the owner's closed neighborhood. At nondifferentiable
-    points the jacobian must return a valid subgradient.
-    """
-
-    size: int
-    value: callable = None
-    jacobian: callable = None
-
-
-@dataclass(frozen=True)
 class ConstraintFamily:
     """All constraints of a problem, stacked into one slack vector.
 
-    Node k owns ``per_node[k]``; the stacked slack (and the dual vector, which
-    has the same layout) is the concatenation of the per-node blocks in node
-    order. ``slack(xs, ths)`` returns that (size,) vector and
-    ``add_jt_lam(grads, lam, xs, ths)`` returns the per-node gradients plus
-    J^T lam, with J the Jacobian of the stacked slack at (xs, ths).
-
-    ``tile(S)``, when given, returns the family of S independent copies of
-    the problem laid out one after the other (``ProblemSpec.tile``), whose
-    kernels evaluate every copy in one call and give each copy's entries
-    bit for bit as the family gives them alone. Such a family keeps no
-    per-node constraints.
+    ``slack(xs, ths)`` returns the (size,) stacked slack at per-node vectors
+    xs and observations ths, and ``add_jt_lam(grads, lam, xs, ths)`` returns
+    the per-node gradients plus J^T lam, with J the Jacobian of the stacked
+    slack at (xs, ths) and lam laid out like the slack. ``tile(S)`` returns
+    the family of S independent copies of the problem laid out one after the
+    other (``ProblemSpec.tile``), whose kernels evaluate every copy in one
+    call and give each copy's entries bit for bit as the family gives them
+    alone.
     """
 
-    per_node: tuple
     size: int
     slack: callable
     add_jt_lam: callable
-    tile: callable = None
-
-    @staticmethod
-    def from_per_node(graph: NetworkGraph, per_node) -> "ConstraintFamily":
-        """Stack one NeighborhoodConstraint per node; J^T lam loops over each
-        node's closed neighborhood and multiplies the owners' Jacobians."""
-        per_node = tuple(per_node)
-        if len(per_node) != graph.n_nodes:
-            raise DimensionMismatch("need one NeighborhoodConstraint per node")
-        offsets = list(accumulate((c.size for c in per_node), initial=0))
-        blocks = [slice(offsets[k], offsets[k + 1]) for k in range(graph.n_nodes)]
-        owned = [con for con in per_node if con.size]
-        # per node i: the nonempty blocks whose owner k is in i's closed neighborhood
-        reach = [[(per_node[k], blocks[k]) for k in closed_neighborhood(graph, i)
-                  if per_node[k].size] for i in range(graph.n_nodes)]
-
-        def slack(xs, ths):
-            if not owned:
-                return np.zeros(0)
-            return np.concatenate([con.value(xs, ths) for con in owned])
-
-        def add_jt_lam(grads, lam, xs, ths):
-            out = []
-            for i, acc in enumerate(grads):
-                for con, block in reach[i]:
-                    lam_k = lam[block]
-                    if not lam_k.any():
-                        continue
-                    acc = acc + np.asarray(con.jacobian(i, xs, ths), dtype=float).T @ lam_k
-                out.append(acc)
-            return out
-
-        return ConstraintFamily(per_node=per_node, size=offsets[-1],
-                                slack=slack, add_jt_lam=add_jt_lam)
+    tile: callable
 
     @staticmethod
     def from_symmetric_pairwise(graph: NetworkGraph, value, grad_first, gamma) -> "ConstraintFamily":
@@ -330,17 +275,17 @@ class ConstraintFamily:
         ``grad_first`` call and a per-source sum instead of the per-node
         Jacobians.
         """
-        gam = dict(gamma) if isinstance(gamma, dict) else None
-        per_node, gammas = [], []
-        for i in range(graph.n_nodes):
-            nbr_gammas = [(j, gam[(i, j)] if gam is not None else float(gamma))
-                          for j in graph.adjacency[i]]
-            for j, g_ij in nbr_gammas:
-                if g_ij < 0:
-                    raise ValueError(f"tolerance gamma[{i},{j}] must be >= 0")
-            per_node.append(_pairwise_block(i, nbr_gammas, value, grad_first))
-            gammas += [g_ij for _, g_ij in nbr_gammas]
-        gammas = np.array(gammas, dtype=float)
+        if isinstance(gamma, dict):
+            missing = [e for e in graph.edges if e not in gamma]
+            if missing:
+                raise InvalidConfig(f"gamma table has no tolerance for edge {missing[0]}")
+            gammas = np.array([gamma[e] for e in graph.edges], dtype=float)
+        else:
+            gammas = np.full(graph.n_edges, float(gamma))
+        bad = np.flatnonzero(~(gammas >= 0))
+        if bad.size:
+            i, j = graph.edges[bad[0]]
+            raise InvalidConfig(f"tolerance gamma[{i},{j}] must be >= 0")
         src, dst = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
         mirror = np.array([graph.edge_index(j, i) for i, j in graph.edges], dtype=np.intp)
         # edges are sorted by source and every node of a connected graph with
@@ -379,16 +324,16 @@ class ConstraintFamily:
 
             return slack, add_jt_lam
 
-        return ConstraintFamily.from_lane_kernels(per_node, m, copies)
+        return ConstraintFamily.from_lane_kernels(m, copies)
 
     @staticmethod
-    def from_lane_kernels(per_node, size: int, kernels) -> "ConstraintFamily":
+    def from_lane_kernels(size: int, kernels) -> "ConstraintFamily":
         """Family of ``size`` stacked entries whose ``kernels(S)`` returns the
-        (slack, add_jt_lam) of S copies; ``per_node`` describes one copy."""
+        (slack, add_jt_lam) of S copies."""
         def tile(lanes):
-            return ConstraintFamily((), lanes * size, *kernels(lanes))
+            return ConstraintFamily(lanes * size, *kernels(lanes), tile=lambda k: tile(lanes * k))
 
-        return ConstraintFamily(tuple(per_node), size, *kernels(1), tile=tile)
+        return tile(1)
 
 
 def lane_copies(lanes: int, idx, by: int | None = None) -> np.ndarray:
@@ -401,24 +346,6 @@ def lane_copies(lanes: int, idx, by: int | None = None) -> np.ndarray:
     if by is None:
         return np.tile(idx, lanes)
     return (idx + by * np.arange(lanes)[:, None]).reshape(-1)
-
-
-def _pairwise_block(i, nbr_gammas, value, grad_first):
-    def slack(xs, ths):
-        return np.array([value(xs[i], xs[j], ths[i], ths[j]) - g for j, g in nbr_gammas])
-
-    def jacobian(wrt, xs, ths):
-        rows = []
-        for j, _ in nbr_gammas:
-            if wrt == i:
-                rows.append(grad_first(xs[i], xs[j], ths[i], ths[j]))
-            elif wrt == j:
-                rows.append(grad_first(xs[j], xs[i], ths[j], ths[i]))
-            else:
-                rows.append(np.zeros(np.shape(xs[wrt])))
-        return np.asarray(rows, dtype=float)
-
-    return NeighborhoodConstraint(size=len(nbr_gammas), value=slack, jacobian=jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +533,20 @@ class ProblemSpec:
         """``lanes`` independent copies of the problem as one problem (the
         layout of a bundle of seeds): copy s holds nodes s*N..(s+1)*N-1 and
         slack entries s*M..(s+1)*M-1, so its stacked vector is row s of a
-        (lanes, C) array. An Objective that nodes share covers every copy in
-        one call; a node's own Objective gets one instance per copy, so it is
-        still called on its own row. ``optimum`` is not carried. The problem
-        itself when ``lanes`` is 1."""
+        (lanes, C) array. The constraints are the family's ``tile``. An
+        Objective that nodes share covers every copy in one call; a node's
+        own Objective gets one instance per copy, so it is still called on
+        its own row. ``optimum`` is not carried. The problem itself when
+        ``lanes`` is 1."""
         if lanes == 1:
             return self
         own = {id(obj) for obj, _, rows, _ in self.objective_groups if rows is None}
         objectives = tuple(replace(obj) if s and id(obj) in own else obj
                            for s in range(lanes) for obj in self.objectives)
-        tiled = replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
-                        objectives=objectives, samplers=self.samplers * lanes,
-                        domains=self.domains * lanes, x0=self.x0 * lanes, optimum=None)
-        family = self.constraints
-        constraints = (family.tile(lanes) if family.tile is not None
-                       else _lane_by_lane(self, tiled, lanes))
-        return replace(tiled, constraints=constraints)
+        return replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
+                       objectives=objectives, samplers=self.samplers * lanes,
+                       constraints=self.constraints.tile(lanes), domains=self.domains * lanes,
+                       x0=self.x0 * lanes, optimum=None)
 
     @cached_property
     def objective_groups(self) -> tuple:
@@ -640,33 +565,6 @@ class ProblemSpec:
             else:
                 groups.append(ObjectiveGroup(obj, *_row_layout(self, nodes)))
         return tuple(groups)
-
-
-def _lane_by_lane(spec: ProblemSpec, tiled: ProblemSpec, lanes: int) -> ConstraintFamily:
-    """``lanes`` copies of ``spec.constraints`` for ``tiled`` (its
-    ``ProblemSpec.tile``), evaluated one copy at a time."""
-    family = spec.constraints
-    n, c, m = spec.graph.n_nodes, int(spec.offsets[-1]), family.size
-
-    def lane(s, xs, ths):
-        """Copy s's iterate and observations."""
-        flat = stack(xs)[s * c:(s + 1) * c]
-        obs = NodeObservations.of(ths)
-        leaves = [leaf[s * n:(s + 1) * n] if len(leaf) == lanes * n else leaf[s * c:(s + 1) * c]
-                  for leaf in obs.leaves]
-        return spec.rows(flat), NodeObservations(leaves, spec.obs_offsets, obs.build)
-
-    def slack(xs, ths):
-        return np.concatenate([family.slack(*lane(s, xs, ths)) for s in range(lanes)])
-
-    def add_jt_lam(grads, lam, xs, ths):
-        g = stack(grads)
-        return tiled.rows(np.concatenate([
-            stack(family.add_jt_lam(spec.rows(g[s * c:(s + 1) * c]), lam[s * m:(s + 1) * m],
-                                    *lane(s, xs, ths)))
-            for s in range(lanes)]))
-
-    return ConstraintFamily(per_node=(), size=lanes * m, slack=slack, add_jt_lam=add_jt_lam)
 
 
 def _row_layout(spec: ProblemSpec, members: list):
@@ -918,24 +816,6 @@ def objective_sum(spec: ProblemSpec, xs, ths, lanes: int | None = None):
     if lanes is not None:
         return _sum_in_order(values.reshape(lanes, -1))
     return float(_sum_in_order(values))
-
-
-def objective_grad(spec: ProblemSpec, node: int, x_i, theta) -> np.ndarray:
-    x_i = np.asarray(x_i, dtype=float)
-    if x_i.shape != (spec.dims[node],):
-        raise DimensionMismatch(f"x has shape {x_i.shape}, node {node} expects ({spec.dims[node]},)")
-    return np.asarray(spec.objectives[node].grad(x_i, theta), dtype=float)
-
-
-def as_neighborhood(spec: ProblemSpec) -> ProblemSpec:
-    """The same problem with J^T lam computed by the generic per-node loop.
-
-    The family is rebuilt with ``ConstraintFamily.from_per_node`` from the
-    same per-node constraints, so a pairwise problem re-encoded this way
-    follows the edge-loop trajectory up to floating-point summation order.
-    """
-    constraints = ConstraintFamily.from_per_node(spec.graph, spec.constraints.per_node)
-    return replace(spec, constraints=constraints, name=spec.name + "_nbhd")
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "AdvisorConstants",
     "stochastic_lagrangian",
     "primal_gradient",
-    "dual_gradient",
     "dual_slack",
     "primal_step",
     "dual_step",
@@ -119,11 +118,6 @@ def primal_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval):
 def dual_slack(spec: ProblemSpec, xs_eval, ths_eval) -> np.ndarray:
     """Stacked (M,) constraint slack at the given (possibly stale) points."""
     return spec.constraints.slack(xs_eval, ths_eval)
-
-
-def dual_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval, hp: Hyperparams) -> np.ndarray:
-    """Gradient of the sampled augmented Lagrangian in the dual vector."""
-    return dual_slack(spec, xs_eval, ths_eval) - hp.delta * hp.epsilon * lam
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,20 @@ def ring5():
     return build_graph(5, ring_edges(5))
 
 
+# the configs of the two consensus fixtures, for the per-node oracle
+# (reference.as_neighborhood)
+CONSENSUS_CFG = ConsensusRegressionConfig()
+SMALL_CONSENSUS_CFG = ConsensusRegressionConfig(p=2, gamma=0.3, noise_std=0.1)
+
+
 @pytest.fixture(scope="session")
 def consensus_spec(ring5):
-    return build_consensus_problem(ConsensusRegressionConfig(), ring5)
+    return build_consensus_problem(CONSENSUS_CFG, ring5)
 
 
 @pytest.fixture(scope="session")
 def small_consensus_spec(path3):
-    cfg = ConsensusRegressionConfig(p=2, gamma=0.3, noise_std=0.1)
-    return build_consensus_problem(cfg, path3)
+    return build_consensus_problem(SMALL_CONSENSUS_CFG, path3)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,204 @@
+"""Per-node reference encoding of the proximity constraints.
+
+The engine reaches a constraint family only through its lane kernels
+(``ConstraintFamily.from_symmetric_pairwise`` and pricing's
+``from_lane_kernels``). This module keeps the literal per-node form of the
+paper's update as the oracle those kernels are checked against: node k owns
+a ``NeighborhoodConstraint``, a block of slack entries over its closed
+neighborhood with their Jacobians, and J^T lam loops over every node's
+closed neighborhood and multiplies the owners' Jacobians.
+"""
+
+from dataclasses import dataclass, replace
+from itertools import accumulate
+
+import numpy as np
+
+from asaddle.apps.pricing import PricingConfig
+from asaddle.graph import NetworkGraph, closed_neighborhood
+from asaddle.problem import ConstraintFamily, ProblemSpec
+
+
+@dataclass(frozen=True)
+class NeighborhoodConstraint:
+    """Vector slack function owned by one node over its closed neighborhood.
+
+    value(xs, ths) -> array of length ``size``; jacobian(wrt, xs, ths) ->
+    (size, dim(wrt)) matrix. ``xs`` and ``ths`` are indexed by node id and
+    cover at least the owner's closed neighborhood. At nondifferentiable
+    points the jacobian must return a valid subgradient.
+    """
+
+    size: int
+    value: callable = None
+    jacobian: callable = None
+
+
+def from_per_node(graph: NetworkGraph, per_node) -> ConstraintFamily:
+    """Stack one NeighborhoodConstraint per node; J^T lam loops over each
+    node's closed neighborhood and multiplies the owners' Jacobians. Its
+    ``tile`` evaluates the copies one at a time."""
+    per_node = tuple(per_node)
+    assert len(per_node) == graph.n_nodes, "need one NeighborhoodConstraint per node"
+    offsets = list(accumulate((c.size for c in per_node), initial=0))
+    blocks = [slice(offsets[k], offsets[k + 1]) for k in range(graph.n_nodes)]
+    owned = [con for con in per_node if con.size]
+    # per node i: the nonempty blocks whose owner k is in i's closed neighborhood
+    reach = [[(per_node[k], blocks[k]) for k in closed_neighborhood(graph, i)
+              if per_node[k].size] for i in range(graph.n_nodes)]
+
+    def slack(xs, ths):
+        if not owned:
+            return np.zeros(0)
+        return np.concatenate([con.value(xs, ths) for con in owned])
+
+    def add_jt_lam(grads, lam, xs, ths):
+        out = []
+        for i, acc in enumerate(grads):
+            for con, block in reach[i]:
+                lam_k = lam[block]
+                if not lam_k.any():
+                    continue
+                acc = acc + np.asarray(con.jacobian(i, xs, ths), dtype=float).T @ lam_k
+            out.append(acc)
+        return out
+
+    def tile(lanes):
+        return _lane_by_lane(family, graph.n_nodes, lanes)
+
+    family = ConstraintFamily(offsets[-1], slack, add_jt_lam, tile)
+    return family
+
+
+def _lane_by_lane(family: ConstraintFamily, n: int, lanes: int) -> ConstraintFamily:
+    """``lanes`` copies of ``family`` (over n nodes each), laid out one after
+    the other, evaluated one copy at a time on its nodes' entries of the
+    tiled xs, observations and gradients."""
+    m = family.size
+
+    def lane(s, per_node):
+        return [per_node[i] for i in range(s * n, (s + 1) * n)]
+
+    def slack(xs, ths):
+        return np.concatenate([family.slack(lane(s, xs), lane(s, ths)) for s in range(lanes)])
+
+    def add_jt_lam(grads, lam, xs, ths):
+        return [g for s in range(lanes)
+                for g in family.add_jt_lam(lane(s, grads), lam[s * m:(s + 1) * m],
+                                           lane(s, xs), lane(s, ths))]
+
+    return ConstraintFamily(lanes * m, slack, add_jt_lam,
+                            tile=lambda k: _lane_by_lane(family, n, lanes * k))
+
+
+def no_constraints(graph: NetworkGraph) -> ConstraintFamily:
+    """The family of a problem without constraints."""
+    return from_per_node(graph, [NeighborhoodConstraint(size=0)] * graph.n_nodes)
+
+
+# ---------------------------------------------------------------------------
+# the shipped apps' constraints, one node at a time
+# ---------------------------------------------------------------------------
+
+def pairwise_block(i, nbr_gammas, value, grad_first) -> NeighborhoodConstraint:
+    """Node i's entries value(x_i, x_j, th_i, th_j) - gamma_ij, one per
+    neighbor j in ``nbr_gammas`` ((j, gamma_ij) pairs)."""
+    def slack(xs, ths):
+        return np.array([value(xs[i], xs[j], ths[i], ths[j]) - g for j, g in nbr_gammas])
+
+    def jacobian(wrt, xs, ths):
+        rows = []
+        for j, _ in nbr_gammas:
+            if wrt == i:
+                rows.append(grad_first(xs[i], xs[j], ths[i], ths[j]))
+            elif wrt == j:
+                rows.append(grad_first(xs[j], xs[i], ths[j], ths[i]))
+            else:
+                rows.append(np.zeros(np.shape(xs[wrt])))
+        return np.asarray(rows, dtype=float)
+
+    return NeighborhoodConstraint(size=len(nbr_gammas), value=slack, jacobian=jacobian)
+
+
+def prox(a, b, th_a, th_b):
+    """The consensus slack's distance ||a - b||."""
+    d = a - b
+    return np.sqrt((d * d).sum(axis=-1))
+
+
+def prox_grad(a, b, th_a, th_b):
+    """Its gradient in a, 0 at a == b."""
+    d = a - b
+    nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+    return np.divide(d, nrm, out=np.zeros_like(d), where=nrm > 0.0)
+
+
+def consensus_constraints(cfg, graph: NetworkGraph) -> list:
+    """Node i's block of ||x_i - x_j|| - gamma_ij over its sorted neighbors."""
+    table = cfg.gamma_table
+    return [pairwise_block(i, [(j, table[(i, j)] if table is not None else float(cfg.gamma))
+                               for j in graph.adjacency[i]], prox, prox_grad)
+            for i in range(graph.n_nodes)]
+
+
+def interference_constraint(cfg: PricingConfig, mus: list, local_pos: list) -> NeighborhoodConstraint:
+    """A host's block: the slacks sum_{n in N_i} g_{ni} p_n^i - gamma_i of
+    its MUs ``mus``, added one member SCBS at a time; SCBS m's price on MU i
+    sits at position local_pos[m][i] of its vector."""
+    W, c = cfg.bandwidth, cfg.cost
+    rows = []
+    for i in mus:
+        members = sorted(cfg.assignment[i])
+        rows.append((i, cfg.gamma_linear(i), tuple((m, local_pos[m][i]) for m in members)))
+
+    def value(xs, ths):
+        out = np.zeros(len(rows))
+        for r, (_, gamma, members) in enumerate(rows):
+            acc = 0.0
+            for m, pos in members:
+                g, h = ths[m]
+                x = xs[m][pos]
+                p = W / (c * cfg.mu_param(m) + cfg.nu_param(m) * x) - 1.0 / h[pos]
+                if p > 0.0:
+                    acc += g[pos] * p
+            out[r] = acc - gamma
+        return out
+
+    def jacobian(wrt, xs, ths):
+        jac = np.zeros((len(rows), xs[wrt].shape[0]))
+        for r, (_, _, members) in enumerate(rows):
+            for m, pos in members:
+                if m != wrt:
+                    continue
+                g, h = ths[m]
+                x = xs[m][pos]
+                denom = c * cfg.mu_param(m) + cfg.nu_param(m) * x
+                if W / denom - 1.0 / h[pos] > 0.0:
+                    jac[r, pos] = -g[pos] * W * cfg.nu_param(m) / denom**2
+        return jac
+
+    return NeighborhoodConstraint(size=len(rows), value=value, jacobian=jacobian)
+
+
+def pricing_constraints(cfg: PricingConfig) -> list:
+    """Each SCBS's block: the MUs whose smallest member it is, in MU order."""
+    local_pos = [{i: pos for pos, i in enumerate(s)} for s in cfg.scbs_subchannels()]
+    hosted = [[] for _ in range(cfg.n_scbs)]
+    for i, group in enumerate(cfg.assignment):
+        hosted[min(group)].append(i)
+    return [interference_constraint(cfg, mus, local_pos) for mus in hosted]
+
+
+def node_constraints(cfg, graph: NetworkGraph) -> list:
+    """The per-node constraints of the app ``cfg`` configures on ``graph``."""
+    if isinstance(cfg, PricingConfig):
+        return pricing_constraints(cfg)
+    return consensus_constraints(cfg, graph)
+
+
+def as_neighborhood(spec: ProblemSpec, cfg) -> ProblemSpec:
+    """``spec``, built from the app config ``cfg``, with its constraints in
+    the per-node encoding: it follows the lane kernels' trajectory up to
+    floating-point summation order."""
+    constraints = from_per_node(spec.graph, node_constraints(cfg, spec.graph))
+    return replace(spec, constraints=constraints, name=spec.name + "_nbhd")

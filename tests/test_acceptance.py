@@ -19,10 +19,11 @@ from asaddle.errors import NoFeasibleDelta
 from asaddle.graph import build_graph, ring_edges
 from asaddle.metrics import (AssumptionEstimates, audit_invariants, delayed_violation,
                              estimate_optimum, fit_rate, running_suboptimality)
-from asaddle.problem import ExpectedObjective, as_neighborhood, project, sample_observation
+from asaddle.problem import ExpectedObjective, project, sample_observation
 from asaddle.saddle import Hyperparams, advise, run, run_lanes
 
-from conftest import assert_grad_close, central_difference
+from conftest import SMALL_CONSENSUS_CFG, assert_grad_close, central_difference
+from reference import as_neighborhood
 from test_problem import DOMAINS, slsqp_projection
 
 SEEDS5 = (0, 1, 2, 3, 4)
@@ -279,7 +280,7 @@ def test_criterion_7_oracle_suites(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
     sched = lambda: DelaySchedule(kind="uniform_random", tau_max=3, seed=5)
     pw = run(small_consensus_spec, hp, sched(), seed=2, thin_every=1)
-    nb = run(as_neighborhood(small_consensus_spec), hp, sched(),
+    nb = run(as_neighborhood(small_consensus_spec, SMALL_CONSENSUS_CFG), hp, sched(),
              seed=2, thin_every=1)
     enc_worst = max(float(np.max(np.abs(pw.x_snapshots[t] - nb.x_snapshots[t])))
                     for t in pw.x_snapshots)

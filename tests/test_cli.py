@@ -394,6 +394,19 @@ def test_custom_table_delay_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("table", [{"0,1": 0.3}, [[0, 1, 0.3]], {"(0, 1)": -1}],
+                         ids=["string_keys", "edge_list", "negative"])
+def test_gamma_table_is_a_config_error(tmp_path, capsys, table):
+    # JSON cannot key a table by (i, j) tuples: every shape is refused up front
+    body = dict(SMALL, problem=dict(SMALL["problem"], gamma_table=table))
+    with pytest.raises(ValidationError, match="gamma_table .* JSON cannot give"):
+        config_from_dict(body)
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem", [
     {"name": "pricing", "gain_mean": -1},
     {"name": "consensus_regression", "noise_std": -1},

@@ -32,6 +32,20 @@ def test_config_validation():
                                 build_graph(2, [(0, 1)]))
 
 
+def test_gamma_table_missing_an_edge_is_invalid_config(path3):
+    table = {(0, 1): 0.3, (1, 0): 0.3, (1, 2): 0.3}  # no (2, 1)
+    with pytest.raises(InvalidConfig, match=r"edge \(2, 1\)"):
+        build_consensus_problem(ConsensusRegressionConfig(p=2, gamma_table=table), path3)
+
+
+def test_negative_tolerance_is_invalid_config(path3):
+    table = {e: 0.3 for e in path3.edges} | {(1, 2): -1.0}
+    with pytest.raises(InvalidConfig, match=r"gamma\[1,2\] must be >= 0"):
+        build_consensus_problem(ConsensusRegressionConfig(p=2, gamma_table=table), path3)
+    with pytest.raises(InvalidConfig, match=r"gamma\[0,1\] must be >= 0"):
+        ConstraintFamily.from_symmetric_pairwise(path3, lambda *a: 0.0, lambda *a: 0.0, -0.5)
+
+
 def test_explicit_weights_and_sampler(small_consensus_spec):
     g = build_graph(2, [(0, 1)])
     w = ((1.0, 0.0), (0.0, 1.0))

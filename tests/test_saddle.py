@@ -9,13 +9,14 @@ from asaddle.delay import DelaySchedule, StalenessBuffer
 from asaddle.errors import DimensionMismatch, NoFeasibleDelta, NonFiniteState
 from asaddle.graph import build_graph, path_edges
 from asaddle.problem import (OBS_BLOCK, ConstraintFamily, DomainSpec, ExpectedObjective,
-                             NeighborhoodConstraint, Objective, ProblemSpec, Sampler,
-                             as_neighborhood, sample_observation)
+                             Objective, ProblemSpec, Sampler, sample_observation)
 from asaddle.metrics import AssumptionEstimates
-from asaddle.saddle import (Hyperparams, SaddleEngine, SaddleState, advise, dual_gradient,
+from asaddle.saddle import (Hyperparams, SaddleEngine, SaddleState, advise,
                             dual_slack, dual_step, primal_gradient, primal_step, run,
                             run_lanes, stack,
                             stochastic_lagrangian)
+from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG
+from reference import NeighborhoodConstraint, as_neighborhood, from_per_node, no_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +32,7 @@ def scalar_quadratic_spec():
     g = build_graph(1, [])
     obj = Objective(value=lambda x, th: 0.5 * x[0] ** 2, grad=lambda x, th: x.copy())
     return ProblemSpec.make(g, 1, [obj], [point_mass_sampler()],
-                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
+                            no_constraints(g),
                             DomainSpec.box(np.array([-10.0]), np.array([10.0])))
 
 
@@ -180,7 +181,7 @@ def test_pairwise_matches_neighborhood_encoding(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
     sched = DelaySchedule(kind="uniform_random", tau_max=3, seed=5)
     pw = run(small_consensus_spec, hp, sched, seed=2, thin_every=1)
-    nb = run(as_neighborhood(small_consensus_spec), hp,
+    nb = run(as_neighborhood(small_consensus_spec, SMALL_CONSENSUS_CFG), hp,
              DelaySchedule(kind="uniform_random", tau_max=3, seed=5),
              seed=2, thin_every=1)
     for t in pw.x_snapshots:
@@ -199,7 +200,7 @@ def test_generalized_zero_constraint_keeps_duals_zero():
         for _ in range(2)
     )
     spec = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                            ConstraintFamily.from_per_node(g, cons),
+                            from_per_node(g, cons),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=50)
     trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0)
@@ -214,7 +215,7 @@ def test_generalized_single_node_reduces_to_projected_sgd():
                                  value=lambda xs, ths: np.array([xs[0][0] - 0.4]),
                                  jacobian=lambda wrt, xs, ths: np.ones((1, 1)))
     spec = ProblemSpec.make(g, 1, [obj], [point_mass_sampler()],
-                            ConstraintFamily.from_per_node(g, [con]),
+                            from_per_node(g, [con]),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])),
                             x0=[np.array([0.0])])
     hp = Hyperparams(epsilon=0.05, delta=0.0, T=120)
@@ -260,7 +261,7 @@ def nan_gradient_spec():
     obj = Objective(value=lambda x, th: 0.5 * float(x @ x),
                     grad=lambda x, th: np.full_like(x, np.nan) if th else x.copy())
     return ProblemSpec.make(g, 1, [obj], [Sampler(sample=lambda rng: rng.random() < 0.1)],
-                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)]),
+                            no_constraints(g),
                             DomainSpec.box(np.array([-1.0]), np.array([1.0])))
 
 
@@ -283,7 +284,7 @@ def test_non_finite_update_names_the_node():
                       grad=lambda x, th: np.full_like(x, np.inf) if th else x.copy())]
     samplers = [point_mass_sampler()] * 2 + [Sampler(sample=lambda rng: rng.random() < 0.2)]
     spec = ProblemSpec.make(g, (1, 2, 3), objs, samplers,
-                            ConstraintFamily.from_per_node(g, [NeighborhoodConstraint(size=0)] * 3),
+                            no_constraints(g),
                             tuple(DomainSpec.box(-np.ones(d), np.ones(d)) for d in (1, 2, 3)))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=100)
     first = next(t for t in range(hp.T) if sample_observation(spec, 4, 2, t))
@@ -403,7 +404,7 @@ def uniform(tau, seed):
 
 @pytest.mark.parametrize("neighborhood", [False, True], ids=["pairwise", "per_node"])
 def test_consensus_lanes_match_solo_runs(consensus_spec, neighborhood):
-    spec = as_neighborhood(consensus_spec) if neighborhood else consensus_spec
+    spec = as_neighborhood(consensus_spec, CONSENSUS_CFG) if neighborhood else consensus_spec
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
     evaluator = ExpectedObjective(spec, mc_samples=64, seed=1)
     assert_lanes_match_solo(spec, hp, [uniform(5, s) for s in (3, 4, 5)], [3, 4, 5],
@@ -539,7 +540,7 @@ def one_step_decrement_audit(spec, hp, schedule, x_star, lam_star, T):
         ths_eval = [obuf.fetch(res[i], i) for i in range(n)]
 
         g_x = primal_gradient(spec, lam, xs_eval, ths_eval)
-        g_lam = dual_gradient(spec, lam, xs_eval, ths_eval, hp)
+        g_lam = dual_slack(spec, xs_eval, ths_eval) - hp.delta * hp.epsilon * lam
         state = SaddleState(x=x, lam=lam)
         new_x = primal_step(spec, state, xs_eval, ths_eval, hp)
         new_lam = dual_step(state, dual_slack(spec, xs_eval, ths_eval), hp)
