@@ -32,8 +32,7 @@ def main():
         finals = []
         for seed in args.seeds:
             sched = DelaySchedule(kind="uniform_random", tau_max=10, seed=seed)
-            trace = run(spec, hp, sched, seed=seed, evaluator=None, eval_every=0,
-                        thin_every=0)
+            trace = run(spec, hp, sched, seed=seed, evaluator=None, thin_every=0)
             inst = -trace.obj_sample
             finals.append(inst[3 * args.T // 4:].mean())
         print(f"{gdb:>12.1f}{np.mean(finals):>12.3f}")

@@ -29,8 +29,7 @@ def main():
     sinrs, revenues = [], []
     for seed in args.seeds:
         sched = DelaySchedule(kind="uniform_random", tau_max=args.tau, seed=seed)
-        trace = run(spec, hp, sched, seed=seed, evaluator=None, eval_every=0,
-                    thin_every=1000)
+        trace = run(spec, hp, sched, seed=seed, evaluator=None, thin_every=1000)
         sinrs.append(sinr_report(cfg, trace))
         revenues.append(revenue_series(cfg, trace)[-1])
 

@@ -191,7 +191,7 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
             gh *= mean
             return gh[:, 0], gh[:, 1]
 
-        samplers.append(Sampler(sample=sample, batch=batch, law=np.full(k, mean), draws=draws))
+        samplers.append(Sampler(sample=sample, batch=batch, law=(np.full(k, mean),), draws=draws))
 
     constraints = _interference_family(cfg, subs, dims)
     domains = tuple(DomainSpec.sum_interval(dims[n], cfg.c_min, cfg.c_max, nonneg=True)
@@ -217,8 +217,8 @@ def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
     prices x (k,) with gains (k,), or coordinate rows (n, 1) with (n, 1);
     ``batch_value`` takes draws (S, k), or (n, S, 1) for rows (n, 1).
 
-    ``expected`` takes prices (..., k) and the gain mean m of every
-    coordinate, the law of g and h. With A = W / (c mu + nu x) and
+    ``expected`` takes prices (..., k) and the law (m,) of g and h, with m
+    the gain mean of every coordinate. With A = W / (c mu + nu x) and
     z = 1 / (m A), independence gives E[x g (A - 1/h)_+] = x m E(A - 1/h)_+
     = x m (A e^{-z} - E1(z) / m) = x (e^{-z} / z - E1(z))."""
 
@@ -239,7 +239,8 @@ def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
         p = np.maximum(W / (mu_c + nu * x) - 1.0 / H, 0.0)
         return -(x * G * p).sum(axis=-1)
 
-    def expected(x, m):
+    def expected(x, law):
+        (m,) = law
         z = (mu_c + nu * x) / (m * W)
         return -(x * _interference(z)[0]).sum(axis=-1)
 
@@ -436,9 +437,6 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
                                minlength=lanes * n_rows) - gammas_l
 
         def add_jt_lam(grads, lam, xs, ths):
-            live = lam.reshape(lanes, n_rows).any(axis=1)
-            if not live.any():
-                return grads
             x, g, h = coordinates(xs, ths)
             denom = mu_c_l + nu_l * x
             active = (W / denom - 1.0 / h) > 0.0
@@ -446,10 +444,7 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
             # denom**2 does; an array's denom**2 multiplies, which can differ in
             # the last bit
             jac = np.where(active, -g * W * nu_l / np.float_power(denom, 2), 0.0)
-            out = stack(grads) + jac * lam[row_of_coord_l]
-            if not live.all():  # a copy with no positive dual keeps its gradients
-                out = np.where(np.repeat(live, n_coords), out, stack(grads))
-            return split_stacked(out, slices)
+            return split_stacked(stack(grads) + jac * lam[row_of_coord_l], slices)
 
         return slack, add_jt_lam
 

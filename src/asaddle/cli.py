@@ -29,8 +29,8 @@ from .delay import DelaySchedule
 from .errors import (AuditFailure, DegenerateEstimates, DegenerateSeries, DisconnectedGraph,
                      InvalidConfig, NoFeasibleDelta, OutputError, SaddleError, SelfLoop)
 from .graph import build_graph, ring_edges
-from .metrics import (audit_assumptions, audit_invariants, delayed_violation,
-                      estimate_optimum, fit_rate, running_suboptimality)
+from .metrics import (audit_assumptions, audit_invariants, cumulative_suboptimality,
+                      delayed_violation, estimate_optimum, fit_rate, running_suboptimality)
 from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective
 from .saddle import Hyperparams, advise, run_lanes
 
@@ -444,7 +444,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None):
         sinr_naive = list(naive_baseline(app, cfg.eval_seed, max(cfg.T, 10000)))
         revenue = float(np.mean([revenue_series(app, tr)[-1] for tr in traces]))
 
-    cum_subopt = np.cumsum(avg["F_hat"][1:] - f_star) if cfg.T else np.zeros(0)
+    cum_subopt = cumulative_suboptimality(avg["F_hat"], f_star)[1:]
     summary = SummaryReport(
         problem=cfg.problem_name,
         mode=cfg.mode,

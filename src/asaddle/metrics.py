@@ -115,8 +115,8 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
         if t >= 1:
             np.add(acc, stack(state.x), out=acc)
 
-    run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None,
-        eval_every=0, thin_every=0, record_current_slack=False)
+    run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None, thin_every=0,
+        record_current_slack=False)
     x_ref = spec.rows(project_nodes(spec, acc / budget))
     return evaluator.value(x_ref), x_ref
 
@@ -216,10 +216,9 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
         tiled = tiles[lanes]
         xs = tiled.rows(np.repeat(np.array(xs), theta_draws, axis=0).reshape(-1))
         # one stack per leaf: (draw, point and node or coordinate, ...), then point first
-        drawn = NodeObservations.stacked(stack_leaves(draws, axis=1))
         th = NodeObservations([leaf.reshape((theta_draws, points, -1) + leaf.shape[2:]).swapaxes(0, 1)
-                               .reshape((-1,) + leaf.shape[2:]) for leaf in drawn.leaves],
-                              tiled.obs_offsets, drawn.build)
+                               .reshape((-1,) + leaf.shape[2:]) for leaf in stack_leaves(draws, axis=1)],
+                              tiled.obs_offsets)
 
         g = stack(objective_grads(tiled, xs, th)).reshape(lanes, -1)
         f2.append(_draw_means(spec.node_sums(g ** 2), points).max())
@@ -266,8 +265,8 @@ class AuditResult:
 
 
 def _trace_finite(trace: RunTrace) -> bool:
-    """Every recorded number is finite, except the F_hat rows the evaluator
-    skipped (NaN by design)."""
+    """Every recorded number is finite, except the F_hat rows no evaluator
+    filled (NaN by design)."""
     arrays = [trace.lambda_norm, trace.delayed_slack, trace.obj_sample,
               *trace.x_snapshots.values()]
     if trace.current_slack is not None:

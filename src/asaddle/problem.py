@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "stack",
     "stack_leaves",
     "split_stacked",
-    "tree_map",
     "sample_observation",
     "sample_rows",
     "observation_block",
@@ -200,16 +199,15 @@ def _clip_at_breakpoint(u: np.ndarray, target: float):
 class Objective:
     """Per-node stochastic objective f(x, theta) with gradient.
 
-    ``value`` and ``grad`` take one node's row x (p,) and its observation.
-    Nodes that share one Objective instance are evaluated together: the
-    engine then passes their stacked rows (n, p) with their observations
-    stacked leaf by leaf (see ``NodeObservations``), and expects (n,) values
-    and (n, p) gradients. ``batch_value``, when given, maps (x,
-    batched-observations) to a vector of per-sample values and is used by
-    Monte Carlo estimators. ``expected``, when given, maps rows x (..., p)
-    and the samplers' laws (``Sampler.law``, stacked like the rows) to the
-    exact expectations E f(x, theta), one per row (...,); ``ExpectedObjective``
-    then draws no sample for these nodes.
+    ``value`` and ``grad`` take the rows x (n, p) of every node holding the
+    instance, with their observations stacked leaf by leaf
+    (``NodeObservations.rows``), and return (n,) values and (n, p)
+    gradients; they also take one row x (p,) with one observation.
+    ``batch_value``, when given, maps (x, batched observations) to a vector
+    of per-sample values and is used by Monte Carlo estimators. ``expected``,
+    when given, maps rows x (..., p) and the samplers' laws (``Sampler.law``,
+    stacked like the rows) to the exact expectations E f(x, theta), one per
+    row (...,); ``ExpectedObjective`` then draws no sample for these nodes.
     """
 
     value: callable
@@ -222,16 +220,18 @@ class Objective:
 class Sampler:
     """Per-node observation distribution.
 
-    ``sample(rng)`` draws one observation; ``batch(rng, size)``, when given,
-    draws a batched observation set consumable by Objective.batch_value,
-    whose row r (of every leaf) is one observation. The engine draws its
+    An observation is a flat tuple of arrays, as many at every node (``()``
+    for a point mass). ``sample(rng)`` draws one; ``batch(rng, size)``, when
+    given, draws a set of them consumable by Objective.batch_value: a tuple
+    whose row r of every array is one observation. The engine draws its
     observations in blocks of OBS_BLOCK rows with ``batch``, or as
-    ``sample_rows`` does when ``batch`` is missing. ``law``, when
-    given, holds the distribution's parameters as ``Objective.expected``
-    reads them: a tree of arrays, whose leaves have one entry per coordinate
-    when nodes of different dimensions share the objective. ``draws(rng,
-    n)``, when given, returns n observations stacked leaf by leaf, equal bit
-    for bit to n ``sample`` calls and leaving ``rng`` in the same state.
+    ``sample_rows`` does when ``batch`` is missing. ``law``, when given,
+    holds the distribution's parameters as ``Objective.expected`` reads
+    them: a tuple of arrays, with one entry per coordinate when dims differ.
+    ``draws(rng, n)``, when given, returns n observations stacked leaf by
+    leaf, equal bit for bit to n ``sample`` calls and leaving ``rng`` in the
+    same state. Stacking a draw or law that is not a tuple raises
+    InvalidConfig.
     """
 
     sample: callable
@@ -313,14 +313,8 @@ class ConstraintFamily:
 
             def add_jt_lam(grads, lam, xs, ths):
                 w = lam + lam[mirror_l]
-                live = w.reshape(lanes, m).any(axis=1)
-                if not live.any():
-                    return grads
                 jac = np.asarray(grad_first(*edge_rows(xs, ths)), dtype=float)
-                out = np.asarray(grads, dtype=float) + np.add.reduceat(w[:, None] * jac, first_l, axis=0)
-                # a copy whose duals all vanish keeps its gradients as they
-                # are, as it would alone (adding zeros can flip a -0.0)
-                return out if live.all() else np.where(np.repeat(live, n)[:, None], out, grads)
+                return np.asarray(grads, dtype=float) + np.add.reduceat(w[:, None] * jac, first_l, axis=0)
 
             return slack, add_jt_lam
 
@@ -329,9 +323,25 @@ class ConstraintFamily:
     @staticmethod
     def from_lane_kernels(size: int, kernels) -> "ConstraintFamily":
         """Family of ``size`` stacked entries whose ``kernels(S)`` returns the
-        (slack, add_jt_lam) of S copies."""
+        (slack, add_jt_lam) of S copies; its ``add_jt_lam`` returns a new
+        array (or ``split_stacked`` of one). A copy whose duals all vanish
+        keeps its gradients as they are, as it would alone (adding zeros can
+        flip a -0.0)."""
         def tile(lanes):
-            return ConstraintFamily(lanes * size, *kernels(lanes), tile=lambda k: tile(lanes * k))
+            slack, add = kernels(lanes)
+
+            def add_jt_lam(grads, lam, xs, ths):
+                live = lam.reshape(lanes, size).any(axis=1)
+                n_live = np.count_nonzero(live)
+                if not n_live:
+                    return grads
+                out = add(grads, lam, xs, ths)
+                if n_live < lanes:
+                    flat = stack(out)  # a view of the kernel's new array
+                    np.copyto(flat, stack(grads), where=np.repeat(~live, flat.size // lanes))
+                return out
+
+            return ConstraintFamily(lanes * size, slack, add_jt_lam, tile=lambda k: tile(lanes * k))
 
         return tile(1)
 
@@ -353,14 +363,14 @@ def lane_copies(lanes: int, idx, by: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ObjectiveGroup(NamedTuple):
-    """Nodes whose objective terms one call of a shared Objective evaluates.
+    """Nodes whose objective terms one call of their Objective evaluates:
+    every node holding the instance, or a node alone with its own.
 
-    A node alone with its instance has ``rows`` None and ``nodes`` its id: it
-    is called on its own row and observation. Otherwise the call takes the
-    rows ``rows`` of ``ProblemSpec.row_array`` and ``nodes`` selects the
-    member nodes (each a slice when consecutive). With uniform dims the rows
-    are the nodes and ``sums`` is None; otherwise every coordinate is a row
-    and ``sums`` is the plan ``_sum_node_rows`` adds each node's rows with.
+    The call takes the rows ``rows`` of ``ProblemSpec.row_array`` and
+    ``nodes`` selects the member nodes (each a slice when consecutive). With
+    uniform dims the rows are the nodes and ``sums`` is None; otherwise
+    every coordinate is a row and ``sums`` is the plan ``_sum_node_rows``
+    adds each node's rows with.
     """
 
     objective: Objective
@@ -533,18 +543,14 @@ class ProblemSpec:
         """``lanes`` independent copies of the problem as one problem (the
         layout of a bundle of seeds): copy s holds nodes s*N..(s+1)*N-1 and
         slack entries s*M..(s+1)*M-1, so its stacked vector is row s of a
-        (lanes, C) array. The constraints are the family's ``tile``. An
-        Objective that nodes share covers every copy in one call; a node's
-        own Objective gets one instance per copy, so it is still called on
-        its own row. ``optimum`` is not carried. The problem itself when
-        ``lanes`` is 1."""
+        (lanes, C) array. The constraints are the family's ``tile``. Every
+        Objective instance, a node's own included, covers its nodes of every
+        copy in one call. ``optimum`` is not carried. The problem itself
+        when ``lanes`` is 1."""
         if lanes == 1:
             return self
-        own = {id(obj) for obj, _, rows, _ in self.objective_groups if rows is None}
-        objectives = tuple(replace(obj) if s and id(obj) in own else obj
-                           for s in range(lanes) for obj in self.objectives)
         return replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
-                       objectives=objectives, samplers=self.samplers * lanes,
+                       objectives=self.objectives * lanes, samplers=self.samplers * lanes,
                        constraints=self.constraints.tile(lanes), domains=self.domains * lanes,
                        x0=self.x0 * lanes, optimum=None)
 
@@ -552,19 +558,13 @@ class ProblemSpec:
     def objective_groups(self) -> tuple:
         """One ``ObjectiveGroup`` per Objective instance, in order of first use.
 
-        Nodes of different dimensions that share an instance are evaluated on
-        their coordinates as rows of dimension 1: the instance must then be
-        separable by coordinate, with one observation entry per coordinate."""
+        When dims differ, every node is evaluated on its coordinates as rows
+        of dimension 1: every instance must then be separable by coordinate,
+        with one observation entry per coordinate."""
         shared = {}
         for i, obj in enumerate(self.objectives):
             shared.setdefault(id(obj), (obj, []))[1].append(i)
-        groups = []
-        for obj, nodes in shared.values():
-            if len(nodes) == 1:
-                groups.append(ObjectiveGroup(obj, nodes[0], None, None))
-            else:
-                groups.append(ObjectiveGroup(obj, *_row_layout(self, nodes)))
-        return tuple(groups)
+        return tuple(ObjectiveGroup(obj, *_row_layout(self, nodes)) for obj, nodes in shared.values())
 
 
 def _row_layout(spec: ProblemSpec, members: list):
@@ -645,35 +645,29 @@ def stack(vectors) -> np.ndarray:
     return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors])
 
 
-def tree_map(fn, tree, *rest):
-    """Apply ``fn`` leaf by leaf to observations (nested tuples of arrays)."""
-    if isinstance(tree, tuple):
-        return tuple([tree_map(fn, *leaves) for leaves in zip(tree, *rest)])
-    return fn(tree, *rest)
+def _tuples(parts) -> list:
+    """``parts`` (observations, batches of them or laws) when each is a tuple
+    of as many arrays as the first; InvalidConfig otherwise, where a bare
+    array would be taken apart row by row without an error."""
+    # one pass in C over the parts: the engine stacks every node's block
+    if not all(map(isinstance, parts, repeat(tuple))) or len(set(map(len, parts))) > 1:
+        bad = next(p for p in parts if not isinstance(p, tuple) or len(p) != len(parts[0]))
+        got = f"{len(bad)} arrays" if isinstance(bad, tuple) else f"a {type(bad).__name__}"
+        raise InvalidConfig("observations and laws must be tuples of arrays, as many as "
+                            f"the first one's: got {got}")
+    return parts
 
 
-def _leaves(tree) -> list:
-    """The arrays of an observation, depth first."""
-    if isinstance(tree, tuple):
-        return [leaf for sub in tree for leaf in _leaves(sub)]
-    return [tree]
-
-
-def _rebuild(like, leaves):
-    """The tree of ``like``'s structure holding ``leaves``, depth first."""
-    leaves = iter(leaves)
-    return tree_map(lambda _: next(leaves), like)
-
-
-def stack_leaves(parts, axis: int):
-    """Stack equally structured observations leaf by leaf along a new ``axis``.
+def stack_leaves(parts, axis: int) -> tuple:
+    """Stack observations (``_tuples``) leaf by leaf along a new ``axis``.
 
     A leaf whose length differs between the parts (one entry per coordinate
     of nodes of different dimensions) is concatenated along ``axis`` instead,
     coordinate after coordinate as in the stacked iterate."""
-    if isinstance(parts[0], tuple):
-        return tuple(stack_leaves(leaf, axis) for leaf in zip(*parts))
-    parts = [np.asarray(p) for p in parts]
+    return tuple([_stack_leaf([np.asarray(p) for p in leaf], axis) for leaf in zip(*_tuples(parts))])
+
+
+def _stack_leaf(parts: list, axis: int) -> np.ndarray:
     if all(p.shape == parts[0].shape for p in parts):
         return np.stack(parts, axis=axis)
     return np.concatenate(parts, axis=axis)
@@ -682,23 +676,21 @@ def stack_leaves(parts, axis: int):
 class NodeObservations:
     """Observations of all nodes, stacked leaf by leaf.
 
-    ``leaves`` is the flat tuple of the stacked arrays, depth first, and
-    ``build`` makes an observation from a sequence of such arrays. A leaf
-    has a leading node axis, or, when its length differs between nodes
-    (``stack_leaves``), a leading coordinate axis laid out like the stacked
-    iterate, split per node at ``offsets`` (``ProblemSpec.obs_offsets``).
-    ``obs[i]`` is node i's observation, as ``sample_observation`` returns it;
-    an index array or a slice selects nodes of node-axis leaves, and
-    ``rows(sel)`` gives the observations of the rows ``sel`` of
-    ``ProblemSpec.row_array``. ``edges`` keeps a constraint family's gather.
+    ``leaves`` is the tuple of the stacked arrays. A leaf has a leading node
+    axis, or, when its length differs between nodes (``stack_leaves``), a
+    leading coordinate axis laid out like the stacked iterate, split per
+    node at ``offsets`` (``ProblemSpec.obs_offsets``). ``obs[i]`` is node
+    i's observation, as ``sample_observation`` returns it; an index array or
+    a slice selects nodes of node-axis leaves, and ``rows(sel)`` gives the
+    observations of the rows ``sel`` of ``ProblemSpec.row_array``, each a
+    tuple. ``edges`` keeps a constraint family's gather.
     """
 
-    __slots__ = ("leaves", "offsets", "build", "edges", "_per_node")
+    __slots__ = ("leaves", "offsets", "edges", "_per_node")
 
-    def __init__(self, leaves, offsets=None, build=tuple):
+    def __init__(self, leaves, offsets=None):
         self.leaves = tuple(leaves)
         self.offsets = offsets
-        self.build = build
         self.edges = self._per_node = None
 
     @staticmethod
@@ -706,39 +698,31 @@ class NodeObservations:
         """``ths`` itself, or a per-node sequence of observations stacked."""
         if isinstance(ths, NodeObservations):
             return ths
-        return NodeObservations.stacked(stack_leaves(list(ths), axis=0), offsets)
-
-    @staticmethod
-    def stacked(tree, offsets=None) -> "NodeObservations":
-        """The observations whose leaves ``tree`` stacks (``stack_leaves``);
-        ``build`` is ``tuple`` when ``tree`` is a flat tuple of arrays, else
-        it rebuilds ``tree``'s structure (kept without its arrays)."""
-        if isinstance(tree, tuple) and not any(isinstance(sub, tuple) for sub in tree):
-            return NodeObservations(tree, offsets)
-        return NodeObservations(_leaves(tree), offsets,
-                                partial(_rebuild, tree_map(lambda _: None, tree)))
+        return NodeObservations(stack_leaves(list(ths), axis=0), offsets)
 
     def __getitem__(self, nodes):
         if isinstance(nodes, (int, np.integer)):
+            if not self.leaves:
+                return ()
             if self._per_node is None:  # split once: per-node code asks for each node often
                 o = self.offsets  # a leaf with a row per coordinate splits at the offsets
-                split = [list(leaf) if o is None or len(leaf) == len(o) - 1 else np.split(leaf, o[1:-1])
-                         for leaf in self.leaves]
-                self._per_node = [self.build(parts) for parts in zip(*split)]
+                self._per_node = list(zip(*[
+                    list(leaf) if o is None or len(leaf) == len(o) - 1 else np.split(leaf, o[1:-1])
+                    for leaf in self.leaves]))
             return self._per_node[nodes]
-        return self.build([leaf[nodes] for leaf in self.leaves])
+        return tuple([leaf[nodes] for leaf in self.leaves])
 
-    def take(self, nodes):
+    def take(self, nodes) -> tuple:
         """``obs[nodes]`` for an index array: ``take`` gathers rows of a 2-D
         leaf several times faster than fancy indexing does."""
-        return self.build([leaf.take(nodes, axis=0) for leaf in self.leaves])
+        return tuple([leaf.take(nodes, axis=0) for leaf in self.leaves])
 
-    def rows(self, sel):
+    def rows(self, sel) -> tuple:
         """Observations of rows ``sel`` of ``ProblemSpec.row_array``: the nodes
         ``sel``, or coordinate rows of dimension 1 (leaves (rows, 1, ...))."""
         if self.offsets is None:
-            return self.build([leaf[sel] for leaf in self.leaves])
-        return self.build([leaf[sel, None] for leaf in self.leaves])
+            return tuple([leaf[sel] for leaf in self.leaves])
+        return tuple([leaf[sel, None] for leaf in self.leaves])
 
 
 def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
@@ -765,9 +749,14 @@ def sample_rows(sampler: Sampler, rng: np.random.Generator, n: int):
 def observation_block(spec: ProblemSpec, seed: int, block: int):
     """Observations of steps block*OBS_BLOCK onward for every node, stacked
     leaf by leaf as (OBS_BLOCK, N, ...), or (OBS_BLOCK, C, ...) for leaves
-    with one entry per coordinate of nodes of different dimensions."""
-    return stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
-                          for node, sampler in enumerate(spec.samplers)], axis=1)
+    with one entry per coordinate of nodes of different dimensions. When
+    dims differ, every Objective takes coordinate rows, so a leaf with one
+    entry per node raises InvalidConfig."""
+    leaves = stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
+                           for node, sampler in enumerate(spec.samplers)], axis=1)
+    if spec.obs_offsets is not None and any(leaf.shape[1] != spec.offsets[-1] for leaf in leaves):
+        raise InvalidConfig("when dims differ, every observation array needs one entry per coordinate")
+    return leaves
 
 
 def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
@@ -777,24 +766,18 @@ def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
     generator of (seed, node, t // OBS_BLOCK), so the value does not depend on
     the horizon, the number of nodes or what was drawn before."""
     block, row = divmod(t, OBS_BLOCK)
-    drawn = _draw_block(spec.samplers[node], _block_rng(seed, node, block))
-    return tree_map(lambda leaf: leaf[row], drawn)
+    (drawn,) = _tuples([_draw_block(spec.samplers[node], _block_rng(seed, node, block))])
+    return tuple([leaf[row] for leaf in drawn])
 
 
 def objective_grads(spec: ProblemSpec, xs, ths):
     """Per-node objective gradients, one ``grad`` call per Objective instance
-    (on the stacked rows of the nodes sharing it); same layout as ``spec.rows``."""
+    (on the stacked rows of the nodes holding it); same layout as ``spec.rows``."""
     flat = np.empty(spec.offsets[-1])
-    grads = spec.rows(flat)
-    rows_x = obs = None
-    for obj, nodes, rows, _ in spec.objective_groups:
-        if rows is None:
-            grads[nodes][...] = obj.grad(xs[nodes], ths[nodes])
-            continue
-        if rows_x is None:
-            rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
-        spec.row_array(flat)[rows] = obj.grad(rows_x[rows], obs.rows(rows))
-    return grads
+    out, rows_x, obs = spec.row_array(flat), spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
+    for obj, _, rows, _ in spec.objective_groups:
+        out[rows] = obj.grad(rows_x[rows], obs.rows(rows))
+    return spec.rows(flat)
 
 
 def objective_sum(spec: ProblemSpec, xs, ths, lanes: int | None = None):
@@ -804,13 +787,8 @@ def objective_sum(spec: ProblemSpec, xs, ths, lanes: int | None = None):
     With ``lanes``, ``spec`` is a ``ProblemSpec.tile`` of that many copies
     and the result is the (lanes,) array of each copy's own sum."""
     values = np.empty(spec.graph.n_nodes)
-    rows_x = obs = None
+    rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
     for obj, nodes, rows, sums in spec.objective_groups:
-        if rows is None:
-            values[nodes] = float(obj.value(xs[nodes], ths[nodes]))
-            continue
-        if rows_x is None:
-            rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
         v = obj.value(rows_x[rows], obs.rows(rows))
         values[nodes] = v if sums is None else _sum_node_rows(v, sums)
     if lanes is not None:
@@ -831,8 +809,8 @@ _EVAL_PIECE = 1 << 16
 class ExpectedObjective:
     """F(x) = sum_i E[f^i(x^i, theta^i)], exact where the problem says how.
 
-    Nodes sharing an Objective are evaluated like the engine step evaluates
-    them (``ProblemSpec.objective_groups``). A group whose Objective has
+    The nodes holding an Objective are evaluated like the engine step
+    evaluates them (``ProblemSpec.objective_groups``). A group whose Objective has
     ``expected`` and whose samplers all give a ``law`` is evaluated exactly:
     its laws are stacked once, as (rows, ...) in the row layout of the
     group's iterate rows, and one ``expected`` call scores every row. Any
@@ -858,18 +836,14 @@ class ExpectedObjective:
             return np.random.default_rng(np.random.SeedSequence([2, int(seed) & 0xFFFFFFFFFFFFFFFF, node]))
 
         for obj, nodes, rows, sums in spec.objective_groups:
-            members = [nodes] if rows is None else _members(nodes, spec.graph.n_nodes)
+            members = _members(nodes, spec.graph.n_nodes)
             if obj.expected is not None and all(spec.samplers[i].law is not None for i in members):
-                laws = spec.samplers[nodes].law if rows is None else self._stacked_laws(members)
-                self._exact.append((obj.expected, nodes, rows, sums, laws))
+                self._exact.append((obj.expected, nodes, rows, sums, self._stacked_laws(members)))
             elif obj.batch_value is None or any(spec.samplers[i].batch is None for i in members):
                 for i in members:
                     node_rng = rng(i)
                     self._plain.append((i, obj.value, [spec.samplers[i].sample(node_rng)
                                                        for _ in range(S)]))
-            elif rows is None:
-                self._batched.append((obj.batch_value, nodes, None, None,
-                                      spec.samplers[nodes].batch(rng(nodes), S)))
             else:
                 counts = [1 if spec.uniform else spec.dims[i] for i in members]
                 o = list(accumulate(counts, initial=0))  # first row of each member
@@ -877,44 +851,41 @@ class ExpectedObjective:
                 # evaluated in pieces of whole nodes with at most _EVAL_PIECE
                 # rows x samples (one node's rows when they alone exceed it)
                 per_piece = max(1, _EVAL_PIECE // (S * max(counts)))
-                if per_piece >= len(members):
-                    self._batched.append((obj.batch_value, nodes, rows, sums, draws))
-                    continue
                 for a in range(0, len(members), per_piece):
                     piece = members[a:a + per_piece]
                     lo, hi = o[a], o[a + len(piece)]
                     self._batched.append((obj.batch_value, *_row_layout(spec, piece),
-                                          tree_map(lambda leaf: leaf[lo:hi], draws)))
+                                          tuple([leaf[lo:hi] for leaf in draws])))
 
     def _stacked_laws(self, members: list):
         """The laws of ``members`` stacked leaf by leaf: (n, ...) per node, or
         per coordinate (rows, 1, ...) as coordinate rows of dimension 1."""
-        laws = [self.spec.samplers[i].law for i in members]
+        laws = zip(*_tuples([self.spec.samplers[i].law for i in members]))
         if self.spec.uniform:
-            return tree_map(lambda *leaves: np.stack(leaves), *laws)
-        return tree_map(lambda *leaves: np.concatenate(leaves)[:, None], *laws)
+            return tuple([np.stack(leaves) for leaves in laws])
+        return tuple([np.concatenate(leaves)[:, None] for leaves in laws])
 
     def _stacked_draws(self, members: list, o: list, rng):
         """The draws of ``members`` stacked as (rows, S, ...), member j's at
         rows o[j]:o[j+1]: one node's draws are written in as they come, so no
         second copy is held."""
         spec, S = self.spec, self.mc_samples
-        tree = stacked = None
+        stacked = None
         for j, i in enumerate(members):
             draws = spec.samplers[i].batch(rng(i), S)
-            leaves = _leaves(draws)
             if stacked is None:
                 # (S, ...) per node -> one row (1, S, ...), or per coordinate
                 # (S, k, ...) -> k rows of dimension 1 (k, S, 1, ...)
-                tree, stacked = draws, [
-                    np.empty((o[-1], S) + leaf.shape[1:] if spec.uniform
-                             else (o[-1], S, 1) + leaf.shape[2:], leaf.dtype) for leaf in leaves]
-            for out, leaf in zip(stacked, leaves):
+                stacked = tuple([np.empty((o[-1], S) + leaf.shape[1:] if spec.uniform
+                                          else (o[-1], S, 1) + leaf.shape[2:], leaf.dtype)
+                                 for leaf in _tuples([draws])[0]])
+            # each member's draws: a tuple of as many arrays as the first's
+            for out, leaf in zip(stacked, _tuples([stacked, draws])[1]):
                 if spec.uniform:
                     out[j] = leaf
                 else:
                     out[o[j]:o[j + 1], :, 0] = leaf.swapaxes(0, 1)
-        return _rebuild(tree, stacked)
+        return stacked
 
     def value(self, x) -> float:
         """F at per-node vectors x (a list of vectors or ``spec.rows``): the
@@ -932,13 +903,9 @@ class ExpectedObjective:
         X = np.asarray(X, dtype=float)
         B = len(X)
         node_values = np.empty((B, spec.graph.n_nodes))
-        # every row as the rows shared objectives take (spec.row_array), (B, ...)
+        # every row as the rows objectives take (spec.row_array), (B, ...)
         rows_x = X.reshape(B, spec.graph.n_nodes, -1) if spec.uniform else X[:, :, None]
         for expected, nodes, rows, sums, laws in self._exact:
-            if rows is None:
-                o = spec.offsets
-                node_values[:, nodes] = expected(X[:, o[nodes]:o[nodes + 1]], laws)
-                continue
             v = expected(rows_x[:, rows], laws)
             node_values[:, nodes] = v if sums is None else _sum_node_rows(v.T, sums).T
         if self._batched or self._plain:
@@ -949,13 +916,8 @@ class ExpectedObjective:
     def _sample_means(self, x, means: np.ndarray) -> None:
         """Every Monte Carlo node's sample mean at per-node vectors x, into
         ``means``."""
-        rows_x = None
+        rows_x = self.spec.row_array(x)
         for batch_value, nodes, rows, sums, draws in self._batched:
-            if rows is None:
-                means[nodes] = np.mean(batch_value(np.asarray(x[nodes], dtype=float), draws))
-                continue
-            if rows_x is None:
-                rows_x = self.spec.row_array(x)
             values = batch_value(rows_x[rows], draws)
             if sums is not None:
                 values = _sum_node_rows(values, sums)

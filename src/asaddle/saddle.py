@@ -209,20 +209,19 @@ class SaddleEngine:
     a zero-delay lane, which is the same trajectory.
     ``state`` and the hooks then see the state of the tiled problem.
 
-    The ``evaluator`` scores the iterates in blocks: the rows it must score
-    are buffered, up to OBS_BLOCK of them with every lane's iterate, and
+    The ``evaluator`` scores every row's iterates in blocks: the rows are
+    buffered, up to OBS_BLOCK of them with every lane's iterate, and
     scored in one ``ExpectedObjective.values`` call when the buffer is full
     and when ``traces()`` is read.
     """
 
     def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule, seed,
-                 hooks=(), evaluator=None, eval_every: int = 1,
-                 thin_every: int = 50, record_current_slack: bool = True):
+                 hooks=(), evaluator=None, thin_every: int = 50,
+                 record_current_slack: bool = True):
         self.spec = spec
         self.hp = hp
         self.hooks = tuple(hooks)
         self.evaluator = evaluator
-        self.eval_every = eval_every if evaluator is not None else 0
         self.thin_every = thin_every
 
         seeds = list(seed) if np.ndim(seed) else [seed]
@@ -257,7 +256,7 @@ class SaddleEngine:
         # the staleness window, time t at row t mod _depth: the current block and the
         # ceil(tau/OBS_BLOCK) before it, of every observation leaf and (async) of x
         self._depth = OBS_BLOCK * (1 + -(-max(self._tau_bounds) // OBS_BLOCK))
-        self._window = self._build = None
+        self._window = None
         self._x_window = None if self._schedules is None else np.empty((self._depth, S * self._n_coords))
         self._stale = np.zeros(T, dtype=bool)
 
@@ -265,9 +264,9 @@ class SaddleEngine:
                                  lam=np.zeros(S * n_cons), t=0)
 
         self._F_hat = np.full((S, T + 1), np.nan)
-        self._F_evaluated = np.zeros(T + 1, dtype=bool)
+        self._F_evaluated = np.full(T + 1, evaluator is not None)
         # the rows still to score: every lane's iterate of each, and their times
-        self._to_score = np.empty((min(OBS_BLOCK, T + 1) if self.eval_every else 0,
+        self._to_score = np.empty((min(OBS_BLOCK, T + 1) if evaluator is not None else 0,
                                    S, self._n_coords))
         self._to_score_t = []
         self._obj_sample = np.zeros((S, T))
@@ -295,10 +294,9 @@ class SaddleEngine:
         # a dot product per lane, as np.linalg.norm of the lane's 1-D vector
         self._lambda_norm[:, t] = np.sqrt(np.vecdot(lam, lam))
         self._lambda_min[:, t] = np.minimum.reduce(lam, axis=1, initial=0.0)
-        if self.eval_every and (t % self.eval_every == 0 or t == self.hp.T):
+        if self.evaluator is not None:
             self._to_score[len(self._to_score_t)] = stack(self.state.x).reshape(self._lanes, -1)
             self._to_score_t.append(t)
-            self._F_evaluated[t] = True
             if len(self._to_score_t) == len(self._to_score):
                 self._score()
         if self.thin_every and (t % self.thin_every == 0 or t == self.hp.T):
@@ -326,11 +324,8 @@ class SaddleEngine:
         against the window, which holds every time from ``_depth`` - OBS_BLOCK
         before the block on, and flag the steps where any node is stale."""
         depth = self._depth
-        blocks = [NodeObservations.stacked(observation_block(self.spec, seed, k // OBS_BLOCK))
-                  for seed in self.seeds]
-        self._build = blocks[0].build
-        leaves = blocks[0].leaves if self._lanes == 1 else [
-            np.concatenate(parts, axis=1) for parts in zip(*[b.leaves for b in blocks])]
+        blocks = [observation_block(self.spec, seed, k // OBS_BLOCK) for seed in self.seeds]
+        leaves = blocks[0] if self._lanes == 1 else [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
         if depth == OBS_BLOCK:
             self._window = leaves
         else:
@@ -359,7 +354,7 @@ class SaddleEngine:
         xs_eval = self._tiled.rows(self._x_window[at_coord])
         ths_eval = NodeObservations(
             [rows[at_node if rows.shape[1] == res.size else at_coord] for rows in self._window],
-            self._tiled.obs_offsets, self._build)
+            self._tiled.obs_offsets)
         return xs_eval, ths_eval, bool(self._stale[k])
 
     def step(self) -> SaddleState:
@@ -373,7 +368,7 @@ class SaddleEngine:
             self._next_block(k)
         x = self.state.x
         row = k % self._depth
-        theta = NodeObservations([rows[row] for rows in self._window], spec.obs_offsets, self._build)
+        theta = NodeObservations([rows[row] for rows in self._window], spec.obs_offsets)
 
         if self._schedules is not None:
             self._x_window[row] = stack(x)
@@ -440,33 +435,31 @@ class SaddleEngine:
 
 
 def run_lanes(spec: ProblemSpec, hp: Hyperparams, schedules, seeds, hooks=(), evaluator=None,
-              eval_every: int = 1, thin_every: int = 50,
-              record_current_slack: bool = True) -> list:
+              thin_every: int = 50, record_current_slack: bool = True) -> list:
     """Run every seed with its schedule (None: synchronous) as the lanes of
     one engine; one RunTrace per seed, each equal byte for byte to ``run``
     of that seed alone. ``evaluator`` scores the rows of every lane in
     blocks, each row as it would alone."""
     engine = SaddleEngine(spec, hp, list(schedules), list(seeds), hooks=hooks,
-                          evaluator=evaluator, eval_every=eval_every, thin_every=thin_every,
+                          evaluator=evaluator, thin_every=thin_every,
                           record_current_slack=record_current_slack)
     return engine.run().traces()
 
 
 def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed: int,
-        hooks=(), evaluator=None, eval_every: int = 1, thin_every: int = 50,
+        hooks=(), evaluator=None, thin_every: int = 50,
         record_current_slack: bool = True) -> RunTrace:
     """Execute T iterations of the asynchronous method; deterministic given seed.
 
     Each iteration takes every node's observation of that step, resolves
     per-node staleness (monotone, bounded by the schedule), then commits the
     primal and dual steps computed from the time-t state (Jacobi order).
-    ``evaluator`` (an ``ExpectedObjective``) supplies the objective recorded
-    in the trace every ``eval_every`` rows. ``schedule=None`` runs the
+    ``evaluator`` (an ``ExpectedObjective``), when given, supplies the
+    objective recorded in the trace at every row. ``schedule=None`` runs the
     synchronous reference loop. The one-lane case of ``run_lanes``.
     """
     return run_lanes(spec, hp, [schedule], [seed], hooks=hooks, evaluator=evaluator,
-                     eval_every=eval_every, thin_every=thin_every,
-                     record_current_slack=record_current_slack)[0]
+                     thin_every=thin_every, record_current_slack=record_current_slack)[0]
 
 
 # ---------------------------------------------------------------------------

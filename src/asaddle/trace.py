@@ -19,8 +19,8 @@ class RunTrace:
     same slack at the fresh pair (x_k, theta_k), ``resolved[k]``/``staleness[k]``
     the per-node delayed indices and their lags, and ``obj_sample[k]`` the
     instantaneous objective sum f(x_k, theta_k). ``F_evaluated[t]`` is True on
-    the rows whose ``F_hat`` the evaluator filled; the others hold NaN by
-    design (all of them when a run has no evaluator).
+    the rows whose ``F_hat`` an evaluator filled (every row of a run with
+    one); the others hold NaN by design.
     """
 
     name: str

@@ -87,8 +87,7 @@ def pricing_sinr_bundle():
     T = 50000
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=10, seed=s)
-                                  for s in SEEDS5], SEEDS5, evaluator=None, eval_every=0,
-                       thin_every=1000)
+                                  for s in SEEDS5], SEEDS5, evaluator=None, thin_every=1000)
     sinr = np.mean([sinr_report(cfg, tr) for tr in traces], axis=0)
     naive = naive_baseline(cfg, seed=EVAL_SEED, T=T)
     elapsed = time.perf_counter() - start
@@ -111,7 +110,7 @@ def margin_bundle():
         finals = []
         traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=10, seed=s)
                                       for s in (0, 1, 2)], (0, 1, 2), evaluator=None,
-                           eval_every=0, thin_every=0)
+                           thin_every=0)
         for tr in traces:
             inst = -tr.obj_sample
             finals.append(inst[3 * T // 4:].mean())

@@ -98,19 +98,17 @@ def test_mixed_problem_is_scored_per_group():
         assert est.value(xs) == (0.0 + per_node[0]) + per_node[1] + per_node[2]
 
 
-@pytest.mark.parametrize("eval_every", [1, 3])
-def test_block_scored_F_hat_equals_per_row_value(eval_every):
+def test_block_scored_F_hat_equals_per_row_value():
     T = 2 * OBS_BLOCK + 11  # full blocks and a partial one, read by traces()
     for spec, hp in [(all_specs()[-1], Hyperparams(epsilon=0.05, delta=1e-5, T=T)),
                      (_pricing_specs()[2], Hyperparams(epsilon=0.3, delta=1e-5, T=T)),
                      (mixed_pricing_spec(), Hyperparams(epsilon=0.3, delta=1e-5, T=T))]:
         est = ExpectedObjective(spec, mc_samples=40, seed=3)
         traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=4, seed=s)
-                                      for s in (1, 2)], [1, 2], evaluator=est,
-                           eval_every=eval_every, thin_every=1)
+                                      for s in (1, 2)], [1, 2], evaluator=est, thin_every=1)
         for tr in traces:
             rows = np.flatnonzero(tr.F_evaluated)
-            assert rows.tolist() == sorted(set(range(0, T + 1, eval_every)) | {T})
+            assert rows.tolist() == list(range(T + 1))
             assert np.isnan(np.delete(tr.F_hat, rows)).all()
             for t in rows:
                 want = est.value(spec.rows(tr.x_snapshots[t]))

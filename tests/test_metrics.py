@@ -20,11 +20,11 @@ from reference import NeighborhoodConstraint, as_neighborhood, no_constraints, n
 def scalar_noisy_quadratic_spec():
     """E[(x - theta)^2 / 2] with theta ~ N(1, 1): F* = 0.5 at x* = 1."""
     g = build_graph(1, [])
-    obj = Objective(value=lambda x, th: 0.5 * (x[0] - th) ** 2,
-                    grad=lambda x, th: np.array([x[0] - th]),
-                    batch_value=lambda x, th: 0.5 * (x[0] - th) ** 2)
-    samp = Sampler(sample=lambda rng: float(rng.normal(1.0, 1.0)),
-                   batch=lambda rng, size: rng.normal(1.0, 1.0, size=size))
+    obj = Objective(value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2,
+                    grad=lambda x, th: np.array([x[0] - th[0]]),
+                    batch_value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2)
+    samp = Sampler(sample=lambda rng: (float(rng.normal(1.0, 1.0)),),
+                   batch=lambda rng, size: (rng.normal(1.0, 1.0, size=size),))
     return ProblemSpec.make(g, 1, [obj], [samp],
                             no_constraints(g),
                             DomainSpec.box(np.array([-4.0]), np.array([4.0])))
@@ -167,8 +167,8 @@ def test_estimate_optimum_inactive_constraints_match_sgd_oracle(path3):
 
 def linear_objective_spec(c):
     g = build_graph(1, [])
-    obj = Objective(value=lambda x, th: float(c @ x), grad=lambda x, th: c.copy())
-    return ProblemSpec.make(g, c.size, [obj], [Sampler(sample=lambda rng: None)],
+    obj = Objective(value=lambda x, th: x @ c, grad=lambda x, th: c.copy())
+    return ProblemSpec.make(g, c.size, [obj], [Sampler(sample=lambda rng: ())],
                             no_constraints(g),
                             DomainSpec.box(np.full(c.size, -1.0), np.full(c.size, 1.0)))
 
@@ -373,10 +373,10 @@ def test_audit_checks_evaluated_F_hat_rows(small_consensus_spec):
     from asaddle.problem import ExpectedObjective
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=40)
     ev = ExpectedObjective(small_consensus_spec, 100, seed=4)
-    trace = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed=0,
-                evaluator=ev, eval_every=3)
+    trace = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed=0, evaluator=ev)
     assert audit_invariants(trace).finite
-    assert np.isnan(trace.F_hat[4])  # skipped by the evaluator, NaN by design
+    trace.F_hat[4], trace.F_evaluated[4] = np.nan, False  # a row left unscored
+    assert audit_invariants(trace).finite  # NaN by design
     trace.F_hat[6] = np.nan  # an evaluated row
     audit = audit_invariants(trace)
     assert not audit.finite and not audit.ok
@@ -385,7 +385,7 @@ def test_audit_checks_evaluated_F_hat_rows(small_consensus_spec):
 def test_audit_passes_a_run_without_evaluator(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=40)
     trace = run(small_consensus_spec, hp, DelaySchedule(kind="fixed", tau_max=2), seed=0,
-                evaluator=None, eval_every=0)
+                evaluator=None)
     assert np.all(np.isnan(trace.F_hat))
     audit = audit_invariants(trace)
     assert audit.finite and audit.ok

@@ -186,14 +186,13 @@ def test_generous_margin_keeps_duals_zero():
     cfg = PricingConfig(gamma_db=60.0)  # margin 1e6: interference never binds
     spec = build_pricing_problem(cfg)
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=2000)
-    trace = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=5, seed=0), seed=0,
-                eval_every=0)
+    trace = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=5, seed=0), seed=0)
     assert trace.lambda_norm.max() == 0.0
 
 
 def test_revenue_nonnegative_and_running_mean(cfg, spec):
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=500)
-    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=1, eval_every=0)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=1)
     rev = revenue_series(cfg, trace)
     assert rev.shape == (500,)
     assert np.all(rev >= 0.0)
@@ -224,7 +223,7 @@ def test_prices_pinned_at_cap_beat_naive(cfg):
     pinned = PricingConfig(x0=((20.0,), (10.0, 10.0), (20.0,)))
     spec = build_pricing_problem(pinned)
     hp = Hyperparams(epsilon=1e-9, delta=0.0, T=400)
-    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0, eval_every=0)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0)
     sinr = sinr_report(pinned, trace)
     naive = naive_baseline(pinned, seed=0, T=50000)
     assert np.all(sinr >= naive)
@@ -237,7 +236,7 @@ def test_interference_settles_within_margin_tolerance():
     T = 20000
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     trace = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=1),
-                seed=1, eval_every=0, thin_every=0)
+                seed=1, thin_every=0)
     series = interference_series(low_start, trace)
     final_quarter = series[3 * T // 4:].mean(axis=0)
     for i in range(2):
@@ -246,7 +245,7 @@ def test_interference_settles_within_margin_tolerance():
 
 def test_interference_series_matches_slots(cfg, spec):
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=50)
-    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=3, eval_every=0)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=3)
     series = interference_series(cfg, trace)
     assert series.shape == (50, 2)
     assert np.all(series >= 0.0)  # interference is a sum of nonnegative terms

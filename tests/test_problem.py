@@ -151,8 +151,8 @@ def test_consensus_sampler_moments(consensus_spec):
 
 
 def test_point_mass_sampler():
-    s = Sampler(sample=lambda rng: 7.5)
-    assert s.sample(np.random.default_rng(0)) == 7.5
+    s = Sampler(sample=lambda rng: (7.5,))
+    assert s.sample(np.random.default_rng(0)) == (7.5,)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +170,11 @@ def test_constant_objective_gradient():
     spec = ProblemSpec.make(
         g, 2,
         [Objective(value=lambda x, th: 3.0, grad=lambda x, th: np.zeros(2))],
-        [Sampler(sample=lambda rng: None)],
+        [Sampler(sample=lambda rng: ())],
         no_constraints(g),
         DomainSpec.box(np.full(2, -1.0), np.full(2, 1.0)),
     )
-    assert np.allclose(spec.objectives[0].grad(np.zeros(2), None), 0.0)
+    assert np.allclose(spec.objectives[0].grad(np.zeros(2), ()), 0.0)
 
 
 def test_x0_dimension_mismatch(consensus_spec):
@@ -189,19 +189,19 @@ def test_constraint_value_hand_cases(path3):
     e01 = path3.edge_index(0, 1)
     spec_g1 = build_consensus_problem(ConsensusRegressionConfig(p=2, gamma=1.0), path3)
     x = np.array([0.3, -0.2])
-    slack = spec_g1.constraints.slack([x, x, x], [None] * 3)
+    slack = spec_g1.constraints.slack([x, x, x], [()] * 3)
     assert slack.shape == (path3.n_edges,)
     assert slack[e01] == pytest.approx(-1.0)
     spec_g0 = build_consensus_problem(ConsensusRegressionConfig(p=2, gamma=0.0), path3)
     xs = [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0])]
-    assert spec_g0.constraints.slack(xs, [None] * 3)[e01] == pytest.approx(1.0)
+    assert spec_g0.constraints.slack(xs, [()] * 3)[e01] == pytest.approx(1.0)
 
 
 def test_constraint_grad_hand_cases(small_consensus_spec):
     # node 0 of the path owns one entry, the (0, 1) slack ||x_0 - x_1|| - gamma
     con = node_constraints(SMALL_CONSENSUS_CFG, small_consensus_spec.graph)[0]
     xi, xj, x2 = np.array([1.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2)
-    ths = [None] * 3
+    ths = [()] * 3
     assert np.allclose(con.jacobian(0, [xi, xj, x2], ths), [[1.0, 0.0]])   # first argument
     assert np.allclose(con.jacobian(1, [xi, xj, x2], ths), [[-1.0, 0.0]])  # second argument
     assert np.allclose(con.jacobian(2, [xi, xj, x2], ths), 0.0)  # not an argument
@@ -220,7 +220,7 @@ def test_gradients_match_finite_differences(consensus_spec):
         numeric = central_difference(lambda v: spec.objectives[node].value(v, th), x)
         assert_grad_close(analytic, numeric)
 
-    ths = [None] * spec.graph.n_nodes
+    ths = [()] * spec.graph.n_nodes
     for _ in range(100):
         i, j = spec.graph.edges[int(rng.integers(spec.graph.n_edges))]
         xs = [rng.uniform(-1.5, 1.5, size=4) for _ in range(spec.graph.n_nodes)]
@@ -258,7 +258,7 @@ def test_as_neighborhood_shape(small_consensus_spec):
     # same stacked slack; J^T lam from the per-node Jacobians matches the edge loop
     rng = np.random.default_rng(5)
     xs = [rng.uniform(-1.0, 1.0, size=2) for _ in range(3)]
-    ths = [None] * 3
+    ths = [()] * 3
     lam = rng.uniform(0.0, 2.0, size=4)
     grads = [np.zeros(2) for _ in range(3)]
     assert np.array_equal(nb.constraints.slack(xs, ths),
@@ -315,14 +315,14 @@ def test_expected_objective_quadratic():
     g = build_graph(1, [])
 
     def sample(rng):
-        return float(rng.normal(1.0, 1.0))
+        return (float(rng.normal(1.0, 1.0)),)
 
     def batch(rng, size):
-        return rng.normal(1.0, 1.0, size=size)
+        return (rng.normal(1.0, 1.0, size=size),)
 
-    obj = Objective(value=lambda x, th: 0.5 * (x[0] - th) ** 2,
-                    grad=lambda x, th: np.array([x[0] - th]),
-                    batch_value=lambda x, th: 0.5 * (x[0] - th) ** 2)
+    obj = Objective(value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2,
+                    grad=lambda x, th: np.array([x[0] - th[0]]),
+                    batch_value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2)
     spec = ProblemSpec.make(g, 1, [obj], [Sampler(sample=sample, batch=batch)],
                             no_constraints(g),
                             DomainSpec.box(np.array([-5.0]), np.array([5.0])))
@@ -425,7 +425,7 @@ def _spec_on(domains):
     g = build_graph(n, path_edges(n)) if n > 1 else build_graph(1, [])
     obj = Objective(value=lambda x, th: 0.0, grad=lambda x, th: np.zeros_like(x))
     return ProblemSpec.make(g, tuple(d.dim for d in domains), [obj] * n,
-                            [Sampler(sample=lambda rng: None)] * n,
+                            [Sampler(sample=lambda rng: ())] * n,
                             no_constraints(g),
                             tuple(domains))
 
@@ -480,11 +480,56 @@ def test_per_coordinate_leaves_are_concatenated_floats():
     assert rows[0].shape == (2, 1) and rows[0][:, 0].tolist() == ths[1][0].tolist()
 
 
+def test_an_observation_or_law_that_is_not_a_tuple_is_invalid_config(consensus_spec):
+    # a bare array would be taken apart row by row into observations of p
+    # leaves without an error
+    from dataclasses import replace
+    from asaddle.errors import InvalidConfig
+    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
+    from asaddle.problem import observation_block
+    from asaddle.saddle import Hyperparams, run
+    bare = Sampler(sample=lambda rng: rng.standard_normal(4),
+                   batch=lambda rng, size: rng.standard_normal((size, 4)))
+    batch_only = replace(consensus_spec, samplers=(bare,) * 5)
+    sample_only = replace(consensus_spec, samplers=(Sampler(sample=bare.sample),) * 5)
+    for spec in (batch_only, sample_only):
+        with pytest.raises(InvalidConfig, match="tuples of arrays"):
+            observation_block(spec, 0, 0)
+        with pytest.raises(InvalidConfig, match="tuples of arrays"):
+            run(spec, Hyperparams(epsilon=0.1, delta=0.0, T=3), None, 0)
+        with pytest.raises(InvalidConfig, match="tuples of arrays"):
+            sample_observation(spec, 0, 0, 5)
+    with pytest.raises(InvalidConfig, match="tuples of arrays"):  # Monte Carlo draws
+        ExpectedObjective(monte_carlo(batch_only), mc_samples=8)
+    # one node's observation of one array, the others' of two
+    samplers = list(consensus_spec.samplers)
+    samplers[2] = Sampler(sample=lambda rng: (rng.standard_normal(4),))
+    with pytest.raises(InvalidConfig, match="got 1 arrays"):
+        observation_block(replace(consensus_spec, samplers=tuple(samplers)), 0, 0)
+    pricing = build_pricing_problem(PricingConfig())
+    bare_law = tuple(replace(s, law=s.law[0]) for s in pricing.samplers)
+    with pytest.raises(InvalidConfig, match="tuples of arrays"):
+        ExpectedObjective(replace(pricing, samplers=bare_law))
+
+
+def test_mixed_dims_need_an_observation_entry_per_coordinate():
+    # every Objective takes coordinate rows when dims differ: one float per
+    # node would hand node 1 the floats of nodes 1 and 2, and node 2 none
+    from asaddle.errors import InvalidConfig
+    from asaddle.saddle import Hyperparams, run
+    g = build_graph(3, path_edges(3))
+    obj = Objective(value=lambda x, th: np.zeros(len(x)), grad=lambda x, th: x.copy())
+    spec = ProblemSpec.make(g, (1, 2, 3), [obj] * 3, [Sampler(sample=lambda rng: (rng.random(),))] * 3,
+                            no_constraints(g), tuple(DomainSpec.box(-np.ones(d), np.ones(d)) for d in (1, 2, 3)))
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        run(spec, Hyperparams(epsilon=0.1, delta=0.0, T=3), None, 0)
+
+
 def test_a_node_needs_a_coordinate():
     g = build_graph(2, path_edges(2))
     obj = Objective(value=lambda x, th: 0.0, grad=lambda x, th: x)
     with pytest.raises(DimensionMismatch):
-        ProblemSpec.make(g, (1, 0), [obj] * 2, [Sampler(sample=lambda rng: None)] * 2,
+        ProblemSpec.make(g, (1, 0), [obj] * 2, [Sampler(sample=lambda rng: ())] * 2,
                          no_constraints(g),
                          (DomainSpec.box(np.zeros(1), np.ones(1)),
                           DomainSpec.sum_interval(0, 0.0, 1.0)))
@@ -588,15 +633,15 @@ def test_grouped_evaluator_equals_per_node_loop(consensus_spec):
 
 def _lane_inputs(spec, rng, lanes, t):
     """Per-lane (x, observations) and their tiled (lane after lane) forms."""
-    from asaddle.problem import NodeObservations, stack, tree_map
+    from asaddle.problem import NodeObservations, stack
     xs = [stack(_random_prices(spec, rng) if spec.name.startswith("pricing")
                 else list(rng.uniform(-2.0, 2.0, size=(spec.graph.n_nodes, spec.dims[0]))))
           for _ in range(lanes)]
     obs = [NodeObservations.of([sample_observation(spec, s, i, t) for i in range(spec.graph.n_nodes)],
                                spec.obs_offsets) for s in range(lanes)]
     tiled = spec.tile(lanes)
-    tiled_obs = NodeObservations(tree_map(lambda *leaves: np.concatenate(leaves),
-                                          *[o.leaves for o in obs]), tiled.obs_offsets)
+    tiled_obs = NodeObservations([np.concatenate(leaves) for leaves in zip(*[o.leaves for o in obs])],
+                                 tiled.obs_offsets)
     return xs, obs, tiled, tiled.rows(np.concatenate(xs)), tiled_obs
 
 
@@ -638,11 +683,11 @@ def test_tiled_objectives_and_sums_per_copy(consensus_spec):
                 assert sums[s] == objective_sum(spec, spec.rows(xs[s]), obs[s])
                 solo = stack(objective_grads(spec, spec.rows(xs[s]), obs[s]))
                 assert grads[s * c:(s + 1) * c].tobytes() == solo.tobytes()
-    # a node's own Objective stays one call per copy; shared ones span every copy
+    # every instance, a node's own included, spans every copy
     groups = _pricing_specs()[-1].tile(3).objective_groups
     members = sorted(tuple(range(9)[g.nodes]) if isinstance(g.nodes, slice)
                      else tuple(np.atleast_1d(g.nodes).tolist()) for g in groups)
-    assert members == [(0, 2, 3, 5, 6, 8), (1,), (4,), (7,)]
+    assert members == [(0, 2, 3, 5, 6, 8), (1, 4, 7)]
 
 
 # ---------------------------------------------------------------------------

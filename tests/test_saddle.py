@@ -24,7 +24,7 @@ from reference import NeighborhoodConstraint, as_neighborhood, from_per_node, no
 # ---------------------------------------------------------------------------
 
 def point_mass_sampler():
-    return Sampler(sample=lambda rng: None)
+    return Sampler(sample=lambda rng: ())
 
 
 def scalar_quadratic_spec():
@@ -87,7 +87,7 @@ def test_lagrangian_zero_duals_is_objective_sum():
     spec = two_node_quadratic_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.5, T=1)
     state = SaddleState(x=[np.array([0.0]), np.array([0.0])], lam=np.zeros(2))
-    val = stochastic_lagrangian(spec, state, [None, None], hp)
+    val = stochastic_lagrangian(spec, state, [(), ()], hp)
     assert val == pytest.approx(0.5 + 0.5)
 
 
@@ -99,10 +99,10 @@ def test_lagrangian_single_edge_hand_value():
     lam = np.zeros(2)
     lam[spec.graph.edge_index(0, 1)] = 2.0
     state = SaddleState(x=[np.zeros(1), np.zeros(1)], lam=lam)
-    assert stochastic_lagrangian(spec, state, [None, None], hp) == pytest.approx(1.8)
+    assert stochastic_lagrangian(spec, state, [(), ()], hp) == pytest.approx(1.8)
     # delta = 0 drops the regularizer: plain Lagrangian value
     hp0 = Hyperparams(epsilon=0.2, delta=0.0, T=1)
-    assert stochastic_lagrangian(spec, state, [None, None], hp0) == pytest.approx(2.0)
+    assert stochastic_lagrangian(spec, state, [(), ()], hp0) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_primal_step_scalar_hand_value():
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=1)
     x = [np.array([1.0])]
     state = SaddleState(x=x, lam=np.zeros(0))
-    new_x = primal_step(spec, state, x, [None], hp)
+    new_x = primal_step(spec, state, x, [()], hp)
     assert new_x[0][0] == pytest.approx(0.9)
 
 
@@ -123,13 +123,13 @@ def test_primal_step_zero_epsilon_is_identity():
     hp = Hyperparams(epsilon=1e-300, delta=0.0, T=1)
     x = [np.array([0.3]), np.array([-0.7])]
     state = SaddleState(x=x, lam=np.zeros(2))
-    new_x = primal_step(spec, state, x, [None, None], hp)
+    new_x = primal_step(spec, state, x, [(), ()], hp)
     assert np.allclose(stack(new_x), stack(x), atol=1e-12)
 
 
 def test_dual_step_hand_values():
     x = [np.zeros(1), np.zeros(1)]
-    ths = [None, None]
+    ths = [(), ()]
     # lam=1, eps=0.1, delta=0.01, slack=0.5 -> (1 - 1e-4)*1 + 0.05 = 1.0499
     hp = Hyperparams(epsilon=0.1, delta=0.01, T=1)
     state = SaddleState(x=x, lam=np.ones(2))
@@ -258,9 +258,9 @@ def test_engine_stepwise_matches_one_shot(small_consensus_spec):
 def nan_gradient_spec():
     """One node whose gradient is NaN on the steps its observation is True."""
     g = build_graph(1, [])
-    obj = Objective(value=lambda x, th: 0.5 * float(x @ x),
-                    grad=lambda x, th: np.full_like(x, np.nan) if th else x.copy())
-    return ProblemSpec.make(g, 1, [obj], [Sampler(sample=lambda rng: rng.random() < 0.1)],
+    obj = Objective(value=lambda x, th: 0.5 * (x * x).sum(axis=-1),
+                    grad=lambda x, th: np.where(th[0][..., None], np.nan, x))
+    return ProblemSpec.make(g, 1, [obj], [Sampler(sample=lambda rng: (rng.random() < 0.1,))],
                             no_constraints(g),
                             DomainSpec.box(np.array([-1.0]), np.array([1.0])))
 
@@ -270,7 +270,7 @@ def test_nan_gradient_stops_the_run():
     # invariant audit still reported a feasible trace
     spec = nan_gradient_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=200)
-    first_nan = next(t for t in range(hp.T) if sample_observation(spec, 0, 0, t))
+    first_nan = next(t for t in range(hp.T) if sample_observation(spec, 0, 0, t)[0])
     with pytest.raises(NonFiniteState, match=f"step {first_nan}, node 0$"):
         run(spec, hp, DelaySchedule(kind="zero"), seed=0, thin_every=1)
 
@@ -278,16 +278,20 @@ def test_nan_gradient_stops_the_run():
 def test_non_finite_update_names_the_node():
     # per-node dimensions 1, 2, 3: the NaN sits in the last coordinate block
     g = build_graph(3, path_edges(3))
-    objs = [Objective(value=lambda x, th: 0.0, grad=lambda x, th: x.copy()),
-            Objective(value=lambda x, th: 0.0, grad=lambda x, th: x.copy()),
-            Objective(value=lambda x, th: 0.0,
-                      grad=lambda x, th: np.full_like(x, np.inf) if th else x.copy())]
-    samplers = [point_mass_sampler()] * 2 + [Sampler(sample=lambda rng: rng.random() < 0.2)]
+    # the flag is one entry per coordinate, as nodes of different dimensions need
+    def zero(x, th):
+        return np.zeros(np.shape(x)[:-1])
+
+    objs = [Objective(value=zero, grad=lambda x, th: x.copy()),
+            Objective(value=zero, grad=lambda x, th: x.copy()),
+            Objective(value=zero, grad=lambda x, th: np.where(th[0], np.inf, x))]
+    samplers = [Sampler(sample=lambda rng, d=d: (np.zeros(d, dtype=bool),)) for d in (1, 2)] + [
+        Sampler(sample=lambda rng: (np.full(3, rng.random() < 0.2),))]
     spec = ProblemSpec.make(g, (1, 2, 3), objs, samplers,
                             no_constraints(g),
                             tuple(DomainSpec.box(-np.ones(d), np.ones(d)) for d in (1, 2, 3)))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=100)
-    first = next(t for t in range(hp.T) if sample_observation(spec, 4, 2, t))
+    first = next(t for t in range(hp.T) if sample_observation(spec, 4, 2, t)[0].all())
     with pytest.raises(NonFiniteState, match=f"step {first}, node 2$"):
         run(spec, hp, None, seed=4)
 
@@ -434,6 +438,25 @@ def test_lanes_with_delays_longer_than_an_observation_block():
     assert lanes[0].staleness.max() == tau
 
 
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("app", ["consensus", "pricing"])
+def test_own_objective_instances_give_the_shared_instance_bits(consensus_spec, app, lanes):
+    # every node with its own copy of the Objective: one call per node's
+    # rows, against one call on every node's rows
+    from dataclasses import replace
+    spec = consensus_spec if app == "consensus" else build_pricing_problem(PricingConfig())
+    own = replace(spec, objectives=tuple(replace(obj) for obj in spec.objectives))
+    assert len(spec.objective_groups) == 1 and len(own.objective_groups) == spec.graph.n_nodes
+    hp = Hyperparams(epsilon=0.05 if app == "consensus" else 0.3, delta=1e-5, T=150)
+    seeds = list(range(lanes))
+    for schedules in ([None] * lanes, [uniform(4, s) for s in seeds]):
+        shared, owned = (run_lanes(p, hp, schedules, seeds, thin_every=7, record_current_slack=True,
+                                   evaluator=ExpectedObjective(p, mc_samples=64, seed=1))
+                         for p in (spec, own))
+        for a, b in zip(shared, owned, strict=True):
+            assert_traces_identical(a, b)
+
+
 # observation windows one to three blocks deep, each filled past its depth
 @pytest.mark.parametrize("tau", [63, 64, 65, 128, 130])
 def test_lanes_match_solo_runs_at_delays_around_a_block(tau):
@@ -500,7 +523,7 @@ def test_non_finite_lane_names_its_seed():
     spec = nan_gradient_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=200)
     seeds = [0, 1, 2, 3]
-    first = {seed: next(t for t in range(hp.T) if sample_observation(spec, seed, 0, t))
+    first = {seed: next(t for t in range(hp.T) if sample_observation(spec, seed, 0, t)[0])
              for seed in seeds}
     step, seed = min((t, seed) for seed, t in first.items())
     assert sorted(first.values()).count(step) == 1
