@@ -121,7 +121,8 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
         samplers.append(Sampler(sample=sample, batch=batch, law=(w_i, noise * noise), draws=draws))
 
     # one instance for every node: only the samplers depend on the node, so
-    # the engine evaluates all nodes' rows (N, p) in one call
+    # the engine evaluates all nodes' rows (N, p) in one call, and the
+    # evaluator the rows (N, 1, p) against their draws (N, S, p), (N, S)
     def residual(x, th):
         z, y = th
         return (z * x).sum(axis=-1) - y
@@ -132,11 +133,6 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
     def grad(x, th):
         return th[0] * residual(x, th)[..., None]
 
-    # x (p,) with draws (S, p), (S,), or stacked rows (n, p) with (n, S, p), (n, S)
-    def batch_value(x, th):
-        Z, y = th
-        return 0.5 * ((Z @ x[..., None])[..., 0] - y) ** 2
-
     # z ~ N(0, I) and y = z^T w + noise: E f = (|x - w|^2 + noise^2) / 2,
     # with the law (w, noise^2) of one node (p,), () or of n rows (n, p), (n,)
     def expected(x, law):
@@ -144,7 +140,7 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
         d = x - w
         return 0.5 * ((d * d).sum(axis=-1) + noise2)
 
-    objective = Objective(value=value, grad=grad, batch_value=batch_value, expected=expected)
+    objective = Objective(value=value, grad=grad, expected=expected)
 
     # both accept one pair of rows (p,) or every edge's rows (E, p)
     def prox(a, b, th_a, th_b):

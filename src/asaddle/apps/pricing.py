@@ -30,8 +30,7 @@ import numpy as np
 
 from ..errors import InvalidConfig
 from ..graph import NetworkGraph, build_graph
-from ..problem import (ConstraintFamily, DomainSpec, NodeObservations, Objective, ProblemSpec,
-                       Sampler, lane_copies, split_stacked, stack)
+from ..problem import ConstraintFamily, DomainSpec, Objective, ProblemSpec, Sampler, lane_copies
 from ..trace import RunTrace
 
 __all__ = [
@@ -213,9 +212,10 @@ def _exponential_pair(rng, shape: tuple, mean: float) -> np.ndarray:
 
 def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
     """Negated revenue of the SCBSs with cost term ``mu_c`` = c mu_n and
-    ``nu``, separable by subchannel: ``value``/``grad`` take one SCBS's
-    prices x (k,) with gains (k,), or coordinate rows (n, 1) with (n, 1);
-    ``batch_value`` takes draws (S, k), or (n, S, 1) for rows (n, 1).
+    ``nu``, separable by subchannel: ``value``/``grad`` take prices
+    (..., k) with gains that broadcast against them, such as one SCBS's
+    prices (k,) with gains (k,), coordinate rows (n, 1) with (n, 1), or rows
+    (n, 1, 1) with draws (n, S, 1).
 
     ``expected`` takes prices (..., k) and the law (m,) of g and h, with m
     the gain mean of every coordinate. With A = W / (c mu + nu x) and
@@ -233,18 +233,12 @@ def _price_objective(W: float, mu_c: float, nu: float) -> Objective:
         active = (W / denom - 1.0 / h) > 0.0
         return -g * (W * mu_c / denom**2 - 1.0 / h) * active
 
-    def batch_value(x, th):
-        G, H = th
-        x = x[..., None, :]
-        p = np.maximum(W / (mu_c + nu * x) - 1.0 / H, 0.0)
-        return -(x * G * p).sum(axis=-1)
-
     def expected(x, law):
         (m,) = law
         z = (mu_c + nu * x) / (m * W)
         return -(x * _interference(z)[0]).sum(axis=-1)
 
-    return Objective(value=value, grad=grad, batch_value=batch_value, expected=expected)
+    return Objective(value=value, grad=grad, expected=expected)
 
 
 def _interference(z):
@@ -420,31 +414,24 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
         coord_l, row_l = lane_copies(lanes, member_coord, n_coords), lane_copies(lanes, member_row, n_rows)
         row_of_coord_l = lane_copies(lanes, row_of_coord, n_rows)
         gammas_l, mu_c_l, nu_l = (lane_copies(lanes, a) for a in (gammas, mu_c, nu))
-        starts = list(accumulate(dims * lanes, initial=0))
-        slices = [slice(a, b) for a, b in zip(starts, starts[1:])]
 
-        def coordinates(xs, ths):
-            """Stacked prices and gains (C,), in the layout of the stacked iterate."""
-            g, h = NodeObservations.of(ths).leaves
-            return stack(xs), g.reshape(-1), h.reshape(-1)
-
-        def slack(xs, ths):
-            x, g, h = coordinates(xs, ths)
+        def slack(x, obs):
+            g, h = obs.leaves  # per coordinate, in the layout of the stacked iterate
             p = W / (mu_c_l + nu_l * x) - 1.0 / h
             received = np.where(p > 0.0, g * p, 0.0)
             # bincount adds each MU's members in order, from 0.0
             return np.bincount(row_l, weights=received[coord_l],
                                minlength=lanes * n_rows) - gammas_l
 
-        def add_jt_lam(grads, lam, xs, ths):
-            x, g, h = coordinates(xs, ths)
+        def add_jt_lam(grads, lam, x, obs):
+            g, h = obs.leaves
             denom = mu_c_l + nu_l * x
             active = (W / denom - 1.0 / h) > 0.0
             # float_power squares with pow(), as the per-node Jacobian's scalar
             # denom**2 does; an array's denom**2 multiplies, which can differ in
             # the last bit
             jac = np.where(active, -g * W * nu_l / np.float_power(denom, 2), 0.0)
-            return split_stacked(stack(grads) + jac * lam[row_of_coord_l], slices)
+            return grads + jac * lam[row_of_coord_l]
 
         return slack, add_jt_lam
 

@@ -405,7 +405,7 @@ def _setup(cfg: ExperimentConfig, out_dir: str | None):
     spec, app = build_problem(cfg)
     evaluator = ExpectedObjective(spec, mc_samples=cfg.mc_samples, seed=cfg.eval_seed)
     if spec.x_star is not None:
-        f_star = evaluator.value(spec.rows(spec.x_star))
+        f_star = evaluator.value(spec.x_star)
         return out, spec, app, evaluator, f_star, spec.optimum_source
     f_star, _ = estimate_optimum(spec, cfg.resolved_optimum_budget(), cfg.optimum_seed,
                                  delta=cfg.delta, epsilon=cfg.resolved_epsilon(),

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateSeries
 from .problem import (DEFAULT_MC_SAMPLES, ExpectedObjective, NodeObservations, ProblemSpec,
-                      objective_grads, sample_rows, stack, stack_leaves)
+                      coordinate_leaves, objective_grads, sample_rows, stack_leaves)
 from .saddle import Hyperparams, project_nodes, run
 from .trace import RunTrace
 
@@ -99,13 +99,14 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
 
     Runs the tau=0 method for ``budget`` iterations with epsilon = 1/sqrt(budget)
     unless overridden, and returns (F*, x_ref) where x_ref is the running
-    average of the iterates x_1..x_T and F* its expected objective value
-    (``ExpectedObjective``: exact where the problem gives its expectation).
+    average of the iterates x_1..x_T, as per-node rows (``ProblemSpec.rows``),
+    and F* its expected objective value (``ExpectedObjective``: exact where
+    the problem gives its expectation).
     """
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=eval_seed)
     if budget <= 0:
-        x0 = [v.copy() for v in spec.x0]
-        return evaluator.value(x0), x0
+        x0 = np.concatenate(spec.x0)
+        return evaluator.value(x0), spec.rows(x0)
 
     eps = epsilon if epsilon is not None else 1.0 / math.sqrt(budget)
     hp = Hyperparams(epsilon=eps, delta=delta, T=int(budget))
@@ -113,12 +114,12 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
 
     def accumulate(t, state):
         if t >= 1:
-            np.add(acc, stack(state.x), out=acc)
+            np.add(acc, state.x, out=acc)
 
     run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None, thin_every=0,
         record_current_slack=False)
-    x_ref = spec.rows(project_nodes(spec, acc / budget))
-    return evaluator.value(x_ref), x_ref
+    x_ref = project_nodes(spec, acc / budget)
+    return evaluator.value(x_ref), spec.rows(x_ref)
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +215,23 @@ def audit_assumptions(spec: ProblemSpec, n_samples: int = 2000, seed: int = 0,
         if lanes not in tiles:
             tiles[lanes] = spec.tile(lanes)
         tiled = tiles[lanes]
-        xs = tiled.rows(np.repeat(np.array(xs), theta_draws, axis=0).reshape(-1))
+        xs = np.repeat(np.array(xs), theta_draws, axis=0).reshape(-1)
         # one stack per leaf: (draw, point and node or coordinate, ...), then point first
+        leaves = coordinate_leaves(spec, stack_leaves(draws, axis=1), 1, points * spec.offsets[-1])
         th = NodeObservations([leaf.reshape((theta_draws, points, -1) + leaf.shape[2:]).swapaxes(0, 1)
-                               .reshape((-1,) + leaf.shape[2:]) for leaf in stack_leaves(draws, axis=1)],
-                              tiled.obs_offsets)
+                               .reshape((-1,) + leaf.shape[2:]) for leaf in leaves], tiled.obs_offsets)
 
-        g = stack(objective_grads(tiled, xs, th)).reshape(lanes, -1)
+        g = objective_grads(tiled, xs, th).reshape(lanes, -1)
         f2.append(_draw_means(spec.node_sums(g ** 2), points).max())
         if m == 0:
             continue
         s = tiled.constraints.slack(xs, th).reshape(lanes, m)
         l2.append(_draw_means(s ** 2, points).max())
-        zeros = tiled.rows(np.zeros(g.size))
+        zeros = np.zeros(g.size)
         for c in range(m):
             lam = np.zeros(lanes * m)
             lam[c::m] = 1.0
-            jt = stack(tiled.constraints.add_jt_lam(zeros, lam, xs, th)).reshape(lanes, -1)
+            jt = tiled.constraints.add_jt_lam(zeros, lam, xs, th).reshape(lanes, -1)
             h2.append(_draw_means(spec.node_sums(jt ** 2), points).max())
 
     evaluator = ExpectedObjective(spec, mc_samples=mc_samples, seed=seed + 1)

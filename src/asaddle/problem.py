@@ -27,9 +27,8 @@ __all__ = [
     "ProblemSpec",
     "NodeObservations",
     "project",
-    "stack",
     "stack_leaves",
-    "split_stacked",
+    "coordinate_leaves",
     "sample_observation",
     "sample_rows",
     "observation_block",
@@ -199,20 +198,19 @@ def _clip_at_breakpoint(u: np.ndarray, target: float):
 class Objective:
     """Per-node stochastic objective f(x, theta) with gradient.
 
-    ``value`` and ``grad`` take the rows x (n, p) of every node holding the
-    instance, with their observations stacked leaf by leaf
-    (``NodeObservations.rows``), and return (n,) values and (n, p)
-    gradients; they also take one row x (p,) with one observation.
-    ``batch_value``, when given, maps (x, batched observations) to a vector
-    of per-sample values and is used by Monte Carlo estimators. ``expected``,
-    when given, maps rows x (..., p) and the samplers' laws (``Sampler.law``,
-    stacked like the rows) to the exact expectations E f(x, theta), one per
-    row (...,); ``ExpectedObjective`` then draws no sample for these nodes.
+    ``value`` and ``grad`` take rows x (..., p) with observation leaves that
+    broadcast on the leading axes, and return (...,) values and (..., p)
+    gradients: the engine passes the rows (n, p) of every node holding the
+    instance with their observations stacked leaf by leaf
+    (``NodeObservations.rows``), ``ExpectedObjective`` the rows (n, 1, p)
+    against every row's draws (n, S, ...). ``expected``, when given, maps
+    rows x (..., p) and the samplers' laws (``Sampler.law``, stacked like
+    the rows) to the exact expectations E f(x, theta), one per row (...,);
+    ``ExpectedObjective`` then draws no sample for these nodes.
     """
 
     value: callable
     grad: callable
-    batch_value: callable | None = None
     expected: callable | None = None
 
 
@@ -222,10 +220,10 @@ class Sampler:
 
     An observation is a flat tuple of arrays, as many at every node (``()``
     for a point mass). ``sample(rng)`` draws one; ``batch(rng, size)``, when
-    given, draws a set of them consumable by Objective.batch_value: a tuple
-    whose row r of every array is one observation. The engine draws its
-    observations in blocks of OBS_BLOCK rows with ``batch``, or as
-    ``sample_rows`` does when ``batch`` is missing. ``law``, when given,
+    given, draws a set of them: a tuple whose row r of every array is one
+    observation. The engine and ``ExpectedObjective`` draw their
+    observations with ``batch``, or as ``sample_rows`` does when ``batch``
+    is missing. ``law``, when given,
     holds the distribution's parameters as ``Objective.expected`` reads
     them: a tuple of arrays, with one entry per coordinate when dims differ.
     ``draws(rng, n)``, when given, returns n observations stacked leaf by
@@ -244,10 +242,11 @@ class Sampler:
 class ConstraintFamily:
     """All constraints of a problem, stacked into one slack vector.
 
-    ``slack(xs, ths)`` returns the (size,) stacked slack at per-node vectors
-    xs and observations ths, and ``add_jt_lam(grads, lam, xs, ths)`` returns
-    the per-node gradients plus J^T lam, with J the Jacobian of the stacked
-    slack at (xs, ths) and lam laid out like the slack. ``tile(S)`` returns
+    ``slack(x, obs)`` returns the (size,) stacked slack at the stacked
+    iterate x (C,) and the ``NodeObservations`` obs, and
+    ``add_jt_lam(grads, lam, x, obs)`` returns the stacked gradients
+    grads (C,) plus J^T lam, with J the Jacobian of the stacked slack at
+    (x, obs) and lam laid out like the slack. ``tile(S)`` returns
     the family of S independent copies of the problem laid out one after the
     other (``ProblemSpec.tile``), whose kernels evaluate every copy in one
     call and give each copy's entries bit for bit as the family gives them
@@ -300,21 +299,21 @@ class ConstraintFamily:
             mirror_l, first_l = lane_copies(lanes, mirror, m), lane_copies(lanes, first, m)
             gammas_l = lane_copies(lanes, gammas)
 
-            def edge_rows(xs, ths):
+            def edge_rows(x, obs):
                 """(x_src, x_dst, th_src, th_dst) stacked over all edges; the
-                slack and J^T lam at ``ths`` share its observations' gather."""
-                xs, ths = np.asarray(xs, dtype=float), NodeObservations.of(ths)
-                if ths.edges is None or ths.edges[0] is not src_l:
-                    ths.edges = (src_l, ths.take(src_l), ths.take(dst_l))
-                return xs.take(src_l, axis=0), xs.take(dst_l, axis=0), *ths.edges[1:]
+                slack and J^T lam at ``obs`` share its observations' gather."""
+                rows = x.reshape(lanes * n, -1)
+                if obs.edges is None or obs.edges[0] is not src_l:
+                    obs.edges = (src_l, obs.take(src_l), obs.take(dst_l))
+                return rows.take(src_l, axis=0), rows.take(dst_l, axis=0), *obs.edges[1:]
 
-            def slack(xs, ths):
-                return np.asarray(value(*edge_rows(xs, ths)), dtype=float) - gammas_l
+            def slack(x, obs):
+                return np.asarray(value(*edge_rows(x, obs)), dtype=float) - gammas_l
 
-            def add_jt_lam(grads, lam, xs, ths):
+            def add_jt_lam(grads, lam, x, obs):
                 w = lam + lam[mirror_l]
-                jac = np.asarray(grad_first(*edge_rows(xs, ths)), dtype=float)
-                return np.asarray(grads, dtype=float) + np.add.reduceat(w[:, None] * jac, first_l, axis=0)
+                jac = np.asarray(grad_first(*edge_rows(x, obs)), dtype=float)
+                return grads + np.add.reduceat(w[:, None] * jac, first_l, axis=0).reshape(-1)
 
             return slack, add_jt_lam
 
@@ -324,21 +323,19 @@ class ConstraintFamily:
     def from_lane_kernels(size: int, kernels) -> "ConstraintFamily":
         """Family of ``size`` stacked entries whose ``kernels(S)`` returns the
         (slack, add_jt_lam) of S copies; its ``add_jt_lam`` returns a new
-        array (or ``split_stacked`` of one). A copy whose duals all vanish
-        keeps its gradients as they are, as it would alone (adding zeros can
-        flip a -0.0)."""
+        array. A copy whose duals all vanish keeps its gradients as they
+        are, as it would alone (adding zeros can flip a -0.0)."""
         def tile(lanes):
             slack, add = kernels(lanes)
 
-            def add_jt_lam(grads, lam, xs, ths):
+            def add_jt_lam(grads, lam, x, obs):
                 live = lam.reshape(lanes, size).any(axis=1)
                 n_live = np.count_nonzero(live)
                 if not n_live:
                     return grads
-                out = add(grads, lam, xs, ths)
+                out = add(grads, lam, x, obs)
                 if n_live < lanes:
-                    flat = stack(out)  # a view of the kernel's new array
-                    np.copyto(flat, stack(grads), where=np.repeat(~live, flat.size // lanes))
+                    np.copyto(out, grads, where=np.repeat(~live, out.size // lanes))
                 return out
 
             return ConstraintFamily(lanes * size, slack, add_jt_lam, tile=lambda k: tile(lanes * k))
@@ -457,24 +454,19 @@ class ProblemSpec:
         return None if self.uniform else self.offsets
 
     def rows(self, flat: np.ndarray):
-        """Per-node views of a stacked vector: an (N, p) array when dims are
-        uniform, a list of slices otherwise."""
+        """Per-node views of a stacked vector, for output: an (N, p) array
+        when dims are uniform, a list of views otherwise."""
         if self.uniform:
             return flat.reshape(self.graph.n_nodes, self.dims[0])
-        return split_stacked(flat, self._slices)
+        return np.split(flat, self.offsets[1:-1])
 
-    def row_array(self, xs) -> np.ndarray:
-        """Per-node vectors (or a stacked vector) as the rows shared objectives
-        take: (N, p) when dims are uniform, otherwise every coordinate as a row
-        of dimension 1, (C, 1). A view of a stacked vector or of ``rows``."""
+    def row_array(self, flat: np.ndarray) -> np.ndarray:
+        """A stacked vector as the rows shared objectives take, as a view:
+        (N, p) when dims are uniform, otherwise every coordinate as a row of
+        dimension 1, (C, 1)."""
         if self.uniform:
-            return np.asarray(xs, dtype=float).reshape(self.graph.n_nodes, -1)
-        return stack(xs)[:, None]
-
-    @cached_property
-    def _slices(self) -> list:
-        o = self.offsets
-        return [slice(o[i], o[i + 1]) for i in range(self.graph.n_nodes)]
+            return flat.reshape(self.graph.n_nodes, -1)
+        return flat[:, None]
 
     def node_of(self, coordinate: int) -> int:
         """Node owning an entry of the stacked vector."""
@@ -619,32 +611,6 @@ def _sum_in_order(values: np.ndarray):
 # operations
 # ---------------------------------------------------------------------------
 
-class _Slices(list):
-    """Per-node slices of the stacked vector ``stacked``."""
-
-    __slots__ = ("stacked",)
-
-
-def split_stacked(flat: np.ndarray, slices) -> list:
-    """Views of the stacked vector ``flat`` at per-node ``slices``, which
-    ``stack`` turns back into ``flat`` without a copy."""
-    rows = _Slices([flat[s] for s in slices])
-    rows.stacked = flat
-    return rows
-
-
-def stack(vectors) -> np.ndarray:
-    """Per-node vectors as one flat float vector; no copy for ``spec.rows``
-    of a stacked vector."""
-    if isinstance(vectors, np.ndarray):
-        return vectors.reshape(-1)
-    if isinstance(vectors, _Slices):
-        return vectors.stacked
-    if len(vectors) == 0:
-        return np.zeros(0)
-    return np.concatenate([np.atleast_1d(np.asarray(v, dtype=float)) for v in vectors])
-
-
 def _tuples(parts) -> list:
     """``parts`` (observations, batches of them or laws) when each is a tuple
     of as many arrays as the first; InvalidConfig otherwise, where a bare
@@ -678,43 +644,23 @@ class NodeObservations:
 
     ``leaves`` is the tuple of the stacked arrays. A leaf has a leading node
     axis, or, when its length differs between nodes (``stack_leaves``), a
-    leading coordinate axis laid out like the stacked iterate, split per
-    node at ``offsets`` (``ProblemSpec.obs_offsets``). ``obs[i]`` is node
-    i's observation, as ``sample_observation`` returns it; an index array or
-    a slice selects nodes of node-axis leaves, and ``rows(sel)`` gives the
-    observations of the rows ``sel`` of ``ProblemSpec.row_array``, each a
-    tuple. ``edges`` keeps a constraint family's gather.
+    leading coordinate axis laid out like the stacked iterate, with node i's
+    coordinates at ``offsets`` (``ProblemSpec.obs_offsets``) i to i + 1.
+    ``take(nodes)`` gathers nodes of node-axis leaves, and ``rows(sel)``
+    gives the observations of the rows ``sel`` of ``ProblemSpec.row_array``,
+    each a tuple. ``edges`` keeps a constraint family's gather.
     """
 
-    __slots__ = ("leaves", "offsets", "edges", "_per_node")
+    __slots__ = ("leaves", "offsets", "edges")
 
     def __init__(self, leaves, offsets=None):
         self.leaves = tuple(leaves)
         self.offsets = offsets
-        self.edges = self._per_node = None
-
-    @staticmethod
-    def of(ths, offsets=None) -> "NodeObservations":
-        """``ths`` itself, or a per-node sequence of observations stacked."""
-        if isinstance(ths, NodeObservations):
-            return ths
-        return NodeObservations(stack_leaves(list(ths), axis=0), offsets)
-
-    def __getitem__(self, nodes):
-        if isinstance(nodes, (int, np.integer)):
-            if not self.leaves:
-                return ()
-            if self._per_node is None:  # split once: per-node code asks for each node often
-                o = self.offsets  # a leaf with a row per coordinate splits at the offsets
-                self._per_node = list(zip(*[
-                    list(leaf) if o is None or len(leaf) == len(o) - 1 else np.split(leaf, o[1:-1])
-                    for leaf in self.leaves]))
-            return self._per_node[nodes]
-        return tuple([leaf[nodes] for leaf in self.leaves])
+        self.edges = None
 
     def take(self, nodes) -> tuple:
-        """``obs[nodes]`` for an index array: ``take`` gathers rows of a 2-D
-        leaf several times faster than fancy indexing does."""
+        """The rows ``nodes`` (an index array) of every leaf: ``take`` gathers
+        rows of a 2-D leaf several times faster than fancy indexing does."""
         return tuple([leaf.take(nodes, axis=0) for leaf in self.leaves])
 
     def rows(self, sel) -> tuple:
@@ -732,10 +678,12 @@ def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
     )
 
 
-def _draw_block(sampler: Sampler, rng: np.random.Generator):
+def _draw(sampler: Sampler, rng: np.random.Generator, n: int):
+    """n observations stacked leaf by leaf: ``batch`` when the sampler has
+    one, else ``sample_rows``."""
     if sampler.batch is not None:
-        return sampler.batch(rng, OBS_BLOCK)
-    return sample_rows(sampler, rng, OBS_BLOCK)
+        return sampler.batch(rng, n)
+    return sample_rows(sampler, rng, n)
 
 
 def sample_rows(sampler: Sampler, rng: np.random.Generator, n: int):
@@ -746,17 +694,25 @@ def sample_rows(sampler: Sampler, rng: np.random.Generator, n: int):
     return stack_leaves([sampler.sample(rng) for _ in range(n)], axis=0)
 
 
+def coordinate_leaves(spec: ProblemSpec, leaves, axis: int, n: int):
+    """``leaves`` when dims are uniform, or when every leaf has ``n``
+    entries, one per coordinate, along ``axis``. When dims differ every
+    Objective takes coordinate rows, so any other leaf (one entry per node,
+    say) raises InvalidConfig."""
+    if spec.obs_offsets is not None and any(np.ndim(leaf) <= axis or np.shape(leaf)[axis] != n
+                                            for leaf in leaves):
+        raise InvalidConfig("when dims differ, every observation array needs one entry per coordinate")
+    return leaves
+
+
 def observation_block(spec: ProblemSpec, seed: int, block: int):
     """Observations of steps block*OBS_BLOCK onward for every node, stacked
     leaf by leaf as (OBS_BLOCK, N, ...), or (OBS_BLOCK, C, ...) for leaves
-    with one entry per coordinate of nodes of different dimensions. When
-    dims differ, every Objective takes coordinate rows, so a leaf with one
-    entry per node raises InvalidConfig."""
-    leaves = stack_leaves([_draw_block(sampler, _block_rng(seed, node, block))
+    with one entry per coordinate of nodes of different dimensions
+    (``coordinate_leaves``)."""
+    leaves = stack_leaves([_draw(sampler, _block_rng(seed, node, block), OBS_BLOCK)
                            for node, sampler in enumerate(spec.samplers)], axis=1)
-    if spec.obs_offsets is not None and any(leaf.shape[1] != spec.offsets[-1] for leaf in leaves):
-        raise InvalidConfig("when dims differ, every observation array needs one entry per coordinate")
-    return leaves
+    return coordinate_leaves(spec, leaves, 1, spec.offsets[-1])
 
 
 def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
@@ -766,28 +722,30 @@ def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
     generator of (seed, node, t // OBS_BLOCK), so the value does not depend on
     the horizon, the number of nodes or what was drawn before."""
     block, row = divmod(t, OBS_BLOCK)
-    (drawn,) = _tuples([_draw_block(spec.samplers[node], _block_rng(seed, node, block))])
+    (drawn,) = _tuples([_draw(spec.samplers[node], _block_rng(seed, node, block), OBS_BLOCK)])
     return tuple([leaf[row] for leaf in drawn])
 
 
-def objective_grads(spec: ProblemSpec, xs, ths):
-    """Per-node objective gradients, one ``grad`` call per Objective instance
-    (on the stacked rows of the nodes holding it); same layout as ``spec.rows``."""
+def objective_grads(spec: ProblemSpec, x: np.ndarray, obs: NodeObservations) -> np.ndarray:
+    """Stacked objective gradients (C,) at the stacked iterate x (C,) and
+    the ``NodeObservations`` obs, one ``grad`` call per Objective instance
+    (on the stacked rows of the nodes holding it)."""
     flat = np.empty(spec.offsets[-1])
-    out, rows_x, obs = spec.row_array(flat), spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
+    out, rows_x = spec.row_array(flat), spec.row_array(x)
     for obj, _, rows, _ in spec.objective_groups:
         out[rows] = obj.grad(rows_x[rows], obs.rows(rows))
-    return spec.rows(flat)
+    return flat
 
 
-def objective_sum(spec: ProblemSpec, xs, ths, lanes: int | None = None):
-    """sum_i f^i(x^i, th^i) added in node order, one ``value`` call per
-    Objective instance; a node evaluated by coordinate adds its rows first.
+def objective_sum(spec: ProblemSpec, x: np.ndarray, obs: NodeObservations, lanes: int | None = None):
+    """sum_i f^i(x^i, th^i) at the stacked iterate x added in node order, one
+    ``value`` call per Objective instance; a node evaluated by coordinate
+    adds its rows first.
 
     With ``lanes``, ``spec`` is a ``ProblemSpec.tile`` of that many copies
     and the result is the (lanes,) array of each copy's own sum."""
     values = np.empty(spec.graph.n_nodes)
-    rows_x, obs = spec.row_array(xs), NodeObservations.of(ths, spec.obs_offsets)
+    rows_x = spec.row_array(x)
     for obj, nodes, rows, sums in spec.objective_groups:
         v = obj.value(rows_x[rows], obs.rows(rows))
         values[nodes] = v if sums is None else _sum_node_rows(v, sums)
@@ -800,9 +758,9 @@ def objective_sum(spec: ProblemSpec, xs, ths, lanes: int | None = None):
 # expected objective
 # ---------------------------------------------------------------------------
 
-# draws (rows x samples) per batch_value call: a large group is evaluated in
-# pieces of its stacked draws, so one call's temporaries stay near 0.5 MB while
-# the draws of a 500-node problem take 40 MB
+# draws (rows x samples) per Monte Carlo ``value`` call: a large group is
+# evaluated in pieces of its stacked draws, so one call's temporaries stay near
+# 0.5 MB while the draws of a 500-node problem take 40 MB
 _EVAL_PIECE = 1 << 16
 
 
@@ -815,9 +773,9 @@ class ExpectedObjective:
     its laws are stacked once, as (rows, ...) in the row layout of the
     group's iterate rows, and one ``expected`` call scores every row. Any
     other group is estimated with a frozen evaluation sample, independent of
-    training: its draws are stacked as (rows, S, ...), and ``batch_value``
-    maps the stacked rows and draws to (rows, S) per-sample values (without
-    ``batch_value`` or ``Sampler.batch``, ``value`` is called per draw). The
+    training: each node's S draws (``Sampler.batch``, else ``sample_rows``)
+    are stacked as (rows, S, ...), and one ``value`` call scores the rows
+    (rows, 1, p) against them, giving (rows, S) per-sample values. The
     same draw set is reused for every query point, so differences
     F(x) - F(y) of nearby points carry far less Monte Carlo noise than the
     individual values.
@@ -828,8 +786,7 @@ class ExpectedObjective:
         self.spec = spec
         self.mc_samples = int(mc_samples)
         self._exact = []    # (expected, nodes, rows, sums, laws)
-        self._batched = []  # (batch_value, nodes, rows, sums, draws)
-        self._plain = []    # (node, value, draws)
+        self._sampled = []  # (value, nodes, rows, sums, draws)
         S = self.mc_samples
 
         def rng(node):
@@ -839,31 +796,29 @@ class ExpectedObjective:
             members = _members(nodes, spec.graph.n_nodes)
             if obj.expected is not None and all(spec.samplers[i].law is not None for i in members):
                 self._exact.append((obj.expected, nodes, rows, sums, self._stacked_laws(members)))
-            elif obj.batch_value is None or any(spec.samplers[i].batch is None for i in members):
-                for i in members:
-                    node_rng = rng(i)
-                    self._plain.append((i, obj.value, [spec.samplers[i].sample(node_rng)
-                                                       for _ in range(S)]))
-            else:
-                counts = [1 if spec.uniform else spec.dims[i] for i in members]
-                o = list(accumulate(counts, initial=0))  # first row of each member
-                draws = self._stacked_draws(members, o, rng)
-                # evaluated in pieces of whole nodes with at most _EVAL_PIECE
-                # rows x samples (one node's rows when they alone exceed it)
-                per_piece = max(1, _EVAL_PIECE // (S * max(counts)))
-                for a in range(0, len(members), per_piece):
-                    piece = members[a:a + per_piece]
-                    lo, hi = o[a], o[a + len(piece)]
-                    self._batched.append((obj.batch_value, *_row_layout(spec, piece),
-                                          tuple([leaf[lo:hi] for leaf in draws])))
+                continue
+            counts = [1 if spec.uniform else spec.dims[i] for i in members]
+            o = list(accumulate(counts, initial=0))  # first row of each member
+            draws = self._stacked_draws(members, o, rng)
+            # evaluated in pieces of whole nodes with at most _EVAL_PIECE
+            # rows x samples (one node's rows when they alone exceed it)
+            per_piece = max(1, _EVAL_PIECE // (S * max(counts)))
+            for a in range(0, len(members), per_piece):
+                piece = members[a:a + per_piece]
+                lo, hi = o[a], o[a + len(piece)]
+                self._sampled.append((obj.value, *_row_layout(spec, piece),
+                                      tuple([leaf[lo:hi] for leaf in draws])))
 
     def _stacked_laws(self, members: list):
         """The laws of ``members`` stacked leaf by leaf: (n, ...) per node, or
         per coordinate (rows, 1, ...) as coordinate rows of dimension 1."""
-        laws = zip(*_tuples([self.spec.samplers[i].law for i in members]))
-        if self.spec.uniform:
-            return tuple([np.stack(leaves) for leaves in laws])
-        return tuple([np.concatenate(leaves)[:, None] for leaves in laws])
+        spec = self.spec
+        laws = _tuples([spec.samplers[i].law for i in members])
+        if spec.uniform:
+            return tuple([np.stack(leaves) for leaves in zip(*laws)])
+        for i, law in zip(members, laws):
+            coordinate_leaves(spec, law, 0, spec.dims[i])
+        return tuple([np.concatenate(leaves)[:, None] for leaves in zip(*laws)])
 
     def _stacked_draws(self, members: list, o: list, rng):
         """The draws of ``members`` stacked as (rows, S, ...), member j's at
@@ -872,15 +827,17 @@ class ExpectedObjective:
         spec, S = self.spec, self.mc_samples
         stacked = None
         for j, i in enumerate(members):
-            draws = spec.samplers[i].batch(rng(i), S)
+            draws = _draw(spec.samplers[i], rng(i), S)
             if stacked is None:
                 # (S, ...) per node -> one row (1, S, ...), or per coordinate
                 # (S, k, ...) -> k rows of dimension 1 (k, S, 1, ...)
                 stacked = tuple([np.empty((o[-1], S) + leaf.shape[1:] if spec.uniform
                                           else (o[-1], S, 1) + leaf.shape[2:], leaf.dtype)
                                  for leaf in _tuples([draws])[0]])
-            # each member's draws: a tuple of as many arrays as the first's
-            for out, leaf in zip(stacked, _tuples([stacked, draws])[1]):
+            # each member's draws: a tuple of as many arrays as the first's,
+            # one entry per coordinate when dims differ
+            draws = coordinate_leaves(spec, _tuples([stacked, draws])[1], 1, o[j + 1] - o[j])
+            for out, leaf in zip(stacked, draws):
                 if spec.uniform:
                     out[j] = leaf
                 else:
@@ -888,19 +845,24 @@ class ExpectedObjective:
         return stacked
 
     def value(self, x) -> float:
-        """F at per-node vectors x (a list of vectors or ``spec.rows``): the
-        one-row case of ``values``."""
-        return float(self.values(stack(x)[None])[0])
+        """F at the stacked iterate x (C,): the one-row case of ``values``."""
+        return float(self.values([x])[0])
 
     def values(self, X) -> np.ndarray:
         """F at every row of X (B, C), each a stacked iterate: every node's
-        expectation (or sample mean), added in node order per row.
+        expectation (or sample mean), added in node order per row. Any other
+        shape, per-node vectors included, raises DimensionMismatch.
 
         Exact groups score all B rows in one ``expected`` call; Monte Carlo
         groups one row at a time. A row's value does not depend on the other
         rows, so it equals ``value`` of that row bit for bit."""
-        spec = self.spec
-        X = np.asarray(X, dtype=float)
+        spec, C = self.spec, int(self.spec.offsets[-1])
+        try:
+            X = np.asarray(X, dtype=float)
+        except ValueError as exc:  # a ragged list of per-node vectors
+            raise DimensionMismatch(f"expected stacked iterates of length {C}: {exc}") from exc
+        if X.ndim != 2 or X.shape[1] != C:
+            raise DimensionMismatch(f"expected stacked iterates of length {C}, got shape {X.shape}")
         B = len(X)
         node_values = np.empty((B, spec.graph.n_nodes))
         # every row as the rows objectives take (spec.row_array), (B, ...)
@@ -908,20 +870,8 @@ class ExpectedObjective:
         for expected, nodes, rows, sums, laws in self._exact:
             v = expected(rows_x[:, rows], laws)
             node_values[:, nodes] = v if sums is None else _sum_node_rows(v.T, sums).T
-        if self._batched or self._plain:
-            for b in range(B):
-                self._sample_means(spec.rows(X[b]), node_values[b])
+        for b in range(B):
+            for value, nodes, rows, sums, draws in self._sampled:
+                v = value(rows_x[b, rows][:, None], draws)
+                node_values[b, nodes] = np.mean(v if sums is None else _sum_node_rows(v, sums), axis=1)
         return _sum_in_order(node_values)
-
-    def _sample_means(self, x, means: np.ndarray) -> None:
-        """Every Monte Carlo node's sample mean at per-node vectors x, into
-        ``means``."""
-        rows_x = self.spec.row_array(x)
-        for batch_value, nodes, rows, sums, draws in self._batched:
-            values = batch_value(rows_x[rows], draws)
-            if sums is not None:
-                values = _sum_node_rows(values, sums)
-            means[nodes] = np.mean(values, axis=1)
-        for node, value, draws in self._plain:
-            xi = np.asarray(x[node], dtype=float)
-            means[node] = np.mean([value(xi, th) for th in draws])

@@ -31,7 +31,7 @@ from .delay import DelaySchedule, resolve
 from .errors import DegenerateEstimates, DimensionMismatch, NoFeasibleDelta, NonFiniteState, OutOfWindow
 from .graph import NetworkGraph
 from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, objective_grads, objective_sum,
-                      observation_block, project, stack)
+                      observation_block, project)
 # replays one node's row of the engine's observation stream; kept in this
 # namespace, where bench/run_bench.py looks it up
 from .problem import sample_observation  # noqa: F401
@@ -52,7 +52,6 @@ __all__ = [
     "run",
     "run_lanes",
     "advise",
-    "stack",
 ]
 
 
@@ -78,16 +77,16 @@ class Hyperparams:
 
 @dataclass
 class SaddleState:
-    """Primal block (per-node vectors) and nonnegative dual vector at time t.
+    """Stacked primal iterate and nonnegative dual vector at time t.
 
-    The engine holds ``x`` as ``spec.rows`` of one stacked vector: an (N, p)
-    array, or per-node slices of it when dimensions differ. ``lam`` is one
-    (M,) array laid out like the stacked slack: each owner node's constraints
-    in turn, in node order. An engine of several lanes holds the state of
-    its tiled problem (``ProblemSpec.tile``), lane after lane.
+    ``x`` is one (C,) vector, every node's coordinates in node order
+    (``ProblemSpec.offsets``). ``lam`` is one (M,) array laid out like the
+    stacked slack: each owner node's constraints in turn, in node order. An
+    engine of S lanes holds the state of its tiled problem
+    (``ProblemSpec.tile``), lane after lane: x is (S*C,) and lam (S*M,).
     """
 
-    x: list
+    x: np.ndarray
     lam: np.ndarray
     t: int = 0
 
@@ -105,19 +104,20 @@ def stochastic_lagrangian(spec: ProblemSpec, state: SaddleState, observations, h
     return total + float(np.dot(lam, s)) - 0.5 * de * float(np.dot(lam, lam))
 
 
-def primal_gradient(spec: ProblemSpec, lam, xs_eval, ths_eval):
-    """Per-node gradient of the sampled Lagrangian in x, at possibly stale points.
+def primal_gradient(spec: ProblemSpec, lam, x_eval, ths_eval) -> np.ndarray:
+    """Stacked (C,) gradient of the sampled Lagrangian in x, at possibly stale points.
 
-    ``lam`` is the current (undelayed) dual vector; xs_eval/ths_eval are indexed
-    by node and already resolved to each node's own stale time.
+    ``lam`` is the current (undelayed) dual vector; the stacked x_eval and
+    the ``NodeObservations`` ths_eval are already resolved to each node's
+    own stale time.
     """
-    grads = objective_grads(spec, xs_eval, ths_eval)
-    return spec.constraints.add_jt_lam(grads, lam, xs_eval, ths_eval)
+    grads = objective_grads(spec, x_eval, ths_eval)
+    return spec.constraints.add_jt_lam(grads, lam, x_eval, ths_eval)
 
 
-def dual_slack(spec: ProblemSpec, xs_eval, ths_eval) -> np.ndarray:
+def dual_slack(spec: ProblemSpec, x_eval, ths_eval) -> np.ndarray:
     """Stacked (M,) constraint slack at the given (possibly stale) points."""
-    return spec.constraints.slack(xs_eval, ths_eval)
+    return spec.constraints.slack(x_eval, ths_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +154,17 @@ def domain_residual(spec: ProblemSpec, flat: np.ndarray) -> float:
 # one-step updates
 # ---------------------------------------------------------------------------
 
-def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hyperparams,
-                seeds=None):
-    """Projected descent step from the current x with gradients at the
-    resolved (possibly stale) points xs_eval/ths_eval, as ``spec.rows``.
+def primal_step(spec: ProblemSpec, state: SaddleState, x_eval, ths_eval, hp: Hyperparams,
+                seeds=None) -> np.ndarray:
+    """Projected descent step from the current stacked x with gradients at
+    the resolved (possibly stale) stacked point x_eval and
+    ``NodeObservations`` ths_eval; returns the new stacked iterate.
 
     Raises NonFiniteState naming step ``state.t`` and the first node whose
     update holds NaN or inf; with ``seeds``, one per lane of a tiled
     problem (``ProblemSpec.tile``), also that node's seed."""
-    grads = primal_gradient(spec, state.lam, xs_eval, ths_eval)
-    u = stack(state.x) - hp.epsilon * stack(grads)
+    grads = primal_gradient(spec, state.lam, x_eval, ths_eval)
+    u = state.x - hp.epsilon * grads
     finite = np.isfinite(u)
     if not finite.all():
         node = spec.node_of(int(np.argmin(finite)))
@@ -172,7 +173,7 @@ def primal_step(spec: ProblemSpec, state: SaddleState, xs_eval, ths_eval, hp: Hy
             lane, node = divmod(node, spec.graph.n_nodes // len(seeds))
             where = f"seed {seeds[lane]}, step {state.t}, node {node}"
         raise NonFiniteState(f"non-finite primal update at {where}")
-    return spec.rows(project_nodes(spec, u))
+    return project_nodes(spec, u)
 
 
 def dual_step(state: SaddleState, slack, hp: Hyperparams) -> np.ndarray:
@@ -201,8 +202,8 @@ class SaddleEngine:
 
     Lanes: with a sequence of seeds and one schedule (or None) per seed, the
     engine steps every seed's run at once as the lanes of one problem of S
-    copies (``ProblemSpec.tile``): the stacked x and lam are (S, C) and
-    (S, M) arrays laid out lane after lane, each lane with its own
+    copies (``ProblemSpec.tile``): the stacked x and lam are (S*C,) and
+    (S*M,) vectors laid out lane after lane, each lane with its own
     observation blocks, delay schedule, and columns of the window.
     ``traces()`` gives each lane's RunTrace, equal byte for byte to the run
     of that seed alone; a None schedule in a bundle with stale lanes runs as
@@ -260,7 +261,7 @@ class SaddleEngine:
         self._x_window = None if self._schedules is None else np.empty((self._depth, S * self._n_coords))
         self._stale = np.zeros(T, dtype=bool)
 
-        self.state = SaddleState(x=tiled.rows(stack(tiled.x0).copy()),
+        self.state = SaddleState(x=np.concatenate(tiled.x0),
                                  lam=np.zeros(S * n_cons), t=0)
 
         self._F_hat = np.full((S, T + 1), np.nan)
@@ -287,7 +288,7 @@ class SaddleEngine:
     def _lane_x(self, s: int) -> np.ndarray:
         """Lane s's stacked iterate: a view into the tiled one."""
         c = self._n_coords
-        return stack(self.state.x)[s * c:(s + 1) * c]
+        return self.state.x[s * c:(s + 1) * c]
 
     def _record_row(self, t):
         lam = self.state.lam.reshape(self._lanes, self._n_cons)
@@ -295,7 +296,7 @@ class SaddleEngine:
         self._lambda_norm[:, t] = np.sqrt(np.vecdot(lam, lam))
         self._lambda_min[:, t] = np.minimum.reduce(lam, axis=1, initial=0.0)
         if self.evaluator is not None:
-            self._to_score[len(self._to_score_t)] = stack(self.state.x).reshape(self._lanes, -1)
+            self._to_score[len(self._to_score_t)] = self.state.x.reshape(self._lanes, -1)
             self._to_score_t.append(t)
             if len(self._to_score_t) == len(self._to_score):
                 self._score()
@@ -351,11 +352,10 @@ class SaddleEngine:
         res = self._resolved[k].reshape(-1)
         at_node = (res % self._depth, self._node_cols)
         at_coord = (res[self._coord_node] % self._depth, self._coord_cols)
-        xs_eval = self._tiled.rows(self._x_window[at_coord])
         ths_eval = NodeObservations(
             [rows[at_node if rows.shape[1] == res.size else at_coord] for rows in self._window],
             self._tiled.obs_offsets)
-        return xs_eval, ths_eval, bool(self._stale[k])
+        return self._x_window[at_coord], ths_eval, bool(self._stale[k])
 
     def step(self) -> SaddleState:
         """Advance one iteration; raises past the configured horizon."""
@@ -371,13 +371,13 @@ class SaddleEngine:
         theta = NodeObservations([rows[row] for rows in self._window], spec.obs_offsets)
 
         if self._schedules is not None:
-            self._x_window[row] = stack(x)
-            xs_eval, ths_eval, stale = self._stale_window(k)
+            self._x_window[row] = x
+            x_eval, ths_eval, stale = self._stale_window(k)
         else:
-            xs_eval, ths_eval, stale = x, theta, False
+            x_eval, ths_eval, stale = x, theta, False
 
-        s_delayed = dual_slack(spec, xs_eval, ths_eval)
-        new_x = primal_step(spec, self.state, xs_eval, ths_eval, hp, seeds=self.seeds)
+        s_delayed = dual_slack(spec, x_eval, ths_eval)
+        new_x = primal_step(spec, self.state, x_eval, ths_eval, hp, seeds=self.seeds)
         new_lam = dual_step(self.state, s_delayed, hp)
 
         self._obj_sample[:, k] = objective_sum(spec, x, theta, lanes=S)

@@ -6,7 +6,9 @@ The engine reaches a constraint family only through its lane kernels
 paper's update as the oracle those kernels are checked against: node k owns
 a ``NeighborhoodConstraint``, a block of slack entries over its closed
 neighborhood with their Jacobians, and J^T lam loops over every node's
-closed neighborhood and multiplies the owners' Jacobians.
+closed neighborhood and multiplies the owners' Jacobians. Its kernels take
+the stacked iterate and observations the engine passes and split them per
+node themselves.
 """
 
 from dataclasses import dataclass, replace
@@ -16,7 +18,7 @@ import numpy as np
 
 from asaddle.apps.pricing import PricingConfig
 from asaddle.graph import NetworkGraph, closed_neighborhood
-from asaddle.problem import ConstraintFamily, ProblemSpec
+from asaddle.problem import ConstraintFamily, NodeObservations, ProblemSpec, stack_leaves
 
 
 @dataclass(frozen=True)
@@ -34,66 +36,98 @@ class NeighborhoodConstraint:
     jacobian: callable = None
 
 
-def from_per_node(graph: NetworkGraph, per_node) -> ConstraintFamily:
-    """Stack one NeighborhoodConstraint per node; J^T lam loops over each
-    node's closed neighborhood and multiplies the owners' Jacobians. Its
+def observations(ths, offsets=None) -> NodeObservations:
+    """Per-node observations ``ths`` stacked leaf by leaf, as the engine
+    passes them (``offsets`` as ``ProblemSpec.obs_offsets``)."""
+    return NodeObservations(stack_leaves(list(ths), axis=0), offsets)
+
+
+def node_observations(obs: NodeObservations, n: int) -> list:
+    """Node i's observation of ``obs`` over n nodes, for every i: a leaf with
+    a row per node gives its rows, one with a row per coordinate splits at
+    ``obs.offsets``."""
+    if not obs.leaves:
+        return [()] * n
+    o = obs.offsets
+    return list(zip(*[list(leaf) if o is None or len(leaf) == n else np.split(leaf, o[1:-1])
+                      for leaf in obs.leaves]))
+
+
+def from_per_node(graph: NetworkGraph, per_node, dims) -> ConstraintFamily:
+    """Stack one NeighborhoodConstraint per node of dimension ``dims`` (an
+    int, or one per node); J^T lam loops over each node's closed
+    neighborhood and multiplies the owners' Jacobians. The kernels take the
+    stacked x and a ``NodeObservations`` and split them per node. Its
     ``tile`` evaluates the copies one at a time."""
     per_node = tuple(per_node)
-    assert len(per_node) == graph.n_nodes, "need one NeighborhoodConstraint per node"
+    n = graph.n_nodes
+    assert len(per_node) == n, "need one NeighborhoodConstraint per node"
+    dims = (dims,) * n if np.ndim(dims) == 0 else tuple(dims)
+    cuts = list(accumulate(dims))[:-1]  # where the stacked x splits per node
     offsets = list(accumulate((c.size for c in per_node), initial=0))
-    blocks = [slice(offsets[k], offsets[k + 1]) for k in range(graph.n_nodes)]
+    blocks = [slice(offsets[k], offsets[k + 1]) for k in range(n)]
     owned = [con for con in per_node if con.size]
     # per node i: the nonempty blocks whose owner k is in i's closed neighborhood
     reach = [[(per_node[k], blocks[k]) for k in closed_neighborhood(graph, i)
-              if per_node[k].size] for i in range(graph.n_nodes)]
+              if per_node[k].size] for i in range(n)]
 
-    def slack(xs, ths):
+    def slack(x, obs):
         if not owned:
             return np.zeros(0)
+        xs, ths = np.split(x, cuts), node_observations(obs, n)
         return np.concatenate([con.value(xs, ths) for con in owned])
 
-    def add_jt_lam(grads, lam, xs, ths):
+    def add_jt_lam(grads, lam, x, obs):
+        xs, ths = np.split(x, cuts), node_observations(obs, n)
         out = []
-        for i, acc in enumerate(grads):
+        for i, acc in enumerate(np.split(grads, cuts)):
             for con, block in reach[i]:
                 lam_k = lam[block]
                 if not lam_k.any():
                     continue
                 acc = acc + np.asarray(con.jacobian(i, xs, ths), dtype=float).T @ lam_k
             out.append(acc)
-        return out
+        return np.concatenate(out)
 
     def tile(lanes):
-        return _lane_by_lane(family, graph.n_nodes, lanes)
+        return _lane_by_lane(family, n, sum(dims), lanes)
 
     family = ConstraintFamily(offsets[-1], slack, add_jt_lam, tile)
     return family
 
 
-def _lane_by_lane(family: ConstraintFamily, n: int, lanes: int) -> ConstraintFamily:
-    """``lanes`` copies of ``family`` (over n nodes each), laid out one after
-    the other, evaluated one copy at a time on its nodes' entries of the
-    tiled xs, observations and gradients."""
+def _lane_by_lane(family: ConstraintFamily, n: int, c: int, lanes: int) -> ConstraintFamily:
+    """``lanes`` copies of ``family`` (over n nodes and c coordinates each),
+    laid out one after the other, evaluated one copy at a time on its
+    entries of the tiled x, observations and gradients."""
     m = family.size
 
-    def lane(s, per_node):
-        return [per_node[i] for i in range(s * n, (s + 1) * n)]
+    def lane(s, flat):
+        return flat[s * c:(s + 1) * c]
 
-    def slack(xs, ths):
-        return np.concatenate([family.slack(lane(s, xs), lane(s, ths)) for s in range(lanes)])
+    def lane_obs(s, obs):
+        # a leaf with a row per node, or per coordinate; one copy's offsets
+        # start the tiled problem's
+        offsets = None if obs.offsets is None else obs.offsets[:n + 1]
+        return NodeObservations([leaf[s * n:(s + 1) * n] if len(leaf) == lanes * n else lane(s, leaf)
+                                 for leaf in obs.leaves], offsets)
 
-    def add_jt_lam(grads, lam, xs, ths):
-        return [g for s in range(lanes)
-                for g in family.add_jt_lam(lane(s, grads), lam[s * m:(s + 1) * m],
-                                           lane(s, xs), lane(s, ths))]
+    def slack(x, obs):
+        return np.concatenate([family.slack(lane(s, x), lane_obs(s, obs)) for s in range(lanes)])
+
+    def add_jt_lam(grads, lam, x, obs):
+        return np.concatenate([family.add_jt_lam(lane(s, grads), lam[s * m:(s + 1) * m],
+                                                 lane(s, x), lane_obs(s, obs))
+                               for s in range(lanes)])
 
     return ConstraintFamily(lanes * m, slack, add_jt_lam,
-                            tile=lambda k: _lane_by_lane(family, n, lanes * k))
+                            tile=lambda k: _lane_by_lane(family, n, c, lanes * k))
 
 
 def no_constraints(graph: NetworkGraph) -> ConstraintFamily:
     """The family of a problem without constraints."""
-    return from_per_node(graph, [NeighborhoodConstraint(size=0)] * graph.n_nodes)
+    return ConstraintFamily.from_lane_kernels(
+        0, lambda lanes: (lambda x, obs: np.zeros(0), lambda grads, lam, x, obs: grads))
 
 
 # ---------------------------------------------------------------------------
@@ -200,5 +234,5 @@ def as_neighborhood(spec: ProblemSpec, cfg) -> ProblemSpec:
     """``spec``, built from the app config ``cfg``, with its constraints in
     the per-node encoding: it follows the lane kernels' trajectory up to
     floating-point summation order."""
-    constraints = from_per_node(spec.graph, node_constraints(cfg, spec.graph))
+    constraints = from_per_node(spec.graph, node_constraints(cfg, spec.graph), spec.dims)
     return replace(spec, constraints=constraints, name=spec.name + "_nbhd")

@@ -9,6 +9,7 @@ from asaddle.graph import build_graph, path_edges, ring_edges
 from asaddle.problem import (ConstraintFamily, DomainSpec, Objective, ProblemSpec,
                              Sampler, sample_observation)
 from asaddle.saddle import Hyperparams, run
+from reference import observations
 
 
 def test_ring_weights_nearby_nodes_similar():
@@ -159,9 +160,9 @@ def test_delay_longer_than_an_observation_block_replays(small_consensus_spec):
     assert trace.staleness.max() > OBS_BLOCK
     for k in range(0, hp.T, 7):
         res = trace.resolved[k]
-        xs = [spec.rows(trace.x_snapshots[int(r)])[i] for i, r in enumerate(res)]
-        ths = [sample_observation(spec, seed, i, int(r)) for i, r in enumerate(res)]
-        assert np.allclose(trace.delayed_slack[k], spec.constraints.slack(xs, ths),
+        x = np.concatenate([spec.rows(trace.x_snapshots[int(r)])[i] for i, r in enumerate(res)])
+        ths = observations([sample_observation(spec, seed, i, int(r)) for i, r in enumerate(res)])
+        assert np.allclose(trace.delayed_slack[k], spec.constraints.slack(x, ths),
                            rtol=0.0, atol=1e-12)
         assert trace.obj_sample[k] == pytest.approx(_objective_replay(spec, trace, seed, k),
                                                     rel=1e-12, abs=1e-12)

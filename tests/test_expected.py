@@ -8,7 +8,8 @@ from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_pr
 from asaddle.apps.pricing import PricingConfig, build_pricing_problem, exp1
 from asaddle.delay import DelaySchedule
 from asaddle.graph import build_graph, ring_edges
-from asaddle.problem import OBS_BLOCK, ExpectedObjective, stack
+from asaddle.errors import DimensionMismatch
+from asaddle.problem import OBS_BLOCK, ExpectedObjective
 from asaddle.saddle import Hyperparams, run_lanes
 from test_metrics import _random_feasible
 from test_problem import _pricing_specs, _random_prices, monte_carlo
@@ -35,7 +36,7 @@ def test_exp1_matches_scipy():
 
 def test_exact_expectation_within_monte_carlo_error():
     # per node, at random feasible points: the closed form against the mean
-    # of 200k draws through batch_value, within 4 standard errors
+    # of 200k draws through value, within 4 standard errors
     n = 200_000
     rng = np.random.default_rng(21)
     for spec in all_specs():
@@ -43,7 +44,7 @@ def test_exact_expectation_within_monte_carlo_error():
             xs = _random_feasible(spec, rng)
             for i, x in enumerate(xs):
                 obj, sampler = spec.objectives[i], spec.samplers[i]
-                draws = obj.batch_value(x, sampler.batch(rng, n))
+                draws = obj.value(x, sampler.batch(rng, n))
                 exact = float(obj.expected(x, sampler.law))
                 se = draws.std() / np.sqrt(n)
                 assert abs(exact - draws.mean()) <= 4.0 * se, (spec.name, i, x)
@@ -53,25 +54,45 @@ def test_exact_evaluator_adds_node_expectations_in_order():
     rng = np.random.default_rng(3)
     for spec in all_specs():
         est = ExpectedObjective(spec, mc_samples=5, seed=1)
-        assert est._exact and not est._batched and not est._plain  # no draws
+        assert est._exact and not est._sampled  # no draws
         for _ in range(5):
             xs = (_random_prices(spec, rng) if spec.name == "pricing"
                   else list(rng.uniform(-2.0, 2.0, size=(5, 4))))
             total = 0.0
             for i, x in enumerate(xs):
                 total += float(spec.objectives[i].expected(x, spec.samplers[i].law))
-            assert est.value(xs) == total
+            assert est.value(np.concatenate(xs)) == total
 
 
 def test_values_equal_value_row_by_row():
     rng = np.random.default_rng(4)
     for spec in all_specs() + [monte_carlo(_pricing_specs()[2])]:
         est = ExpectedObjective(spec, mc_samples=50, seed=2)
-        X = np.array([stack(_random_feasible(spec, rng)) for _ in range(70)])
+        X = np.array([np.concatenate(_random_feasible(spec, rng)) for _ in range(70)])
         got = est.values(X)
         assert got.shape == (70,)
         for b in range(70):
-            assert got[b:b + 1].tobytes() == np.float64(est.value(spec.rows(X[b].copy()))).tobytes()
+            assert got[b:b + 1].tobytes() == np.float64(est.value(X[b].copy())).tobytes()
+
+
+def test_value_rejects_iterates_that_are_not_stacked():
+    # a per-node list of a ragged problem, and an (N, p) rows array of a
+    # uniform one, which a reshape would otherwise score
+    pricing, ring = _pricing_specs()[0], all_specs()[-1]
+    for spec in (pricing, monte_carlo(pricing)):
+        est = ExpectedObjective(spec, mc_samples=8)
+        with pytest.raises(DimensionMismatch):
+            est.value([np.ones(d) for d in spec.dims])
+        with pytest.raises(DimensionMismatch):
+            est.values([np.ones(d) for d in spec.dims])
+    for spec in (ring, monte_carlo(ring)):
+        est = ExpectedObjective(spec, mc_samples=8)
+        rows = np.zeros((spec.graph.n_nodes, spec.dim))
+        with pytest.raises(DimensionMismatch):
+            est.value(rows)
+        with pytest.raises(DimensionMismatch):
+            est.values(rows)
+        assert est.values(rows.reshape(1, -1))[0] == est.value(rows.reshape(-1))
 
 
 def mixed_pricing_spec():
@@ -87,15 +108,15 @@ def mixed_pricing_spec():
 def test_mixed_problem_is_scored_per_group():
     spec = mixed_pricing_spec()
     est = ExpectedObjective(spec, mc_samples=300, seed=7)
-    assert len(est._exact) == 1 and len(est._batched) == 1
+    assert len(est._exact) == 1 and len(est._sampled) == 1
     rng = np.random.default_rng(8)
     for _ in range(5):
         xs = _random_prices(spec, rng)
         draws = spec.samplers[1].batch(np.random.default_rng(np.random.SeedSequence([2, 7, 1])), 300)
         per_node = [float(spec.objectives[0].expected(xs[0], spec.samplers[0].law)),
-                    float(np.mean(spec.objectives[1].batch_value(xs[1], draws))),
+                    float(np.mean(spec.objectives[1].value(xs[1], draws))),
                     float(spec.objectives[2].expected(xs[2], spec.samplers[2].law))]
-        assert est.value(xs) == (0.0 + per_node[0]) + per_node[1] + per_node[2]
+        assert est.value(np.concatenate(xs)) == (0.0 + per_node[0]) + per_node[1] + per_node[2]
 
 
 def test_block_scored_F_hat_equals_per_row_value():
@@ -111,7 +132,7 @@ def test_block_scored_F_hat_equals_per_row_value():
             assert rows.tolist() == list(range(T + 1))
             assert np.isnan(np.delete(tr.F_hat, rows)).all()
             for t in rows:
-                want = est.value(spec.rows(tr.x_snapshots[t]))
+                want = est.value(tr.x_snapshots[t])
                 assert tr.F_hat[t:t + 1].tobytes() == np.float64(want).tobytes(), (spec.name, t)
 
 

@@ -20,9 +20,8 @@ from reference import NeighborhoodConstraint, as_neighborhood, no_constraints, n
 def scalar_noisy_quadratic_spec():
     """E[(x - theta)^2 / 2] with theta ~ N(1, 1): F* = 0.5 at x* = 1."""
     g = build_graph(1, [])
-    obj = Objective(value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2,
-                    grad=lambda x, th: np.array([x[0] - th[0]]),
-                    batch_value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2)
+    obj = Objective(value=lambda x, th: 0.5 * (x[..., 0] - th[0]) ** 2,
+                    grad=lambda x, th: x - th[0][..., None])
     samp = Sampler(sample=lambda rng: (float(rng.normal(1.0, 1.0)),),
                    batch=lambda rng, size: (rng.normal(1.0, 1.0, size=size),))
     return ProblemSpec.make(g, 1, [obj], [samp],
@@ -136,7 +135,7 @@ def test_estimate_optimum_zero_budget_returns_initial():
     f0, x0 = estimate_optimum(spec, budget=0, seed=3, eval_seed=11)
     assert x0[0][0] == 0.0
     from asaddle.problem import ExpectedObjective
-    assert f0 == pytest.approx(ExpectedObjective(spec, 2000, seed=11).value(spec.x0))
+    assert f0 == pytest.approx(ExpectedObjective(spec, 2000, seed=11).value(np.concatenate(spec.x0)))
 
 
 def test_estimate_optimum_inactive_constraints_match_sgd_oracle(path3):

@@ -48,7 +48,7 @@ def test_closed_form_value_feasibility_and_kkt(n, params):
     x = spec.rows(spec.x_star)
     w = ring_weights(n, app.p, app.weight_scale)
 
-    f_star = ExpectedObjective(spec).value(x)
+    f_star = ExpectedObjective(spec).value(spec.x_star)
     expected = n * 0.5 * ((1.0 - r) ** 2 * app.weight_scale ** 2 + app.noise_std ** 2)
     assert abs(f_star - expected) <= 1e-12
 
@@ -89,8 +89,8 @@ def test_closed_form_matches_slsqp(n, gamma):
                    constraints=[{"type": "ineq", "fun": edge_room}],
                    options={"ftol": 1e-14, "maxiter": 500})
     assert res.success
-    f_solver = evaluator.value(res.x.reshape(n, app.p))
-    assert abs(evaluator.value(spec.rows(spec.x_star)) - f_solver) <= 1e-6
+    f_solver = evaluator.value(res.x)
+    assert abs(evaluator.value(spec.x_star) - f_solver) <= 1e-6
     assert np.max(np.abs(res.x - spec.x_star)) <= 1e-6
 
 
@@ -158,7 +158,7 @@ def test_ring_run_and_compare_skip_the_optimum_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "estimate_optimum", no_fstar_run)
     cfg = config_from_dict(RING)
     spec, app = cli.build_problem(cfg)
-    expected = ExpectedObjective(spec).value(spec.rows(spec.x_star))
+    expected = ExpectedObjective(spec).value(spec.x_star)
     r = shrink(5, app)
     assert abs(expected - 5 * 0.5 * ((1.0 - r) ** 2 + app.noise_std ** 2)) <= 1e-12
 
@@ -237,7 +237,7 @@ def test_shipped_pricing_optimum(config, x_k, f_star):
     opt = expected_optimum(app)
     assert np.allclose(opt.x, x_k, rtol=0, atol=5e-7)
     assert np.array_equal(spec.x_star, opt.x) and spec.optimum_source == "kkt_solve"
-    assert abs(ExpectedObjective(spec).value(spec.rows(spec.x_star)) - f_star) <= 1e-9
+    assert abs(ExpectedObjective(spec).value(spec.x_star) - f_star) <= 1e-9
     assert opt.kkt_residual < 1e-8
     assert kkt_residual(app, opt.x, opt.lam) < 1e-8
 
@@ -264,7 +264,7 @@ def slsqp_best(cfg, spec, starts):
         x = np.maximum(res.x, 0.0)
         if min(budgets(x).min(), sum_room(x).min()) < -1e-9:
             continue
-        value = ExpectedObjective(spec).value(spec.rows(x))
+        value = ExpectedObjective(spec).value(x)
         if best is None or value < best:
             best = value
     return best
@@ -290,7 +290,7 @@ def test_pricing_solve_matches_slsqp(params):
     opt = expected_optimum(cfg)
     assert opt is not None and opt.kkt_residual < 1e-8
     assert kkt_residual(cfg, opt.x, opt.lam) < 1e-8
-    f_star = ExpectedObjective(spec).value(spec.rows(opt.x))
+    f_star = ExpectedObjective(spec).value(opt.x)
     c = len(opt.x)
     starts = [np.concatenate(spec.x0), np.full(c, 1.0), np.full(c, 3.0),
               np.random.default_rng(0).uniform(0.5, 5.0, c)]
@@ -351,7 +351,7 @@ def test_pricing_run_and_compare_skip_the_optimum_run(config, tmp_path, monkeypa
     monkeypatch.setattr(cli, "estimate_optimum", no_fstar_run)
     cfg = shipped(config, algo={"T": 60}, eval={"seeds": [0, 1]})
     spec, _ = cli.build_problem(cfg)
-    expected = ExpectedObjective(spec).value(spec.rows(spec.x_star))
+    expected = ExpectedObjective(spec).value(spec.x_star)
     summary, _, _ = run_experiment(cfg, out_dir=str(tmp_path / "run"))
     assert summary.f_star_source == "kkt_solve" and summary.f_star == expected
     compared, _ = compare_modes(cfg, out_dir=str(tmp_path / "compare"))

@@ -9,7 +9,7 @@ from asaddle.errors import InvalidConfig
 from asaddle.problem import sample_observation
 from asaddle.saddle import Hyperparams, run
 from conftest import assert_grad_close, central_difference
-from reference import node_constraints
+from reference import node_constraints, observations
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,8 @@ def test_zero_gains_give_zero_objective_and_negative_slack(cfg, spec):
     xs = [v.copy() for v in spec.x0]
     total = sum(spec.objectives[n].value(xs[n], th[n]) for n in range(3))
     assert total == 0.0
-    assert np.allclose(spec.constraints.slack(xs, th), -cfg.gamma_linear(0))
+    assert np.allclose(spec.constraints.slack(np.concatenate(xs), observations(th, spec.obs_offsets)),
+                       -cfg.gamma_linear(0))
 
 
 def test_gamma_db_conversion():
@@ -157,7 +158,7 @@ def test_engine_step_matches_algorithm_closed_form(cfg, spec):
     lam = np.array([0.7, 0.3])  # MU 0 (hosted by SCBS 0), MU 1 (hosted by SCBS 1)
     eps = 0.01
 
-    grads = primal_gradient(spec, lam, xs, ths)
+    grads = spec.rows(primal_gradient(spec, lam, np.concatenate(xs), observations(ths, spec.obs_offsets)))
     engine_next = [project(spec.domains[n], xs[n] - eps * grads[n]) for n in range(3)]
 
     lam_by_mu = {0: 0.7, 1: 0.3}

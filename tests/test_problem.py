@@ -8,7 +8,8 @@ from asaddle.graph import build_graph, path_edges
 from asaddle.problem import (DomainSpec, ExpectedObjective, Objective, ProblemSpec, Sampler,
                              project, sample_observation)
 from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG, assert_grad_close, central_difference
-from reference import as_neighborhood, no_constraints, node_constraints
+from reference import (as_neighborhood, no_constraints, node_constraints, node_observations,
+                       observations)
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +190,12 @@ def test_constraint_value_hand_cases(path3):
     e01 = path3.edge_index(0, 1)
     spec_g1 = build_consensus_problem(ConsensusRegressionConfig(p=2, gamma=1.0), path3)
     x = np.array([0.3, -0.2])
-    slack = spec_g1.constraints.slack([x, x, x], [()] * 3)
+    slack = spec_g1.constraints.slack(np.tile(x, 3), observations([()] * 3))
     assert slack.shape == (path3.n_edges,)
     assert slack[e01] == pytest.approx(-1.0)
     spec_g0 = build_consensus_problem(ConsensusRegressionConfig(p=2, gamma=0.0), path3)
-    xs = [np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0])]
-    assert spec_g0.constraints.slack(xs, [()] * 3)[e01] == pytest.approx(1.0)
+    x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert spec_g0.constraints.slack(x, observations([()] * 3))[e01] == pytest.approx(1.0)
 
 
 def test_constraint_grad_hand_cases(small_consensus_spec):
@@ -257,14 +258,14 @@ def test_as_neighborhood_shape(small_consensus_spec):
     assert nb.constraints.size == small_consensus_spec.constraints.size == 4
     # same stacked slack; J^T lam from the per-node Jacobians matches the edge loop
     rng = np.random.default_rng(5)
-    xs = [rng.uniform(-1.0, 1.0, size=2) for _ in range(3)]
-    ths = [()] * 3
+    x = rng.uniform(-1.0, 1.0, size=6)
+    ths = observations([()] * 3)
     lam = rng.uniform(0.0, 2.0, size=4)
-    grads = [np.zeros(2) for _ in range(3)]
-    assert np.array_equal(nb.constraints.slack(xs, ths),
-                          small_consensus_spec.constraints.slack(xs, ths))
-    for a, b in zip(nb.constraints.add_jt_lam(grads, lam, xs, ths),
-                    small_consensus_spec.constraints.add_jt_lam(grads, lam, xs, ths)):
+    grads = np.zeros(6)
+    assert np.array_equal(nb.constraints.slack(x, ths),
+                          small_consensus_spec.constraints.slack(x, ths))
+    for a, b in zip(nb.constraints.add_jt_lam(grads, lam, x, ths),
+                    small_consensus_spec.constraints.add_jt_lam(grads, lam, x, ths)):
         assert np.allclose(a, b, rtol=0.0, atol=1e-14)
 
 
@@ -274,18 +275,19 @@ def test_edge_batched_pairwise_matches_per_node_family(ring5):
     spec = build_consensus_problem(cfg, ring5)
     nb = as_neighborhood(spec, cfg)
     rng = np.random.default_rng(21)
-    ths = [sample_observation(spec, 1, i, 0) for i in range(5)]
+    ths = observations([sample_observation(spec, 1, i, 0) for i in range(5)])
     for trial in range(20):
         xs = rng.uniform(-2.0, 2.0, size=(5, 4))
         if trial % 2:
             xs[1] = xs[0]  # coincident neighbors: the zero-norm subgradient
+        x = xs.reshape(-1)
         lam = rng.uniform(0.0, 2.0, size=spec.constraints.size)
-        grads = rng.normal(size=(5, 4))
-        assert np.allclose(spec.constraints.slack(xs, ths), nb.constraints.slack(xs, ths),
+        grads = rng.normal(size=20)
+        assert np.allclose(spec.constraints.slack(x, ths), nb.constraints.slack(x, ths),
                            rtol=0.0, atol=1e-12)
-        batched = spec.constraints.add_jt_lam(grads, lam, xs, ths)
-        per_node = nb.constraints.add_jt_lam(list(grads), lam, list(xs), ths)
-        assert np.allclose(batched, np.array(per_node), rtol=0.0, atol=1e-12)
+        batched = spec.constraints.add_jt_lam(grads, lam, x, ths)
+        per_node = nb.constraints.add_jt_lam(grads, lam, x, ths)
+        assert np.allclose(batched, per_node, rtol=0.0, atol=1e-12)
 
 
 def test_sample_observation_is_the_block_row(consensus_spec):
@@ -298,17 +300,17 @@ def test_sample_observation_is_the_block_row(consensus_spec):
 
 
 def test_shared_objective_is_called_once_on_stacked_rows(consensus_spec):
-    from asaddle.problem import NodeObservations, objective_grads, objective_sum
+    from asaddle.problem import objective_grads, objective_sum
     assert len(consensus_spec.objective_groups) == 1
     rng = np.random.default_rng(2)
     xs = rng.uniform(-1.0, 1.0, size=(5, 4))
     ths = [sample_observation(consensus_spec, 0, i, 9) for i in range(5)]
-    grads = objective_grads(consensus_spec, xs, NodeObservations.of(ths))
+    grads = objective_grads(consensus_spec, xs.reshape(-1), observations(ths)).reshape(5, 4)
     for i in range(5):
         assert np.allclose(grads[i], consensus_spec.objectives[i].grad(xs[i], ths[i]),
                            rtol=0.0, atol=1e-14)
     expected = sum(float(consensus_spec.objectives[i].value(xs[i], ths[i])) for i in range(5))
-    assert objective_sum(consensus_spec, xs, ths) == pytest.approx(expected, rel=1e-14)
+    assert objective_sum(consensus_spec, xs.reshape(-1), observations(ths)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_expected_objective_quadratic():
@@ -320,15 +322,14 @@ def test_expected_objective_quadratic():
     def batch(rng, size):
         return (rng.normal(1.0, 1.0, size=size),)
 
-    obj = Objective(value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2,
-                    grad=lambda x, th: np.array([x[0] - th[0]]),
-                    batch_value=lambda x, th: 0.5 * (x[0] - th[0]) ** 2)
+    obj = Objective(value=lambda x, th: 0.5 * (x[..., 0] - th[0]) ** 2,
+                    grad=lambda x, th: x - th[0][..., None])
     spec = ProblemSpec.make(g, 1, [obj], [Sampler(sample=sample, batch=batch)],
                             no_constraints(g),
                             DomainSpec.box(np.array([-5.0]), np.array([5.0])))
     est = ExpectedObjective(spec, mc_samples=20000, seed=1)
-    assert est.value([np.array([1.0])]) == pytest.approx(0.5, abs=0.03)
-    # plain (non-batched) path agrees with the batched one
+    assert est.value(np.array([1.0])) == pytest.approx(0.5, abs=0.03)
+    # draws of a sampler without ``batch`` (stacked ``sample`` calls) agree
     spec_plain = ProblemSpec.make(
         g, 1,
         [Objective(value=obj.value, grad=obj.grad)],
@@ -336,7 +337,7 @@ def test_expected_objective_quadratic():
         no_constraints(g),
         DomainSpec.box(np.array([-5.0]), np.array([5.0])))
     est_plain = ExpectedObjective(spec_plain, mc_samples=4000, seed=1)
-    assert est_plain.value([np.array([1.0])]) == pytest.approx(0.5, abs=0.05)
+    assert est_plain.value(np.array([1.0])) == pytest.approx(0.5, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +467,16 @@ def test_project_nodes_equals_per_node_project_bitwise(kinds, data):
 # ---------------------------------------------------------------------------
 
 def test_per_coordinate_leaves_are_concatenated_floats():
-    from asaddle.problem import NodeObservations, OBS_BLOCK, observation_block
+    from asaddle.problem import OBS_BLOCK, observation_block
     from asaddle.apps.pricing import PricingConfig, build_pricing_problem
     spec = build_pricing_problem(PricingConfig())
     g, h = observation_block(spec, 3, 0)
     assert g.shape == h.shape == (OBS_BLOCK, 4) and g.dtype == float
     ths = [sample_observation(spec, 3, i, 5) for i in range(3)]
-    obs = NodeObservations.of(ths, spec.obs_offsets)
+    obs = observations(ths, spec.obs_offsets)
     assert np.array_equal(obs.leaves[0], g[5]) and np.array_equal(obs.leaves[1], h[5])
-    for i in range(3):
-        assert all(np.array_equal(a, b) for a, b in zip(obs[i], ths[i]))
+    for i, th in enumerate(node_observations(obs, 3)):
+        assert all(np.array_equal(a, b) for a, b in zip(th, ths[i]))
     rows = obs.rows(np.array([1, 2]))
     assert rows[0].shape == (2, 1) and rows[0][:, 0].tolist() == ths[1][0].tolist()
 
@@ -515,14 +516,26 @@ def test_an_observation_or_law_that_is_not_a_tuple_is_invalid_config(consensus_s
 def test_mixed_dims_need_an_observation_entry_per_coordinate():
     # every Objective takes coordinate rows when dims differ: one float per
     # node would hand node 1 the floats of nodes 1 and 2, and node 2 none
+    # The engine's blocks, the evaluator's draws and laws and the audit's
+    # draws all check it
+    from dataclasses import replace
     from asaddle.errors import InvalidConfig
+    from asaddle.metrics import audit_assumptions
     from asaddle.saddle import Hyperparams, run
     g = build_graph(3, path_edges(3))
-    obj = Objective(value=lambda x, th: np.zeros(len(x)), grad=lambda x, th: x.copy())
+    obj = Objective(value=lambda x, th: (x * th[0]).sum(axis=-1), grad=lambda x, th: x.copy())
     spec = ProblemSpec.make(g, (1, 2, 3), [obj] * 3, [Sampler(sample=lambda rng: (rng.random(),))] * 3,
                             no_constraints(g), tuple(DomainSpec.box(-np.ones(d), np.ones(d)) for d in (1, 2, 3)))
     with pytest.raises(InvalidConfig, match="one entry per coordinate"):
         run(spec, Hyperparams(epsilon=0.1, delta=0.0, T=3), None, 0)
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        ExpectedObjective(spec, mc_samples=8).value(np.zeros(6))
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        audit_assumptions(spec, n_samples=100, secant_pairs=2, mc_samples=8)
+    exact = replace(obj, expected=lambda x, law: (x * law[0]).sum(axis=-1))
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        ExpectedObjective(replace(spec, objectives=(exact,) * 3,
+                                  samplers=(replace(spec.samplers[0], law=(np.float64(0.5),)),) * 3))
 
 
 def test_a_node_needs_a_coordinate():
@@ -560,19 +573,20 @@ def _random_prices(spec, rng):
 
 
 def test_grouped_objective_kernels_equal_per_node_calls(consensus_spec):
-    from asaddle.problem import NodeObservations, objective_grads, objective_sum
+    from asaddle.problem import objective_grads, objective_sum
     rng = np.random.default_rng(11)
     for spec in _pricing_specs() + [consensus_spec]:
         for t in range(40):
             xs = (_random_prices(spec, rng) if spec.name == "pricing"
                   else list(rng.uniform(-2.0, 2.0, size=(5, 4))))
             ths = [sample_observation(spec, 1, i, t) for i in range(spec.graph.n_nodes)]
-            grads = objective_grads(spec, xs, NodeObservations.of(ths, spec.obs_offsets))
+            x, obs = np.concatenate(xs), observations(ths, spec.obs_offsets)
+            grads = spec.rows(objective_grads(spec, x, obs))
             total = 0.0
             for i in range(spec.graph.n_nodes):
                 assert np.array_equal(grads[i], spec.objectives[i].grad(xs[i], ths[i]))
                 total += float(spec.objectives[i].value(xs[i], ths[i]))
-            assert objective_sum(spec, xs, ths) == total
+            assert objective_sum(spec, x, obs) == total
 
 
 def test_pricing_family_equals_the_per_node_encoding():
@@ -580,25 +594,30 @@ def test_pricing_family_equals_the_per_node_encoding():
     for spec, cfg in zip(_pricing_specs(), _pricing_cfgs()):
         nb = as_neighborhood(spec, cfg)
         for t in range(60):
-            xs = _random_prices(spec, rng)
-            ths = [sample_observation(spec, 2, i, t) for i in range(spec.graph.n_nodes)]
-            assert np.array_equal(spec.constraints.slack(xs, ths), nb.constraints.slack(xs, ths))
-            grads = [rng.normal(size=d) for d in spec.dims]
+            x = np.concatenate(_random_prices(spec, rng))
+            ths = observations([sample_observation(spec, 2, i, t) for i in range(spec.graph.n_nodes)],
+                               spec.obs_offsets)
+            assert np.array_equal(spec.constraints.slack(x, ths), nb.constraints.slack(x, ths))
+            grads = rng.normal(size=spec.offsets[-1])
             lam = rng.uniform(0.0, 2.0, size=spec.constraints.size) * (rng.random(spec.constraints.size) < 0.7)
             for duals in (lam, np.zeros_like(lam)):
-                got = spec.constraints.add_jt_lam(grads, duals, xs, ths)
-                want = nb.constraints.add_jt_lam(grads, duals, xs, ths)
-                for i in range(spec.graph.n_nodes):
-                    assert np.array_equal(got[i], want[i])
+                got = spec.constraints.add_jt_lam(grads, duals, x, ths)
+                want = nb.constraints.add_jt_lam(grads, duals, x, ths)
+                assert np.array_equal(got, want)
 
 
 def _per_node_expectation(spec, x, mc_samples, seed):
-    """The estimator as a per-node batch_value loop, node means added in order."""
+    """The estimator as a per-node loop of ``value`` on each node's row of
+    the stacked x against its draws (``batch``, else ``sample_rows``), node
+    means added in order."""
+    from asaddle.problem import sample_rows
     total = 0.0
-    for i in range(spec.graph.n_nodes):
+    for i, xi in enumerate(spec.rows(x)):
         rng = np.random.default_rng(np.random.SeedSequence([2, seed, i]))
-        draws = spec.samplers[i].batch(rng, mc_samples)
-        total += float(np.mean(spec.objectives[i].batch_value(np.asarray(x[i], dtype=float), draws)))
+        sampler = spec.samplers[i]
+        draws = (sampler.batch(rng, mc_samples) if sampler.batch is not None
+                 else sample_rows(sampler, rng, mc_samples))
+        total += float(np.mean(spec.objectives[i].value(xi, draws)))
     return total
 
 
@@ -613,43 +632,44 @@ def monte_carlo(spec):
 def test_grouped_evaluator_equals_per_node_loop(consensus_spec):
     from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
     from asaddle.graph import ring_edges
-    # 40 nodes x 2000 draws do not fit one batch_value call: two pieces
+    from dataclasses import replace
+    # 40 nodes x 2000 draws do not fit one value call: two pieces
     ring40 = build_consensus_problem(ConsensusRegressionConfig(), build_graph(40, ring_edges(40)))
     rng = np.random.default_rng(13)
-    for spec in map(monte_carlo, _pricing_specs() + [consensus_spec, ring40]):
-        est = ExpectedObjective(spec, mc_samples=2000, seed=5)
-        assert not est._exact
-        for _ in range(3):
-            if spec.name == "pricing":
-                xs = _random_prices(spec, rng)
-                rows = spec.rows(np.concatenate(xs))
-            else:
-                rows = rng.uniform(-2.0, 2.0, size=(spec.graph.n_nodes, 4))
-                xs = list(rows)
-            want = _per_node_expectation(spec, xs, 2000, 5)
-            assert est.value(xs) == want  # a plain per-node list
-            assert est.value(rows) == want  # the engine's rows
+    # samplers with ``batch``, without it (``Sampler.draws``), and with
+    # neither (stacked ``sample`` calls)
+    for strip in ({}, {"batch": None}, {"batch": None, "draws": None}):
+        for spec in map(monte_carlo, _pricing_specs() + [consensus_spec, ring40]):
+            spec = replace(spec, samplers=tuple(replace(s, **strip) for s in spec.samplers))
+            est = ExpectedObjective(spec, mc_samples=2000, seed=5)
+            assert not est._exact
+            for _ in range(3):
+                if spec.name == "pricing":
+                    x = np.concatenate(_random_prices(spec, rng))
+                else:
+                    x = rng.uniform(-2.0, 2.0, size=spec.offsets[-1])
+                want = _per_node_expectation(spec, x, 2000, 5)
+                assert est.value(x) == want  # the stacked iterate
+                assert est.values(np.stack([x, x]))[1] == want  # a row of a batch
 
 
 def _lane_inputs(spec, rng, lanes, t):
     """Per-lane (x, observations) and their tiled (lane after lane) forms."""
-    from asaddle.problem import NodeObservations, stack
-    xs = [stack(_random_prices(spec, rng) if spec.name.startswith("pricing")
-                else list(rng.uniform(-2.0, 2.0, size=(spec.graph.n_nodes, spec.dims[0]))))
-          for _ in range(lanes)]
-    obs = [NodeObservations.of([sample_observation(spec, s, i, t) for i in range(spec.graph.n_nodes)],
-                               spec.obs_offsets) for s in range(lanes)]
+    from asaddle.problem import NodeObservations
+    xs = [np.concatenate(_random_prices(spec, rng)) if spec.name.startswith("pricing")
+          else rng.uniform(-2.0, 2.0, size=spec.offsets[-1]) for _ in range(lanes)]
+    obs = [observations([sample_observation(spec, s, i, t) for i in range(spec.graph.n_nodes)],
+                        spec.obs_offsets) for s in range(lanes)]
     tiled = spec.tile(lanes)
     tiled_obs = NodeObservations([np.concatenate(leaves) for leaves in zip(*[o.leaves for o in obs])],
                                  tiled.obs_offsets)
-    return xs, obs, tiled, tiled.rows(np.concatenate(xs)), tiled_obs
+    return xs, obs, tiled, np.concatenate(xs), tiled_obs
 
 
 @pytest.mark.parametrize("per_node", [False, True], ids=["batched", "per_node"])
 def test_tiled_family_gives_each_copy_its_own_bits(consensus_spec, per_node):
     # one copy's duals all zero while the other's are positive, and gradients
     # holding -0.0: the zero copy keeps its gradients exactly, as alone
-    from asaddle.problem import stack
     rng = np.random.default_rng(5)
     for spec, cfg in zip(_pricing_specs() + [consensus_spec], _pricing_cfgs() + [CONSENSUS_CFG]):
         spec = as_neighborhood(spec, cfg) if per_node else spec
@@ -660,28 +680,27 @@ def test_tiled_family_gives_each_copy_its_own_bits(consensus_spec, per_node):
             grads = [np.where(rng.random(c) < 0.3, -0.0, rng.normal(size=c)) for _ in range(3)]
             lams = [rng.uniform(0.0, 2.0, size=m), np.zeros(m), rng.uniform(0.0, 2.0, size=m)]
             slack = tiled.constraints.slack(tiled_xs, tiled_obs)
-            jt = stack(tiled.constraints.add_jt_lam(tiled.rows(np.concatenate(grads)),
-                                                    np.concatenate(lams), tiled_xs, tiled_obs))
+            jt = tiled.constraints.add_jt_lam(np.concatenate(grads), np.concatenate(lams),
+                                              tiled_xs, tiled_obs)
             for s in range(3):
-                solo_slack = spec.constraints.slack(spec.rows(xs[s]), obs[s])
+                solo_slack = spec.constraints.slack(xs[s], obs[s])
                 assert slack[s * m:(s + 1) * m].tobytes() == solo_slack.tobytes()
-                solo = stack(spec.constraints.add_jt_lam(spec.rows(grads[s].copy()), lams[s],
-                                                         spec.rows(xs[s]), obs[s]))
+                solo = spec.constraints.add_jt_lam(grads[s].copy(), lams[s], xs[s], obs[s])
                 assert jt[s * c:(s + 1) * c].tobytes() == solo.tobytes()
 
 
 def test_tiled_objectives_and_sums_per_copy(consensus_spec):
-    from asaddle.problem import objective_grads, objective_sum, stack
+    from asaddle.problem import objective_grads, objective_sum
     rng = np.random.default_rng(6)
     for spec in _pricing_specs() + [consensus_spec]:
         for t in range(10):
             xs, obs, tiled, tiled_xs, tiled_obs = _lane_inputs(spec, rng, 4, t)
             sums = objective_sum(tiled, tiled_xs, tiled_obs, lanes=4)
-            grads = stack(objective_grads(tiled, tiled_xs, tiled_obs))
+            grads = objective_grads(tiled, tiled_xs, tiled_obs)
             c = spec.offsets[-1]
             for s in range(4):
-                assert sums[s] == objective_sum(spec, spec.rows(xs[s]), obs[s])
-                solo = stack(objective_grads(spec, spec.rows(xs[s]), obs[s]))
+                assert sums[s] == objective_sum(spec, xs[s], obs[s])
+                solo = objective_grads(spec, xs[s], obs[s])
                 assert grads[s * c:(s + 1) * c].tobytes() == solo.tobytes()
     # every instance, a node's own included, spans every copy
     groups = _pricing_specs()[-1].tile(3).objective_groups
@@ -737,18 +756,17 @@ def test_pricing_draws_equal_sample_calls(n, mean, seed, assignment):
 def test_edge_gather_is_shared_and_reads_the_iterate_on_every_call(consensus_spec):
     # slack and J^T lam at one evaluation share the observations' gather; an
     # iterate changed in place between the calls is still read afresh
-    from asaddle.problem import NodeObservations, stack
     rng = np.random.default_rng(3)
     family = consensus_spec.constraints
     ths = [sample_observation(consensus_spec, 0, i, 4) for i in range(5)]
-    xs = rng.uniform(-2.0, 2.0, size=(5, 4))
-    obs = NodeObservations.of(ths)
-    family.slack(xs, obs)
+    x = rng.uniform(-2.0, 2.0, size=20)
+    obs = observations(ths)
+    family.slack(x, obs)
     gathered = obs.edges
-    xs[:] = rng.uniform(-2.0, 2.0, size=(5, 4))
-    grads, lam = rng.normal(size=(5, 4)), rng.uniform(0.0, 1.0, size=family.size)
-    shared = stack(family.add_jt_lam(grads, lam, xs, obs))
+    x[:] = rng.uniform(-2.0, 2.0, size=20)
+    grads, lam = rng.normal(size=20), rng.uniform(0.0, 1.0, size=family.size)
+    shared = family.add_jt_lam(grads, lam, x, obs)
     assert obs.edges is gathered
-    fresh = stack(family.add_jt_lam(grads, lam, xs, NodeObservations.of(ths)))
+    fresh = family.add_jt_lam(grads, lam, x, observations(ths))
     assert shared.tobytes() == fresh.tobytes()
-    assert family.slack(xs, obs).tobytes() == family.slack(xs, ths).tobytes()
+    assert family.slack(x, obs).tobytes() == family.slack(x, observations(ths)).tobytes()

@@ -13,10 +13,10 @@ from asaddle.problem import (OBS_BLOCK, ConstraintFamily, DomainSpec, ExpectedOb
 from asaddle.metrics import AssumptionEstimates
 from asaddle.saddle import (Hyperparams, SaddleEngine, SaddleState, advise,
                             dual_slack, dual_step, primal_gradient, primal_step, run,
-                            run_lanes, stack,
-                            stochastic_lagrangian)
+                            run_lanes, stochastic_lagrangian)
 from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG
-from reference import NeighborhoodConstraint, as_neighborhood, from_per_node, no_constraints
+from reference import (NeighborhoodConstraint, as_neighborhood, from_per_node, no_constraints,
+                       observations)
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +86,8 @@ def test_hyperparams_validation():
 def test_lagrangian_zero_duals_is_objective_sum():
     spec = two_node_quadratic_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.5, T=1)
-    state = SaddleState(x=[np.array([0.0]), np.array([0.0])], lam=np.zeros(2))
-    val = stochastic_lagrangian(spec, state, [(), ()], hp)
+    state = SaddleState(x=np.array([0.0, 0.0]), lam=np.zeros(2))
+    val = stochastic_lagrangian(spec, state, observations([(), ()]), hp)
     assert val == pytest.approx(0.5 + 0.5)
 
 
@@ -98,11 +98,11 @@ def test_lagrangian_single_edge_hand_value():
     hp = Hyperparams(epsilon=0.2, delta=0.5, T=1)  # delta*eps = 0.1
     lam = np.zeros(2)
     lam[spec.graph.edge_index(0, 1)] = 2.0
-    state = SaddleState(x=[np.zeros(1), np.zeros(1)], lam=lam)
-    assert stochastic_lagrangian(spec, state, [(), ()], hp) == pytest.approx(1.8)
+    state = SaddleState(x=np.zeros(2), lam=lam)
+    assert stochastic_lagrangian(spec, state, observations([(), ()]), hp) == pytest.approx(1.8)
     # delta = 0 drops the regularizer: plain Lagrangian value
     hp0 = Hyperparams(epsilon=0.2, delta=0.0, T=1)
-    assert stochastic_lagrangian(spec, state, [(), ()], hp0) == pytest.approx(2.0)
+    assert stochastic_lagrangian(spec, state, observations([(), ()]), hp0) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,24 +112,24 @@ def test_lagrangian_single_edge_hand_value():
 def test_primal_step_scalar_hand_value():
     spec = scalar_quadratic_spec()
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=1)
-    x = [np.array([1.0])]
+    x = np.array([1.0])
     state = SaddleState(x=x, lam=np.zeros(0))
-    new_x = primal_step(spec, state, x, [()], hp)
-    assert new_x[0][0] == pytest.approx(0.9)
+    new_x = primal_step(spec, state, x, observations([()]), hp)
+    assert new_x[0] == pytest.approx(0.9)
 
 
 def test_primal_step_zero_epsilon_is_identity():
     spec = two_node_quadratic_spec()
     hp = Hyperparams(epsilon=1e-300, delta=0.0, T=1)
-    x = [np.array([0.3]), np.array([-0.7])]
+    x = np.array([0.3, -0.7])
     state = SaddleState(x=x, lam=np.zeros(2))
-    new_x = primal_step(spec, state, x, [(), ()], hp)
-    assert np.allclose(stack(new_x), stack(x), atol=1e-12)
+    new_x = primal_step(spec, state, x, observations([(), ()]), hp)
+    assert np.allclose(new_x, x, atol=1e-12)
 
 
 def test_dual_step_hand_values():
-    x = [np.zeros(1), np.zeros(1)]
-    ths = [(), ()]
+    x = np.zeros(2)
+    ths = observations([(), ()])
     # lam=1, eps=0.1, delta=0.01, slack=0.5 -> (1 - 1e-4)*1 + 0.05 = 1.0499
     hp = Hyperparams(epsilon=0.1, delta=0.01, T=1)
     state = SaddleState(x=x, lam=np.ones(2))
@@ -200,7 +200,7 @@ def test_generalized_zero_constraint_keeps_duals_zero():
         for _ in range(2)
     )
     spec = ProblemSpec.make(g, 1, objs, [point_mass_sampler()] * 2,
-                            from_per_node(g, cons),
+                            from_per_node(g, cons, 1),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])))
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=50)
     trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0)
@@ -215,7 +215,7 @@ def test_generalized_single_node_reduces_to_projected_sgd():
                                  value=lambda xs, ths: np.array([xs[0][0] - 0.4]),
                                  jacobian=lambda wrt, xs, ths: np.ones((1, 1)))
     spec = ProblemSpec.make(g, 1, [obj], [point_mass_sampler()],
-                            from_per_node(g, [con]),
+                            from_per_node(g, [con], 1),
                             DomainSpec.box(np.array([-2.0]), np.array([2.0])),
                             x0=[np.array([0.0])])
     hp = Hyperparams(epsilon=0.05, delta=0.0, T=120)
@@ -386,7 +386,7 @@ def assert_traces_identical(a, b):
             for t in va:
                 assert va[t].tobytes() == vb[t].tobytes(), (name, t)
         elif name == "x_final":
-            assert stack(va).tobytes() == stack(vb).tobytes(), name
+            assert np.concatenate(va).tobytes() == np.concatenate(vb).tobytes(), name
         elif isinstance(va, np.ndarray):
             assert va.dtype == vb.dtype and va.shape == vb.shape, name
             assert va.tobytes() == vb.tobytes(), name
@@ -548,35 +548,35 @@ def one_step_decrement_audit(spec, hp, schedule, x_star, lam_star, T):
     from asaddle.delay import resolve
     from asaddle.problem import sample_observation
 
-    x = [v.copy() for v in spec.x0]
+    x = np.concatenate(spec.x0)
     lam = np.zeros(spec.graph.n_edges)
     prev = np.zeros(n, dtype=int)
-    xs_star = [np.asarray(v, dtype=float) for v in x_star]
+    x_star = np.concatenate(x_star)
     for k in range(T):
         th = [sample_observation(spec, 0, i, k) for i in range(n)]
         for i in range(n):
-            xbuf.record(k, i, x[i])
+            xbuf.record(k, i, spec.rows(x)[i])
             obuf.record(k, i, th[i])
         res = resolve(schedule, [k], np.arange(n), prev)[0]
         prev = res
-        xs_eval = [xbuf.fetch(res[i], i) for i in range(n)]
-        ths_eval = [obuf.fetch(res[i], i) for i in range(n)]
+        x_eval = np.concatenate([xbuf.fetch(res[i], i) for i in range(n)])
+        ths_eval = observations([obuf.fetch(res[i], i) for i in range(n)])
 
-        g_x = primal_gradient(spec, lam, xs_eval, ths_eval)
-        g_lam = dual_slack(spec, xs_eval, ths_eval) - hp.delta * hp.epsilon * lam
+        g_x = primal_gradient(spec, lam, x_eval, ths_eval)
+        g_lam = dual_slack(spec, x_eval, ths_eval) - hp.delta * hp.epsilon * lam
         state = SaddleState(x=x, lam=lam)
-        new_x = primal_step(spec, state, xs_eval, ths_eval, hp)
-        new_lam = dual_step(state, dual_slack(spec, xs_eval, ths_eval), hp)
+        new_x = primal_step(spec, state, x_eval, ths_eval, hp)
+        new_lam = dual_step(state, dual_slack(spec, x_eval, ths_eval), hp)
 
         # both sides of the inequality
-        lhs = (np.sum((stack(new_x) - stack(xs_star)) ** 2) + np.sum((new_lam - lam_star) ** 2)
-               - np.sum((stack(x) - stack(xs_star)) ** 2) - np.sum((lam - lam_star) ** 2))
+        lhs = (np.sum((new_x - x_star) ** 2) + np.sum((new_lam - lam_star) ** 2)
+               - np.sum((x - x_star) ** 2) - np.sum((lam - lam_star) ** 2))
         l_at_stale_lamstar = stochastic_lagrangian(
-            spec, SaddleState(x=xs_eval, lam=lam_star), ths_eval, hp)
+            spec, SaddleState(x=x_eval, lam=lam_star), ths_eval, hp)
         l_at_star_lamt = stochastic_lagrangian(
-            spec, SaddleState(x=xs_star, lam=lam), ths_eval, hp)
-        grad_sq = float(np.sum(stack(g_x) ** 2) + np.sum(np.asarray(g_lam) ** 2))
-        drift = float(np.dot(stack(g_x), stack(xs_eval) - stack(x)))
+            spec, SaddleState(x=x_star, lam=lam), ths_eval, hp)
+        grad_sq = float(np.sum(g_x ** 2) + np.sum(np.asarray(g_lam) ** 2))
+        drift = float(np.dot(g_x, x_eval - x))
         rhs = 2.0 * hp.epsilon * (
             -(l_at_stale_lamstar - l_at_star_lamt) + 0.5 * hp.epsilon * grad_sq + drift
         )
@@ -665,14 +665,15 @@ def test_advise_rejects_nonpositive_estimates(path3):
 # ---------------------------------------------------------------------------
 
 # (app, mode): calls per step of one lane at T=1280, seed 0, no evaluator,
-# after a warm-up run (cProfile); each ceiling is the one-window engine's
-# count + 5 % (in parentheses: with a separate iterate ring, then with
-# observation trees)
+# after a warm-up run (cProfile); each ceiling is the stacked-iterate
+# engine's count + 5 % (in parentheses, newest first: with per-node iterate
+# views, with separate objective calls per node, with a separate iterate
+# ring, then with observation trees)
 STEP_CALL_CEILINGS = {
-    ("consensus", "sync"): 122.1,  # 116.3 (117.3, 205.8)
-    ("consensus", "async"): 154.0,  # 146.7 (152.9, 280.7)
-    ("pricing", "sync"): 123.3,  # 117.4 (118.4, 153.3)
-    ("pricing", "async"): 146.4,  # 139.4 (145.7, 199.6)
+    ("consensus", "sync"): 97.8,  # 93.1 (114.1, 116.3, 117.3, 205.8)
+    ("consensus", "async"): 122.2,  # 116.4 (144.5, 146.7, 152.9, 280.7)
+    ("pricing", "sync"): 87.6,  # 83.4 (117.2, 117.4, 118.4, 153.3)
+    ("pricing", "async"): 96.2,  # 91.6 (139.2, 139.4, 145.7, 199.6)
 }
 
 
