@@ -371,8 +371,8 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
 def _run_bundle(spec, cfg: ExperimentConfig, evaluator, modes, record_current_slack: bool = False):
     """One trace per (mode, seed), ``modes`` outer, every seed of
     ``cfg.seeds`` inner, all run as the lanes of one engine;
-    ``current_slack`` (a second slack evaluation on every stale step) only
-    when a report reads it."""
+    ``current_slack`` (the slack at the fresh pair, one more slack call per
+    block of steps) only when a report reads it."""
     schedules = [None if mode == "sync" else build_schedule(cfg, seed)
                  for mode in modes for seed in cfg.seeds]
     return run_lanes(spec, build_hyperparams(cfg), schedules, list(cfg.seeds) * len(modes),

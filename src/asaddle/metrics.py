@@ -266,14 +266,11 @@ class AuditResult:
 
 
 def _trace_finite(trace: RunTrace) -> bool:
-    """Every recorded number is finite, except the F_hat rows no evaluator
-    filled (NaN by design)."""
+    """Every recorded number is finite, the optional ``current_slack`` and
+    ``F_hat`` included where the run recorded them."""
     arrays = [trace.lambda_norm, trace.delayed_slack, trace.obj_sample,
               *trace.x_snapshots.values()]
-    if trace.current_slack is not None:
-        arrays.append(trace.current_slack)
-    if trace.F_evaluated is not None:
-        arrays.append(trace.F_hat[trace.F_evaluated])
+    arrays += [a for a in (trace.current_slack, trace.F_hat) if a is not None]
     return all(np.isfinite(a).all() for a in arrays)
 
 

@@ -461,12 +461,12 @@ class ProblemSpec:
         return np.split(flat, self.offsets[1:-1])
 
     def row_array(self, flat: np.ndarray) -> np.ndarray:
-        """A stacked vector as the rows shared objectives take, as a view:
-        (N, p) when dims are uniform, otherwise every coordinate as a row of
-        dimension 1, (C, 1)."""
+        """Stacked vectors (..., C) as the rows shared objectives take, as a
+        view: (..., N, p) when dims are uniform, otherwise every coordinate
+        as a row of dimension 1, (..., C, 1)."""
         if self.uniform:
-            return flat.reshape(self.graph.n_nodes, -1)
-        return flat[:, None]
+            return flat.reshape(flat.shape[:-1] + (self.graph.n_nodes, -1))
+        return flat[..., None]
 
     def node_of(self, coordinate: int) -> int:
         """Node owning an entry of the stacked vector."""
@@ -636,6 +636,8 @@ def stack_leaves(parts, axis: int) -> tuple:
 def _stack_leaf(parts: list, axis: int) -> np.ndarray:
     if all(p.shape == parts[0].shape for p in parts):
         return np.stack(parts, axis=axis)
+    if len({p.ndim for p in parts}) > 1:  # one entry per node at some nodes, per coordinate at others
+        raise InvalidConfig("when dims differ, every observation array needs one entry per coordinate")
     return np.concatenate(parts, axis=axis)
 
 
@@ -737,21 +739,32 @@ def objective_grads(spec: ProblemSpec, x: np.ndarray, obs: NodeObservations) -> 
     return flat
 
 
-def objective_sum(spec: ProblemSpec, x: np.ndarray, obs: NodeObservations, lanes: int | None = None):
+def objective_sum(spec: ProblemSpec, x: np.ndarray, obs: NodeObservations):
     """sum_i f^i(x^i, th^i) at the stacked iterate x added in node order, one
     ``value`` call per Objective instance; a node evaluated by coordinate
-    adds its rows first.
+    adds its rows first. x may have leading axes, (..., C), which the
+    observation leaves then have too: each iterate is scored against its
+    own observations and the result has those axes."""
+    X = x.reshape(-1, x.shape[-1])
+    leaves = [leaf.reshape((len(X),) + leaf.shape[x.ndim - 1:]) for leaf in obs.leaves]
 
-    With ``lanes``, ``spec`` is a ``ProblemSpec.tile`` of that many copies
-    and the result is the (lanes,) array of each copy's own sum."""
-    values = np.empty(spec.graph.n_nodes)
-    rows_x = spec.row_array(x)
-    for obj, nodes, rows, sums in spec.objective_groups:
-        v = obj.value(rows_x[rows], obs.rows(rows))
-        values[nodes] = v if sums is None else _sum_node_rows(v, sums)
-    if lanes is not None:
-        return _sum_in_order(values.reshape(lanes, -1))
-    return float(_sum_in_order(values))
+    def theta(rows):  # as NodeObservations.rows, behind the leading axis
+        return tuple([leaf[:, rows] if spec.uniform else leaf[:, rows, None] for leaf in leaves])
+
+    values = _node_values(spec, spec.row_array(X), ((obj.value, nodes, rows, sums, theta(rows))
+                                                    for obj, nodes, rows, sums in spec.objective_groups))
+    total = _sum_in_order(values).reshape(x.shape[:-1])
+    return total if total.ndim else float(total)
+
+
+def _node_values(spec: ProblemSpec, rows_x: np.ndarray, groups) -> np.ndarray:
+    """(B, N) node values at B stacked iterates, from their rows (B, ...) (``ProblemSpec.row_array``):
+    fn(rows_x[:, rows], theta) per (fn, nodes, rows, sums, theta) of ``groups``, coordinate rows added up."""
+    out = np.empty((len(rows_x), spec.graph.n_nodes))
+    for fn, nodes, rows, sums, theta in groups:
+        v = fn(rows_x[:, rows], theta)
+        out[:, nodes] = v if sums is None else _sum_node_rows(v.T, sums).T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -863,14 +876,9 @@ class ExpectedObjective:
             raise DimensionMismatch(f"expected stacked iterates of length {C}: {exc}") from exc
         if X.ndim != 2 or X.shape[1] != C:
             raise DimensionMismatch(f"expected stacked iterates of length {C}, got shape {X.shape}")
-        B = len(X)
-        node_values = np.empty((B, spec.graph.n_nodes))
-        # every row as the rows objectives take (spec.row_array), (B, ...)
-        rows_x = X.reshape(B, spec.graph.n_nodes, -1) if spec.uniform else X[:, :, None]
-        for expected, nodes, rows, sums, laws in self._exact:
-            v = expected(rows_x[:, rows], laws)
-            node_values[:, nodes] = v if sums is None else _sum_node_rows(v.T, sums).T
-        for b in range(B):
+        rows_x = spec.row_array(X)
+        node_values = _node_values(spec, rows_x, self._exact)
+        for b in range(len(X)):
             for value, nodes, rows, sums, draws in self._sampled:
                 v = value(rows_x[b, rows][:, None], draws)
                 node_values[b, nodes] = np.mean(v if sums is None else _sum_node_rows(v, sums), axis=1)

@@ -30,8 +30,8 @@ import numpy as np
 from .delay import DelaySchedule, resolve
 from .errors import DegenerateEstimates, DimensionMismatch, NoFeasibleDelta, NonFiniteState, OutOfWindow
 from .graph import NetworkGraph
-from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, objective_grads, objective_sum,
-                      observation_block, project)
+from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, lane_copies, objective_grads,
+                      objective_sum, observation_block, project)
 # replays one node's row of the engine's observation stream; kept in this
 # namespace, where bench/run_bench.py looks it up
 from .problem import sample_observation  # noqa: F401
@@ -196,8 +196,8 @@ class SaddleEngine:
     ceil(tau/OBS_BLOCK) blocks before it, time t at row t mod its depth, of
     every flat observation leaf and of the stacked iterate, both read by
     index at (resolved time mod depth, node or coordinate). Passing
-    ``schedule=None`` selects the reference synchronous loop (no iterate
-    window, no staleness resolution); a zero schedule exercises the
+    ``schedule=None`` selects the reference synchronous loop (a window of
+    one block, no staleness resolution); a zero schedule exercises the
     asynchronous machinery and produces the identical trajectory.
 
     Lanes: with a sequence of seeds and one schedule (or None) per seed, the
@@ -210,10 +210,10 @@ class SaddleEngine:
     a zero-delay lane, which is the same trajectory.
     ``state`` and the hooks then see the state of the tiled problem.
 
-    The ``evaluator`` scores every row's iterates in blocks: the rows are
-    buffered, up to OBS_BLOCK of them with every lane's iterate, and
-    scored in one ``ExpectedObjective.values`` call when the buffer is full
-    and when ``traces()`` is read.
+    Recording is by block: ``step`` makes the update and writes x_k and
+    lambda_k into the window; ``_record`` records a block's rows and steps
+    from it, one call per record, when the next block starts and when
+    ``traces()`` is read.
     """
 
     def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule, seed,
@@ -254,22 +254,18 @@ class SaddleEngine:
         # coordinate at its node's resolved time
         self._coord_node = np.repeat(np.arange(S * n), tiled.dims)
         self._node_cols, self._coord_cols = np.arange(S * n), np.arange(S * self._n_coords)
-        # the staleness window, time t at row t mod _depth: the current block and the
-        # ceil(tau/OBS_BLOCK) before it, of every observation leaf and (async) of x
+        # the staleness window, time t at row t mod _depth: the current block and the ceil(tau/OBS_BLOCK)
+        # before it, of every observation leaf and of x; the block's duals; the first row not yet recorded
         self._depth = OBS_BLOCK * (1 + -(-max(self._tau_bounds) // OBS_BLOCK))
         self._window = None
-        self._x_window = None if self._schedules is None else np.empty((self._depth, S * self._n_coords))
-        self._stale = np.zeros(T, dtype=bool)
+        self._x_window = np.empty((self._depth, S * self._n_coords))
+        self._lam_window = np.empty((OBS_BLOCK, S * n_cons))
+        self._recorded = 0
 
         self.state = SaddleState(x=np.concatenate(tiled.x0),
                                  lam=np.zeros(S * n_cons), t=0)
 
-        self._F_hat = np.full((S, T + 1), np.nan)
-        self._F_evaluated = np.full(T + 1, evaluator is not None)
-        # the rows still to score: every lane's iterate of each, and their times
-        self._to_score = np.empty((min(OBS_BLOCK, T + 1) if evaluator is not None else 0,
-                                   S, self._n_coords))
-        self._to_score_t = []
+        self._F_hat = None if evaluator is None else np.full((S, T + 1), np.nan)
         self._obj_sample = np.zeros((S, T))
         self._lambda_norm = np.zeros((S, T + 1))
         self._lambda_min = np.zeros((S, T + 1))
@@ -279,42 +275,53 @@ class SaddleEngine:
         self._snapshots = [{} for _ in range(S)]
         self._domain_residual = [0.0] * S
 
-        self._record_row(0)
         for hook in self.hooks:
             hook(0, self.state)
 
     # -- recording ---------------------------------------------------------
 
-    def _lane_x(self, s: int) -> np.ndarray:
-        """Lane s's stacked iterate: a view into the tiled one."""
-        c = self._n_coords
-        return self.state.x[s * c:(s + 1) * c]
-
-    def _record_row(self, t):
-        lam = self.state.lam.reshape(self._lanes, self._n_cons)
-        # a dot product per lane, as np.linalg.norm of the lane's 1-D vector
-        self._lambda_norm[:, t] = np.sqrt(np.vecdot(lam, lam))
-        self._lambda_min[:, t] = np.minimum.reduce(lam, axis=1, initial=0.0)
+    def _record_rows(self, a: int, x: np.ndarray, lam: np.ndarray) -> None:
+        """Record rows a, a+1, ... of every lane from their tiled iterates
+        x (B, S*C) and duals lam (B, S*M)."""
+        B, S, end = len(x), self._lanes, a + len(x)
+        lam = lam.reshape(B, S, self._n_cons)
+        # a dot product per row and lane, as np.linalg.norm of the lane's 1-D vector
+        self._lambda_norm[:, a:end] = np.sqrt(np.vecdot(lam, lam)).T
+        self._lambda_min[:, a:end] = np.minimum.reduce(lam, axis=2, initial=0.0).T
         if self.evaluator is not None:
-            self._to_score[len(self._to_score_t)] = self.state.x.reshape(self._lanes, -1)
-            self._to_score_t.append(t)
-            if len(self._to_score_t) == len(self._to_score):
-                self._score()
-        if self.thin_every and (t % self.thin_every == 0 or t == self.hp.T):
-            for s in range(self._lanes):
-                flat = self._lane_x(s)
+            self._F_hat[:, a:end] = self.evaluator.values(x.reshape(B * S, -1)).reshape(B, S).T
+        c, thin = self._n_coords, self.thin_every
+        for t in range(a, end):
+            if not thin or (t % thin and t != self.hp.T):
+                continue
+            for s in range(S):
+                flat = x[t - a, s * c:(s + 1) * c]
                 self._snapshots[s][t] = flat.copy()
                 # np.maximum keeps a NaN residual where the builtin max would drop it
                 self._domain_residual[s] = float(np.maximum(self._domain_residual[s],
                                                             domain_residual(self.spec, flat)))
 
-    def _score(self):
-        """F_hat of the buffered rows, every lane's, in one evaluator call."""
-        ts = self._to_score_t
-        if ts:
-            X = self._to_score[:len(ts)].reshape(len(ts) * self._lanes, -1)
-            self._F_hat[:, ts] = self.evaluator.values(X).reshape(len(ts), self._lanes).T
-            self._to_score_t = []
+    def _record(self, end: int) -> None:
+        """Record the rows and steps from the first unrecorded one up to ``end``, all of one block, from
+        views of the window; the fresh slack as one call of the family tiled over the steps."""
+        a = self._recorded
+        if end <= a:
+            return
+        B, row, S = end - a, a % self._depth, self._lanes
+        x = self._x_window[row:row + B]
+        self._record_rows(a, x, self._lam_window[a % OBS_BLOCK:a % OBS_BLOCK + B])
+        leaves = [rows[row:row + B] for rows in self._window]
+        # (B, S, ...): the lanes as a leading axis of the solo problem
+        theta = NodeObservations([leaf.reshape((B, S, -1) + leaf.shape[2:]) for leaf in leaves],
+                                 self.spec.obs_offsets)
+        self._obj_sample[:, a:end] = objective_sum(self.spec, x.reshape(B, S, -1), theta).T
+        if self._current_slack is not None:
+            offsets = None if self.spec.uniform else np.append(
+                lane_copies(B * S, self.spec.offsets[:-1], self._n_coords), B * S * self._n_coords)
+            block = NodeObservations([leaf.reshape((-1,) + leaf.shape[2:]) for leaf in leaves], offsets)
+            family = self.spec.constraints.tile(B * S)  # the block's steps as copies of every lane
+            self._current_slack[a:end] = family.slack(x.reshape(-1), block).reshape(B, S, -1)
+        self._recorded = end
 
     # -- iteration ---------------------------------------------------------
 
@@ -323,7 +330,7 @@ class SaddleEngine:
         into the window (a window of one block is the block itself) and, when
         any lane is stale, resolve every lane's delays for them, check them
         against the window, which holds every time from ``_depth`` - OBS_BLOCK
-        before the block on, and flag the steps where any node is stale."""
+        before the block on."""
         depth = self._depth
         blocks = [observation_block(self.spec, seed, k // OBS_BLOCK) for seed in self.seeds]
         leaves = blocks[0] if self._lanes == 1 else [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
@@ -343,55 +350,43 @@ class SaddleEngine:
         base = k + OBS_BLOCK - depth
         if resolved.min() < base:
             raise OutOfWindow(f"time {resolved.min()} before the observation window at {base}")
-        self._stale[steps] = (resolved != steps[:, None, None]).any(axis=(1, 2))
 
     def _stale_window(self, k: int):
         """Every node's iterate and observation at its resolved time of step
         k, read from the window by index at row (resolved time mod
-        ``_depth``) and node or coordinate, and whether any of them is stale."""
+        ``_depth``) and node or coordinate."""
         res = self._resolved[k].reshape(-1)
         at_node = (res % self._depth, self._node_cols)
         at_coord = (res[self._coord_node] % self._depth, self._coord_cols)
         ths_eval = NodeObservations(
             [rows[at_node if rows.shape[1] == res.size else at_coord] for rows in self._window],
             self._tiled.obs_offsets)
-        return self._x_window[at_coord], ths_eval, bool(self._stale[k])
+        return self._x_window[at_coord], ths_eval
 
     def step(self) -> SaddleState:
-        """Advance one iteration; raises past the configured horizon."""
+        """Advance one iteration; raises past the configured horizon. A block's
+        first step records the block before it."""
         spec, hp = self._tiled, self.hp
-        S, m = self._lanes, self._n_cons
         k = self.state.t
         if k >= hp.T:
             raise IndexError(f"horizon T={hp.T} exhausted")
         if k % OBS_BLOCK == 0:
+            self._record(k)
             self._next_block(k)
-        x = self.state.x
-        row = k % self._depth
-        theta = NodeObservations([rows[row] for rows in self._window], spec.obs_offsets)
-
-        if self._schedules is not None:
-            self._x_window[row] = x
-            x_eval, ths_eval, stale = self._stale_window(k)
+        x, row = self.state.x, k % self._depth
+        self._x_window[row] = x
+        self._lam_window[k % OBS_BLOCK] = self.state.lam
+        if self._schedules is None:
+            x_eval, ths_eval = x, NodeObservations([rows[row] for rows in self._window], spec.obs_offsets)
         else:
-            x_eval, ths_eval, stale = x, theta, False
+            x_eval, ths_eval = self._stale_window(k)
 
         s_delayed = dual_slack(spec, x_eval, ths_eval)
         new_x = primal_step(spec, self.state, x_eval, ths_eval, hp, seeds=self.seeds)
         new_lam = dual_step(self.state, s_delayed, hp)
-
-        self._obj_sample[:, k] = objective_sum(spec, x, theta, lanes=S)
-        self._delayed_slack[k] = s_delayed.reshape(S, m)
-        if self._current_slack is not None:
-            # every lane's slack again when any lane is stale: a fresh lane's
-            # comes out equal to its delayed one
-            if stale:
-                self._current_slack[k] = dual_slack(spec, x, theta).reshape(S, m)
-            else:
-                self._current_slack[k] = s_delayed.reshape(S, m)
+        self._delayed_slack[k] = s_delayed.reshape(self._lanes, self._n_cons)
 
         self.state = SaddleState(x=new_x, lam=new_lam, t=k + 1)
-        self._record_row(k + 1)
         for hook in self.hooks:
             hook(k + 1, self.state)
         return self.state
@@ -405,25 +400,27 @@ class SaddleEngine:
 
     def traces(self) -> list:
         """Every lane's history up to the current iteration, in seed order."""
-        self._score()
         t = self.state.t
-        m = self._n_cons
+        self._record(t)
+        # row t from the state: its step's block pass records the same bits again
+        self._record_rows(t, self.state.x[None], self.state.lam[None])
+        m, lanes_x = self._n_cons, self.state.x.reshape(self._lanes, -1)
         out = []
         for s, seed in enumerate(self.seeds):
             cur = self._current_slack[:t, s].copy() if self._current_slack is not None else None
             out.append(RunTrace(
                 name=self.spec.name, seed=seed, T=t, n_nodes=self._n,
                 tau_bound=self._tau_bounds[s], mode=self._modes[s],
-                F_hat=self._F_hat[s, :t + 1].copy(), obj_sample=self._obj_sample[s, :t].copy(),
+                F_hat=None if self._F_hat is None else self._F_hat[s, :t + 1].copy(),
+                obj_sample=self._obj_sample[s, :t].copy(),
                 lambda_norm=self._lambda_norm[s, :t + 1].copy(),
                 lambda_min=self._lambda_min[s, :t + 1].copy(),
                 delayed_slack=self._delayed_slack[:t, s].copy(), current_slack=cur,
                 resolved=self._resolved[:t, s].copy(),
                 staleness=np.arange(t)[:, None] - self._resolved[:t, s],
-                x_snapshots=dict(self._snapshots[s]), x_final=self.spec.rows(self._lane_x(s).copy()),
+                x_snapshots=dict(self._snapshots[s]), x_final=self.spec.rows(lanes_x[s].copy()),
                 lam_final=self.state.lam[s * m:(s + 1) * m].copy(),
                 domain_residual_max=self._domain_residual[s],
-                F_evaluated=self._F_evaluated[:t + 1].copy(),
             ))
         return out
 

@@ -18,9 +18,8 @@ class RunTrace:
     step k (the quantity entering the dual update), ``current_slack[k]`` the
     same slack at the fresh pair (x_k, theta_k), ``resolved[k]``/``staleness[k]``
     the per-node delayed indices and their lags, and ``obj_sample[k]`` the
-    instantaneous objective sum f(x_k, theta_k). ``F_evaluated[t]`` is True on
-    the rows whose ``F_hat`` an evaluator filled (every row of a run with
-    one); the others hold NaN by design.
+    instantaneous objective sum f(x_k, theta_k). ``F_hat`` is the
+    evaluator's F at every row, None for a run without one.
     """
 
     name: str
@@ -29,7 +28,7 @@ class RunTrace:
     n_nodes: int
     tau_bound: int
     mode: str
-    F_hat: np.ndarray
+    F_hat: np.ndarray | None
     obj_sample: np.ndarray
     lambda_norm: np.ndarray
     lambda_min: np.ndarray
@@ -41,7 +40,6 @@ class RunTrace:
     x_final: list = field(default_factory=list)
     lam_final: np.ndarray | None = None
     domain_residual_max: float = 0.0
-    F_evaluated: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:

@@ -1,14 +1,18 @@
-"""Per-node reference encoding of the proximity constraints.
+"""Reference forms the engine is checked against.
 
-The engine reaches a constraint family only through its lane kernels
-(``ConstraintFamily.from_symmetric_pairwise`` and pricing's
-``from_lane_kernels``). This module keeps the literal per-node form of the
-paper's update as the oracle those kernels are checked against: node k owns
-a ``NeighborhoodConstraint``, a block of slack entries over its closed
-neighborhood with their Jacobians, and J^T lam loops over every node's
-closed neighborhood and multiplies the owners' Jacobians. Its kernels take
-the stacked iterate and observations the engine passes and split them per
-node themselves.
+Per-node constraints: the engine reaches a constraint family only through
+its lane kernels (``ConstraintFamily.from_symmetric_pairwise`` and
+pricing's ``from_lane_kernels``). This module keeps the literal per-node
+form of the paper's update as the oracle those kernels are checked against:
+node k owns a ``NeighborhoodConstraint``, a block of slack entries over its
+closed neighborhood with their Jacobians, and J^T lam loops over every
+node's closed neighborhood and multiplies the owners' Jacobians. Its kernels
+take the stacked iterate and observations the engine passes and split them
+per node themselves.
+
+Per-step recording: the engine records a block of steps at a time;
+``per_step_traces`` recomputes every record of a run one row and one step
+at a time, from public calls, as the oracle of that block pass.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +22,10 @@ import numpy as np
 
 from asaddle.apps.pricing import PricingConfig
 from asaddle.graph import NetworkGraph, closed_neighborhood
-from asaddle.problem import ConstraintFamily, NodeObservations, ProblemSpec, stack_leaves
+from asaddle.problem import (ConstraintFamily, NodeObservations, ProblemSpec, objective_sum,
+                             sample_observation, stack_leaves)
+from asaddle.saddle import SaddleEngine, domain_residual
+from asaddle.trace import RunTrace
 
 
 @dataclass(frozen=True)
@@ -236,3 +243,59 @@ def as_neighborhood(spec: ProblemSpec, cfg) -> ProblemSpec:
     floating-point summation order."""
     constraints = from_per_node(spec.graph, node_constraints(cfg, spec.graph), spec.dims)
     return replace(spec, constraints=constraints, name=spec.name + "_nbhd")
+
+
+# ---------------------------------------------------------------------------
+# the records of a run, one row and one step at a time
+# ---------------------------------------------------------------------------
+
+def per_step_traces(spec: ProblemSpec, hp, schedules, seeds, evaluator=None, thin_every: int = 50,
+                    record_current_slack: bool = True, steps: int | None = None) -> list:
+    """Every lane's RunTrace after ``steps`` steps (default: all), each
+    record recomputed on its own: a hook keeps every row's (x_t, lam_t),
+    and per lane and row the dual norm (``np.linalg.norm``) and minimum,
+    ``ExpectedObjective.value`` and the thinned snapshots and domain
+    residual; per step, from every node's ``sample_observation``,
+    ``objective_sum`` and the fresh slack at (x_k, theta_k), and the
+    delayed slack at each node's resolved time. Only the resolved times
+    are the engine's."""
+    rows = []
+    engine = SaddleEngine(spec, hp, list(schedules), list(seeds),
+                          hooks=[lambda t, state: rows.append((state.x.copy(), state.lam.copy()))])
+    engine.run(steps)
+    T, n, c, m = engine.state.t, spec.graph.n_nodes, int(spec.offsets[-1]), spec.constraints.size
+    out = []
+    for s, (schedule, seed, trace) in enumerate(zip(schedules, seeds, engine.traces())):
+        xs = [x[s * c:(s + 1) * c] for x, _ in rows]
+        lams = [lam[s * m:(s + 1) * m] for _, lam in rows]
+
+        def observed(times):
+            """The observations of node i at times[i], stacked."""
+            return observations([sample_observation(spec, seed, i, int(t)) for i, t in enumerate(times)],
+                                spec.obs_offsets)
+
+        snapshots, residual = {}, 0.0
+        for t in range(T + 1):
+            if thin_every and (t % thin_every == 0 or t == hp.T):
+                snapshots[t] = xs[t].copy()
+                residual = float(np.maximum(residual, domain_residual(spec, xs[t])))
+        delayed, current, obj = np.zeros((T, m)), np.zeros((T, m)), np.zeros(T)
+        for k in range(T):
+            theta = observed([k] * n)
+            obj[k] = objective_sum(spec, xs[k], theta)
+            current[k] = spec.constraints.slack(xs[k], theta)
+            res = trace.resolved[k]
+            x_eval = np.concatenate([xs[res[i]][spec.offsets[i]:spec.offsets[i + 1]] for i in range(n)])
+            delayed[k] = spec.constraints.slack(x_eval, observed(res))
+        out.append(RunTrace(
+            name=spec.name, seed=seed, T=T, n_nodes=n,
+            tau_bound=0 if schedule is None else schedule.tau_max,
+            mode="sync" if schedule is None else "async",
+            F_hat=None if evaluator is None else np.array([evaluator.value(x) for x in xs]),
+            obj_sample=obj, lambda_norm=np.array([np.linalg.norm(lam) for lam in lams]),
+            lambda_min=np.array([np.min(lam, initial=0.0) for lam in lams]),
+            delayed_slack=delayed, current_slack=current if record_current_slack else None,
+            resolved=trace.resolved, staleness=np.arange(T)[:, None] - trace.resolved,
+            x_snapshots=snapshots, x_final=spec.rows(xs[T].copy()), lam_final=lams[T].copy(),
+            domain_residual_max=residual))
+    return out

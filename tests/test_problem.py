@@ -538,6 +538,27 @@ def test_mixed_dims_need_an_observation_entry_per_coordinate():
                                   samplers=(replace(spec.samplers[0], law=(np.float64(0.5),)),) * 3))
 
 
+def test_observations_of_mixed_rank_are_an_invalid_config():
+    # node 0 gives one float, node 1 one entry per coordinate: stacking the
+    # leaves of different ranks used to die with a raw numpy AxisError in the
+    # engine's blocks and the audit's draws
+    from asaddle.errors import InvalidConfig
+    from asaddle.metrics import audit_assumptions
+    from asaddle.saddle import Hyperparams, run
+    g = build_graph(2, path_edges(2))
+    obj = Objective(value=lambda x, th: (x * th[0]).sum(axis=-1), grad=lambda x, th: x.copy())
+    spec = ProblemSpec.make(g, (1, 2), [obj] * 2,
+                            [Sampler(sample=lambda rng: (rng.random(),)),
+                             Sampler(sample=lambda rng: (rng.random(2),))],
+                            no_constraints(g), tuple(DomainSpec.box(-np.ones(d), np.ones(d)) for d in (1, 2)))
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        run(spec, Hyperparams(epsilon=0.1, delta=0.0, T=3), None, 0)
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        ExpectedObjective(spec, mc_samples=8)
+    with pytest.raises(InvalidConfig, match="one entry per coordinate"):
+        audit_assumptions(spec, n_samples=100, secant_pairs=2, mc_samples=8)
+
+
 def test_a_node_needs_a_coordinate():
     g = build_graph(2, path_edges(2))
     obj = Objective(value=lambda x, th: 0.0, grad=lambda x, th: x)
@@ -690,16 +711,18 @@ def test_tiled_family_gives_each_copy_its_own_bits(consensus_spec, per_node):
 
 
 def test_tiled_objectives_and_sums_per_copy(consensus_spec):
-    from asaddle.problem import objective_grads, objective_sum
+    from asaddle.problem import NodeObservations, objective_grads, objective_sum
     rng = np.random.default_rng(6)
     for spec in _pricing_specs() + [consensus_spec]:
         for t in range(10):
             xs, obs, tiled, tiled_xs, tiled_obs = _lane_inputs(spec, rng, 4, t)
-            sums = objective_sum(tiled, tiled_xs, tiled_obs, lanes=4)
+            # the copies as a leading axis of the solo problem's iterate and leaves
+            sums = objective_sum(spec, np.stack(xs), NodeObservations(
+                [np.stack(leaves) for leaves in zip(*(o.leaves for o in obs))], spec.obs_offsets))
             grads = objective_grads(tiled, tiled_xs, tiled_obs)
             c = spec.offsets[-1]
             for s in range(4):
-                assert sums[s] == objective_sum(spec, xs[s], obs[s])
+                assert sums[s:s + 1].tobytes() == np.float64(objective_sum(spec, xs[s], obs[s])).tobytes()
                 solo = objective_grads(spec, xs[s], obs[s])
                 assert grads[s * c:(s + 1) * c].tobytes() == solo.tobytes()
     # every instance, a node's own included, spans every copy
