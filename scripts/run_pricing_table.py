@@ -29,7 +29,8 @@ def main():
     sinrs, revenues = [], []
     for seed in args.seeds:
         sched = DelaySchedule(kind="uniform_random", tau_max=args.tau, seed=seed)
-        trace = run(spec, hp, sched, seed=seed, evaluator=None, thin_every=1000)
+        trace = run(spec, hp, sched, seed=seed, evaluator=None, thin_every=1000,
+                    record_current_slack=True)
         sinrs.append(sinr_report(cfg, trace))
         revenues.append(revenue_series(cfg, trace)[-1])
 

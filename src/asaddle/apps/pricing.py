@@ -456,6 +456,8 @@ def naive_baseline(cfg: PricingConfig, seed: int, T: int) -> np.ndarray:
 
 def interference_series(cfg: PricingConfig, trace: RunTrace) -> np.ndarray:
     """(T, n_mus) realized interference at the fresh iterate, from trace slacks."""
+    if trace.current_slack is None:
+        raise InvalidConfig("interference needs the fresh slack: run with record_current_slack=True")
     slots = constraint_slots(cfg)
     gammas = np.array([cfg.gamma_linear(i) for i in range(cfg.n_mus)])
     return trace.current_slack[:, slots] + gammas

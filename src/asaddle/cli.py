@@ -30,7 +30,7 @@ from .errors import (AuditFailure, DegenerateEstimates, DegenerateSeries, Discon
                      InvalidConfig, NoFeasibleDelta, OutputError, SaddleError, SelfLoop)
 from .graph import build_graph, ring_edges
 from .metrics import (audit_assumptions, audit_invariants, cumulative_suboptimality,
-                      delayed_violation, estimate_optimum, fit_rate, running_suboptimality)
+                      estimate_optimum, fit_rate, running_suboptimality)
 from .problem import DEFAULT_MC_SAMPLES, ExpectedObjective
 from .saddle import Hyperparams, advise, run_lanes
 
@@ -260,20 +260,13 @@ def build_hyperparams(cfg: ExperimentConfig) -> Hyperparams:
 
 def trace_columns(trace, f_star: float) -> dict:
     """Row-aligned column arrays in the stable CSV schema."""
-    T = trace.T
-    subopt = running_suboptimality(trace, f_star)
-    _, agg = delayed_violation(trace)
-    cumclip = np.zeros(T + 1)
-    if T:
-        cumclip[1:] = agg
-    running = np.zeros(T + 1)
-    if T:
-        running[1:] = agg / np.arange(1, T + 1)
+    t = np.arange(trace.T + 1)
+    cumclip = np.concatenate([[0.0], trace.violation_cumclip])
     return {
-        "t": np.arange(T + 1),
+        "t": t,
         "F_hat": trace.F_hat,
-        "subopt_running": subopt,
-        "violation_agg_running": running,
+        "subopt_running": running_suboptimality(trace, f_star),
+        "violation_agg_running": cumclip / np.maximum(t, 1),
         "violation_agg_cumclip": cumclip,
         "lambda_norm": trace.lambda_norm,
         "max_staleness": trace.max_staleness_per_row(),
@@ -371,8 +364,8 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
 def _run_bundle(spec, cfg: ExperimentConfig, evaluator, modes, record_current_slack: bool = False):
     """One trace per (mode, seed), ``modes`` outer, every seed of
     ``cfg.seeds`` inner, all run as the lanes of one engine;
-    ``current_slack`` (the slack at the fresh pair, one more slack call per
-    block of steps) only when a report reads it."""
+    ``current_slack`` (the slack at the fresh pair, (T, M) per lane) only
+    when a report reads it."""
     schedules = [None if mode == "sync" else build_schedule(cfg, seed)
                  for mode in modes for seed in cfg.seeds]
     return run_lanes(spec, build_hyperparams(cfg), schedules, list(cfg.seeds) * len(modes),

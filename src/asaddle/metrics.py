@@ -12,7 +12,7 @@ from .errors import DegenerateSeries
 from .problem import (DEFAULT_MC_SAMPLES, ExpectedObjective, NodeObservations, ProblemSpec,
                       coordinate_leaves, objective_grads, sample_rows, stack_leaves)
 from .saddle import Hyperparams, project_nodes, run
-from .trace import RunTrace
+from .trace import RunTrace, running_violation
 
 __all__ = [
     "RunTrace",
@@ -56,15 +56,16 @@ def cumulative_suboptimality(trace_or_series, f_star: float) -> np.ndarray:
     return out
 
 
-def delayed_violation(trace_or_slacks):
-    """Clipped cumulative constraint violation at delayed arguments.
+def delayed_violation(slacks):
+    """Clipped cumulative constraint violation of step-aligned slacks (T, M).
 
     Returns (per_constraint, aggregate): per_constraint[t-1, c] is
     [ sum_{u<=t} s_c at the stale window of step u ]_+ and aggregate its sum
-    over constraints, both step-aligned (length T).
+    over constraints, both step-aligned (length T); a run records the
+    aggregate as ``RunTrace.violation_cumclip``, bit for bit.
     """
-    s = trace_or_slacks.delayed_slack if isinstance(trace_or_slacks, RunTrace) else np.asarray(trace_or_slacks, dtype=float)
-    per = np.maximum(np.cumsum(s, axis=0), 0.0)
+    s = np.asarray(slacks, dtype=float)
+    per, _ = running_violation(s, np.full(s.shape[1:], -0.0))
     return per, per.sum(axis=1)
 
 
@@ -116,8 +117,7 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
         if t >= 1:
             np.add(acc, state.x, out=acc)
 
-    run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None, thin_every=0,
-        record_current_slack=False)
+    run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None, thin_every=0)
     x_ref = project_nodes(spec, acc / budget)
     return evaluator.value(x_ref), spec.rows(x_ref)
 
@@ -265,24 +265,18 @@ class AuditResult:
     finite: bool = True
 
 
-def _trace_finite(trace: RunTrace) -> bool:
-    """Every recorded number is finite, the optional ``current_slack`` and
-    ``F_hat`` included where the run recorded them."""
-    arrays = [trace.lambda_norm, trace.delayed_slack, trace.obj_sample,
-              *trace.x_snapshots.values()]
-    arrays += [a for a in (trace.current_slack, trace.F_hat) if a is not None]
-    return all(np.isfinite(a).all() for a in arrays)
-
-
 def audit_invariants(trace: RunTrace, feas_tol: float = 1e-9) -> AuditResult:
     """Check the run-level invariants: dual nonnegativity, primal feasibility
-    at recorded snapshots, bounded monotone staleness, and finite records."""
+    at recorded snapshots, bounded monotone staleness, and finite records:
+    every slack of the run (``slack_finite``) and every recorded number,
+    ``F_hat`` where the run has one."""
     dual_ok = bool(np.all(trace.lambda_min >= 0.0))
-    max_stale = int(trace.staleness.max(initial=0))
+    max_stale = int(trace.max_staleness.max(initial=0))
     stale_ok = max_stale <= trace.tau_bound
-    mono_ok = bool(np.all(np.diff(trace.resolved, axis=0) >= 0)) if trace.T > 1 else True
     feas_ok = trace.domain_residual_max <= feas_tol
-    finite = _trace_finite(trace)
+    records = [trace.lambda_norm, trace.obj_sample, *trace.x_snapshots.values(), trace.F_hat]
+    finite = trace.slack_finite and all(np.isfinite(a).all() for a in records if a is not None)
+    mono_ok = trace.staleness_monotone
     return AuditResult(
         ok=dual_ok and stale_ok and mono_ok and feas_ok and finite,
         dual_nonnegative=dual_ok,

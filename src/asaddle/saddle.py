@@ -35,7 +35,7 @@ from .problem import (OBS_BLOCK, NodeObservations, ProblemSpec, lane_copies, obj
 # replays one node's row of the engine's observation stream; kept in this
 # namespace, where bench/run_bench.py looks it up
 from .problem import sample_observation  # noqa: F401
-from .trace import RunTrace
+from .trace import RunTrace, running_violation
 
 __all__ = [
     "Hyperparams",
@@ -210,15 +210,15 @@ class SaddleEngine:
     a zero-delay lane, which is the same trajectory.
     ``state`` and the hooks then see the state of the tiled problem.
 
-    Recording is by block: ``step`` makes the update and writes x_k and
-    lambda_k into the window; ``_record`` records a block's rows and steps
-    from it, one call per record, when the next block starts and when
-    ``traces()`` is read.
+    Recording is by block: ``step`` makes the update and writes x_k, lambda_k
+    and its delayed slack into the window; ``_record`` records a block's rows
+    and reduces its steps, one call per record, when the next block starts
+    and when ``traces()`` is read, so a run keeps a few numbers per step.
     """
 
     def __init__(self, spec: ProblemSpec, hp: Hyperparams, schedule, seed,
                  hooks=(), evaluator=None, thin_every: int = 50,
-                 record_current_slack: bool = True):
+                 record_current_slack: bool = False):
         self.spec = spec
         self.hp = hp
         self.hooks = tuple(hooks)
@@ -238,11 +238,9 @@ class SaddleEngine:
         self._lanes = S = len(seeds)
         self._modes = ["sync" if sch is None else "async" for sch in schedules]
         self._tau_bounds = [0 if sch is None else sch.tau_max for sch in schedules]
-        # a bundle with any stale lane resolves every lane; a sync lane is a
-        # zero-delay lane there
-        self._schedules = None
-        if any(sch is not None for sch in schedules):
-            self._schedules = [DelaySchedule() if sch is None else sch for sch in schedules]
+        # a bundle with any stale lane resolves every lane (``_res_window``); a
+        # sync lane is a zero-delay lane there
+        self._schedules = [DelaySchedule() if sch is None else sch for sch in schedules]
         self._tiled = tiled = spec.tile(S)
 
         T = hp.T
@@ -269,9 +267,16 @@ class SaddleEngine:
         self._obj_sample = np.zeros((S, T))
         self._lambda_norm = np.zeros((S, T + 1))
         self._lambda_min = np.zeros((S, T + 1))
-        self._delayed_slack = np.zeros((T, S, n_cons))
+        self._violation = np.zeros((S, T))
+        self._max_staleness = np.zeros((S, T), dtype=int)
         self._current_slack = np.zeros((T, S, n_cons)) if record_current_slack else None
-        self._resolved = np.repeat(np.arange(T), S * n).reshape(T, S, n)  # async: set per block
+        # the block's delayed slacks, the running slack sum before them (from -0.0, which adds as the
+        # identity) and, async only, the block's resolved times after those of the step before it
+        self._slack_window = np.empty((OBS_BLOCK, S * n_cons))
+        self._slack_sum = np.full((S, n_cons), -0.0)
+        self._res_window = np.zeros((OBS_BLOCK + 1, S, n), dtype=int) if any(schedules) else None
+        self._monotone = np.ones(S, dtype=bool)
+        self._finite = np.ones(S, dtype=bool)
         self._snapshots = [{} for _ in range(S)]
         self._domain_residual = [0.0] * S
 
@@ -303,24 +308,36 @@ class SaddleEngine:
 
     def _record(self, end: int) -> None:
         """Record the rows and steps from the first unrecorded one up to ``end``, all of one block, from
-        views of the window; the fresh slack as one call of the family tiled over the steps."""
+        views of the window, reducing the block's slacks and resolved times as it goes."""
         a = self._recorded
         if end <= a:
             return
-        B, row, S = end - a, a % self._depth, self._lanes
+        B, row, S, i = end - a, a % self._depth, self._lanes, a % OBS_BLOCK
         x = self._x_window[row:row + B]
-        self._record_rows(a, x, self._lam_window[a % OBS_BLOCK:a % OBS_BLOCK + B])
+        self._record_rows(a, x, self._lam_window[i:i + B])
         leaves = [rows[row:row + B] for rows in self._window]
         # (B, S, ...): the lanes as a leading axis of the solo problem
         theta = NodeObservations([leaf.reshape((B, S, -1) + leaf.shape[2:]) for leaf in leaves],
                                  self.spec.obs_offsets)
         self._obj_sample[:, a:end] = objective_sum(self.spec, x.reshape(B, S, -1), theta).T
-        if self._current_slack is not None:
+        slack = self._slack_window[i:i + B].reshape(B, S, -1)
+        clipped, self._slack_sum = running_violation(slack, self._slack_sum)
+        self._violation[:, a:end] = clipped.sum(axis=2).T
+        self._finite &= np.isfinite(slack).all(axis=(0, 2))
+        if self._res_window is not None:
+            res = self._res_window[i:i + B + 1]
+            self._monotone &= (np.diff(res, axis=0) >= 0).all(axis=(0, 2))
+            self._max_staleness[:, a:end] = (np.arange(a, end)[:, None] - res[1:].min(axis=2)).T
+        fresh = self._current_slack
+        if fresh is not None and self._res_window is None:  # a synchronous step's slack is at the fresh pair
+            fresh[a:end] = slack
+        elif fresh is not None:
             offsets = None if self.spec.uniform else np.append(
                 lane_copies(B * S, self.spec.offsets[:-1], self._n_coords), B * S * self._n_coords)
             block = NodeObservations([leaf.reshape((-1,) + leaf.shape[2:]) for leaf in leaves], offsets)
             family = self.spec.constraints.tile(B * S)  # the block's steps as copies of every lane
-            self._current_slack[a:end] = family.slack(x.reshape(-1), block).reshape(B, S, -1)
+            fresh[a:end] = family.slack(x.reshape(-1), block).reshape(B, S, -1)
+            self._finite &= np.isfinite(fresh[a:end]).all(axis=(0, 2))
         self._recorded = end
 
     # -- iteration ---------------------------------------------------------
@@ -340,22 +357,22 @@ class SaddleEngine:
             self._window = self._window or [np.empty((depth,) + a.shape[1:], a.dtype) for a in leaves]
             for rows, leaf in zip(self._window, leaves):
                 rows[k % depth:k % depth + OBS_BLOCK] = leaf
-        if self._schedules is None:
+        res = self._res_window
+        if res is None:
             return
         steps = np.arange(k, min(k + OBS_BLOCK, self.hp.T))
-        prev = self._resolved[k - 1] if k else np.zeros((self._lanes, self._n), dtype=int)
+        res[0] = res[-1]  # step k - 1, the last of the block before (recorded by now)
         for s, schedule in enumerate(self._schedules):
-            self._resolved[steps, s] = resolve(schedule, steps, np.arange(self._n), prev[s])
-        resolved = self._resolved[steps]
-        base = k + OBS_BLOCK - depth
-        if resolved.min() < base:
-            raise OutOfWindow(f"time {resolved.min()} before the observation window at {base}")
+            res[1:1 + len(steps), s] = resolve(schedule, steps, np.arange(self._n), res[0, s])
+        first, base = res[1:1 + len(steps)].min(), k + OBS_BLOCK - depth
+        if first < base:
+            raise OutOfWindow(f"time {first} before the observation window at {base}")
 
     def _stale_window(self, k: int):
         """Every node's iterate and observation at its resolved time of step
         k, read from the window by index at row (resolved time mod
         ``_depth``) and node or coordinate."""
-        res = self._resolved[k].reshape(-1)
+        res = self._res_window[k % OBS_BLOCK + 1].reshape(-1)
         at_node = (res % self._depth, self._node_cols)
         at_coord = (res[self._coord_node] % self._depth, self._coord_cols)
         ths_eval = NodeObservations(
@@ -376,7 +393,7 @@ class SaddleEngine:
         x, row = self.state.x, k % self._depth
         self._x_window[row] = x
         self._lam_window[k % OBS_BLOCK] = self.state.lam
-        if self._schedules is None:
+        if self._res_window is None:
             x_eval, ths_eval = x, NodeObservations([rows[row] for rows in self._window], spec.obs_offsets)
         else:
             x_eval, ths_eval = self._stale_window(k)
@@ -384,7 +401,7 @@ class SaddleEngine:
         s_delayed = dual_slack(spec, x_eval, ths_eval)
         new_x = primal_step(spec, self.state, x_eval, ths_eval, hp, seeds=self.seeds)
         new_lam = dual_step(self.state, s_delayed, hp)
-        self._delayed_slack[k] = s_delayed.reshape(self._lanes, self._n_cons)
+        self._slack_window[k % OBS_BLOCK] = s_delayed
 
         self.state = SaddleState(x=new_x, lam=new_lam, t=k + 1)
         for hook in self.hooks:
@@ -415,9 +432,11 @@ class SaddleEngine:
                 obj_sample=self._obj_sample[s, :t].copy(),
                 lambda_norm=self._lambda_norm[s, :t + 1].copy(),
                 lambda_min=self._lambda_min[s, :t + 1].copy(),
-                delayed_slack=self._delayed_slack[:t, s].copy(), current_slack=cur,
-                resolved=self._resolved[:t, s].copy(),
-                staleness=np.arange(t)[:, None] - self._resolved[:t, s],
+                violation_cumclip=self._violation[s, :t].copy(),
+                max_staleness=self._max_staleness[s, :t].copy(),
+                staleness_monotone=bool(self._monotone[s]),
+                slack_finite=bool(self._finite[s]),
+                current_slack=cur,
                 x_snapshots=dict(self._snapshots[s]), x_final=self.spec.rows(lanes_x[s].copy()),
                 lam_final=self.state.lam[s * m:(s + 1) * m].copy(),
                 domain_residual_max=self._domain_residual[s],
@@ -432,7 +451,7 @@ class SaddleEngine:
 
 
 def run_lanes(spec: ProblemSpec, hp: Hyperparams, schedules, seeds, hooks=(), evaluator=None,
-              thin_every: int = 50, record_current_slack: bool = True) -> list:
+              thin_every: int = 50, record_current_slack: bool = False) -> list:
     """Run every seed with its schedule (None: synchronous) as the lanes of
     one engine; one RunTrace per seed, each equal byte for byte to ``run``
     of that seed alone. ``evaluator`` scores the rows of every lane in
@@ -445,7 +464,7 @@ def run_lanes(spec: ProblemSpec, hp: Hyperparams, schedules, seeds, hooks=(), ev
 
 def run(spec: ProblemSpec, hp: Hyperparams, schedule: DelaySchedule | None, seed: int,
         hooks=(), evaluator=None, thin_every: int = 50,
-        record_current_slack: bool = True) -> RunTrace:
+        record_current_slack: bool = False) -> RunTrace:
     """Execute T iterations of the asynchronous method; deterministic given seed.
 
     Each iteration takes every node's observation of that step, resolves

@@ -1,4 +1,4 @@
-"""Per-run record of iterates, multipliers, slacks and staleness."""
+"""Per-run record of iterates, multipliers, violation and staleness."""
 
 from __future__ import annotations
 
@@ -6,7 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RunTrace"]
+__all__ = ["RunTrace", "running_violation"]
+
+
+def running_violation(slack, start):
+    """Clipped running sums [start + sum_{u<=t} slack_u]_+ of the steps (B, ..., M) after the running sum
+    ``start`` (..., M), and the last running sum. One cumsum over ``start`` and the steps adds in the order
+    of one cumsum over the whole run, so blocks give its bits; -0.0, the identity of addition, starts a run."""
+    sums = np.cumsum(np.concatenate([start[None], slack]), axis=0)
+    return np.maximum(sums[1:], 0.0), sums[-1]
 
 
 @dataclass
@@ -14,12 +22,14 @@ class RunTrace:
     """Row-indexed history of one run; row t describes state x_t, lambda_t.
 
     Step-aligned arrays (length T) describe the update that produced row t+1:
-    ``delayed_slack[k]`` is the slack evaluated at the resolved stale window of
-    step k (the quantity entering the dual update), ``current_slack[k]`` the
-    same slack at the fresh pair (x_k, theta_k), ``resolved[k]``/``staleness[k]``
-    the per-node delayed indices and their lags, and ``obj_sample[k]`` the
-    instantaneous objective sum f(x_k, theta_k). ``F_hat`` is the
-    evaluator's F at every row, None for a run without one.
+    ``violation_cumclip[k]`` is sum_c [ sum_{u<=k} s_c ]_+ for the slack s at
+    the resolved stale windows (the one entering the dual update),
+    ``max_staleness[k]`` the largest delay step k read at, ``obj_sample[k]``
+    the objective sum f(x_k, theta_k), and ``current_slack[k]`` the slack at
+    (x_k, theta_k), the one (T, M) record, None unless the run asks for it.
+    ``staleness_monotone``: no resolved time ever decreased (from 0);
+    ``slack_finite``: every slack was finite. ``F_hat`` is the evaluator's
+    F at every row, None for a run without one.
     """
 
     name: str
@@ -32,10 +42,11 @@ class RunTrace:
     obj_sample: np.ndarray
     lambda_norm: np.ndarray
     lambda_min: np.ndarray
-    delayed_slack: np.ndarray
+    violation_cumclip: np.ndarray
+    max_staleness: np.ndarray
+    staleness_monotone: bool
+    slack_finite: bool
     current_slack: np.ndarray | None
-    resolved: np.ndarray
-    staleness: np.ndarray
     x_snapshots: dict = field(default_factory=dict)
     x_final: list = field(default_factory=list)
     lam_final: np.ndarray | None = None
@@ -47,7 +58,4 @@ class RunTrace:
 
     def max_staleness_per_row(self) -> np.ndarray:
         """Row-aligned (T+1,) max staleness used by the step producing each row."""
-        out = np.zeros(self.T + 1, dtype=int)
-        if self.T:
-            out[1:] = self.staleness.max(axis=1)
-        return out
+        return np.concatenate([[0], self.max_staleness])

@@ -10,18 +10,25 @@ node's closed neighborhood and multiplies the owners' Jacobians. Its kernels
 take the stacked iterate and observations the engine passes and split them
 per node themselves.
 
-Per-step recording: the engine records a block of steps at a time;
-``per_step_traces`` recomputes every record of a run one row and one step
-at a time, from public calls, as the oracle of that block pass.
+Per-step recording: the engine records a block of steps at a time and
+keeps reductions of its slacks and resolved times; ``per_step_traces``
+recomputes every record of a run one row and one step at a time, from
+public calls, with the dense per-step arrays it reduces, as the oracle of
+that block pass. ``capture_records`` collects the engine's own per-step
+slacks and per-block resolved times while it runs.
 """
 
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
+import asaddle.saddle
 from asaddle.apps.pricing import PricingConfig
+from asaddle.delay import resolve
 from asaddle.graph import NetworkGraph, closed_neighborhood
+from asaddle.metrics import delayed_violation
 from asaddle.problem import (ConstraintFamily, NodeObservations, ProblemSpec, objective_sum,
                              sample_observation, stack_leaves)
 from asaddle.saddle import SaddleEngine, domain_residual
@@ -250,22 +257,26 @@ def as_neighborhood(spec: ProblemSpec, cfg) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 
 def per_step_traces(spec: ProblemSpec, hp, schedules, seeds, evaluator=None, thin_every: int = 50,
-                    record_current_slack: bool = True, steps: int | None = None) -> list:
+                    record_current_slack: bool = False, steps: int | None = None):
     """Every lane's RunTrace after ``steps`` steps (default: all), each
-    record recomputed on its own: a hook keeps every row's (x_t, lam_t),
-    and per lane and row the dual norm (``np.linalg.norm``) and minimum,
-    ``ExpectedObjective.value`` and the thinned snapshots and domain
-    residual; per step, from every node's ``sample_observation``,
-    ``objective_sum`` and the fresh slack at (x_k, theta_k), and the
-    delayed slack at each node's resolved time. Only the resolved times
-    are the engine's."""
+    record recomputed on its own, and every lane's dense (delayed slack
+    (T, M), resolved times (T, N)) pair. A hook keeps every row's
+    (x_t, lam_t); per lane and row, the dual norm (``np.linalg.norm``) and
+    minimum, ``ExpectedObjective.value`` and the thinned snapshots and
+    domain residual; per step, each node's resolved time (``delay.resolve``
+    one step at a time, carried from 0; the step itself without a schedule),
+    and from every node's ``sample_observation``, ``objective_sum``, the
+    fresh slack at (x_k, theta_k) and the delayed slack at the resolved
+    times. The violation, staleness and finiteness records come from those
+    dense arrays (``metrics.delayed_violation``). Only the iterates are the
+    engine's."""
     rows = []
     engine = SaddleEngine(spec, hp, list(schedules), list(seeds),
                           hooks=[lambda t, state: rows.append((state.x.copy(), state.lam.copy()))])
     engine.run(steps)
     T, n, c, m = engine.state.t, spec.graph.n_nodes, int(spec.offsets[-1]), spec.constraints.size
-    out = []
-    for s, (schedule, seed, trace) in enumerate(zip(schedules, seeds, engine.traces())):
+    traces, dense = [], []
+    for s, (schedule, seed) in enumerate(zip(schedules, seeds)):
         xs = [x[s * c:(s + 1) * c] for x, _ in rows]
         lams = [lam[s * m:(s + 1) * m] for _, lam in rows]
 
@@ -279,23 +290,77 @@ def per_step_traces(spec: ProblemSpec, hp, schedules, seeds, evaluator=None, thi
             if thin_every and (t % thin_every == 0 or t == hp.T):
                 snapshots[t] = xs[t].copy()
                 residual = float(np.maximum(residual, domain_residual(spec, xs[t])))
+        resolved, chain = np.zeros((T, n), dtype=int), np.zeros(n, dtype=int)
         delayed, current, obj = np.zeros((T, m)), np.zeros((T, m)), np.zeros(T)
         for k in range(T):
+            if schedule is not None:
+                chain = resolve(schedule, [k], np.arange(n), chain)[0]
+            resolved[k] = k if schedule is None else chain
             theta = observed([k] * n)
             obj[k] = objective_sum(spec, xs[k], theta)
             current[k] = spec.constraints.slack(xs[k], theta)
-            res = trace.resolved[k]
+            res = resolved[k]
             x_eval = np.concatenate([xs[res[i]][spec.offsets[i]:spec.offsets[i + 1]] for i in range(n)])
             delayed[k] = spec.constraints.slack(x_eval, observed(res))
-        out.append(RunTrace(
+        current = current if record_current_slack else None
+        traces.append(RunTrace(
             name=spec.name, seed=seed, T=T, n_nodes=n,
             tau_bound=0 if schedule is None else schedule.tau_max,
             mode="sync" if schedule is None else "async",
             F_hat=None if evaluator is None else np.array([evaluator.value(x) for x in xs]),
             obj_sample=obj, lambda_norm=np.array([np.linalg.norm(lam) for lam in lams]),
             lambda_min=np.array([np.min(lam, initial=0.0) for lam in lams]),
-            delayed_slack=delayed, current_slack=current if record_current_slack else None,
-            resolved=trace.resolved, staleness=np.arange(T)[:, None] - trace.resolved,
+            violation_cumclip=delayed_violation(delayed)[1],
+            max_staleness=(np.arange(T)[:, None] - resolved).max(axis=1),
+            staleness_monotone=bool(np.all(np.diff(resolved, axis=0, prepend=0) >= 0)),
+            slack_finite=bool(np.isfinite(delayed).all() and (current is None or np.isfinite(current).all())),
+            current_slack=current,
             x_snapshots=snapshots, x_final=spec.rows(xs[T].copy()), lam_final=lams[T].copy(),
             domain_residual_max=residual))
-    return out
+        dense.append((delayed, resolved))
+    return traces, dense
+
+
+@dataclass
+class Captured:
+    """What the engine computed while captured, in call order: the delayed
+    slack of every step as ``dual_slack`` returned it, (S*M,) over the
+    lanes, and every block's resolved times as ``resolve`` returned them,
+    one (B, N) array per lane and block."""
+
+    slacks: list = field(default_factory=list)
+    resolved: list = field(default_factory=list)
+
+    def delayed_slack(self, lanes: int = 1) -> list:
+        """Each lane's (T, M) delayed slack of every step."""
+        steps = np.array(self.slacks).reshape(len(self.slacks), lanes, -1)
+        return [np.ascontiguousarray(steps[:, s]) for s in range(lanes)]
+
+    def resolved_times(self, lanes: int = 1) -> list:
+        """Each lane's (T, N) resolved times, its blocks in turn."""
+        return [np.concatenate(self.resolved[s::lanes]) for s in range(lanes)]
+
+
+@contextmanager
+def capture_records():
+    """Capture the delayed slacks and resolved times of every engine that
+    runs inside the block, through the names its step and its block start
+    call: ``asaddle.saddle.dual_slack`` and ``asaddle.saddle.resolve``."""
+    got = Captured()
+    dual_slack, resolve_block = asaddle.saddle.dual_slack, asaddle.saddle.resolve
+
+    def slack(*args):
+        out = dual_slack(*args)
+        got.slacks.append(out.copy())
+        return out
+
+    def resolved(*args):
+        out = resolve_block(*args)
+        got.resolved.append(out.copy())
+        return out
+
+    asaddle.saddle.dual_slack, asaddle.saddle.resolve = slack, resolved
+    try:
+        yield got
+    finally:
+        asaddle.saddle.dual_slack, asaddle.saddle.resolve = dual_slack, resolve_block

@@ -17,13 +17,13 @@ from asaddle.apps.pricing import (PricingConfig, build_pricing_problem, naive_ba
 from asaddle.delay import DelaySchedule
 from asaddle.errors import NoFeasibleDelta
 from asaddle.graph import build_graph, ring_edges
-from asaddle.metrics import (AssumptionEstimates, audit_invariants, delayed_violation,
-                             estimate_optimum, fit_rate, running_suboptimality)
+from asaddle.metrics import (AssumptionEstimates, audit_invariants, estimate_optimum, fit_rate,
+                             running_suboptimality)
 from asaddle.problem import ExpectedObjective, project, sample_observation
 from asaddle.saddle import Hyperparams, advise, run, run_lanes
 
 from conftest import SMALL_CONSENSUS_CFG, assert_grad_close, central_difference
-from reference import as_neighborhood
+from reference import as_neighborhood, capture_records
 from test_problem import DOMAINS, slsqp_projection
 
 SEEDS5 = (0, 1, 2, 3, 4)
@@ -67,7 +67,7 @@ def consensus_bundle():
     _register("consensus_rates", traces)
     mean_fhat = np.mean([tr.F_hat for tr in traces], axis=0)
     cum_subopt = np.cumsum(mean_fhat[1:] - f_star)
-    mean_violation = np.mean([delayed_violation(tr)[1] for tr in traces], axis=0)
+    mean_violation = np.mean([tr.violation_cumclip for tr in traces], axis=0)
     return {
         "f_star": f_star,
         "cum_subopt": cum_subopt,
@@ -87,7 +87,8 @@ def pricing_sinr_bundle():
     T = 50000
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     traces = run_lanes(spec, hp, [DelaySchedule(kind="uniform_random", tau_max=10, seed=s)
-                                  for s in SEEDS5], SEEDS5, evaluator=None, thin_every=1000)
+                                  for s in SEEDS5], SEEDS5, evaluator=None, thin_every=1000,
+                       record_current_slack=True)
     sinr = np.mean([sinr_report(cfg, tr) for tr in traces], axis=0)
     naive = naive_baseline(cfg, seed=EVAL_SEED, T=T)
     elapsed = time.perf_counter() - start
@@ -156,14 +157,17 @@ def test_criterion_1_zero_delay_bitwise_equivalence():
     traces = []
     # two bundles: in one bundle with zero-delay lanes, a sync lane would run
     # as a zero-delay lane itself
-    syncs = run_lanes(spec, hp, [None] * 5, SEEDS5, thin_every=1)
-    asyncs = run_lanes(spec, hp, [DelaySchedule(kind="zero")] * 5, SEEDS5, thin_every=1)
-    for sync, asyn in zip(syncs, asyncs):
+    with capture_records() as sync_slacks:
+        syncs = run_lanes(spec, hp, [None] * 5, SEEDS5, thin_every=1)
+    with capture_records() as async_slacks:
+        asyncs = run_lanes(spec, hp, [DelaySchedule(kind="zero")] * 5, SEEDS5, thin_every=1)
+    for sync, asyn, s_slack, a_slack in zip(syncs, asyncs, sync_slacks.delayed_slack(5),
+                                            async_slacks.delayed_slack(5)):
         traces += [sync, asyn]
         for t in sync.x_snapshots:
             identical &= bool(np.array_equal(sync.x_snapshots[t], asyn.x_snapshots[t]))
         identical &= bool(np.array_equal(sync.lambda_norm, asyn.lambda_norm))
-        identical &= bool(np.array_equal(sync.delayed_slack, asyn.delayed_slack))
+        identical &= s_slack.tobytes() == a_slack.tobytes()
     elapsed = time.perf_counter() - start
     _register("zero_delay_equivalence", traces)
     ok = identical and elapsed < 10.0

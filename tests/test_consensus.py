@@ -9,7 +9,7 @@ from asaddle.graph import build_graph, path_edges, ring_edges
 from asaddle.problem import (ConstraintFamily, DomainSpec, Objective, ProblemSpec,
                              Sampler, sample_observation)
 from asaddle.saddle import Hyperparams, run
-from reference import observations
+from reference import capture_records, observations
 
 
 def test_ring_weights_nearby_nodes_similar():
@@ -154,15 +154,19 @@ def test_delay_longer_than_an_observation_block_replays(small_consensus_spec):
 
     spec, tau, seed = small_consensus_spec, OBS_BLOCK + 6, 5
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=2 * OBS_BLOCK + 30)
-    trace = run(spec, hp, DelaySchedule(kind="fixed", tau_max=tau, node_taus=(tau, 3, 0)),
-                seed=seed, thin_every=1)
+    with capture_records() as captured:
+        trace = run(spec, hp, DelaySchedule(kind="fixed", tau_max=tau, node_taus=(tau, 3, 0)),
+                    seed=seed, thin_every=1)
     assert audit_invariants(trace).ok
-    assert trace.staleness.max() > OBS_BLOCK
+    resolved, delayed = captured.resolved_times()[0], captured.delayed_slack()[0]
+    staleness = np.arange(hp.T)[:, None] - resolved
+    assert staleness.max() > OBS_BLOCK
+    assert trace.max_staleness.tobytes() == staleness.max(axis=1).tobytes()
     for k in range(0, hp.T, 7):
-        res = trace.resolved[k]
+        res = resolved[k]
         x = np.concatenate([spec.rows(trace.x_snapshots[int(r)])[i] for i, r in enumerate(res)])
         ths = observations([sample_observation(spec, seed, i, int(r)) for i, r in enumerate(res)])
-        assert np.allclose(trace.delayed_slack[k], spec.constraints.slack(x, ths),
+        assert np.allclose(delayed[k], spec.constraints.slack(x, ths),
                            rtol=0.0, atol=1e-12)
         assert trace.obj_sample[k] == pytest.approx(_objective_replay(spec, trace, seed, k),
                                                     rel=1e-12, abs=1e-12)

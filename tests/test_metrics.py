@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asaddle.apps.pricing import PricingConfig, build_pricing_problem
 from asaddle.delay import DelaySchedule
@@ -13,6 +14,7 @@ from asaddle.metrics import (AssumptionEstimates, audit_assumptions,
                              estimate_optimum, fit_rate, running_suboptimality)
 from asaddle.problem import DomainSpec, ExpectedObjective, Objective, ProblemSpec, Sampler, project
 from asaddle.saddle import Hyperparams, advise, run
+from asaddle.trace import running_violation
 from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG
 from reference import NeighborhoodConstraint, as_neighborhood, no_constraints, node_constraints
 
@@ -77,6 +79,29 @@ def test_delayed_violation_hand_cases():
     alt = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     _, agg = delayed_violation(alt)
     assert agg.tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.integers(1, 300), lanes=st.integers(1, 4), m=st.integers(0, 40),
+       seed=st.integers(0, 2**32), cuts=st.lists(st.integers(1, 299), max_size=6))
+def test_violation_by_block_is_the_whole_run_violation(T, lanes, m, seed, cuts):
+    # a run reduces its slacks block by block, carrying the running sum; the
+    # records equal one cumsum, clip and sum over the whole run, and so does
+    # delayed_violation, which starts from -0.0; signed zeros included
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(T, lanes, m)) * rng.choice([1e-3, 1.0, 1e3], size=(T, lanes, m))
+    s[rng.random(s.shape) < 0.1] = -0.0
+    s[rng.random(s.shape) < 0.1] = 0.0
+    got, carry, a = np.empty((lanes, T)), np.full((lanes, m), -0.0), 0
+    for end in sorted({c for c in cuts if c < T} | {T}):
+        clipped, carry = running_violation(s[a:end], carry)
+        got[:, a:end], a = clipped.sum(axis=2).T, end
+    assert carry.tobytes() == np.cumsum(s, axis=0)[-1].tobytes()  # the carried sum, its zeros' signs too
+    for lane in range(lanes):
+        alone = np.ascontiguousarray(s[:, lane])
+        want = np.maximum(np.cumsum(alone, axis=0), 0.0).sum(axis=1)
+        assert got[lane].tobytes() == want.tobytes()
+        assert delayed_violation(alone)[1].tobytes() == want.tobytes()
 
 
 def test_cumulative_suboptimality():
@@ -354,6 +379,58 @@ def test_audit_invariants_clean_run(small_consensus_spec):
     assert audit.ok
     assert audit.max_staleness <= 4
     assert audit.min_dual >= 0.0
+
+
+def _fixed_tau_run(spec, monkeypatch, resolved):
+    """A run at fixed delays 4 whose step reads at ``resolved(times, nodes)``
+    instead of the schedule's resolved times."""
+    import asaddle.saddle as saddle
+    monkeypatch.setattr(saddle, "resolve", lambda schedule, times, nodes, prev: resolved(
+        np.asarray(times)[:, None] + np.zeros(len(nodes), dtype=int)))
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=150)
+    return run(spec, hp, DelaySchedule(kind="fixed", tau_max=4), seed=0)
+
+
+def test_audit_catches_resolved_times_that_go_back(small_consensus_spec, monkeypatch):
+    # the run keeps no resolved times, so a bad table can only come from
+    # resolve itself: t at even and t - 2 at odd steps (0, 0, 2, 1, 4, 3, ...)
+    audit = audit_invariants(_fixed_tau_run(small_consensus_spec, monkeypatch,
+                                            lambda t: np.maximum(t - 2 * (t % 2), 0)))
+    assert not audit.staleness_monotone and not audit.ok
+    assert audit.staleness_bounded and audit.max_staleness == 2
+
+
+def test_audit_catches_resolved_times_beyond_tau(small_consensus_spec, monkeypatch):
+    trace = _fixed_tau_run(small_consensus_spec, monkeypatch, lambda t: np.maximum(t - 5, 0))
+    audit = audit_invariants(trace)
+    assert not audit.staleness_bounded and not audit.ok
+    assert audit.staleness_monotone and audit.max_staleness == 5
+    assert trace.max_staleness.tolist() == np.minimum(np.arange(150), 5).tolist()
+
+
+@pytest.mark.parametrize("tau", [None, 3], ids=["sync", "tau3"])
+def test_audit_catches_a_minus_inf_slack(small_consensus_spec, monkeypatch, tau):
+    # the dual update clips a -inf slack to 0 and the clipped violation stays
+    # finite, so only the run's record of its slacks shows it
+    import asaddle.saddle as saddle
+    dual_slack, steps = saddle.dual_slack, []
+
+    def one_minus_inf(spec, x, ths):
+        steps.append(len(steps))
+        out = dual_slack(spec, x, ths)
+        if len(steps) == 40:
+            out = out.copy()
+            out[1] = -np.inf
+        return out
+
+    monkeypatch.setattr(saddle, "dual_slack", one_minus_inf)
+    hp = Hyperparams(epsilon=0.05, delta=1e-5, T=100)
+    trace = run(small_consensus_spec, hp, None if tau is None else DelaySchedule(kind="fixed", tau_max=tau),
+                seed=0, record_current_slack=True)
+    assert np.isfinite(trace.lambda_norm).all() and np.isfinite(trace.violation_cumclip).all()
+    audit = audit_invariants(trace)
+    assert not audit.finite and not audit.ok
+    assert audit.dual_nonnegative and audit.staleness_bounded and audit.staleness_monotone
 
 
 def test_audit_catches_an_iterate_outside_its_box(monkeypatch):

@@ -224,7 +224,7 @@ def test_prices_pinned_at_cap_beat_naive(cfg):
     pinned = PricingConfig(x0=((20.0,), (10.0, 10.0), (20.0,)))
     spec = build_pricing_problem(pinned)
     hp = Hyperparams(epsilon=1e-9, delta=0.0, T=400)
-    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=0, record_current_slack=True)
     sinr = sinr_report(pinned, trace)
     naive = naive_baseline(pinned, seed=0, T=50000)
     assert np.all(sinr >= naive)
@@ -237,7 +237,7 @@ def test_interference_settles_within_margin_tolerance():
     T = 20000
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=T)
     trace = run(spec, hp, DelaySchedule(kind="uniform_random", tau_max=10, seed=1),
-                seed=1, thin_every=0)
+                seed=1, thin_every=0, record_current_slack=True)
     series = interference_series(low_start, trace)
     final_quarter = series[3 * T // 4:].mean(axis=0)
     for i in range(2):
@@ -246,7 +246,13 @@ def test_interference_settles_within_margin_tolerance():
 
 def test_interference_series_matches_slots(cfg, spec):
     hp = Hyperparams(epsilon=0.01, delta=1e-5, T=50)
-    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=3)
+    trace = run(spec, hp, DelaySchedule(kind="zero"), seed=3, record_current_slack=True)
     series = interference_series(cfg, trace)
     assert series.shape == (50, 2)
     assert np.all(series >= 0.0)  # interference is a sum of nonnegative terms
+
+
+def test_interference_of_a_run_without_fresh_slack_is_an_invalid_config(cfg, spec):
+    trace = run(spec, Hyperparams(epsilon=0.01, delta=1e-5, T=10), None, seed=3)
+    with pytest.raises(InvalidConfig, match="record_current_slack=True"):
+        sinr_report(cfg, trace)

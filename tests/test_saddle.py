@@ -15,8 +15,8 @@ from asaddle.saddle import (Hyperparams, SaddleEngine, SaddleState, advise,
                             dual_slack, dual_step, primal_gradient, primal_step, run,
                             run_lanes, stochastic_lagrangian)
 from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG
-from reference import (NeighborhoodConstraint, as_neighborhood, from_per_node, no_constraints,
-                       observations, per_step_traces)
+from reference import (NeighborhoodConstraint, as_neighborhood, capture_records, from_per_node,
+                       no_constraints, observations, per_step_traces)
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +151,35 @@ def test_run_T0_has_only_initial_state(small_consensus_spec):
     hp = Hyperparams(epsilon=0.1, delta=0.0, T=0)
     trace = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed=0)
     assert trace.n_rows == 1
-    assert trace.delayed_slack.shape == (0, small_consensus_spec.graph.n_edges)
+    assert trace.violation_cumclip.shape == trace.max_staleness.shape == (0,)
 
 
 def test_run_deterministic_given_seed(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=100)
     sched = DelaySchedule(kind="uniform_random", tau_max=4, seed=3)
-    t1 = run(small_consensus_spec, hp, sched, seed=7, thin_every=1)
-    t2 = run(small_consensus_spec, hp, DelaySchedule(kind="uniform_random", tau_max=4, seed=3),
-             seed=7, thin_every=1)
+    with capture_records() as c1:
+        t1 = run(small_consensus_spec, hp, sched, seed=7, thin_every=1)
+    with capture_records() as c2:
+        t2 = run(small_consensus_spec, hp, DelaySchedule(kind="uniform_random", tau_max=4, seed=3),
+                 seed=7, thin_every=1)
     for t in t1.x_snapshots:
         assert np.array_equal(t1.x_snapshots[t], t2.x_snapshots[t])
     assert np.array_equal(t1.lambda_norm, t2.lambda_norm)
-    assert np.array_equal(t1.delayed_slack, t2.delayed_slack)
+    assert c1.delayed_slack()[0].tobytes() == c2.delayed_slack()[0].tobytes()
+    assert c1.resolved_times()[0].tobytes() == c2.resolved_times()[0].tobytes()
 
 
 def test_zero_delay_matches_synchronous_bitwise(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=200)
     for seed in range(3):
-        sync = run(small_consensus_spec, hp, None, seed, thin_every=1)
-        asyn = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed, thin_every=1)
+        with capture_records() as c_sync:
+            sync = run(small_consensus_spec, hp, None, seed, thin_every=1)
+        with capture_records() as c_async:
+            asyn = run(small_consensus_spec, hp, DelaySchedule(kind="zero"), seed, thin_every=1)
         for t in sync.x_snapshots:
             assert np.array_equal(sync.x_snapshots[t], asyn.x_snapshots[t])
         assert np.array_equal(sync.lambda_norm, asyn.lambda_norm)
-        assert np.array_equal(sync.delayed_slack, asyn.delayed_slack)
+        assert c_sync.delayed_slack()[0].tobytes() == c_async.delayed_slack()[0].tobytes()
 
 
 def test_pairwise_matches_neighborhood_encoding(small_consensus_spec):
@@ -237,18 +242,20 @@ def test_generalized_single_node_reduces_to_projected_sgd():
 def test_engine_stepwise_matches_one_shot(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=80)
     sched = DelaySchedule(kind="uniform_random", tau_max=4, seed=6)
-    one_shot = run(small_consensus_spec, hp, sched, seed=9, thin_every=1)
+    with capture_records() as c_one_shot:
+        one_shot = run(small_consensus_spec, hp, sched, seed=9, thin_every=1)
 
     engine = SaddleEngine(small_consensus_spec, hp,
                           DelaySchedule(kind="uniform_random", tau_max=4, seed=6),
                           seed=9, thin_every=1)
-    mid = engine.run(30).trace()
-    assert mid.T == 30 and mid.n_rows == 31
-    for _ in range(50):
-        engine.step()
+    with capture_records() as c_stepwise:
+        mid = engine.run(30).trace()
+        assert mid.T == 30 and mid.n_rows == 31
+        for _ in range(50):
+            engine.step()
     full = engine.trace()
     assert np.array_equal(full.lambda_norm, one_shot.lambda_norm)
-    assert np.array_equal(full.delayed_slack, one_shot.delayed_slack)
+    assert c_stepwise.delayed_slack()[0].tobytes() == c_one_shot.delayed_slack()[0].tobytes()
     for t in one_shot.x_snapshots:
         assert np.array_equal(full.x_snapshots[t], one_shot.x_snapshots[t])
     with pytest.raises(IndexError):
@@ -299,10 +306,15 @@ def test_non_finite_update_names_the_node():
 def test_staleness_monotone_and_bounded(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=300)
     sched = DelaySchedule(kind="uniform_random", tau_max=6, seed=1)
-    trace = run(small_consensus_spec, hp, sched, seed=4)
-    assert np.all(np.diff(trace.resolved, axis=0) >= 0)
-    assert trace.staleness.max() <= 6
-    assert np.all(trace.staleness >= 0)
+    with capture_records() as captured:
+        trace = run(small_consensus_spec, hp, sched, seed=4)
+    resolved = captured.resolved_times()[0]
+    staleness = np.arange(hp.T)[:, None] - resolved
+    assert np.all(np.diff(resolved, axis=0) >= 0)
+    assert staleness.max() <= 6
+    assert np.all(staleness >= 0)
+    assert trace.staleness_monotone and trace.max_staleness.max() <= 6
+    assert trace.max_staleness.tobytes() == staleness.max(axis=1).tobytes()
 
 
 def test_custom_table_of_exactly_T_rows(small_consensus_spec):
@@ -311,13 +323,15 @@ def test_custom_table_of_exactly_T_rows(small_consensus_spec):
     T = 2 * OBS_BLOCK + 11
     table = np.random.default_rng(0).integers(0, 9, size=(T, 3))
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=T)
-    trace = run(small_consensus_spec, hp,
-                DelaySchedule(kind="custom_table", tau_max=8, table=table), seed=1)
+    with capture_records() as captured:
+        run(small_consensus_spec, hp, DelaySchedule(kind="custom_table", tau_max=8, table=table), seed=1)
+    resolved = captured.resolved_times()[0]
+    assert resolved.shape == (T, 3)
     sched = DelaySchedule(kind="custom_table", tau_max=8, table=table)
     chain = np.zeros(3, dtype=int)
     for t in range(T):
         chain = resolve(sched, [t], np.arange(3), chain)[0]
-        assert trace.resolved[t].tolist() == chain.tolist(), t
+        assert resolved[t].tolist() == chain.tolist(), t
     # one row short: the engine stops at the start of the block holding row T - 1
     engine = SaddleEngine(small_consensus_spec, hp,
                           DelaySchedule(kind="custom_table", tau_max=8, table=table[:-1]), seed=1)
@@ -346,7 +360,7 @@ def test_a_schedule_for_fewer_nodes_than_the_network_is_a_dimension_mismatch(sho
     wide = (DelaySchedule(kind="fixed", tau_max=4, node_taus=(1, 2, 4, 0, 3, 2))
             if short.kind == "fixed" else
             DelaySchedule(kind="custom_table", tau_max=4, table=np.full((100, 6), 2)))
-    assert run(spec, hp, wide, seed=7).staleness.max() > 0
+    assert run(spec, hp, wide, seed=7).max_staleness.max() > 0
 
 
 def test_rings_are_written_and_delays_resolved_once_per_block(monkeypatch):
@@ -373,6 +387,26 @@ def test_rings_are_written_and_delays_resolved_once_per_block(monkeypatch):
     resolves.clear()
     engine = SaddleEngine(spec, hp, [None] * S, list(range(S))).run()
     assert engine._x_window.shape == (OBS_BLOCK, S * sum(spec.dims)) and resolves == []
+    assert engine._res_window is None  # and stores no resolved times
+
+
+@pytest.mark.parametrize("tau", [None, 10], ids=["sync", "tau10"])
+def test_engine_arrays_grow_by_a_few_numbers_per_step(tau):
+    # a run keeps per-row series and reductions, and its windows are set by
+    # tau: on a 50-node ring the engine's arrays grow by at most 8 numbers
+    # (64 bytes) per step from T=640 to T=6400 (1224 with a dense slack and
+    # resolved times per step)
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    from asaddle.graph import ring_edges
+    spec = build_consensus_problem(ConsensusRegressionConfig(), build_graph(50, ring_edges(50)))
+
+    def held(T):
+        hp = Hyperparams(epsilon=0.05, delta=1e-5, T=T)
+        engine = SaddleEngine(spec, hp, None if tau is None else uniform(tau, 0), seed=0, thin_every=0)
+        engine.run()
+        return sum(v.nbytes for v in vars(engine).values() if isinstance(v, np.ndarray))
+
+    assert held(6400) - held(640) <= 64 * (6400 - 640)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +429,32 @@ def assert_traces_identical(a, b):
             assert va == vb, name
 
 
+def assert_captured_identical(a, b):
+    """Two captures of the same steps hold the same delayed slacks and resolved times."""
+    for mine, theirs in ((a.slacks, b.slacks), (a.resolved, b.resolved)):
+        assert [x.tobytes() for x in mine] == [x.tobytes() for x in theirs]
+
+
 def assert_lanes_match_solo(spec, hp, schedules, seeds, **kwargs):
-    lanes = run_lanes(spec, hp, schedules, seeds, **kwargs)
+    # the traces, the fresh slack included, and the delayed slacks and resolved
+    # times the step used; a sync lane of a bundle with stale lanes resolves
+    # every step to itself and scores its fresh slack through the tiled family,
+    # where its solo run copies the delayed slack
+    kwargs.setdefault("record_current_slack", True)
+    with capture_records() as bundle:
+        lanes = run_lanes(spec, hp, schedules, seeds, **kwargs)
     assert [tr.seed for tr in lanes] == list(seeds)
-    for schedule, seed, trace in zip(schedules, seeds, lanes):
-        assert_traces_identical(trace, run(spec, hp, schedule, seed, **kwargs))
+    S, n = len(seeds), spec.graph.n_nodes
+    slacks = bundle.delayed_slack(S)
+    resolved = bundle.resolved_times(S) if bundle.resolved else None
+    for s, (schedule, seed, trace) in enumerate(zip(schedules, seeds, lanes)):
+        with capture_records() as solo:
+            assert_traces_identical(trace, run(spec, hp, schedule, seed, **kwargs))
+        assert slacks[s].tobytes() == solo.delayed_slack()[0].tobytes()
+        if resolved is not None:
+            times = np.repeat(np.arange(hp.T), n).reshape(hp.T, n)
+            want = times if schedule is None else solo.resolved_times()[0]
+            assert resolved[s].tobytes() == want.tobytes()
     return lanes
 
 
@@ -436,7 +491,7 @@ def test_lanes_with_delays_longer_than_an_observation_block():
     hp = Hyperparams(epsilon=0.3, delta=1e-5, T=3 * OBS_BLOCK)
     lanes = assert_lanes_match_solo(spec, hp, [DelaySchedule(kind="fixed", tau_max=tau),
                                                uniform(tau, 9)], [8, 9])
-    assert lanes[0].staleness.max() == tau
+    assert lanes[0].max_staleness.max() == tau
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
@@ -451,11 +506,16 @@ def test_own_objective_instances_give_the_shared_instance_bits(consensus_spec, a
     hp = Hyperparams(epsilon=0.05 if app == "consensus" else 0.3, delta=1e-5, T=150)
     seeds = list(range(lanes))
     for schedules in ([None] * lanes, [uniform(4, s) for s in seeds]):
-        shared, owned = (run_lanes(p, hp, schedules, seeds, thin_every=7, record_current_slack=True,
+        runs = []
+        for p in (spec, own):
+            with capture_records() as captured:
+                traces = run_lanes(p, hp, schedules, seeds, thin_every=7, record_current_slack=True,
                                    evaluator=ExpectedObjective(p, mc_samples=64, seed=1))
-                         for p in (spec, own))
+            runs.append((traces, captured))
+        (shared, c_shared), (owned, c_owned) = runs
         for a, b in zip(shared, owned, strict=True):
             assert_traces_identical(a, b)
+        assert_captured_identical(c_shared, c_owned)
 
 
 # observation windows one to three blocks deep, each filled past its depth
@@ -465,7 +525,7 @@ def test_lanes_match_solo_runs_at_delays_around_a_block(tau):
     hp = Hyperparams(epsilon=0.3, delta=1e-5, T=5 * OBS_BLOCK + 3)
     lanes = assert_lanes_match_solo(spec, hp, [DelaySchedule(kind="fixed", tau_max=tau),
                                                uniform(tau, 9)], [8, 9])
-    assert lanes[0].staleness.max() == tau
+    assert lanes[0].max_staleness.max() == tau
 
 
 def test_a_delay_beyond_the_observation_window_is_out_of_window(small_consensus_spec):
@@ -488,24 +548,34 @@ def test_a_delay_beyond_the_observation_window_is_out_of_window(small_consensus_
 def test_block_records_equal_per_step_records(consensus_spec, app, tau, lanes, T):
     # every record of the block pass against its per-step recomputation, for a
     # horizon on a block boundary (its last block recorded by traces() alone)
-    # and one past it
+    # and one past it; the fresh slack of a sync run is its delayed slack
     spec = consensus_spec if app == "consensus" else build_pricing_problem(PricingConfig())
     hp = Hyperparams(epsilon=0.05 if app == "consensus" else 0.3, delta=1e-5, T=T)
     seeds = list(range(lanes))
     schedules = [None if tau is None else uniform(tau, s) for s in seeds]
-    kwargs = dict(evaluator=ExpectedObjective(spec, mc_samples=64, seed=1), thin_every=7)
-    full = run_lanes(spec, hp, schedules, seeds, **kwargs)
-    for got, want in zip(full, per_step_traces(spec, hp, schedules, seeds, **kwargs), strict=True):
+    kwargs = dict(evaluator=ExpectedObjective(spec, mc_samples=64, seed=1), thin_every=7,
+                  record_current_slack=True)
+    with capture_records() as captured:
+        full = run_lanes(spec, hp, schedules, seeds, **kwargs)
+    oracle, dense = per_step_traces(spec, hp, schedules, seeds, **kwargs)
+    slacks = captured.delayed_slack(lanes)
+    resolved = None if tau is None else captured.resolved_times(lanes)
+    assert tau is not None or captured.resolved == []  # a sync run resolves nothing
+    for s, (got, want, (delayed, times)) in enumerate(zip(full, oracle, dense, strict=True)):
         assert_traces_identical(got, want)
+        assert slacks[s].tobytes() == delayed.tobytes()
+        assert tau is None or resolved[s].tobytes() == times.tobytes()
     # a read inside the last block records the rows before it and its own row
     # from the state; the run then goes on as if it had not been read
     mid = T - 24
     engine = SaddleEngine(spec, hp, schedules, seeds, **kwargs)
-    oracle = per_step_traces(spec, hp, schedules, seeds, steps=mid, **kwargs)
-    for got, want in zip(engine.run(mid).traces(), oracle, strict=True):
-        assert_traces_identical(got, want)
-    for got, want in zip(engine.run().traces(), full, strict=True):
-        assert_traces_identical(got, want)
+    oracle, _ = per_step_traces(spec, hp, schedules, seeds, steps=mid, **kwargs)
+    with capture_records() as read_mid:
+        for got, want in zip(engine.run(mid).traces(), oracle, strict=True):
+            assert_traces_identical(got, want)
+        for got, want in zip(engine.run().traces(), full, strict=True):
+            assert_traces_identical(got, want)
+    assert_captured_identical(read_mid, captured)
 
 
 @settings(max_examples=80, deadline=None)
@@ -523,18 +593,24 @@ def test_mixed_sync_and_async_lanes(consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=120)
     seeds = [6, 7, 6, 7]
     lanes = assert_lanes_match_solo(consensus_spec, hp, [None, None, uniform(6, 6), uniform(6, 7)],
-                                    seeds, thin_every=5)
+                                    seeds, thin_every=5, record_current_slack=True)
     for seed, trace in zip(seeds[:2], lanes[:2]):
-        assert trace.mode == "sync" and trace.tau_bound == 0
-        assert_traces_identical(trace, run(consensus_spec, hp, None, seed, thin_every=5))
+        assert trace.mode == "sync" and trace.tau_bound == 0 and trace.current_slack is not None
+        assert_traces_identical(trace, run(consensus_spec, hp, None, seed, thin_every=5,
+                                           record_current_slack=True))
     assert [tr.mode for tr in lanes[2:]] == ["async", "async"]
 
 
 def test_one_lane_engine_is_the_solo_engine(small_consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=90)
     assert_lanes_match_solo(small_consensus_spec, hp, [uniform(3, 2)], [2])
-    engine = SaddleEngine(small_consensus_spec, hp, [uniform(3, 2)], [2]).run()
-    assert_traces_identical(engine.trace(), run(small_consensus_spec, hp, uniform(3, 2), 2))
+    with capture_records() as c_engine:
+        engine = SaddleEngine(small_consensus_spec, hp, [uniform(3, 2)], [2],
+                              record_current_slack=True).run()
+    with capture_records() as c_run:
+        assert_traces_identical(engine.trace(), run(small_consensus_spec, hp, uniform(3, 2), 2,
+                                                    record_current_slack=True))
+    assert_captured_identical(c_engine, c_run)
     with pytest.raises(ValueError, match="traces"):
         SaddleEngine(small_consensus_spec, hp, [None, None], [0, 1]).trace()
 
@@ -542,9 +618,13 @@ def test_one_lane_engine_is_the_solo_engine(small_consensus_spec):
 def test_lanes_sharing_one_delay_seed(consensus_spec):
     hp = Hyperparams(epsilon=0.05, delta=1e-5, T=100)
     shared = uniform(5, 11)  # one schedule object for every lane, as a fixed delay seed gives
-    lanes = assert_lanes_match_solo(consensus_spec, hp, [shared] * 3, [0, 1, 2])
-    assert np.array_equal(lanes[0].resolved, lanes[2].resolved)
-    assert not np.array_equal(lanes[0].delayed_slack, lanes[2].delayed_slack)
+    assert_lanes_match_solo(consensus_spec, hp, [shared] * 3, [0, 1, 2])
+    with capture_records() as captured:
+        run_lanes(consensus_spec, hp, [shared] * 3, [0, 1, 2])
+    resolved, slack = captured.resolved_times(3), captured.delayed_slack(3)
+    assert resolved[0].shape == (hp.T, consensus_spec.graph.n_nodes)
+    assert resolved[0].tobytes() == resolved[2].tobytes()
+    assert slack[0].tobytes() != slack[2].tobytes()
 
 
 def test_non_finite_lane_names_its_seed():
