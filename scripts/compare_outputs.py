@@ -4,7 +4,7 @@
 
 Runs ``asaddle run``, ``compare``, ``advise`` and ``audit`` on every shipped
 config, ``run`` on the pricing config with ``--tau 70``, and ``run`` on the
-consensus config with ``--T 128``, in both
+consensus config with ``--T 128`` and with ``--T 4160``, in both
 checkouts, each from its own ``src/`` with one BLAS thread,
 and lists every output file that differs by a single byte or exists on one
 side only, with what differs in it: the columns of a CSV, the keys of a JSON
@@ -32,12 +32,14 @@ STDOUT_VERBS = ("advise", "audit")
 
 # (verb, config, extra arguments, output name): every verb on every config,
 # then a pricing run whose stale window (tau = 70) reaches two observation
-# blocks back, and a consensus run whose horizon ends on a block boundary, so
-# that its last block is recorded only when the traces are read
+# blocks back, a consensus run whose horizon ends on a block boundary, so
+# that its last block is recorded only when the traces are read, and one that
+# crosses the first 4096-step chunk of the random delays
 JOBS = tuple((verb, config, (), f"{os.path.splitext(config)[0]}-{verb}")
              for config in CONFIGS for verb in VERBS + STDOUT_VERBS) + (
     ("run", "pricing.json", ("--tau", "70"), "pricing-run-tau70"),
-    ("run", "consensus.json", ("--T", "128"), "consensus-run-T128"))
+    ("run", "consensus.json", ("--T", "128"), "consensus-run-T128"),
+    ("run", "consensus.json", ("--T", "4160"), "consensus-run-T4160"))
 
 
 def run_outputs(checkout: str, out_root: str, T: int) -> None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfWindow
+from .problem import keyed_generators
 
 __all__ = ["DelaySchedule", "StalenessBuffer", "resolve"]
 
@@ -89,17 +90,15 @@ class DelaySchedule:
         """(>= n_nodes, _CHUNK) uniform draws of ``block``; row i is node i's own substream.
 
         Only the block last asked for is kept: the clock moves forward, and an
-        earlier block is drawn again, identically, when asked for."""
-        table = self._chunks.get(block)
-        have = 0 if table is None else table.shape[0]
-        if have < n_nodes:
-            rows = [np.random.default_rng(np.random.SeedSequence(
-                        [_DELAY_STREAM, int(self.seed) & 0xFFFFFFFFFFFFFFFF, i, block]
-                    )).integers(0, self.tau_max + 1, size=_CHUNK)
-                    for i in range(have, n_nodes)]
-            table = np.stack(rows) if table is None else np.concatenate([table, np.stack(rows)])
+        earlier block, or one asked for with more nodes, is drawn again,
+        identically, into one table."""
+        if block not in self._chunks or len(self._chunks[block]) < n_nodes:
+            self._chunks = {}  # the old chunk goes before the new one is drawn
+            table = np.empty((n_nodes, _CHUNK), dtype=np.int64)
+            for row, rng in zip(table, keyed_generators(_DELAY_STREAM, [self.seed], range(n_nodes), block)):
+                row[:] = rng.integers(0, self.tau_max + 1, size=_CHUNK)
             self._chunks = {block: table}
-        return table
+        return self._chunks[block]
 
 
 def resolve(schedule: DelaySchedule, times, nodes, prev) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "coordinate_leaves",
     "sample_observation",
     "sample_rows",
+    "keyed_generators",
     "observation_block",
     "objective_grads",
     "objective_sum",
@@ -45,6 +46,7 @@ DEFAULT_MC_SAMPLES = 2000
 
 # distinct stream tags keep observation, delay and evaluation randomness disjoint
 _OBS_STREAM = 1
+_EVAL_STREAM = 2
 
 # rows per observation block: one generator per (seed, node, block) is spread
 # over this many steps while a block of a 500-node, p=4 problem stays ~1 MB
@@ -98,13 +100,17 @@ class DomainSpec:
         mid = 0.5 * (self.c_min + self.c_max)
         return np.full(self.dim, mid / self.dim)
 
-    def contains(self, u, tol: float = 1e-9) -> bool:
+    def contains(self, u, tol: float | None = None) -> bool:
+        """u lies in the domain up to ``tol``: by default 1e-9 for a box and,
+        for a sum interval, the slack ``project`` leaves a point in
+        (``_sum_tolerance``)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "box":
+            tol = 1e-9 if tol is None else tol
             return bool((u >= self.lo - tol).all() and (u <= self.hi + tol).all())
         # a sum of entries near the float range may overflow: not contained
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._sum_contains(u, tol)
+            return self._sum_contains(u, _sum_tolerance(self) if tol is None else tol)
 
     def _sum_contains(self, u: np.ndarray, tol: float) -> bool:
         """``contains`` for a sum interval, under the caller's ``np.errstate``."""
@@ -673,11 +679,87 @@ class NodeObservations:
         return tuple([leaf[sel, None] for leaf in self.leaves])
 
 
-def _block_rng(seed: int, node: int, block: int) -> np.random.Generator:
-    """Counter-based generator: identical (seed, node, block) -> identical stream."""
-    return np.random.default_rng(
-        np.random.SeedSequence([_OBS_STREAM, int(seed) & 0xFFFFFFFFFFFFFFFF, node, block])
-    )
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes a key's uint32
+# words into a pool of 4 words and expands the pool into PCG64's seed. Its hash
+# constants run through fixed chains (c, c*m, c*m^2, ... mod 2^32) whatever the
+# data, so the chains are built here once: _HASH_A for the pool (4 constants
+# a word, keys of up to 12 words) and _HASH_B for ``generate_state(4, uint64)``.
+_POOL = 4
+
+
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    return np.array([init * pow(mult, k, 1 << 32) % (1 << 32) for k in range(n)], np.uint32)[:, None]
+
+
+_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, _POOL * 12 + 1)
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHERS = [[d for d in range(_POOL) if d != s] for s in range(_POOL)]
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(words: np.ndarray, k: int, n: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``words`` with the hash constants k..k+n-1,
+    one per row of the result. uint32 arrays wrap without a warning."""
+    v = (words ^ _HASH_A[k:k + n]) * _HASH_A[k + 1:k + n + 1]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+def _pool_hash(words: np.ndarray) -> list:
+    """The 4 uint64 words of ``SeedSequence(key).generate_state(4, uint64)``
+    of every key, a column of ``words`` (w, keys) uint32, in one pass."""
+    pool = np.zeros((_POOL, words.shape[1]), np.uint32)
+    pool[:len(words)] = words[:_POOL]
+    pool, k = _hashmix(pool, 0, _POOL), _POOL
+    for src, dst in enumerate(_OTHERS):  # every word into the 3 others
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], k, _POOL - 1))
+        k += _POOL - 1
+    for word in words[_POOL:]:  # words past the pool, each into all 4
+        pool = _mix(pool, _hashmix(word, k, _POOL))
+        k += _POOL
+    out = (np.tile(pool, (2, 1)) ^ _HASH_B[:-1]) * _HASH_B[1:]
+    out ^= out >> 16
+    return np.ascontiguousarray(out.T).view("<u8").tolist()
+
+
+def keyed_generators(stream: int, seeds, nodes, *counters: int):
+    """One generator per key [stream, seed & (2^64 - 1), node, *counters] of
+    every seed of ``seeds`` and node of ``nodes``, seed after seed, each in
+    the state ``default_rng(SeedSequence(key))`` has, bit for bit.
+
+    SeedSequence takes an int as its little-endian uint32 words (0 as one
+    word); the keys are hashed in one numpy pass per word count. Every key
+    yields the same Generator, set to the key's state: draw from it before
+    taking the next."""
+    n = len(nodes)
+    key = np.empty((3 + len(counters), len(seeds) * n), np.uint64)
+    key[0] = stream
+    key[1] = np.repeat(np.array([int(s) & 0xFFFFFFFFFFFFFFFF for s in seeds], np.uint64), n)
+    key[2] = np.tile(np.asarray(nodes, np.uint64), len(seeds))
+    key[3:] = np.array(counters, np.uint64).reshape(-1, 1)
+    lo, hi = key.astype(np.uint32), (key >> np.uint64(32)).astype(np.uint32)
+    two = hi != 0
+    # one bit per part that takes two words; a sum and a set, where ``@`` and
+    # ``np.unique`` would each add ~0.4 MB to a run's peak RSS on first call
+    kinds = (two * (1 << np.arange(len(key)))[:, None]).sum(axis=0)
+    seeded = [None] * key.shape[1]
+    for kind in set(kinds.tolist()):
+        cols = np.flatnonzero(kinds == kind)
+        words = np.stack([w[p, cols] for p in range(len(key)) for w in (lo, hi)[:1 + two[p, cols[0]]]])
+        for j, (s0, s1, q0, q1) in zip(cols.tolist(), _pool_hash(words)):
+            inc = (((q0 << 64 | q1) << 1) | 1) & _MASK128
+            seeded[j] = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128, inc
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in seeded:
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _draw(sampler: Sampler, rng: np.random.Generator, n: int):
@@ -707,14 +789,18 @@ def coordinate_leaves(spec: ProblemSpec, leaves, axis: int, n: int):
     return leaves
 
 
-def observation_block(spec: ProblemSpec, seed: int, block: int):
+def observation_block(spec: ProblemSpec, seed, block: int):
     """Observations of steps block*OBS_BLOCK onward for every node, stacked
     leaf by leaf as (OBS_BLOCK, N, ...), or (OBS_BLOCK, C, ...) for leaves
     with one entry per coordinate of nodes of different dimensions
-    (``coordinate_leaves``)."""
-    leaves = stack_leaves([_draw(sampler, _block_rng(seed, node, block), OBS_BLOCK)
-                           for node, sampler in enumerate(spec.samplers)], axis=1)
-    return coordinate_leaves(spec, leaves, 1, spec.offsets[-1])
+    (``coordinate_leaves``). ``seed`` is one seed or, as ``SaddleEngine``
+    takes them, every lane's: the lanes' blocks then lie side by side, lane
+    after lane, (OBS_BLOCK, S*N, ...) or (OBS_BLOCK, S*C, ...)."""
+    seeds = list(seed) if np.ndim(seed) else [seed]
+    rngs = keyed_generators(_OBS_STREAM, seeds, range(spec.graph.n_nodes), block)
+    leaves = stack_leaves([_draw(sampler, rng, OBS_BLOCK)
+                           for sampler, rng in zip(spec.samplers * len(seeds), rngs)], axis=1)
+    return coordinate_leaves(spec, leaves, 1, len(seeds) * spec.offsets[-1])
 
 
 def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
@@ -724,7 +810,8 @@ def sample_observation(spec: ProblemSpec, seed: int, node: int, t: int):
     generator of (seed, node, t // OBS_BLOCK), so the value does not depend on
     the horizon, the number of nodes or what was drawn before."""
     block, row = divmod(t, OBS_BLOCK)
-    (drawn,) = _tuples([_draw(spec.samplers[node], _block_rng(seed, node, block), OBS_BLOCK)])
+    rng = next(keyed_generators(_OBS_STREAM, [seed], [node], block))
+    (drawn,) = _tuples([_draw(spec.samplers[node], rng, OBS_BLOCK)])
     return tuple([leaf[row] for leaf in drawn])
 
 
@@ -802,9 +889,6 @@ class ExpectedObjective:
         self._sampled = []  # (value, nodes, rows, sums, draws)
         S = self.mc_samples
 
-        def rng(node):
-            return np.random.default_rng(np.random.SeedSequence([2, int(seed) & 0xFFFFFFFFFFFFFFFF, node]))
-
         for obj, nodes, rows, sums in spec.objective_groups:
             members = _members(nodes, spec.graph.n_nodes)
             if obj.expected is not None and all(spec.samplers[i].law is not None for i in members):
@@ -812,7 +896,7 @@ class ExpectedObjective:
                 continue
             counts = [1 if spec.uniform else spec.dims[i] for i in members]
             o = list(accumulate(counts, initial=0))  # first row of each member
-            draws = self._stacked_draws(members, o, rng)
+            draws = self._stacked_draws(members, o, keyed_generators(_EVAL_STREAM, [seed], members))
             # evaluated in pieces of whole nodes with at most _EVAL_PIECE
             # rows x samples (one node's rows when they alone exceed it)
             per_piece = max(1, _EVAL_PIECE // (S * max(counts)))
@@ -833,14 +917,14 @@ class ExpectedObjective:
             coordinate_leaves(spec, law, 0, spec.dims[i])
         return tuple([np.concatenate(leaves)[:, None] for leaves in zip(*laws)])
 
-    def _stacked_draws(self, members: list, o: list, rng):
-        """The draws of ``members`` stacked as (rows, S, ...), member j's at
-        rows o[j]:o[j+1]: one node's draws are written in as they come, so no
-        second copy is held."""
+    def _stacked_draws(self, members: list, o: list, rngs):
+        """The draws of ``members`` from their generators ``rngs`` stacked as
+        (rows, S, ...), member j's at rows o[j]:o[j+1]: one node's draws are
+        written in as they come, so no second copy is held."""
         spec, S = self.spec, self.mc_samples
         stacked = None
-        for j, i in enumerate(members):
-            draws = _draw(spec.samplers[i], rng(i), S)
+        for j, (i, rng) in enumerate(zip(members, rngs)):
+            draws = _draw(spec.samplers[i], rng, S)
             if stacked is None:
                 # (S, ...) per node -> one row (1, S, ...), or per coordinate
                 # (S, k, ...) -> k rows of dimension 1 (k, S, 1, ...)

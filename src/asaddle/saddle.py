@@ -349,8 +349,7 @@ class SaddleEngine:
         against the window, which holds every time from ``_depth`` - OBS_BLOCK
         before the block on."""
         depth = self._depth
-        blocks = [observation_block(self.spec, seed, k // OBS_BLOCK) for seed in self.seeds]
-        leaves = blocks[0] if self._lanes == 1 else [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
+        leaves = observation_block(self.spec, self.seeds, k // OBS_BLOCK)
         if depth == OBS_BLOCK:
             self._window = leaves
         else:

@@ -10,6 +10,13 @@ node's closed neighborhood and multiplies the owners' Jacobians. Its kernels
 take the stacked iterate and observations the engine passes and split them
 per node themselves.
 
+Per-key generators: the engine keys every observation, delay and
+evaluation stream of a block in one bulk hash (``keyed_generators``).
+``seedsequence_generators`` builds each key's generator on its own with
+``default_rng(SeedSequence(key))``, and the ``per_key_*`` functions draw
+from them in the per-node, per-lane form the engine had before, as the
+oracle of the bulk keying.
+
 Per-step recording: the engine records a block of steps at a time and
 keeps reductions of its slacks and resolved times; ``per_step_traces``
 recomputes every record of a run one row and one step at a time, from
@@ -26,11 +33,11 @@ import numpy as np
 
 import asaddle.saddle
 from asaddle.apps.pricing import PricingConfig
-from asaddle.delay import resolve
+from asaddle.delay import _CHUNK, _DELAY_STREAM, resolve
 from asaddle.graph import NetworkGraph, closed_neighborhood
 from asaddle.metrics import delayed_violation
-from asaddle.problem import (ConstraintFamily, NodeObservations, ProblemSpec, objective_sum,
-                             sample_observation, stack_leaves)
+from asaddle.problem import (_EVAL_STREAM, _OBS_STREAM, OBS_BLOCK, ConstraintFamily, NodeObservations,
+                             ProblemSpec, _draw, objective_sum, sample_observation, stack_leaves)
 from asaddle.saddle import SaddleEngine, domain_residual
 from asaddle.trace import RunTrace
 
@@ -364,3 +371,54 @@ def capture_records():
         yield got
     finally:
         asaddle.saddle.dual_slack, asaddle.saddle.resolve = dual_slack, resolve_block
+
+
+# ---------------------------------------------------------------------------
+# streams keyed one generator at a time
+# ---------------------------------------------------------------------------
+
+def seedsequence_generators(stream: int, seeds, nodes, *counters: int):
+    """default_rng(SeedSequence([stream, seed & (2^64 - 1), node, *counters]))
+    of every seed of ``seeds`` and node of ``nodes``, seed after seed."""
+    for seed in seeds:
+        for node in nodes:
+            yield np.random.default_rng(np.random.SeedSequence(
+                [stream, int(seed) & 0xFFFFFFFFFFFFFFFF, int(node), *counters]))
+
+
+def per_key_observation_block(spec: ProblemSpec, seeds, block: int) -> tuple:
+    """Every lane's observation block, each node's drawn from its own
+    generator, the nodes of a lane stacked and the lanes concatenated."""
+    lanes = [stack_leaves([_draw(sampler, rng, OBS_BLOCK) for sampler, rng in
+                           zip(spec.samplers, seedsequence_generators(_OBS_STREAM, [seed],
+                                                                      range(spec.graph.n_nodes), block))],
+                          axis=1) for seed in seeds]
+    return tuple([np.concatenate(parts, axis=1) for parts in zip(*lanes)])
+
+
+def per_key_sample_observation(spec: ProblemSpec, seed: int, node: int, t: int) -> tuple:
+    """Row t mod OBS_BLOCK of node ``node``'s block, drawn from its own generator."""
+    block, row = divmod(t, OBS_BLOCK)
+    (rng,) = seedsequence_generators(_OBS_STREAM, [seed], [node], block)
+    return tuple([leaf[row] for leaf in _draw(spec.samplers[node], rng, OBS_BLOCK)])
+
+
+def per_key_delay_tau(schedule, nodes, times) -> np.ndarray:
+    """A uniform_random schedule's raw draws, (times, nodes): row i of every
+    _CHUNK-step chunk drawn from node i's own generator."""
+    rows = {}
+    out = np.empty((len(times), len(nodes)), dtype=np.int64)
+    for a, t in enumerate(times):
+        for b, i in enumerate(nodes):
+            chunk = int(t) // _CHUNK
+            if (i, chunk) not in rows:
+                (rng,) = seedsequence_generators(_DELAY_STREAM, [schedule.seed], [i], chunk)
+                rows[i, chunk] = rng.integers(0, schedule.tau_max + 1, size=_CHUNK)
+            out[a, b] = rows[i, chunk][int(t) % _CHUNK]
+    return out
+
+
+def per_key_evaluation_draws(spec: ProblemSpec, seed: int, node: int, mc_samples: int) -> tuple:
+    """Node ``node``'s Monte Carlo sample of ``ExpectedObjective``, from its own generator."""
+    (rng,) = seedsequence_generators(_EVAL_STREAM, [seed], [node])
+    return _draw(spec.samplers[node], rng, mc_samples)

@@ -69,16 +69,21 @@ def test_advise_and_audit_stdout_is_saved_per_config_and_verb(tmp_path, monkeypa
                                              for v in ("advise", "audit"))
     assert (out / "pricing-audit.txt").read_text(encoding="utf-8") == "audit of pricing.json\n"
     # every config runs all four verbs at the horizon; only run and compare write files
-    assert [(cmd[3], cmd[5:7], "--out" in cmd) for cmd in calls[:-2]] == [
+    assert [(cmd[3], cmd[5:7], "--out" in cmd) for cmd in calls[:-3]] == [
         (verb, ["--T", "7"], verb in ("run", "compare"))
         for _ in stems for verb in ("run", "compare", "advise", "audit")]
     # then pricing once more with a stale window wider than an observation block
-    tau70 = calls[-2]
+    tau70 = calls[-3]
     assert (tau70[3], os.path.basename(tau70[4]), tau70[5:9]) == (
         "run", "pricing.json", ["--T", "7", "--tau", "70"])
     assert tau70[-2:] == ["--out", str(out / "pricing-run-tau70")]
     # and consensus at a horizon of two whole blocks: the last --T wins
+    blocks = calls[-2]
+    assert (blocks[3], os.path.basename(blocks[4]), blocks[5:9]) == (
+        "run", "consensus.json", ["--T", "7", "--T", "128"])
+    assert blocks[-2:] == ["--out", str(out / "consensus-run-T128")]
+    # and consensus past the first 4096-step chunk of its random delays
     last = calls[-1]
     assert (last[3], os.path.basename(last[4]), last[5:9]) == (
-        "run", "consensus.json", ["--T", "7", "--T", "128"])
-    assert last[-2:] == ["--out", str(out / "consensus-run-T128")]
+        "run", "consensus.json", ["--T", "7", "--T", "4160"])
+    assert last[-2:] == ["--out", str(out / "consensus-run-T4160")]

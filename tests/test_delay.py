@@ -175,3 +175,22 @@ def test_delay_draws_of_many_times_stay_in_one_chunk(kind):
     assert sched.tau(nodes, times).tolist() == [sched.tau(nodes, [t])[0].tolist() for t in times]
     with pytest.raises(ValueError, match="chunks"):
         sched.tau(nodes, np.arange(_CHUNK - 1, _CHUNK + 1))
+
+
+def test_a_chunk_change_holds_about_one_table():
+    import tracemalloc
+    from asaddle.delay import _CHUNK
+    n = 500
+    sched = DelaySchedule(kind="uniform_random", tau_max=10, seed=3)
+    nodes, table = np.arange(n), n * _CHUNK * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        first = sched.tau(nodes, np.arange(_CHUNK - 64, _CHUNK))
+        tracemalloc.reset_peak()
+        second = sched.tau(nodes, np.arange(_CHUNK, _CHUNK + 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the old chunk is dropped before the new one is drawn into one table
+    assert peak <= 1.25 * table, peak / table
+    assert first.shape == second.shape == (64, n)

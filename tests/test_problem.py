@@ -85,6 +85,7 @@ def test_projection_idempotent_and_optimal(domain):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3))
+@example([0.0, 0.0, 20.0000000031731])  # above C_max by less than project's slack
 def test_projection_idempotent_property(vals):
     dom = DomainSpec.sum_interval(3, 0.9, 20.0, nonneg=True)
     pu = project(dom, np.array(vals))
