@@ -51,7 +51,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PricingConfig:
-    """Scenario parameters; defaults reproduce the two-MU / three-SCBS layout."""
+    """Scenario parameters; defaults reproduce the two-MU / three-SCBS layout.
+
+    ``mu_n`` and ``nu_n`` give one value for every SCBS, or one per SCBS;
+    ``gamma_db`` one for every MU, or one per MU, each a finite linear
+    margin 10^(dB/10). ``x0``, when given, holds one price vector per SCBS
+    with one price per subchannel it serves (``scbs_subchannels``). Any
+    other value raises InvalidConfig.
+    """
 
     n_mus: int = 2
     n_scbs: int = 3
@@ -90,10 +97,29 @@ class PricingConfig:
                                     "signal_scale must be positive")
         if not self.c_min <= self.c_max:
             raise InvalidConfig("c_min must be <= c_max")
-        for arr in (self.mu_n, self.nu_n):
-            vals = arr if isinstance(arr, (tuple, list)) else (arr,)
-            if any(not v > 0 for v in vals):
+        for key, count in (("mu_n", self.n_scbs), ("nu_n", self.n_scbs), ("gamma_db", self.n_mus)):
+            value = getattr(self, key)
+            values = value if isinstance(value, (tuple, list)) else (value,) * count
+            if len(values) != count:
+                raise InvalidConfig(f"{key} needs one value per {'MU' if key == 'gamma_db' else 'SCBS'}, "
+                                    f"{count}: got {len(values)}")
+            if key != "gamma_db" and any(not v > 0 for v in values):
                 raise InvalidConfig("mu_n and nu_n must be positive")
+        try:  # 10^(dB/10) overflows a float above ~3082 dB
+            finite = all(math.isfinite(self.gamma_linear(i)) for i in range(self.n_mus))
+        except (OverflowError, TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise InvalidConfig("gamma_db must give every MU a finite linear margin")
+        if self.x0 is not None:
+            dims = [len(s) for s in self.scbs_subchannels()]
+            try:
+                shapes = [np.shape(np.atleast_1d(np.asarray(v, dtype=float))) for v in self.x0]
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfig(f"x0 must hold price vectors: {exc}") from exc
+            if shapes != [(k,) for k in dims]:
+                raise InvalidConfig(f"x0 needs one entry per SCBS ({self.n_scbs}) with one price per "
+                                    f"subchannel it serves ({dims}): got shapes {shapes}")
 
     # --- derived structure -------------------------------------------------
 
@@ -195,9 +221,7 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
     constraints = _interference_family(cfg, subs, dims)
     domains = tuple(DomainSpec.sum_interval(dims[n], cfg.c_min, cfg.c_max, nonneg=True)
                     for n in range(cfg.n_scbs))
-    x0 = None
-    if cfg.x0 is not None:
-        x0 = [np.atleast_1d(np.asarray(v, dtype=float)) for v in cfg.x0]
+    x0 = None if cfg.x0 is None else [np.atleast_1d(np.asarray(v, dtype=float)) for v in cfg.x0]
     return ProblemSpec.make(graph, dims, objectives, samplers, constraints, domains,
                             x0=x0, name="pricing", optimum=partial(_optimum_prices, cfg),
                             optimum_source="kkt_solve")

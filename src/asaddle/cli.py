@@ -83,13 +83,22 @@ class ExperimentConfig:
         return self.optimum_budget if self.optimum_budget is not None else self.T
 
 
-_KNOWN_BLOCKS = {"problem", "graph", "algo", "delay", "eval", "output"}
-_KNOWN_KEYS = {
-    "graph": {"n_nodes", "edges"},
-    "algo": {"epsilon", "delta", "T", "mode"},
-    "delay": {"kind", "tau_max", "seed"},
-    "eval": {"mc_samples", "optimum_budget", "seeds", "eval_seed", "optimum_seed"},
-    "output": {"dir", "thin_every"},
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+# block -> key -> (ExperimentConfig field, conversion of the JSON value); an
+# absent key keeps the field's default
+_KEYS = {
+    "graph": {"n_nodes": ("graph_n_nodes", int), "edges": ("graph_edges", lambda edges: edges)},
+    "algo": {"epsilon": ("epsilon", _optional(float)), "delta": ("delta", float),
+             "T": ("T", int), "mode": ("mode", str)},
+    "delay": {"kind": ("delay_kind", str), "tau_max": ("tau_max", int),
+              "seed": ("delay_seed", _optional(int))},
+    "eval": {"mc_samples": ("mc_samples", int), "optimum_budget": ("optimum_budget", _optional(int)),
+             "seeds": ("seeds", lambda seeds: tuple(int(s) for s in seeds)),
+             "eval_seed": ("eval_seed", int), "optimum_seed": ("optimum_seed", int)},
+    "output": {"dir": ("out_dir", str), "thin_every": ("thin_every", int)},
 }
 
 
@@ -106,15 +115,22 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The ``ExperimentConfig`` of a parsed JSON config, or ValidationError.
+
+    ``_KEYS`` names and converts every key outside ``problem``: an absent
+    key (or block) keeps the dataclass default. The app config checks the
+    problem's parameters (``app_config``), and ``build_graph`` a consensus
+    network."""
     if not isinstance(raw, dict):
         raise ValidationError("top-level config must be an object")
-    unknown = set(raw) - _KNOWN_BLOCKS
+    unknown = set(raw) - {"problem", *_KEYS}
     if unknown:
         raise ValidationError(f"unknown config block(s): {sorted(unknown)}")
-    for block, allowed in _KNOWN_KEYS.items():
-        if not isinstance(raw.get(block) or {}, dict):
+    blocks = {block: raw.get(block) or {} for block in _KEYS}
+    for block, given in blocks.items():
+        if not isinstance(given, dict):
             raise ValidationError(f"'{block}' must be an object")
-        extra = set(raw.get(block) or {}) - allowed
+        extra = set(given) - set(_KEYS[block])
         if extra:
             raise ValidationError(f"unknown key(s) in '{block}': {sorted(extra)}")
 
@@ -128,43 +144,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if name not in ("consensus_regression", "pricing"):
         raise ValidationError(f"unknown problem name {name!r}")
 
-    graph_block = raw.get("graph", {}) or {}
-    algo = raw.get("algo", {}) or {}
-    delay_block = raw.get("delay", {}) or {}
-    ev = raw.get("eval", {}) or {}
-    out = raw.get("output", {}) or {}
-
+    fields = {"problem_name": name, "problem_params": params}
     try:
-        cfg = ExperimentConfig(
-            problem_name=name,
-            problem_params=params,
-            graph_n_nodes=int(graph_block.get("n_nodes", 5)),
-            graph_edges=graph_block.get("edges", "ring"),
-            epsilon=None if algo.get("epsilon") is None else float(algo["epsilon"]),
-            delta=float(algo.get("delta", 1e-5)),
-            T=int(algo.get("T", 10000)),
-            mode=str(algo.get("mode", "async")),
-            delay_kind=str(delay_block.get("kind", "zero")),
-            tau_max=int(delay_block.get("tau_max", 0)),
-            delay_seed=None if delay_block.get("seed") is None else int(delay_block["seed"]),
-            mc_samples=int(ev.get("mc_samples", DEFAULT_MC_SAMPLES)),
-            optimum_budget=None if ev.get("optimum_budget") is None else int(ev["optimum_budget"]),
-            seeds=tuple(int(s) for s in ev.get("seeds", [0])),
-            eval_seed=int(ev.get("eval_seed", 2020)),
-            optimum_seed=int(ev.get("optimum_seed", 424243)),
-            out_dir=str(out.get("dir", "out")),
-            thin_every=int(out.get("thin_every", 50)),
-        )
+        for block, given in blocks.items():
+            for key, value in given.items():
+                attr, convert = _KEYS[block][key]
+                fields[attr] = convert(value)
+        cfg = ExperimentConfig(**fields)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"invalid config value: {exc}") from exc
     _validate(cfg)
-    app = app_config(cfg)
-    try:  # 10^(dB/10) overflows a float above ~3082 dB
-        finite = name != "pricing" or all(math.isfinite(app.gamma_linear(i)) for i in range(app.n_mus))
-    except (OverflowError, IndexError, ValueError):
-        finite = False
-    if not finite:
-        raise ValidationError("pricing params: gamma_db must give every MU a finite linear margin")
+    app_config(cfg)
     if name == "consensus_regression":
         try:
             consensus_graph(cfg)
@@ -173,30 +163,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+# every rule an ExperimentConfig keeps, in the order checked: (broken, message)
+_RULES = [
+    (lambda cfg: cfg.T < 1, "algo.T must be >= 1"),
+    (lambda cfg: cfg.resolved_epsilon() <= 0, "algo.epsilon must be > 0"),
+    (lambda cfg: cfg.delta < 0, "algo.delta must be >= 0"),
+    (lambda cfg: cfg.mode not in ("sync", "async"), "algo.mode must be 'sync' or 'async'"),
+    (lambda cfg: cfg.mode == "sync" and cfg.tau_max != 0, "algo.mode 'sync' forces delay.tau_max = 0"),
+    (lambda cfg: cfg.delay_kind == "custom_table", "delay.kind 'custom_table' needs a delay table, "
+     "which no config key gives; build that DelaySchedule in Python"),
+    (lambda cfg: cfg.delay_kind not in ("zero", "fixed", "uniform_random"), "unknown delay.kind {kind!r}"),
+    (lambda cfg: cfg.tau_max < 0, "delay.tau_max must be >= 0"),
+    (lambda cfg: not cfg.seeds, "eval.seeds must be nonempty"),
+    (lambda cfg: cfg.mc_samples < 1, "eval.mc_samples must be >= 1"),
+    (lambda cfg: cfg.thin_every < 0, "output.thin_every must be >= 0"),
+]
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.T < 1:
-        raise ValidationError("algo.T must be >= 1")
-    if cfg.resolved_epsilon() <= 0:
-        raise ValidationError("algo.epsilon must be > 0")
-    if cfg.delta < 0:
-        raise ValidationError("algo.delta must be >= 0")
-    if cfg.mode not in ("sync", "async"):
-        raise ValidationError("algo.mode must be 'sync' or 'async'")
-    if cfg.mode == "sync" and cfg.tau_max != 0:
-        raise ValidationError("algo.mode 'sync' forces delay.tau_max = 0")
-    if cfg.delay_kind == "custom_table":
-        raise ValidationError("delay.kind 'custom_table' needs a delay table, which no config "
-                              "key gives; build that DelaySchedule in Python")
-    if cfg.delay_kind not in ("zero", "fixed", "uniform_random"):
-        raise ValidationError(f"unknown delay.kind {cfg.delay_kind!r}")
-    if cfg.tau_max < 0:
-        raise ValidationError("delay.tau_max must be >= 0")
-    if not cfg.seeds:
-        raise ValidationError("eval.seeds must be nonempty")
-    if cfg.mc_samples < 1:
-        raise ValidationError("eval.mc_samples must be >= 1")
-    if cfg.thin_every < 0:
-        raise ValidationError("output.thin_every must be >= 0")
+    for broken, message in _RULES:
+        if broken(cfg):
+            raise ValidationError(message.format(kind=cfg.delay_kind))
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +288,10 @@ def _output(path: str):
 
 
 def average_columns(per_seed: list) -> dict:
-    out = {}
-    for key in TRACE_COLUMNS:
+    out = {"t": per_seed[0]["t"]}
+    for key in TRACE_COLUMNS[1:]:
         arrs = [cols[key] for cols in per_seed]
-        if key in ("t",):
-            out[key] = per_seed[0][key]
-        elif key == "max_staleness":
-            out[key] = np.max(arrs, axis=0)
-        else:
-            out[key] = np.mean(arrs, axis=0)
+        out[key] = np.max(arrs, axis=0) if key == "max_staleness" else np.mean(arrs, axis=0)
     return out
 
 
@@ -346,8 +328,7 @@ def _advisor_block(spec, cfg: ExperimentConfig) -> dict:
                                 theta_draws=8, secant_pairs=12, mc_samples=256)
     except Exception as exc:  # advisory only; never fail the run for it
         return {"error": f"assumption audit failed: {exc}"}
-    block = {"sigma_f2": est.sigma_f2, "sigma_h2": est.sigma_h2,
-             "sigma_lambda2": est.sigma_lambda2, "L_f": est.L_f}
+    block = asdict(est)
     try:
         hp, constants = advise(est, spec.graph, cfg.tau_max, cfg.T)
         block["feasible"] = True
@@ -373,9 +354,9 @@ def _run_bundle(spec, cfg: ExperimentConfig, evaluator, modes, record_current_sl
                      record_current_slack=record_current_slack)
 
 
-def _fit_or_none(series, t=None) -> float | None:
+def _fit_or_none(series) -> float | None:
     try:
-        return fit_rate(series, t=t)
+        return fit_rate(series)
     except DegenerateSeries:
         return None
 
@@ -477,14 +458,9 @@ def compare_modes(cfg: ExperimentConfig, out_dir: str | None = None, strict: boo
              for k, mode in enumerate(modes)}
 
     columns = {"t": sides["sync"]["t"]}
-    order = ["t"]
-    for key in TRACE_COLUMNS[1:]:
-        for mode in ("sync", "async"):
-            name = f"{key}_{mode}"
-            columns[name] = sides[mode][key]
-            order.append(name)
+    columns.update({f"{key}_{mode}": sides[mode][key] for key in TRACE_COLUMNS[1:] for mode in modes})
     path = os.path.join(out, "compare.csv")
-    write_csv(path, columns, order)
+    write_csv(path, columns, list(columns))
 
     s_final = float(sides["sync"]["subopt_running"][-1])
     a_final = float(sides["async"]["subopt_running"][-1])
@@ -571,9 +547,7 @@ def main(argv=None) -> int:
         elif args.verb in ("advise", "audit"):
             spec, _ = build_problem(cfg)
             est = audit_assumptions(spec, n_samples=2000, seed=cfg.eval_seed)
-            print(json.dumps({"sigma_f2": est.sigma_f2, "sigma_h2": est.sigma_h2,
-                              "sigma_lambda2": est.sigma_lambda2, "L_f": est.L_f},
-                             sort_keys=True, indent=2))
+            print(json.dumps(asdict(est), sort_keys=True, indent=2))
             if args.verb == "advise":
                 try:
                     hp, constants = advise(est, spec.graph, cfg.tau_max, cfg.T)

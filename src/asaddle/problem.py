@@ -422,6 +422,8 @@ class ProblemSpec:
                 raise DimensionMismatch(f"domain dim {domains[i].dim} != dims[{i}]={dims[i]}")
         if x0 is None:
             x0 = tuple(project(domains[i], domains[i].center()) for i in range(n))
+        elif len(x0) != n:
+            raise DimensionMismatch(f"x0 has {len(x0)} entries for {n} nodes")
         else:
             x0 = tuple(project(domains[i], np.asarray(x, dtype=float)) for i, x in enumerate(x0))
         return ProblemSpec(graph=graph, dims=dims, objectives=objectives,

@@ -15,7 +15,8 @@ evaluation stream of a block in one bulk hash (``keyed_generators``).
 ``seedsequence_generators`` builds each key's generator on its own with
 ``default_rng(SeedSequence(key))``, and the ``per_key_*`` functions draw
 from them in the per-node, per-lane form the engine had before, as the
-oracle of the bulk keying.
+oracle of the bulk keying. ``observation_rows`` draws each such block once
+and indexes its rows, for oracles that replay many steps.
 
 Per-step recording: the engine records a block of steps at a time and
 keeps reductions of its slacks and resolved times; ``per_step_traces``
@@ -37,7 +38,7 @@ from asaddle.delay import _CHUNK, _DELAY_STREAM, resolve
 from asaddle.graph import NetworkGraph, closed_neighborhood
 from asaddle.metrics import delayed_violation
 from asaddle.problem import (_EVAL_STREAM, _OBS_STREAM, OBS_BLOCK, ConstraintFamily, NodeObservations,
-                             ProblemSpec, _draw, objective_sum, sample_observation, stack_leaves)
+                             ProblemSpec, _draw, objective_sum, stack_leaves)
 from asaddle.saddle import SaddleEngine, domain_residual
 from asaddle.trace import RunTrace
 
@@ -272,8 +273,8 @@ def per_step_traces(spec: ProblemSpec, hp, schedules, seeds, evaluator=None, thi
     minimum, ``ExpectedObjective.value`` and the thinned snapshots and
     domain residual; per step, each node's resolved time (``delay.resolve``
     one step at a time, carried from 0; the step itself without a schedule),
-    and from every node's ``sample_observation``, ``objective_sum``, the
-    fresh slack at (x_k, theta_k) and the delayed slack at the resolved
+    and from every node's observation (``observation_rows``, the per-key
+    draws ``sample_observation`` equals), ``objective_sum``, the fresh slack at (x_k, theta_k) and the delayed slack at the resolved
     times. The violation, staleness and finiteness records come from those
     dense arrays (``metrics.delayed_violation``). Only the iterates are the
     engine's."""
@@ -287,10 +288,11 @@ def per_step_traces(spec: ProblemSpec, hp, schedules, seeds, evaluator=None, thi
         xs = [x[s * c:(s + 1) * c] for x, _ in rows]
         lams = [lam[s * m:(s + 1) * m] for _, lam in rows]
 
+        rows_of = observation_rows(spec, seed)
+
         def observed(times):
             """The observations of node i at times[i], stacked."""
-            return observations([sample_observation(spec, seed, i, int(t)) for i, t in enumerate(times)],
-                                spec.obs_offsets)
+            return observations([rows_of(i, int(t)) for i, t in enumerate(times)], spec.obs_offsets)
 
         snapshots, residual = {}, 0.0
         for t in range(T + 1):
@@ -396,11 +398,25 @@ def per_key_observation_block(spec: ProblemSpec, seeds, block: int) -> tuple:
     return tuple([np.concatenate(parts, axis=1) for parts in zip(*lanes)])
 
 
+def observation_rows(spec: ProblemSpec, seed: int):
+    """``per_key_sample_observation(spec, seed, ., .)`` as a function of
+    (node, t) that draws each node's block once, on first use, and indexes
+    its rows: for oracles that read many steps of one seed."""
+    blocks = {}
+
+    def row(node: int, t: int) -> tuple:
+        block, r = divmod(t, OBS_BLOCK)
+        if (node, block) not in blocks:
+            (rng,) = seedsequence_generators(_OBS_STREAM, [seed], [node], block)
+            blocks[node, block] = _draw(spec.samplers[node], rng, OBS_BLOCK)
+        return tuple([leaf[r] for leaf in blocks[node, block]])
+
+    return row
+
+
 def per_key_sample_observation(spec: ProblemSpec, seed: int, node: int, t: int) -> tuple:
     """Row t mod OBS_BLOCK of node ``node``'s block, drawn from its own generator."""
-    block, row = divmod(t, OBS_BLOCK)
-    (rng,) = seedsequence_generators(_OBS_STREAM, [seed], [node], block)
-    return tuple([leaf[row] for leaf in _draw(spec.samplers[node], rng, OBS_BLOCK)])
+    return observation_rows(spec, seed)(node, t)
 
 
 def per_key_delay_tau(schedule, nodes, times) -> np.ndarray:

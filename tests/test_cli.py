@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asaddle.cli import (OUTPUT_DIR_ENV, TRACE_COLUMNS, ParseError, ValidationError,
-                         build_problem, compare_modes, config_from_dict, main,
+from asaddle.cli import (OUTPUT_DIR_ENV, TRACE_COLUMNS, ExperimentConfig, ParseError,
+                         ValidationError, build_problem, compare_modes, config_from_dict, main,
                          parse_config, run_experiment, trace_columns, write_csv)
 
 
@@ -36,6 +36,7 @@ def test_minimal_config_defaults():
     assert cfg.resolved_epsilon() == pytest.approx(1.0 / math.sqrt(1000))
     assert cfg.mode == "async" and cfg.tau_max == 0 and cfg.seeds == (0,)
     assert cfg.mc_samples == 2000
+    assert config_from_dict({"problem": {"name": "pricing"}}) == ExperimentConfig(problem_name="pricing")
 
 
 def test_sync_mode_forbids_positive_tau():
@@ -416,6 +417,11 @@ def test_gamma_table_is_a_config_error(tmp_path, capsys, table):
     {"name": "pricing", "gamma_db": 4000.0},  # 10^400 overflows a float
     {"name": "pricing", "gamma_db": [-3.0, 4000.0]},
     {"name": "pricing", "gamma_db": [-3.0]},  # two MUs
+    {"name": "pricing", "mu_n": [1.0]},  # three SCBSs
+    {"name": "pricing", "nu_n": [1.0, 2.0]},
+    {"name": "pricing", "x0": [[1.0]]},
+    {"name": "pricing", "x0": [[1.0], [1.0], [1.0]]},  # SCBS 1 serves two subchannels
+    {"name": "pricing", "x0": [[0.9], [0.45, 0.45], [0.9], [0.9]]},
 ])
 def test_invalid_app_parameters_exit_2_before_any_output(tmp_path, capsys, problem):
     body = dict(SMALL, problem=problem)
@@ -426,4 +432,5 @@ def test_invalid_app_parameters_exit_2_before_any_output(tmp_path, capsys, probl
         assert main([verb, write_cfg(tmp_path, body), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
     assert not out.exists()

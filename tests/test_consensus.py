@@ -9,7 +9,7 @@ from asaddle.graph import build_graph, path_edges, ring_edges
 from asaddle.problem import (ConstraintFamily, DomainSpec, Objective, ProblemSpec,
                              Sampler, sample_observation)
 from asaddle.saddle import Hyperparams, run
-from reference import capture_records, observations
+from reference import capture_records, observation_rows, observations
 
 
 def test_ring_weights_nearby_nodes_similar():
@@ -94,10 +94,11 @@ def test_generous_tolerance_matches_per_node_sgd(path3):
     spec = build_consensus_problem(cfg, path3)
     hp = Hyperparams(epsilon=0.02, delta=0.0, T=4000)
     trace = run(spec, hp, None, seed=8)
+    observation = observation_rows(spec, 8)
     for node in range(3):
         x = spec.x0[node].copy()
         for t in range(hp.T):
-            z, y = sample_observation(spec, 8, node, t)
+            z, y = observation(node, t)
             x = np.clip(x - hp.epsilon * z * (z @ x - y), -2.0, 2.0)
         assert np.allclose(trace.x_final[node], x, atol=1e-12)
         assert np.linalg.norm(trace.x_final[node] - np.array(w[node])) < 0.15

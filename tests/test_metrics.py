@@ -16,7 +16,8 @@ from asaddle.problem import DomainSpec, ExpectedObjective, Objective, ProblemSpe
 from asaddle.saddle import Hyperparams, advise, run
 from asaddle.trace import running_violation
 from conftest import CONSENSUS_CFG, SMALL_CONSENSUS_CFG
-from reference import NeighborhoodConstraint, as_neighborhood, no_constraints, node_constraints
+from reference import (NeighborhoodConstraint, as_neighborhood, no_constraints, node_constraints,
+                       observation_rows)
 
 
 def scalar_noisy_quadratic_spec():
@@ -173,13 +174,13 @@ def test_estimate_optimum_inactive_constraints_match_sgd_oracle(path3):
     f_star, x_ref = estimate_optimum(spec, budget=budget, seed=5, eval_seed=9)
 
     # independent oracle: per-node SGD with the same observation stream
-    from asaddle.problem import sample_observation
+    observation = observation_rows(spec, 5)
     eps = 1.0 / np.sqrt(budget)
     for node in range(3):
         x = spec.x0[node].copy()
         acc = np.zeros(2)
         for t in range(budget):
-            z, y = sample_observation(spec, 5, node, t)
+            z, y = observation(node, t)
             x = np.clip(x - eps * z * (z @ x - y), -2.0, 2.0)
             acc += x
         assert np.linalg.norm(x_ref[node] - acc / budget) <= 1e-9

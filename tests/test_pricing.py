@@ -92,6 +92,33 @@ def test_zero_gains_give_zero_objective_and_negative_slack(cfg, spec):
                        -cfg.gamma_linear(0))
 
 
+@pytest.mark.parametrize("params, match", [
+    ({"mu_n": (1.0,)}, "mu_n needs one value per SCBS, 3: got 1"),
+    ({"nu_n": (1.0, 2.0)}, "nu_n needs one value per SCBS, 3: got 2"),
+    ({"gamma_db": (-3.0, -3.0, -3.0)}, "gamma_db needs one value per MU, 2: got 3"),
+    ({"gamma_db": 4000.0}, "finite linear margin"),  # 10^400 overflows a float
+    ({"gamma_db": float("nan")}, "finite linear margin"),
+    ({"gamma_db": "loud"}, "finite linear margin"),
+    ({"gamma_db": (-3.0, None)}, "finite linear margin"),
+    ({"x0": ((1.0,),)}, r"x0 needs one entry per SCBS \(3\)"),
+    ({"x0": ((1.0,), (1.0,), (1.0,))}, r"one price per subchannel it serves \(\[1, 2, 1\]\)"),
+    ({"x0": ((0.9,), (0.45, 0.45), (0.9,), (0.9,))}, "x0 needs one entry per SCBS"),
+    ({"x0": (((0.9,),), (0.45, 0.45), (0.9,))}, "x0 needs one entry per SCBS"),
+    ({"x0": ("cheap", (0.45, 0.45), (0.9,))}, "x0 must hold price vectors"),
+    ({"x0": 0.9}, "x0 must hold price vectors"),
+], ids=["mu_n_short", "nu_n_short", "gamma_db_long", "gamma_db_overflow", "gamma_db_nan",
+        "gamma_db_text", "gamma_db_null", "x0_one_entry", "x0_one_price_each", "x0_four_entries",
+        "x0_matrix_entry", "x0_text", "x0_scalar"])
+def test_parameter_of_the_wrong_length_or_value_is_an_invalid_config(params, match):
+    with pytest.raises(InvalidConfig, match=match):
+        PricingConfig(**params)
+
+
+def test_x0_takes_a_scalar_for_a_one_subchannel_scbs():
+    spec = build_pricing_problem(PricingConfig(x0=(0.9, (0.45, 0.45), [1.0])))
+    assert [list(v) for v in spec.x0] == [[0.9], [0.45, 0.45], [1.0]]
+
+
 def test_gamma_db_conversion():
     assert PricingConfig().gamma_linear(0) == pytest.approx(10 ** (-0.3))
     assert PricingConfig(gamma_db=4.0).gamma_linear(1) == pytest.approx(10 ** 0.4)

@@ -186,6 +186,22 @@ def test_x0_dimension_mismatch(consensus_spec):
                          spec.domains, x0=[np.zeros(3)] * spec.graph.n_nodes)
 
 
+@pytest.mark.parametrize("count", [1, 4, 6])
+def test_x0_with_another_number_of_entries_than_nodes_is_a_dimension_mismatch(consensus_spec, count):
+    spec = consensus_spec
+    with pytest.raises(DimensionMismatch, match=f"x0 has {count} entries for 5 nodes"):
+        ProblemSpec.make(spec.graph, 4, spec.objectives, spec.samplers, spec.constraints,
+                         spec.domains, x0=[np.zeros(4)] * count)
+
+
+def test_pricing_x0_with_an_entry_per_scbs_too_many_is_a_dimension_mismatch():
+    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
+    spec = build_pricing_problem(PricingConfig())
+    with pytest.raises(DimensionMismatch, match="x0 has 4 entries for 3 nodes"):
+        ProblemSpec.make(spec.graph, spec.dims, spec.objectives, spec.samplers, spec.constraints,
+                         spec.domains, x0=list(spec.x0) + [np.ones(1)])
+
+
 def test_constraint_value_hand_cases(path3):
     from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
     e01 = path3.edge_index(0, 1)
