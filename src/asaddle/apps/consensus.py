@@ -87,6 +87,21 @@ def _ring_optimum(cfg: ConsensusRegressionConfig, graph: NetworkGraph, w: np.nda
     return (r * w).reshape(-1)
 
 
+def _regression_batch(w: np.ndarray, noise: float, rngs, size: int, nodes):
+    """``Sampler.batch`` of every node: one fill of each generator with its
+    ``size`` draws' z, then their noise, and y = Z w_i + noise e for all of
+    them in one batched matmul (a gemv per node, as a node's Z @ w_i)."""
+    p = w.shape[1]
+    raw = np.empty((len(nodes), size * (p + 1)))
+    for row, rng in zip(raw, rngs):
+        rng.standard_normal(out=row)
+    Z = raw[:, :size * p].reshape(-1, size, p)
+    y = raw[:, size * p:]
+    y *= noise
+    y += np.matmul(Z, w[nodes][:, :, None])[..., 0]
+    return Z, y
+
+
 def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph) -> ProblemSpec:
     """Problem with f^i = 0.5 (z^T x - y)^2 and slack ||x^i - x^j|| - gamma_ij."""
     n = graph.n_nodes
@@ -98,6 +113,7 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
         w = ring_weights(n, cfg.p, cfg.weight_scale)
 
     noise = cfg.noise_std
+    batch = partial(_regression_batch, w, noise)
     samplers = []
     for i in range(n):
         w_i = w[i]
@@ -106,11 +122,6 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
             z = rng.standard_normal(cfg.p)
             y = float(z @ w_i + noise * rng.standard_normal())
             return (z, y)
-
-        def batch(rng, size, w_i=w_i):
-            Z = rng.standard_normal((size, cfg.p))
-            y = Z @ w_i + noise * rng.standard_normal(size)
-            return (Z, y)
 
         # the variates of ``size`` sample calls: each draw's z, then its noise
         def draws(rng, size, w_i=w_i):
@@ -142,19 +153,22 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
 
     objective = Objective(value=value, grad=grad, expected=expected)
 
-    # both accept one pair of rows (p,) or every edge's rows (E, p)
-    def prox(a, b, th_a, th_b):
+    # the slack |a - b| and its gradient share d = a - b and |d|, of one
+    # pair of rows (p,) or of every edge's rows (E, p)
+    def edge_terms(a, b, th_a, th_b):
         d = a - b
-        return np.sqrt((d * d).sum(axis=-1))
+        return d, np.sqrt((d * d).sum(axis=-1))
 
-    def prox_grad(a, b, th_a, th_b):
-        d = a - b
-        nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+    def prox(d, nrm):
+        return nrm
+
+    def prox_grad(d, nrm):
+        nrm = nrm[..., None]
         # 0 is a valid subgradient of ||.|| at 0
         return np.divide(d, nrm, out=np.zeros_like(d), where=nrm > 0.0)
 
     gamma = cfg.gamma_table if cfg.gamma_table is not None else cfg.gamma
-    constraints = ConstraintFamily.from_symmetric_pairwise(graph, prox, prox_grad, gamma)
+    constraints = ConstraintFamily.from_symmetric_pairwise(graph, prox, prox_grad, gamma, terms=edge_terms)
     domain = DomainSpec.box(np.full(cfg.p, cfg.box_lo), np.full(cfg.p, cfg.box_hi))
     x0 = None if cfg.x0_value is None else [np.full(cfg.p, float(cfg.x0_value)) for _ in range(n)]
     return ProblemSpec.make(graph, cfg.p, [objective] * n, samplers, constraints, domain,

@@ -30,7 +30,8 @@ import numpy as np
 
 from ..errors import InvalidConfig
 from ..graph import NetworkGraph, build_graph
-from ..problem import ConstraintFamily, DomainSpec, Objective, ProblemSpec, Sampler, lane_copies
+from ..problem import (ConstraintFamily, DomainSpec, Objective, ProblemSpec, Sampler, lane_copies,
+                       point_terms)
 from ..trace import RunTrace
 
 __all__ = [
@@ -196,6 +197,7 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
     shared = {}
     objectives = []
     samplers = []
+    batch = partial(_exponential_batch, mean, dims)
     for n in range(cfg.n_scbs):
         k = dims[n]
         key = (cfg.cost * cfg.mu_param(n), cfg.nu_param(n))
@@ -207,9 +209,6 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
         # variates, in the order, of two rng.exponential(mean) calls
         def sample(rng, k=k):
             return tuple(_exponential_pair(rng, (k,), mean))
-
-        def batch(rng, size, k=k):
-            return tuple(_exponential_pair(rng, (size, k), mean))
 
         def draws(rng, size, k=k):
             gh = rng.standard_exponential((size, 2, k))
@@ -225,6 +224,17 @@ def build_pricing_problem(cfg: PricingConfig) -> ProblemSpec:
     return ProblemSpec.make(graph, dims, objectives, samplers, constraints, domains,
                             x0=x0, name="pricing", optimum=partial(_optimum_prices, cfg),
                             optimum_source="kkt_solve")
+
+
+def _exponential_batch(mean: float, dims: tuple, rngs, size: int, nodes) -> tuple:
+    """``Sampler.batch`` of SCBSs of one dimension k (a sampler group has
+    one): each generator's (g, h) as one (2, size, k) fill, the variates of
+    ``_exponential_pair``, then all of them scaled by the mean at once."""
+    raw = np.empty((len(nodes), 2, size, dims[nodes[0]]))
+    for row, rng in zip(raw, rngs):
+        rng.standard_exponential(out=row)
+    raw *= mean
+    return raw[:, 0], raw[:, 1]
 
 
 def _exponential_pair(rng, shape: tuple, mean: float) -> np.ndarray:
@@ -439,18 +449,23 @@ def _interference_family(cfg: PricingConfig, subs: list, dims: tuple) -> Constra
         row_of_coord_l = lane_copies(lanes, row_of_coord, n_rows)
         gammas_l, mu_c_l, nu_l = (lane_copies(lanes, a) for a in (gammas, mu_c, nu))
 
-        def slack(x, obs):
+        def at_coords(x, obs):
+            """What the slack and J^T lam at x share: the gains, c mu + nu x,
+            each coordinate's power before clipping and where it is active."""
             g, h = obs.leaves  # per coordinate, in the layout of the stacked iterate
-            p = W / (mu_c_l + nu_l * x) - 1.0 / h
-            received = np.where(p > 0.0, g * p, 0.0)
+            denom = mu_c_l + nu_l * x
+            p = W / denom - 1.0 / h
+            return g, denom, p, p > 0.0
+
+        def slack(x, obs):
+            g, _, p, active = point_terms(obs, at_coords, x)
+            received = np.where(active, g * p, 0.0)
             # bincount adds each MU's members in order, from 0.0
             return np.bincount(row_l, weights=received[coord_l],
                                minlength=lanes * n_rows) - gammas_l
 
         def add_jt_lam(grads, lam, x, obs):
-            g, h = obs.leaves
-            denom = mu_c_l + nu_l * x
-            active = (W / denom - 1.0 / h) > 0.0
+            g, denom, _, active = point_terms(obs, at_coords, x)
             # float_power squares with pow(), as the per-node Jacobian's scalar
             # denom**2 does; an array's denom**2 multiplies, which can differ in
             # the last bit

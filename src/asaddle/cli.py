@@ -87,18 +87,36 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a number with an integral value (1e4 reads as
+    10000); a bool, a fraction or anything else raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value) -> str:
+    """A JSON string; anything else (null included) raises."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 # block -> key -> (ExperimentConfig field, conversion of the JSON value); an
 # absent key keeps the field's default
 _KEYS = {
-    "graph": {"n_nodes": ("graph_n_nodes", int), "edges": ("graph_edges", lambda edges: edges)},
+    "graph": {"n_nodes": ("graph_n_nodes", _integer), "edges": ("graph_edges", lambda edges: edges)},
     "algo": {"epsilon": ("epsilon", _optional(float)), "delta": ("delta", float),
-             "T": ("T", int), "mode": ("mode", str)},
-    "delay": {"kind": ("delay_kind", str), "tau_max": ("tau_max", int),
-              "seed": ("delay_seed", _optional(int))},
-    "eval": {"mc_samples": ("mc_samples", int), "optimum_budget": ("optimum_budget", _optional(int)),
-             "seeds": ("seeds", lambda seeds: tuple(int(s) for s in seeds)),
-             "eval_seed": ("eval_seed", int), "optimum_seed": ("optimum_seed", int)},
-    "output": {"dir": ("out_dir", str), "thin_every": ("thin_every", int)},
+             "T": ("T", _integer), "mode": ("mode", _text)},
+    "delay": {"kind": ("delay_kind", _text), "tau_max": ("tau_max", _integer),
+              "seed": ("delay_seed", _optional(_integer))},
+    "eval": {"mc_samples": ("mc_samples", _integer),
+             "optimum_budget": ("optimum_budget", _optional(_integer)),
+             "seeds": ("seeds", lambda seeds: tuple(_integer(s) for s in seeds)),
+             "eval_seed": ("eval_seed", _integer), "optimum_seed": ("optimum_seed", _integer)},
+    "output": {"dir": ("out_dir", _text), "thin_every": ("thin_every", _integer)},
 }
 
 
@@ -126,7 +144,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - {"problem", *_KEYS}
     if unknown:
         raise ValidationError(f"unknown config block(s): {sorted(unknown)}")
-    blocks = {block: raw.get(block) or {} for block in _KEYS}
+    blocks = {block: {} if raw.get(block) is None else raw[block] for block in _KEYS}
     for block, given in blocks.items():
         if not isinstance(given, dict):
             raise ValidationError(f"'{block}' must be an object")
@@ -145,14 +163,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValidationError(f"unknown problem name {name!r}")
 
     fields = {"problem_name": name, "problem_params": params}
-    try:
-        for block, given in blocks.items():
-            for key, value in given.items():
-                attr, convert = _KEYS[block][key]
+    for block, given in blocks.items():
+        for key, value in given.items():
+            attr, convert = _KEYS[block][key]
+            try:
                 fields[attr] = convert(value)
-        cfg = ExperimentConfig(**fields)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"invalid config value: {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"invalid config value {block}.{key}: {exc}") from exc
+    cfg = ExperimentConfig(**fields)
     _validate(cfg)
     app_config(cfg)
     if name == "consensus_regression":

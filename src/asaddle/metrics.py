@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DegenerateSeries
 from .problem import (DEFAULT_MC_SAMPLES, ExpectedObjective, NodeObservations, ProblemSpec,
                       coordinate_leaves, objective_grads, sample_rows, stack_leaves)
-from .saddle import Hyperparams, project_nodes, run
+from .saddle import Hyperparams, SaddleEngine, project_nodes
 from .trace import RunTrace, running_violation
 
 __all__ = [
@@ -117,7 +117,8 @@ def estimate_optimum(spec: ProblemSpec, budget: int, seed: int,
         if t >= 1:
             np.add(acc, state.x, out=acc)
 
-    run(spec, hp, None, seed, hooks=(accumulate,), evaluator=None, thin_every=0)
+    # only the hook's sum is read: no trace is built
+    SaddleEngine(spec, hp, None, seed, hooks=(accumulate,), thin_every=0).run()
     x_ref = project_nodes(spec, acc / budget)
     return evaluator.value(x_ref), spec.rows(x_ref)
 

@@ -133,7 +133,8 @@ def project_nodes(spec: ProblemSpec, flat: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(flat, box[0]), box[1])
     out = flat.copy()
     o = spec.offsets
-    for i in np.flatnonzero(~spec.inside(flat)).tolist():
+    # the method: one Python call where np.flatnonzero makes seven
+    for i in (~spec.inside(flat)).nonzero()[0].tolist():
         out[o[i]:o[i + 1]] = project(spec.domains[i], flat[o[i]:o[i + 1]])
     return out
 

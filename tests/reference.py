@@ -11,12 +11,14 @@ take the stacked iterate and observations the engine passes and split them
 per node themselves.
 
 Per-key generators: the engine keys every observation, delay and
-evaluation stream of a block in one bulk hash (``keyed_generators``).
+evaluation stream of a block in one bulk hash (``keyed_generators``) and
+draws each sampler group's nodes in one ``Sampler.batch`` call.
 ``seedsequence_generators`` builds each key's generator on its own with
 ``default_rng(SeedSequence(key))``, and the ``per_key_*`` functions draw
-from them in the per-node, per-lane form the engine had before, as the
-oracle of the bulk keying. ``observation_rows`` draws each such block once
-and indexes its rows, for oracles that replay many steps.
+from them one node and one lane at a time, each node as ``node_draws``
+draws it (the apps' per-node draws, written out here), as the oracle of
+the bulk keying and of the group draws. ``observation_rows`` draws each
+such block once and indexes its rows, for oracles that replay many steps.
 
 Per-step recording: the engine records a block of steps at a time and
 keeps reductions of its slacks and resolved times; ``per_step_traces``
@@ -26,6 +28,7 @@ that block pass. ``capture_records`` collects the engine's own per-step
 slacks and per-block resolved times while it runs.
 """
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
@@ -38,7 +41,7 @@ from asaddle.delay import _CHUNK, _DELAY_STREAM, resolve
 from asaddle.graph import NetworkGraph, closed_neighborhood
 from asaddle.metrics import delayed_violation
 from asaddle.problem import (_EVAL_STREAM, _OBS_STREAM, OBS_BLOCK, ConstraintFamily, NodeObservations,
-                             ProblemSpec, _draw, objective_sum, stack_leaves)
+                             ProblemSpec, objective_sum, sample_rows, stack_leaves)
 from asaddle.saddle import SaddleEngine, domain_residual
 from asaddle.trace import RunTrace
 
@@ -388,17 +391,42 @@ def seedsequence_generators(stream: int, seeds, nodes, *counters: int):
                 [stream, int(seed) & 0xFFFFFFFFFFFFFFFF, int(node), *counters]))
 
 
-def per_key_observation_block(spec: ProblemSpec, seeds, block: int) -> tuple:
+def node_draws(spec: ProblemSpec, node: int, rng, size: int) -> tuple:
+    """Node ``node``'s ``size`` observations from its own generator, drawn
+    as the apps drew them one node at a time: consensus
+    standard_normal((size, p)), then standard_normal(size), then
+    y = Z @ w_i + noise e; pricing standard_exponential((2, size, k)) times
+    the gain mean, (g, h). A sampler without ``batch`` draws by
+    ``sample_rows``. The parameters are read from the sampler's law:
+    consensus (w_i, noise^2), whose square root is noise exactly (a
+    correctly rounded sqrt of a rounded square returns the float), pricing
+    the mean of every coordinate."""
+    sampler = spec.samplers[node]
+    if sampler.batch is None:
+        return sample_rows(sampler, rng, size)
+    if spec.name == "consensus_regression":
+        w_i, noise2 = sampler.law
+        Z = rng.standard_normal((size, len(w_i)))
+        return (Z, Z @ w_i + math.sqrt(noise2) * rng.standard_normal(size))
+    assert spec.name == "pricing", f"no per-node draws for {spec.name}"
+    (mean,) = sampler.law
+    pair = rng.standard_exponential((2, size, len(mean)))
+    pair *= mean[0]
+    return pair[0], pair[1]
+
+
+def per_key_observation_block(spec: ProblemSpec, seeds, block: int, draws=node_draws) -> tuple:
     """Every lane's observation block, each node's drawn from its own
-    generator, the nodes of a lane stacked and the lanes concatenated."""
-    lanes = [stack_leaves([_draw(sampler, rng, OBS_BLOCK) for sampler, rng in
-                           zip(spec.samplers, seedsequence_generators(_OBS_STREAM, [seed],
-                                                                      range(spec.graph.n_nodes), block))],
+    generator by ``draws``, the nodes of a lane stacked and the lanes
+    concatenated."""
+    n = spec.graph.n_nodes
+    lanes = [stack_leaves([draws(spec, i, rng, OBS_BLOCK) for i, rng in
+                           enumerate(seedsequence_generators(_OBS_STREAM, [seed], range(n), block))],
                           axis=1) for seed in seeds]
     return tuple([np.concatenate(parts, axis=1) for parts in zip(*lanes)])
 
 
-def observation_rows(spec: ProblemSpec, seed: int):
+def observation_rows(spec: ProblemSpec, seed: int, draws=node_draws):
     """``per_key_sample_observation(spec, seed, ., .)`` as a function of
     (node, t) that draws each node's block once, on first use, and indexes
     its rows: for oracles that read many steps of one seed."""
@@ -408,15 +436,15 @@ def observation_rows(spec: ProblemSpec, seed: int):
         block, r = divmod(t, OBS_BLOCK)
         if (node, block) not in blocks:
             (rng,) = seedsequence_generators(_OBS_STREAM, [seed], [node], block)
-            blocks[node, block] = _draw(spec.samplers[node], rng, OBS_BLOCK)
+            blocks[node, block] = draws(spec, node, rng, OBS_BLOCK)
         return tuple([leaf[r] for leaf in blocks[node, block]])
 
     return row
 
 
-def per_key_sample_observation(spec: ProblemSpec, seed: int, node: int, t: int) -> tuple:
+def per_key_sample_observation(spec: ProblemSpec, seed: int, node: int, t: int, draws=node_draws) -> tuple:
     """Row t mod OBS_BLOCK of node ``node``'s block, drawn from its own generator."""
-    return observation_rows(spec, seed)(node, t)
+    return observation_rows(spec, seed, draws)(node, t)
 
 
 def per_key_delay_tau(schedule, nodes, times) -> np.ndarray:
@@ -434,7 +462,8 @@ def per_key_delay_tau(schedule, nodes, times) -> np.ndarray:
     return out
 
 
-def per_key_evaluation_draws(spec: ProblemSpec, seed: int, node: int, mc_samples: int) -> tuple:
+def per_key_evaluation_draws(spec: ProblemSpec, seed: int, node: int, mc_samples: int,
+                             draws=node_draws) -> tuple:
     """Node ``node``'s Monte Carlo sample of ``ExpectedObjective``, from its own generator."""
     (rng,) = seedsequence_generators(_EVAL_STREAM, [seed], [node])
-    return _draw(spec.samplers[node], rng, mc_samples)
+    return draws(spec, node, rng, mc_samples)

@@ -39,6 +39,16 @@ def test_minimal_config_defaults():
     assert config_from_dict({"problem": {"name": "pricing"}}) == ExperimentConfig(problem_name="pricing")
 
 
+def test_integral_numbers_and_null_blocks():
+    # an integral float reads as its int; a null block keeps the defaults
+    cfg = config_from_dict({"problem": {"name": "pricing"}, "algo": {"T": 1e4},
+                            "eval": {"seeds": [3.0, 4]}, "output": None})
+    assert type(cfg.T) is int and cfg.T == 10000 and cfg.seeds == (3, 4)
+    assert cfg.out_dir == "out" and cfg.thin_every == 50
+    with pytest.raises(ValidationError, match=r"algo\.T: expected an integer, got 2\.9"):
+        config_from_dict({"problem": {"name": "pricing"}, "algo": {"T": 2.9}})
+
+
 def test_sync_mode_forbids_positive_tau():
     with pytest.raises(ValidationError):
         config_from_dict({"problem": {"name": "consensus_regression"},
@@ -175,8 +185,19 @@ def test_main_config_error_exit_2(tmp_path):
     {"graph": {"n_nodes": 0}},
     {"graph": {"n_nodes": 3, "edges": [[0, 0]]}},
     {"graph": {"n_nodes": 4, "edges": [[0, 1], [2, 3]]}},  # disconnected
+    {"output": {"dir": None}},  # would write into a directory named "None"
+    {"output": {"dir": 5}},
+    {"algo": {"T": 2.9}},  # would run T=2
+    {"algo": {"T": True}},  # would run T=1
+    {"eval": {"seeds": [0.7, 1.9]}},  # would run seeds 0 and 1
+    {"delay": {"kind": "fixed", "tau_max": 2.5}},
+    {"algo": []},  # falsy non-objects were read as empty blocks
+    {"algo": 0},
+    {"algo": ""},
+    {"algo": False},
 ], ids=["T_text", "seeds_int", "thin_null", "block_int", "edge_outside", "edges_text",
-        "no_nodes", "self_loop", "disconnected"])
+        "no_nodes", "self_loop", "disconnected", "dir_null", "dir_int", "T_fraction", "T_bool",
+        "seeds_fraction", "tau_fraction", "block_list", "block_zero", "block_empty_text", "block_false"])
 def test_malformed_config_values_exit_2_without_traceback(tmp_path, capsys, change):
     body = dict(SMALL, **change)
     with pytest.raises(ValidationError):

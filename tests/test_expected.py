@@ -44,7 +44,8 @@ def test_exact_expectation_within_monte_carlo_error():
             xs = _random_feasible(spec, rng)
             for i, x in enumerate(xs):
                 obj, sampler = spec.objectives[i], spec.samplers[i]
-                draws = obj.value(x, sampler.batch(rng, n))
+                # node i's draws: row 0 of its group's batch alone
+                draws = obj.value(x, tuple([leaf[0] for leaf in sampler.batch([rng], n, np.array([i]))]))
                 exact = float(obj.expected(x, sampler.law))
                 se = draws.std() / np.sqrt(n)
                 assert abs(exact - draws.mean()) <= 4.0 * se, (spec.name, i, x)
@@ -112,7 +113,8 @@ def test_mixed_problem_is_scored_per_group():
     rng = np.random.default_rng(8)
     for _ in range(5):
         xs = _random_prices(spec, rng)
-        draws = spec.samplers[1].batch(np.random.default_rng(np.random.SeedSequence([2, 7, 1])), 300)
+        rng_1 = np.random.default_rng(np.random.SeedSequence([2, 7, 1]))
+        draws = tuple([leaf[0] for leaf in spec.samplers[1].batch([rng_1], 300, np.array([1]))])
         per_node = [float(spec.objectives[0].expected(xs[0], spec.samplers[0].law)),
                     float(np.mean(spec.objectives[1].value(xs[1], draws))),
                     float(spec.objectives[2].expected(xs[2], spec.samplers[2].law))]

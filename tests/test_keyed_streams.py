@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from asaddle.apps.pricing import PricingConfig, build_pricing_problem
 from asaddle.delay import _CHUNK, DelaySchedule
-from asaddle.problem import (OBS_BLOCK, ExpectedObjective, _members, keyed_generators,
+from asaddle.problem import (OBS_BLOCK, ExpectedObjective, Sampler, _members, keyed_generators,
                              observation_block, sample_observation)
 
-from reference import (per_key_delay_tau, per_key_evaluation_draws, per_key_observation_block,
+from reference import (node_draws, per_key_delay_tau, per_key_evaluation_draws, per_key_observation_block,
                        per_key_sample_observation)
 from test_problem import monte_carlo
 
@@ -69,19 +69,29 @@ def pricing_spec():
     return build_pricing_problem(PricingConfig())
 
 
+@pytest.fixture(scope="module")
+def pricing_specs(pricing_spec):
+    """Ragged pricing problems: dims (1, 2, 1), and (2, 3, 2) with the
+    SCBSs of two subchannels apart, so each draws as two sampler groups."""
+    wide = PricingConfig(n_mus=3, assignment=((0, 1), (1, 2), (0, 1, 2)), gamma_db=0.0)
+    return [pricing_spec, build_pricing_problem(wide)]
+
+
 @pytest.mark.parametrize("seeds", [[3], [0, 1, 2, 3, 4], [5, 2**32 + 1, 2**40 + 3, 6, 2**64 - 1]],
                          ids=["one-lane", "five-lanes", "mixed-word-counts"])
 @pytest.mark.parametrize("block", [0, 2**33])
-def test_observation_block_equals_per_key_blocks(consensus_spec, pricing_spec, seeds, block):
-    for spec in (consensus_spec, pricing_spec):
+def test_observation_block_equals_per_key_blocks(consensus_spec, pricing_specs, seeds, block):
+    assert [spec.dims for spec in pricing_specs] == [(1, 2, 1), (2, 3, 2)]
+    for spec in (consensus_spec, *pricing_specs):
+        assert len(spec.sampler_groups) == (1 if spec.uniform else 2)
         want = per_key_observation_block(spec, seeds, block)
         assert_same_leaves(observation_block(spec, seeds, block), want)
         if len(seeds) == 1:
             assert_same_leaves(observation_block(spec, seeds[0], block), want)
 
 
-def test_sample_observation_equals_per_key_draws(consensus_spec, pricing_spec):
-    for spec in (consensus_spec, pricing_spec):
+def test_sample_observation_equals_per_key_draws(consensus_spec, pricing_specs):
+    for spec in (consensus_spec, *pricing_specs):
         for seed, node, t in [(0, 0, 0), (7, 2, OBS_BLOCK - 1), (2**40 + 3, 1, 5 * OBS_BLOCK + 9),
                               (-5, 2, 2**33 * OBS_BLOCK)]:
             assert_same_leaves(sample_observation(spec, seed, node, t),
@@ -97,17 +107,77 @@ def test_delay_draws_across_a_chunk_equal_per_key_draws():
             assert got.tobytes() == per_key_delay_tau(sched, nodes, times).tobytes()
 
 
-def test_evaluation_draws_equal_per_key_draws(consensus_spec, pricing_spec):
-    S = 50
-    for spec in (monte_carlo(consensus_spec), monte_carlo(pricing_spec)):
+def assert_evaluation_draws_equal_per_key_draws(spec, S, seed, draws=node_draws):
+    est = ExpectedObjective(spec, mc_samples=S, seed=seed)
+    assert est._sampled
+    for _, nodes, _, _, drawn in est._sampled:
+        members = _members(nodes, spec.graph.n_nodes)
+        per_node = [per_key_evaluation_draws(spec, seed, i, S, draws) for i in members]
+        if spec.uniform:  # one row (S, ...) per node
+            want = [np.stack(leaf) for leaf in zip(*per_node)]
+        else:  # (S, k, ...) per node: k coordinate rows of dimension 1
+            want = [np.concatenate([d.swapaxes(0, 1)[:, :, None] for d in leaf]) for leaf in zip(*per_node)]
+        assert_same_leaves(drawn, want)
+
+
+def test_evaluation_draws_equal_per_key_draws(consensus_spec, pricing_specs):
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    from asaddle.graph import build_graph, ring_edges
+    # 40 nodes x 2000 draws: two pieces, each drawn on its own
+    ring40 = build_consensus_problem(ConsensusRegressionConfig(), build_graph(40, ring_edges(40)))
+    est = ExpectedObjective(monte_carlo(ring40), mc_samples=2000, seed=3)
+    assert len(est._sampled) == 2
+    assert_evaluation_draws_equal_per_key_draws(monte_carlo(ring40), 2000, 3)
+    for spec in map(monte_carlo, (consensus_spec, *pricing_specs)):
         for seed in (0, 2**40 + 3):
-            est = ExpectedObjective(spec, mc_samples=S, seed=seed)
-            assert est._sampled
-            for _, nodes, _, _, draws in est._sampled:
-                members = _members(nodes, spec.graph.n_nodes)
-                per_node = [per_key_evaluation_draws(spec, seed, i, S) for i in members]
-                if spec.uniform:  # one row (S, ...) per node
-                    want = [np.stack(leaf) for leaf in zip(*per_node)]
-                else:  # (S, k, ...) per node: k coordinate rows of dimension 1
-                    want = [np.concatenate([d.swapaxes(0, 1)[:, :, None] for d in leaf]) for leaf in zip(*per_node)]
-                assert_same_leaves(draws, want)
+            assert_evaluation_draws_equal_per_key_draws(spec, 50, seed)
+
+
+def own_batch(rngs, size, nodes):
+    """A group kernel of its own: each generator's (z, u) draws of
+    ``own_node_draws``, stacked."""
+    return tuple([np.stack(leaf) for leaf in zip(*[own_node_draws(rng, size) for rng in rngs])])
+
+
+def own_node_draws(rng, size):
+    return rng.standard_normal((size, 4)), rng.uniform(size=size)
+
+
+@pytest.fixture(scope="module")
+def mixed_spec(consensus_spec):
+    """The consensus problem with nodes 0 and 1 in the app's group, node 2
+    with a ``batch`` of its own, node 3 with ``sample`` and ``draws`` and
+    node 4 with ``sample`` only: the last two draw one at a time."""
+    from dataclasses import replace
+    samplers = list(consensus_spec.samplers)
+    samplers[2] = Sampler(sample=lambda rng: tuple([leaf[0] for leaf in own_node_draws(rng, 1)]),
+                          batch=own_batch)
+    samplers[3] = replace(samplers[3], batch=None)  # sample and draws
+    samplers[4] = Sampler(sample=samplers[4].sample)  # sample only
+    return replace(consensus_spec, samplers=tuple(samplers))
+
+
+def mixed_draws(spec, node, rng, size):
+    return own_node_draws(rng, size) if node == 2 else node_draws(spec, node, rng, size)
+
+
+def test_mixed_sampler_groups_equal_per_key_draws(mixed_spec):
+    groups = [nodes.tolist() for _, nodes in mixed_spec.sampler_groups]
+    assert groups == [[0, 1], [2], [3, 4]]
+    for seeds in ([3], [0, 1, 2, 3, 4]):
+        for block in (0, 2**33):
+            assert_same_leaves(observation_block(mixed_spec, seeds, block),
+                               per_key_observation_block(mixed_spec, seeds, block, mixed_draws))
+    for node, t in [(0, 5), (2, OBS_BLOCK + 3), (3, 7), (4, 2**33 * OBS_BLOCK)]:
+        assert_same_leaves(sample_observation(mixed_spec, 11, node, t),
+                           per_key_sample_observation(mixed_spec, 11, node, t, mixed_draws))
+    assert_evaluation_draws_equal_per_key_draws(monte_carlo(mixed_spec), 50, 6, mixed_draws)
+    # a group whose arrays have another shape than the others' is refused
+    from dataclasses import replace
+    from asaddle.errors import InvalidConfig
+    narrow = Sampler(sample=mixed_spec.samplers[2].sample,
+                     batch=lambda rngs, size, nodes: tuple([leaf[..., :3] if leaf.ndim == 3 else leaf
+                                                            for leaf in own_batch(rngs, size, nodes)]))
+    samplers = mixed_spec.samplers[:2] + (narrow,) + mixed_spec.samplers[3:]
+    with pytest.raises(InvalidConfig, match="same shapes"):
+        observation_block(replace(mixed_spec, samplers=samplers), 0, 0)

@@ -26,7 +26,8 @@ def scalar_noisy_quadratic_spec():
     obj = Objective(value=lambda x, th: 0.5 * (x[..., 0] - th[0]) ** 2,
                     grad=lambda x, th: x - th[0][..., None])
     samp = Sampler(sample=lambda rng: (float(rng.normal(1.0, 1.0)),),
-                   batch=lambda rng, size: (rng.normal(1.0, 1.0, size=size),))
+                   batch=lambda rngs, size, nodes: (np.stack([rng.normal(1.0, 1.0, size=size)
+                                                              for rng in rngs]),))
     return ProblemSpec.make(g, 1, [obj], [samp],
                             no_constraints(g),
                             DomainSpec.box(np.array([-4.0]), np.array([4.0])))

@@ -146,7 +146,7 @@ def test_exponential_sampler_mean():
 def test_consensus_sampler_moments(consensus_spec):
     sampler = consensus_spec.samplers[0]
     rng = np.random.default_rng(1)
-    Z, y = sampler.batch(rng, 10**5)
+    Z, y = (leaf[0] for leaf in sampler.batch([rng], 10**5, np.array([0])))
     assert Z.shape == (10**5, 4)
     assert abs(np.mean(Z**2) - 1.0) <= 0.01  # unit feature variance
     assert abs(np.mean(y)) <= 0.02
@@ -336,8 +336,8 @@ def test_expected_objective_quadratic():
     def sample(rng):
         return (float(rng.normal(1.0, 1.0)),)
 
-    def batch(rng, size):
-        return (rng.normal(1.0, 1.0, size=size),)
+    def batch(rngs, size, nodes):
+        return (np.stack([rng.normal(1.0, 1.0, size=size) for rng in rngs]),)
 
     obj = Objective(value=lambda x, th: 0.5 * (x[..., 0] - th[0]) ** 2,
                     grad=lambda x, th: x - th[0][..., None])
@@ -507,7 +507,7 @@ def test_an_observation_or_law_that_is_not_a_tuple_is_invalid_config(consensus_s
     from asaddle.problem import observation_block
     from asaddle.saddle import Hyperparams, run
     bare = Sampler(sample=lambda rng: rng.standard_normal(4),
-                   batch=lambda rng, size: rng.standard_normal((size, 4)))
+                   batch=lambda rngs, size, nodes: np.stack([rng.standard_normal((size, 4)) for rng in rngs]))
     batch_only = replace(consensus_spec, samplers=(bare,) * 5)
     sample_only = replace(consensus_spec, samplers=(Sampler(sample=bare.sample),) * 5)
     for spec in (batch_only, sample_only):
@@ -646,15 +646,16 @@ def test_pricing_family_equals_the_per_node_encoding():
 
 def _per_node_expectation(spec, x, mc_samples, seed):
     """The estimator as a per-node loop of ``value`` on each node's row of
-    the stacked x against its draws (``batch``, else ``sample_rows``), node
+    the stacked x against its draws (its group's ``batch`` on the node alone,
+    else ``sample_rows``), node
     means added in order."""
     from asaddle.problem import sample_rows
     total = 0.0
     for i, xi in enumerate(spec.rows(x)):
         rng = np.random.default_rng(np.random.SeedSequence([2, seed, i]))
         sampler = spec.samplers[i]
-        draws = (sampler.batch(rng, mc_samples) if sampler.batch is not None
-                 else sample_rows(sampler, rng, mc_samples))
+        draws = (tuple([leaf[0] for leaf in sampler.batch([rng], mc_samples, np.array([i]))])
+                 if sampler.batch is not None else sample_rows(sampler, rng, mc_samples))
         total += float(np.mean(spec.objectives[i].value(xi, draws)))
     return total
 
@@ -810,3 +811,46 @@ def test_edge_gather_is_shared_and_reads_the_iterate_on_every_call(consensus_spe
     fresh = family.add_jt_lam(grads, lam, x, observations(ths))
     assert shared.tobytes() == fresh.tobytes()
     assert family.slack(x, obs).tobytes() == family.slack(x, observations(ths)).tobytes()
+
+
+def test_terms_of_one_point_are_shared_and_never_read_at_another(consensus_spec):
+    # slack and J^T lam at one point compute their shared terms once, kept on
+    # the observations; J^T lam at another iterate with the same observations
+    # computes its own, equal to a call on fresh observations
+    from asaddle.apps.pricing import PricingConfig, build_pricing_problem
+    rng = np.random.default_rng(4)
+    pricing = build_pricing_problem(PricingConfig())
+    for spec in (consensus_spec, pricing):
+        family, C, n = spec.constraints, int(spec.offsets[-1]), spec.graph.n_nodes
+        ths = [sample_observation(spec, 0, i, 9) for i in range(n)]
+        fresh = lambda: observations(ths, spec.obs_offsets)  # noqa: E731
+        x1, x2 = (np.concatenate([project(d, rng.uniform(0.0, 2.0, d.dim)) for d in spec.domains])
+                  for _ in range(2))
+        grads, lam = rng.normal(size=C), rng.uniform(0.5, 1.0, size=family.size)
+        obs = fresh()
+        s1 = family.slack(x1, obs)
+        terms = obs.terms
+        assert family.add_jt_lam(grads, lam, x1, obs).tobytes() == \
+            family.add_jt_lam(grads, lam, x1, fresh()).tobytes()
+        assert obs.terms is terms  # read, not computed again
+        assert family.add_jt_lam(grads, lam, x2, obs).tobytes() == \
+            family.add_jt_lam(grads, lam, x2, fresh()).tobytes()
+        assert obs.terms is not terms
+        assert family.slack(x1, obs).tobytes() == s1.tobytes()
+
+
+def test_python_calls_per_node_of_an_observation_block():
+    # one keyed generator and one raw fill per node, then array calls for
+    # the whole group (9.3 calls per node when each node drew on its own)
+    import cProfile
+    import pstats
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    from asaddle.graph import ring_edges
+    from asaddle.problem import observation_block
+    spec = build_consensus_problem(ConsensusRegressionConfig(), build_graph(500, ring_edges(500)))
+    observation_block(spec, 0, 0)
+    profile = cProfile.Profile()
+    profile.enable()
+    observation_block(spec, 1, 1)
+    profile.disable()
+    assert pstats.Stats(profile).total_calls / 500 <= 3
