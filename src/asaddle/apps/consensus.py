@@ -170,7 +170,7 @@ def build_consensus_problem(cfg: ConsensusRegressionConfig, graph: NetworkGraph)
     gamma = cfg.gamma_table if cfg.gamma_table is not None else cfg.gamma
     constraints = ConstraintFamily.from_symmetric_pairwise(graph, prox, prox_grad, gamma, terms=edge_terms)
     domain = DomainSpec.box(np.full(cfg.p, cfg.box_lo), np.full(cfg.p, cfg.box_hi))
-    x0 = None if cfg.x0_value is None else [np.full(cfg.p, float(cfg.x0_value)) for _ in range(n)]
+    x0 = None if cfg.x0_value is None else np.full((n, cfg.p), float(cfg.x0_value))
     return ProblemSpec.make(graph, cfg.p, [objective] * n, samplers, constraints, domain,
                             x0=x0, name="consensus_regression",
                             optimum=partial(_ring_optimum, cfg, graph, w), optimum_source="closed_form")

@@ -81,7 +81,7 @@ class DelaySchedule:
             return self.table[times[:, None], nodes]
         if self.kind == "uniform_random":
             table = self._block(int(times[0]) // _CHUNK, int(nodes.max(initial=0)) + 1)
-            return table[nodes, times[:, None] % _CHUNK]
+            return table[nodes, times[:, None] % _CHUNK].astype(np.int64)
         if self.kind == "fixed" and self.node_taus is not None:
             return np.asarray(self.node_taus)[nodes] + np.zeros_like(times)[:, None]
         return np.full((len(times), len(nodes)), self.tau_max)  # tau_max is 0 for kind "zero"
@@ -91,10 +91,12 @@ class DelaySchedule:
 
         Only the block last asked for is kept: the clock moves forward, and an
         earlier block, or one asked for with more nodes, is drawn again,
-        identically, into one table."""
+        identically, into one table. The table holds the draws in the
+        narrowest unsigned type that takes tau_max (uint8 up to 255); each
+        row is still drawn as int64, whose bits the draw's dtype decides."""
         if block not in self._chunks or len(self._chunks[block]) < n_nodes:
             self._chunks = {}  # the old chunk goes before the new one is drawn
-            table = np.empty((n_nodes, _CHUNK), dtype=np.int64)
+            table = np.empty((n_nodes, _CHUNK), dtype=np.min_scalar_type(self.tau_max))
             for row, rng in zip(table, keyed_generators(_DELAY_STREAM, [self.seed], range(n_nodes), block)):
                 row[:] = rng.integers(0, self.tau_max + 1, size=_CHUNK)
             self._chunks = {block: table}

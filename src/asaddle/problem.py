@@ -9,15 +9,16 @@ constraint as satisfied-in-expectation whenever the expected slack is <= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
-from itertools import accumulate, repeat
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate, count, repeat
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleDomain, InvalidConfig, NonFiniteState
-from .graph import NetworkGraph, disjoint_copies
+from .graph import NetworkGraph, disjoint_copies, lane_copies
 
 __all__ = [
     "DomainSpec",
@@ -294,6 +295,7 @@ class ConstraintFamily:
         Jacobians. The gather of the rows and ``terms`` are computed once
         per point (``point_terms``).
         """
+        src, dst, mirror = graph.src, graph.dst, graph.reverse
         if isinstance(gamma, dict):
             missing = [e for e in graph.edges if e not in gamma]
             if missing:
@@ -301,12 +303,9 @@ class ConstraintFamily:
             gammas = np.array([gamma[e] for e in graph.edges], dtype=float)
         else:
             gammas = np.full(graph.n_edges, float(gamma))
-        bad = np.flatnonzero(~(gammas >= 0))
+        bad = (~(gammas >= 0)).nonzero()[0]
         if bad.size:
-            i, j = graph.edges[bad[0]]
-            raise InvalidConfig(f"tolerance gamma[{i},{j}] must be >= 0")
-        src, dst = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
-        mirror = np.array([graph.edge_index(j, i) for i, j in graph.edges], dtype=np.intp)
+            raise InvalidConfig(f"tolerance gamma[{src[bad[0]]},{dst[bad[0]]}] must be >= 0")
         # edges are sorted by source and every node of a connected graph with
         # N >= 2 has one, so node i's edges start at first[i]
         first = np.searchsorted(src, np.arange(graph.n_nodes))
@@ -350,30 +349,18 @@ class ConstraintFamily:
             slack, add = kernels(lanes)
 
             def add_jt_lam(grads, lam, x, obs):
-                live = lam.reshape(lanes, size).any(axis=1)
-                n_live = np.count_nonzero(live)
-                if not n_live:
+                # the ufunc reductions themselves: NaN reads live, -0.0 dead
+                live = np.logical_or.reduce(lam.reshape(lanes, size), axis=1)
+                if not np.logical_or.reduce(live):
                     return grads
                 out = add(grads, lam, x, obs)
-                if n_live < lanes:
+                if not np.logical_and.reduce(live):
                     np.copyto(out, grads, where=np.repeat(~live, out.size // lanes))
                 return out
 
             return ConstraintFamily(lanes * size, slack, add_jt_lam, tile=lambda k: tile(lanes * k))
 
         return tile(1)
-
-
-def lane_copies(lanes: int, idx, by: int | None = None) -> np.ndarray:
-    """Per-entry array ``idx`` of one copy of a problem, for ``lanes``
-    copies one after the other: repeated, each copy's entries shifted by
-    s*``by`` when ``by`` is given (an index array); ``idx`` itself for one."""
-    idx = np.asarray(idx)
-    if lanes == 1:
-        return idx
-    if by is None:
-        return np.tile(idx, lanes)
-    return (idx + by * np.arange(lanes)[:, None]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +406,9 @@ class ProblemSpec:
     name: str = "problem"
     optimum: object = None
     optimum_source: str | None = None
+    # (problem, lanes) of a ``tile`` of that problem, whose layout it
+    # derives; not an init field, so ``replace`` of a tile derives its own
+    _solo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def make(graph, dim, objectives, samplers, constraints, domain,
@@ -430,17 +420,22 @@ class ProblemSpec:
         samplers = tuple(samplers)
         if not (len(dims) == len(domains) == len(objectives) == len(samplers) == n):
             raise DimensionMismatch("per-node field lengths must equal n_nodes")
-        for i in range(n):
+        # compared whole in C; only a failing problem looks for its first bad node
+        domain_dims = list(map(attrgetter("dim"), domains))
+        if min(dims) < 1 or domain_dims != list(dims):
+            i = next(i for i, d in enumerate(dims) if d < 1 or domain_dims[i] != d)
             if dims[i] < 1:
                 raise DimensionMismatch(f"node {i} has no coordinates")
-            if domains[i].dim != dims[i]:
-                raise DimensionMismatch(f"domain dim {domains[i].dim} != dims[{i}]={dims[i]}")
-        if x0 is None:
-            x0 = tuple(project(domains[i], domains[i].center()) for i in range(n))
-        elif len(x0) != n:
+            raise DimensionMismatch(f"domain dim {domains[i].dim} != dims[{i}]={dims[i]}")
+        if x0 is not None and len(x0) != n:
             raise DimensionMismatch(f"x0 has {len(x0)} entries for {n} nodes")
+        rows = _box_start(domain, n, x0) if isinstance(domain, DomainSpec) and domain.kind == "box" else None
+        if rows is not None:
+            x0 = tuple(rows)
+        elif x0 is None:
+            x0 = tuple([project(dom, dom.center()) for dom in domains])
         else:
-            x0 = tuple(project(domains[i], np.asarray(x, dtype=float)) for i, x in enumerate(x0))
+            x0 = tuple([project(dom, np.asarray(x, dtype=float)) for dom, x in zip(domains, x0)])
         return ProblemSpec(graph=graph, dims=dims, objectives=objectives,
                            samplers=samplers, constraints=constraints,
                            domains=domains, x0=x0, name=name, optimum=optimum,
@@ -463,11 +458,15 @@ class ProblemSpec:
     @cached_property
     def uniform(self) -> bool:
         """True when every node has the same dimension."""
-        return len(set(self.dims)) == 1
+        return self._solo[0].uniform if self._solo else len(set(self.dims)) == 1
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """(N+1,) start of each node's coordinates in the stacked vector, then its length."""
+        if self._solo:
+            solo, lanes = self._solo
+            c = solo.offsets[-1]
+            return np.append(lane_copies(lanes, solo.offsets[:-1], c), lanes * c)
         return np.array(list(accumulate(self.dims, initial=0)))
 
     @cached_property
@@ -498,10 +497,14 @@ class ProblemSpec:
     @cached_property
     def box_bounds(self):
         """Stacked (lo, hi) when every domain is a box, else None."""
-        if any(dom.kind != "box" for dom in self.domains):
+        if self._solo:
+            solo, lanes = self._solo
+            box = solo.box_bounds
+            return None if box is None else (lane_copies(lanes, box[0]), lane_copies(lanes, box[1]))
+        if set(map(attrgetter("kind"), self.domains)) != {"box"}:
             return None
-        return (np.concatenate([dom.lo for dom in self.domains]),
-                np.concatenate([dom.hi for dom in self.domains]))
+        return (np.concatenate(list(map(attrgetter("lo"), self.domains))),
+                np.concatenate(list(map(attrgetter("hi"), self.domains))))
 
     def inside(self, flat: np.ndarray) -> np.ndarray:
         """(N,) True where node i's block of the stacked vector lies in its sum
@@ -532,6 +535,9 @@ class ProblemSpec:
     @cached_property
     def _domain_limits(self):
         """Stacked coordinate lower bounds and per-node sum bounds of ``inside``."""
+        if self._solo:
+            solo, lanes = self._solo
+            return tuple([lane_copies(lanes, a) for a in solo._domain_limits])
         lo, sum_lo, sum_hi = [], [], []
         for dom in self.domains:
             if dom.kind == "box":  # an empty sum interval
@@ -548,11 +554,14 @@ class ProblemSpec:
     @cached_property
     def _dim_classes(self) -> list:
         """(nodes, (n, d) coordinate indices) once per node dimension d."""
-        classes = []
-        for d in sorted(set(self.dims)):
-            nodes = np.array([i for i, di in enumerate(self.dims) if di == d])
-            classes.append((nodes, self.offsets[nodes][:, None] + np.arange(d)))
-        return classes
+        if self._solo:
+            solo, lanes = self._solo
+            classes = [(lane_copies(lanes, nodes, solo.graph.n_nodes), coords.shape[1])
+                       for nodes, coords in solo._dim_classes]
+        else:
+            dims = np.diff(self.offsets)
+            classes = [((dims == d).nonzero()[0], d) for d in sorted(set(self.dims))]
+        return [(nodes, self.offsets[nodes][:, None] + np.arange(d)) for nodes, d in classes]
 
     def tile(self, lanes: int) -> "ProblemSpec":
         """``lanes`` independent copies of the problem as one problem (the
@@ -561,13 +570,19 @@ class ProblemSpec:
         (lanes, C) array. The constraints are the family's ``tile``. Every
         Objective instance, a node's own included, covers its nodes of every
         copy in one call. ``optimum`` is not carried. The problem itself
-        when ``lanes`` is 1."""
+        when ``lanes`` is 1.
+
+        Its layout (``offsets``, ``box_bounds``, the groups) is derived on
+        first read from this problem's arrays, walking no node of the
+        copies."""
         if lanes == 1:
             return self
-        return replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
-                       objectives=self.objectives * lanes, samplers=self.samplers * lanes,
-                       constraints=self.constraints.tile(lanes), domains=self.domains * lanes,
-                       x0=self.x0 * lanes, optimum=None)
+        tiled = replace(self, graph=disjoint_copies(self.graph, lanes), dims=self.dims * lanes,
+                        objectives=self.objectives * lanes, samplers=self.samplers * lanes,
+                        constraints=self.constraints.tile(lanes), domains=self.domains * lanes,
+                        x0=self.x0 * lanes, optimum=None)
+        object.__setattr__(tiled, "_solo", (self, lanes))
+        return tiled
 
     @cached_property
     def objective_groups(self) -> tuple:
@@ -576,23 +591,59 @@ class ProblemSpec:
         When dims differ, every node is evaluated on its coordinates as rows
         of dimension 1: every instance must then be separable by coordinate,
         with one observation entry per coordinate."""
-        shared = {}
-        for i, obj in enumerate(self.objectives):
-            shared.setdefault(id(obj), (obj, []))[1].append(i)
-        return tuple(ObjectiveGroup(obj, *_row_layout(self, nodes)) for obj, nodes in shared.values())
+        if self._solo:
+            solo, lanes = self._solo
+            return tuple([_lane_group(g, lanes, solo.graph.n_nodes, solo.offsets[-1])
+                          for g in solo.objective_groups])
+        return tuple([ObjectiveGroup(self.objectives[nodes[0]], *_row_layout(self, nodes))
+                      for nodes in _first_use_groups(list(map(id, self.objectives)))])
 
     @cached_property
     def sampler_groups(self) -> tuple:
         """(batch, nodes) per group of nodes whose Samplers share one
         ``batch`` function and whose dimension is the same, in order of
         first use, with ``nodes`` their ascending ids. Nodes whose Samplers
-        have no ``batch`` are grouped by dimension too, and drawn one at a
-        time with ``sample_rows``."""
-        shared = {}
-        for i, (sampler, dim) in enumerate(zip(self.samplers, self.dims)):
-            shared.setdefault((id(sampler.batch), dim), (sampler.batch, []))[1].append(i)
-        one_at_a_time = partial(_sample_rows_batch, self.samplers)
-        return tuple((batch or one_at_a_time, np.array(nodes)) for batch, nodes in shared.values())
+        have no ``batch`` are grouped by dimension too, with ``batch``
+        None: they are drawn one at a time with ``sample_rows``."""
+        if self._solo:
+            solo, lanes = self._solo
+            return tuple([(batch, lane_copies(lanes, nodes, solo.graph.n_nodes))
+                          for batch, nodes in solo.sampler_groups])
+        batches = list(map(attrgetter("batch"), self.samplers))
+        return tuple([(batches[nodes[0]], np.array(nodes))
+                      for nodes in _first_use_groups(list(zip(map(id, batches), self.dims)))])
+
+
+def _first_use_groups(keys: list) -> list:
+    """The ascending positions of each distinct key of ``keys``, one list
+    per key in order of first use."""
+    if keys.count(keys[0]) == len(keys):
+        return [list(range(len(keys)))]
+    label = dict(zip(dict.fromkeys(keys), count()))
+    codes = np.fromiter(map(label.__getitem__, keys), np.intp, len(keys))
+    order = np.argsort(codes, kind="stable").tolist()
+    bounds = np.append(0, np.cumsum(np.bincount(codes))).tolist()
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _box_start(domain: DomainSpec, n: int, x0):
+    """The (n, p) start of n nodes sharing the box ``domain``, clamped in
+    one call: its center, or ``x0`` when it converts to such an array
+    (else None, and each row is projected alone). A non-finite row raises
+    as its ``project`` would."""
+    if x0 is None:
+        x = np.broadcast_to(domain.center(), (n, domain.dim))
+    else:
+        try:
+            x = np.asarray(x0, dtype=float)
+        except ValueError:  # rows of different lengths
+            return None
+        if x.shape != (n, domain.dim):
+            return None
+    bad = (~np.isfinite(x)).nonzero()[0]
+    if bad.size:  # a center overflows on a box near the float range
+        project(domain, x[bad[0]])
+    return np.minimum(np.maximum(x, domain.lo), domain.hi)
 
 
 def _row_layout(spec: ProblemSpec, members: list):
@@ -613,6 +664,26 @@ def _row_layout(spec: ProblemSpec, members: list):
         o = spec.offsets
         rows = np.concatenate([np.arange(o[i], o[i + 1]) for i in members])
     return nodes, rows, (np.array(starts), rest)
+
+
+def _lane_group(group: ObjectiveGroup, lanes: int, n: int, c: int) -> ObjectiveGroup:
+    """``group`` of a problem of n nodes and c coordinates, on ``lanes``
+    copies of it (``ProblemSpec.tile``): its members, rows and sums plan
+    repeated copy after copy."""
+    obj, nodes, rows, sums = group
+    members = lane_copies(lanes, np.arange(n)[nodes], n)
+    tiled = _selector(members)
+    if sums is None:
+        return ObjectiveGroup(obj, tiled, tiled, None)
+    rows = np.arange(c)[rows]
+    starts, rest = sums
+    k, r = len(members) // lanes, len(rows)  # members and rows of one copy
+    rows = lane_copies(lanes, rows, c)
+    if isinstance(tiled, slice):
+        rows = slice(int(rows[0]), int(rows[-1]) + 1)
+    return ObjectiveGroup(obj, tiled, rows, (lane_copies(lanes, starts, r),
+                                            [(lane_copies(lanes, m, k), lane_copies(lanes, at, r))
+                                             for m, at in rest]))
 
 
 def _members(nodes, n_nodes: int) -> list:
@@ -822,8 +893,8 @@ def sample_rows(sampler: Sampler, rng: np.random.Generator, n: int):
 
 
 def _sample_rows_batch(samplers: tuple, rngs, size: int, nodes) -> tuple:
-    """The ``Sampler.batch`` of nodes whose Samplers have none: each node's
-    ``sample_rows``, stacked."""
+    """The ``Sampler.batch`` of ``nodes`` when their Samplers have none:
+    each node's ``sample_rows``, stacked."""
     return stack_leaves([sample_rows(samplers[i], rng, size) for i, rng in zip(nodes.tolist(), rngs)],
                         axis=0)
 
@@ -860,7 +931,9 @@ def _draw_rows(spec: ProblemSpec, stream: int, seeds: list, nodes, size: int, *c
             continue
         picks = lane_copies(lanes, at, n)
         rngs = _generators(states if len(at) == n else [states[j] for j in picks.tolist()])
-        (leaves,) = _tuples([batch(rngs, size, lane_copies(lanes, nodes[at]))])
+        ids = lane_copies(lanes, nodes[at])
+        drawn = batch(rngs, size, ids) if batch else _sample_rows_batch(spec.samplers, rngs, size, ids)
+        (leaves,) = _tuples([drawn])
         k = int(starts[at[0] + 1] - starts[at[0]])
         if not spec.uniform:  # (m, size, k, ...) -> k coordinate rows per node
             leaves = tuple([leaf.swapaxes(1, 2).reshape((-1, size) + leaf.shape[3:])
@@ -980,8 +1053,9 @@ class ExpectedObjective:
 
         for obj, nodes, rows, sums in spec.objective_groups:
             members = _members(nodes, spec.graph.n_nodes)
-            if obj.expected is not None and all(spec.samplers[i].law is not None for i in members):
-                self._exact.append((obj.expected, nodes, rows, sums, self._stacked_laws(members)))
+            laws = [spec.samplers[i].law for i in members]
+            if obj.expected is not None and not any(map(is_, laws, repeat(None))):
+                self._exact.append((obj.expected, nodes, rows, sums, self._stacked_laws(members, laws)))
                 continue
             counts = [1 if spec.uniform else spec.dims[i] for i in members]
             # evaluated in pieces of whole nodes with at most _EVAL_PIECE
@@ -1000,11 +1074,11 @@ class ExpectedObjective:
             _tuples([draws for *_, draws in pieces])
             self._sampled += pieces
 
-    def _stacked_laws(self, members: list):
+    def _stacked_laws(self, members: list, laws: list):
         """The laws of ``members`` stacked leaf by leaf: (n, ...) per node, or
         per coordinate (rows, 1, ...) as coordinate rows of dimension 1."""
         spec = self.spec
-        laws = _tuples([spec.samplers[i].law for i in members])
+        _tuples(laws)
         if spec.uniform:  # np.array stacks a list of small arrays several times faster than np.stack
             return tuple([np.array(leaves) for leaves in zip(*laws)])
         for i, law in zip(members, laws):

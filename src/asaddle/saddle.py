@@ -167,7 +167,7 @@ def primal_step(spec: ProblemSpec, state: SaddleState, x_eval, ths_eval, hp: Hyp
     grads = primal_gradient(spec, state.lam, x_eval, ths_eval)
     u = state.x - hp.epsilon * grads
     finite = np.isfinite(u)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         node = spec.node_of(int(np.argmin(finite)))
         where = f"step {state.t}, node {node}"
         if seeds is not None:

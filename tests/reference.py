@@ -26,12 +26,21 @@ recomputes every record of a run one row and one step at a time, from
 public calls, with the dense per-step arrays it reduces, as the oracle of
 that block pass. ``capture_records`` collects the engine's own per-step
 slacks and per-block resolved times while it runs.
+
+Tuple graphs and per-node layouts: ``build_graph`` works on index arrays
+and a tile of a problem derives its layout from the problem's. ``TupleGraph``
+(``tuple_graph``, ``tuple_disjoint_copies``) builds a graph as sorted tuples
+by a loop over the edges, and ``per_node_tile_layout`` computes a tile's
+layout by walking every node of every copy, as the oracles of both.
 """
 
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,9 +48,11 @@ import asaddle.saddle
 from asaddle.apps.pricing import PricingConfig
 from asaddle.delay import _CHUNK, _DELAY_STREAM, resolve
 from asaddle.graph import NetworkGraph, closed_neighborhood
+from asaddle.errors import DisconnectedGraph, SelfLoop
 from asaddle.metrics import delayed_violation
 from asaddle.problem import (_EVAL_STREAM, _OBS_STREAM, OBS_BLOCK, ConstraintFamily, NodeObservations,
-                             ProblemSpec, objective_sum, sample_rows, stack_leaves)
+                             ObjectiveGroup, ProblemSpec, _row_layout, objective_sum, sample_rows,
+                             stack_leaves)
 from asaddle.saddle import SaddleEngine, domain_residual
 from asaddle.trace import RunTrace
 
@@ -467,3 +478,125 @@ def per_key_evaluation_draws(spec: ProblemSpec, seed: int, node: int, mc_samples
     """Node ``node``'s Monte Carlo sample of ``ExpectedObjective``, from its own generator."""
     (rng,) = seedsequence_generators(_EVAL_STREAM, [seed], [node])
     return draws(spec, node, rng, mc_samples)
+
+
+# ---------------------------------------------------------------------------
+# tuple graphs and per-node tile layouts
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TupleGraph:
+    """A symmetric graph as its sorted directed edge tuples and per-node
+    neighbor tuples, with ``NetworkGraph``'s reads computed from them."""
+
+    n_nodes: int
+    edges: tuple
+    adjacency: tuple
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    def edge_index(self, i, j) -> int:
+        return self._position[(i, j)]
+
+    @cached_property
+    def _position(self) -> dict:
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @property
+    def diameter(self) -> int:
+        return max(max(_bfs_distances(self.adjacency, s)) for s in range(self.n_nodes))
+
+
+def _bfs_distances(adjacency, source) -> list:
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def tuple_graph(n_nodes: int, edge_list) -> TupleGraph:
+    """``build_graph`` by a loop over the edges, with its checks and errors:
+    each pair's ids converted with ``int``, SelfLoop or ValueError for the
+    first bad pair, DisconnectedGraph naming the nodes node 0 cannot reach."""
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    directed = set()
+    for i, j in edge_list:
+        i, j = int(i), int(j)
+        if i == j:
+            raise SelfLoop(f"edge ({i}, {j})")
+        if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+            raise ValueError(f"edge ({i}, {j}) outside [0, {n_nodes})")
+        directed.add((i, j))
+        directed.add((j, i))
+    edges = tuple(sorted(directed))
+    neighbors = [[] for _ in range(n_nodes)]
+    for i, j in edges:
+        neighbors[i].append(j)
+    adjacency = tuple(map(tuple, neighbors))
+    unreachable = [v for v, d in enumerate(_bfs_distances(adjacency, 0)) if d < 0]
+    if unreachable:
+        raise DisconnectedGraph(f"nodes unreachable from 0: {unreachable}")
+    return TupleGraph(n_nodes, edges, adjacency)
+
+
+def tuple_disjoint_copies(g, copies: int) -> TupleGraph:
+    """``copies`` unlinked copies of the graph ``g``, copy s's node i numbered s*N + i."""
+    n = g.n_nodes
+    edges = tuple((i + s * n, j + s * n) for s in range(copies) for i, j in g.edges)
+    adjacency = tuple(tuple(j + s * n for j in nbrs) for s in range(copies) for nbrs in g.adjacency)
+    return TupleGraph(copies * n, edges, adjacency)
+
+
+def per_node_tile_layout(spec: ProblemSpec, lanes: int) -> dict:
+    """The layout of ``spec.tile(lanes)`` computed from the per-node fields
+    of all its lanes * N nodes, one node at a time: ``offsets``,
+    ``box_bounds``, ``_domain_limits`` (None when every domain is a box),
+    ``_dim_classes``, ``objective_groups`` and ``sampler_groups``."""
+    dims, domains = spec.dims * lanes, spec.domains * lanes
+    objectives, samplers = spec.objectives * lanes, spec.samplers * lanes
+    layout = SimpleNamespace(dims=dims, uniform=len(set(dims)) == 1,
+                             offsets=np.array(list(accumulate(dims, initial=0))))
+    boxes = all(dom.kind == "box" for dom in domains)
+    limits = None
+    if not boxes:
+        lo, sum_lo, sum_hi = [], [], []
+        for dom in domains:
+            if dom.kind == "box":
+                lo.append(np.full(dom.dim, -math.inf))
+                sum_lo.append(math.inf)
+                sum_hi.append(-math.inf)
+                continue
+            tol = 1e-9 * max(1.0, abs(dom.c_min), abs(dom.c_max))
+            lo.append(np.full(dom.dim, -tol if dom.nonneg else -math.inf))
+            sum_lo.append(dom.c_min - tol)
+            sum_hi.append(dom.c_max + tol)
+        limits = (np.concatenate(lo), np.array(sum_lo), np.array(sum_hi))
+    classes = []
+    for d in sorted(set(dims)):
+        nodes = np.array([i for i, di in enumerate(dims) if di == d])
+        classes.append((nodes, layout.offsets[nodes][:, None] + np.arange(d)))
+    shared = {}
+    for i, obj in enumerate(objectives):
+        shared.setdefault(id(obj), (obj, []))[1].append(i)
+    drawn = {}
+    for i, (sampler, dim) in enumerate(zip(samplers, dims)):
+        drawn.setdefault((id(sampler.batch), dim), (sampler.batch, []))[1].append(i)
+    return {
+        "offsets": layout.offsets,
+        "box_bounds": (np.concatenate([dom.lo for dom in domains]),
+                       np.concatenate([dom.hi for dom in domains])) if boxes else None,
+        "_domain_limits": limits,
+        "_dim_classes": classes,
+        "objective_groups": tuple(ObjectiveGroup(obj, *_row_layout(layout, members))
+                                  for obj, members in shared.values()),
+        "sampler_groups": tuple((batch, np.array(nodes)) for batch, nodes in drawn.values()),
+    }

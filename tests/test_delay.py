@@ -194,3 +194,33 @@ def test_a_chunk_change_holds_about_one_table():
     # the old chunk is dropped before the new one is drawn into one table
     assert peak <= 1.25 * table, peak / table
     assert first.shape == second.shape == (64, n)
+
+
+@pytest.mark.parametrize("tau_max", [10, 300])
+def test_narrow_delay_table_resolves_as_the_int64_draws(tau_max):
+    # the table keeps each int64 draw in the narrowest unsigned type that
+    # holds tau_max; the resolved times are those of the int64 draws, bit for bit
+    from asaddle.delay import _CHUNK, _DELAY_STREAM
+    from reference import seedsequence_generators
+    n, seed = 20, 5
+    sched = DelaySchedule(kind="uniform_random", tau_max=tau_max, seed=seed)
+    draws = np.concatenate([
+        np.stack([rng.integers(0, tau_max + 1, size=_CHUNK)
+                  for rng in seedsequence_generators(_DELAY_STREAM, [seed], range(n), chunk)]).T
+        for chunk in (0, 1)])
+    int64_table = DelaySchedule(kind="custom_table", tau_max=tau_max, table=draws)
+    nodes, prev = np.arange(n), np.zeros(n, dtype=np.int64)
+    for start in (0, _CHUNK - 64, _CHUNK):
+        times = np.arange(start, start + 64)
+        got = resolve(sched, times, nodes, prev)
+        assert got.dtype == np.int64
+        assert got.tobytes() == resolve(int64_table, times, nodes, prev).tobytes()
+    (table,) = sched._chunks.values()
+    assert table.dtype == (np.uint8 if tau_max <= 255 else np.uint16)
+
+
+def test_delay_table_of_a_500_node_network_takes_a_byte_per_draw():
+    sched = DelaySchedule(kind="uniform_random", tau_max=10, seed=0)
+    sched.tau(np.arange(500), np.arange(64))
+    (table,) = sched._chunks.values()
+    assert table.nbytes <= 2.1e6  # 16.4 MB as int64

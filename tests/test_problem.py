@@ -854,3 +854,128 @@ def test_python_calls_per_node_of_an_observation_block():
     observation_block(spec, 1, 1)
     profile.disable()
     assert pstats.Stats(profile).total_calls / 500 <= 3
+
+
+# ---------------------------------------------------------------------------
+# network-scale set-up: the layout of a tile and the start point in arrays
+# ---------------------------------------------------------------------------
+
+def _assert_same_index(a, b):
+    """Equal node or row selectors: the same slice, or equal index arrays."""
+    if isinstance(b, slice):
+        assert a == b
+    else:
+        assert not isinstance(a, slice) and a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _assert_same_layout(tiled, want):
+    _assert_same_index(tiled.offsets, want["offsets"])
+    if want["box_bounds"] is None:
+        assert tiled.box_bounds is None
+    else:
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(tiled.box_bounds, want["box_bounds"], strict=True))
+    if want["_domain_limits"] is not None:  # read only where some domain is no box
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(tiled._domain_limits, want["_domain_limits"], strict=True))
+    assert len(tiled._dim_classes) == len(want["_dim_classes"])
+    for (nodes, coords), (ref_nodes, ref_coords) in zip(tiled._dim_classes, want["_dim_classes"]):
+        _assert_same_index(nodes, ref_nodes)
+        _assert_same_index(coords, ref_coords)
+    assert len(tiled.objective_groups) == len(want["objective_groups"])
+    for group, ref in zip(tiled.objective_groups, want["objective_groups"]):
+        assert group.objective is ref.objective
+        _assert_same_index(group.nodes, ref.nodes)
+        _assert_same_index(group.rows, ref.rows)
+        if ref.sums is None:
+            assert group.sums is None
+            continue
+        _assert_same_index(group.sums[0], ref.sums[0])
+        assert len(group.sums[1]) == len(ref.sums[1])
+        for (m, at), (ref_m, ref_at) in zip(group.sums[1], ref.sums[1]):
+            _assert_same_index(m, ref_m)
+            _assert_same_index(at, ref_at)
+    assert len(tiled.sampler_groups) == len(want["sampler_groups"])
+    for (batch, nodes), (ref_batch, ref_nodes) in zip(tiled.sampler_groups, want["sampler_groups"]):
+        assert batch is ref_batch
+        _assert_same_index(nodes, ref_nodes)
+
+
+@pytest.mark.parametrize("lanes", [2, 3, 7])
+def test_tile_layout_equals_the_per_node_walk(consensus_spec, lanes):
+    # a tile derives its layout from the problem's arrays; the oracle walks
+    # every node of every copy, on both apps (pricing: mixed dims, shared
+    # and own objective instances, sum-interval domains)
+    from dataclasses import replace
+    from reference import per_node_tile_layout
+    for spec in [consensus_spec, *_pricing_specs()]:
+        tiled = spec.tile(lanes)
+        _assert_same_layout(tiled, per_node_tile_layout(spec, lanes))
+        assert tiled.uniform == spec.uniform and tiled.graph.n_nodes == lanes * spec.graph.n_nodes
+        # a tile of a tile is the tile of all its lanes
+        _assert_same_layout(tiled.tile(2), per_node_tile_layout(spec, 2 * lanes))
+    # samplers without a batch function form a group of their own
+    bare = replace(consensus_spec, samplers=(Sampler(sample=consensus_spec.samplers[0].sample),) * 5)
+    _assert_same_layout(bare.tile(lanes), per_node_tile_layout(bare, lanes))
+
+
+def test_a_shared_box_start_is_clamped_as_one_array(path3):
+    # the nodes of the consensus problem share one box: its start is one
+    # clamp of an (N, p) array, with the per-node projection's values and errors
+    from asaddle.apps.consensus import ConsensusRegressionConfig, build_consensus_problem
+    spec = build_consensus_problem(ConsensusRegressionConfig(p=2, x0_value=5.0), path3)
+    domain = spec.domains[0]
+    per_node = ProblemSpec.make(path3, 2, spec.objectives, spec.samplers, spec.constraints, [domain] * 3,
+                                x0=[np.full(2, 5.0)] * 3)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(spec.x0, per_node.x0, strict=True))
+    assert np.concatenate(spec.x0).tolist() == [2.0] * 6
+    start = np.array([[0.5, -3.0], [1.0, np.nan], [np.inf, 0.0]])
+    with pytest.raises(NonFiniteState) as shared:
+        ProblemSpec.make(path3, 2, spec.objectives, spec.samplers, spec.constraints, domain, x0=start)
+    with pytest.raises(NonFiniteState) as alone:
+        ProblemSpec.make(path3, 2, spec.objectives, spec.samplers, spec.constraints, [domain] * 3, x0=start)
+    assert str(shared.value) == str(alone.value)
+    # rows of other lengths go through the per-node projection and its error
+    for ragged in ([np.zeros(2), np.zeros(3), np.zeros(2)], np.zeros((3, 3))):
+        with pytest.raises(DimensionMismatch, match="expected vector of length 2"):
+            ProblemSpec.make(path3, 2, spec.objectives, spec.samplers, spec.constraints, domain, x0=ragged)
+
+
+def _profiled_calls(fn) -> int:
+    import cProfile
+    import pstats
+    fn()
+    profile = cProfile.Profile()
+    profile.enable()
+    fn()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
+
+def test_python_calls_of_network_set_up():
+    # building a ring problem and its evaluator makes one Python call per
+    # node, the Sampler each node needs (23 per node with per-node loops),
+    # and a tile makes as many calls at any size and lane count
+    from asaddle import cli
+
+    def ring(n):
+        return cli.config_from_dict({"problem": {"name": "consensus_regression", "x0_value": 1.5},
+                                     "graph": {"n_nodes": n, "edges": "ring"}})
+
+    def set_up(cfg):
+        spec, _ = cli.build_problem(cfg)
+        ExpectedObjective(spec, mc_samples=cfg.mc_samples, seed=cfg.eval_seed)
+
+    small, large = ring(500), ring(2000)
+    per_node = (_profiled_calls(lambda: set_up(large)) - _profiled_calls(lambda: set_up(small))) / 1500
+    assert per_node <= 1.1
+    counts = set()
+    for n in (5, 500):
+        spec, _ = cli.build_problem(ring(n))
+        for lanes in (5, 25):
+            def tile():
+                tiled = spec.tile(lanes)
+                return (tiled.offsets, tiled.box_bounds, tiled._dim_classes, tiled.objective_groups,
+                        tiled.sampler_groups)
+            counts.add(_profiled_calls(tile))
+    assert len(counts) == 1

@@ -774,15 +774,16 @@ def test_advise_rejects_nonpositive_estimates(path3):
 
 # (app, mode): calls per step of one lane at T=1280, seed 0, no evaluator,
 # after a warm-up run (cProfile); each ceiling is the count of the engine
-# that draws each sampler group in one call + 5 % (in parentheses, newest
-# first: with a draw per node, with per-step recording, with per-node
-# iterate views, with separate objective calls per node, with a separate
-# iterate ring, then with observation trees)
+# whose live-lane and finiteness checks call the ufunc reductions directly
+# + 5 % (in parentheses, newest first: through numpy's reduction wrappers,
+# with a draw per node, with per-step recording, with per-node iterate
+# views, with separate objective calls per node, with a separate iterate
+# ring, then with observation trees)
 STEP_CALL_CEILINGS = {
-    ("consensus", "sync"): 71.4,  # 68.0 (71.5, 93.1, 114.1, 116.3, 117.3, 205.8)
-    ("consensus", "async"): 75.1,  # 71.6 (73.9, 116.4, 144.5, 146.7, 152.9, 280.7)
-    ("pricing", "sync"): 57.8,  # 55.0 (63.3, 83.4, 117.2, 117.4, 118.4, 153.3)
-    ("pricing", "async"): 61.4,  # 58.4 (65.5, 91.6, 139.2, 139.4, 145.7, 199.6)
+    ("consensus", "sync"): 66.2,  # 63.1 (68.0, 71.5, 93.1, 114.1, 116.3, 117.3, 205.8)
+    ("consensus", "async"): 70.0,  # 66.7 (71.6, 73.9, 116.4, 144.5, 146.7, 152.9, 280.7)
+    ("pricing", "sync"): 52.0,  # 49.5 (55.0, 63.3, 83.4, 117.2, 117.4, 118.4, 153.3)
+    ("pricing", "async"): 55.6,  # 52.9 (58.4, 65.5, 91.6, 139.2, 139.4, 145.7, 199.6)
 }
 
 
